@@ -45,8 +45,8 @@ from bihom.algebra import (
     vec_add,
     zero_vec,
 )
-from bihom.scalars import Mat, ONE, ZERO, Subspace, nullspace_rows, q
-from bihom.trees import Tree, face, orientations, tree_index, trees
+from bihom.scalars import Mat, ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q
+from bihom.trees import DASHV, VDASH, Tree, face, orientations, tree_index, trees
 
 
 def _args_rank(args: Sequence[int], dim: int) -> int:
@@ -417,6 +417,83 @@ def _support(v: Vec) -> list[tuple[int, Fraction]]:
     return [(i, c) for i, c in enumerate(v) if c]
 
 
+def _coboundary_rows(
+    phi: Mat,
+    psi: Mat,
+    products: Mapping[str, Table],
+    n: int,
+    layout: Iterable[tuple[Sequence[int], Sequence[str]]],
+) -> list[dict[int, Fraction]]:
+    """delta^n rows for both complexes.
+
+    `layout` gives, per output tree in tree order, the face index and the
+    product name of each of the n + 2 blocks; the one-product complex is
+    one tree whose faces are all tree 0.  Everything that depends only on
+    a basis index or a product (twist column supports, product cells, the
+    expansions of P e_j and Q e_j through each product) is tabulated once.
+    """
+    m = phi.rows
+    size = m**n
+    P = phi.power(n - 1)
+    Q = psi.power(n - 1)
+    basis = [tuple(ONE if s == j else ZERO for s in range(m)) for j in range(m)]
+    phi_sup = [_support(phi.col(j)) for j in range(m)]
+    psi_sup = [_support(psi.col(j)) for j in range(m)]
+    last_sign = -1 if (n + 1) % 2 else 1
+    cells, left, right = {}, {}, {}
+    for name, table in products.items():
+        cells[name] = [[_support(cell) for cell in line] for line in table]
+        left[name] = [
+            [(j, _support(col)) for j, col in _expand_product_left(table, P.apply(e), m)]
+            for e in basis
+        ]
+        right[name] = [
+            [
+                (j, [(k, last_sign * c) for k, c in _support(col)])
+                for j, col in _expand_product_right(table, Q.apply(e), m)
+            ]
+            for e in basis
+        ]
+    signs = [q(-1 if i % 2 else 1) for i in range(n + 1)]
+
+    rows: list[dict[int, Fraction]] = []
+    for face_idx, ors in layout:
+        for b in iproduct(range(m), repeat=n + 1):
+            out_rows: list[dict[int, Fraction]] = [dict() for _ in range(m)]
+
+            base = (face_idx[0] * size + _args_rank(b[1:], m)) * m
+            for j, col in left[ors[0]][b[0]]:
+                key = base + j
+                for k, c in col:
+                    out_rows[k][key] = out_rows[k].get(key, ZERO) + c
+
+            for i in range(1, n + 1):
+                vecs = [phi_sup[b[s]] for s in range(i - 1)]
+                vecs.append(cells[ors[i]][b[i - 1]][b[i]])
+                vecs += [psi_sup[b[s]] for s in range(i + 1, n + 1)]
+                tbase = face_idx[i] * size
+                for combo in iproduct(*vecs):
+                    coef = signs[i]
+                    r = 0
+                    for ci, c in combo:
+                        coef *= c
+                        r = r * m + ci
+                    base = (tbase + r) * m
+                    for k in range(m):
+                        key = base + k
+                        out_rows[k][key] = out_rows[k].get(key, ZERO) + coef
+
+            base = (face_idx[n + 1] * size + _args_rank(b[:-1], m)) * m
+            for j, col in right[ors[n + 1]][b[n]]:
+                key = base + j
+                for k, c in col:
+                    out_rows[k][key] = out_rows[k].get(key, ZERO) + c
+
+            for k in range(m):
+                rows.append({key: v for key, v in out_rows[k].items() if v})
+    return rows
+
+
 def dialg_coboundary_rows(
     A: BiHomDialgebra, n: int
 ) -> list[dict[int, Fraction]]:
@@ -425,104 +502,20 @@ def dialg_coboundary_rows(
     Row r for output coordinate (y, b, k) satisfies
     (delta f)(y; b)_k = sum_in r[in] * f_flat[in].
     """
-    m = A.dim
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(n - 1)
-    idx = lambda t, args, k: (t * m**n + _args_rank(args, m)) * m + k
-    rows: list[dict[int, Fraction]] = []
-    for yi, y in enumerate(trees(n + 1)):
-        ors = orientations(y)
-        face_idx = [tree_index(face(y, i)) for i in range(n + 2)]
-        for b in iproduct(range(m), repeat=n + 1):
-            out_rows: list[dict[int, Fraction]] = [dict() for _ in range(m)]
-
-            u = P.apply(tuple(ONE if s == b[0] else ZERO for s in range(m)))
-            for j, col in _expand_product_left(A.table(ors[0]), u, m):
-                for k, c in enumerate(col):
-                    if c:
-                        key = idx(face_idx[0], b[1:], j)
-                        out_rows[k][key] = out_rows[k].get(key, ZERO) + c
-
-            for i in range(1, n + 1):
-                sign = -1 if i % 2 else 1
-                vecs: list[list[tuple[int, Fraction]]] = []
-                for s in range(i - 1):
-                    col = tuple(A.phi[r, b[s]] for r in range(m))
-                    vecs.append(_support(col))
-                prod_cell = A.table(ors[i])[b[i - 1]][b[i]]
-                vecs.append(_support(prod_cell))
-                for s in range(i + 1, n + 1):
-                    col = tuple(A.psi[r, b[s]] for r in range(m))
-                    vecs.append(_support(col))
-                for combo in iproduct(*vecs):
-                    coef = q(sign)
-                    for _, c in combo:
-                        coef *= c
-                    args = tuple(ci for ci, _ in combo)
-                    for k in range(m):
-                        key = idx(face_idx[i], args, k)
-                        out_rows[k][key] = out_rows[k].get(key, ZERO) + coef
-
-            w = Q.apply(tuple(ONE if s == b[n] else ZERO for s in range(m)))
-            sign = -1 if (n + 1) % 2 else 1
-            for j, col in _expand_product_right(A.table(ors[n + 1]), w, m):
-                for k, c in enumerate(col):
-                    if c:
-                        key = idx(face_idx[n + 1], b[:-1], j)
-                        out_rows[k][key] = out_rows[k].get(key, ZERO) + sign * c
-
-            for k in range(m):
-                rows.append({key: v for key, v in out_rows[k].items() if v})
-    return rows
+    layout = [
+        ([tree_index(face(y, i)) for i in range(n + 2)], orientations(y))
+        for y in trees(n + 1)
+    ]
+    products = {op: A.table(op) for op in (DASHV, VDASH)}
+    return _coboundary_rows(A.phi, A.psi, products, n, layout)
 
 
 def hoch_coboundary_rows(
     A: BiHomAssociativeAlgebra, n: int
 ) -> list[dict[int, Fraction]]:
     """Same row construction for the one-product complex."""
-    m = A.dim
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(n - 1)
-    idx = lambda args, k: _args_rank(args, m) * m + k
-    rows: list[dict[int, Fraction]] = []
-    for b in iproduct(range(m), repeat=n + 1):
-        out_rows: list[dict[int, Fraction]] = [dict() for _ in range(m)]
-
-        u = P.apply(tuple(ONE if s == b[0] else ZERO for s in range(m)))
-        for j, col in _expand_product_left(A.mul, u, m):
-            for k, c in enumerate(col):
-                if c:
-                    key = idx(b[1:], j)
-                    out_rows[k][key] = out_rows[k].get(key, ZERO) + c
-
-        for i in range(1, n + 1):
-            sign = -1 if i % 2 else 1
-            vecs: list[list[tuple[int, Fraction]]] = []
-            for s in range(i - 1):
-                vecs.append(_support(tuple(A.phi[r, b[s]] for r in range(m))))
-            vecs.append(_support(A.mul[b[i - 1]][b[i]]))
-            for s in range(i + 1, n + 1):
-                vecs.append(_support(tuple(A.psi[r, b[s]] for r in range(m))))
-            for combo in iproduct(*vecs):
-                coef = q(sign)
-                for _, c in combo:
-                    coef *= c
-                args = tuple(ci for ci, _ in combo)
-                for k in range(m):
-                    key = idx(args, k)
-                    out_rows[k][key] = out_rows[k].get(key, ZERO) + coef
-
-        w = Q.apply(tuple(ONE if s == b[n] else ZERO for s in range(m)))
-        sign = -1 if (n + 1) % 2 else 1
-        for j, col in _expand_product_right(A.mul, w, m):
-            for k, c in enumerate(col):
-                if c:
-                    key = idx(b[:-1], j)
-                    out_rows[k][key] = out_rows[k].get(key, ZERO) + sign * c
-
-        for k in range(m):
-            rows.append({key: v for key, v in out_rows[k].items() if v})
-    return rows
+    layout = [([0] * (n + 2), ["mul"] * (n + 2))]
+    return _coboundary_rows(A.phi, A.psi, {"mul": A.mul}, n, layout)
 
 
 # -- twist compatibility --------------------------------------------------------
@@ -587,22 +580,23 @@ def hoch_cocycles(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
 
 
 def _image_space(
-    basis_rows: Iterable[Sequence[Fraction]],
+    space: Subspace,
     delta_rows: list[dict[int, Fraction]],
     out_dim: int,
 ) -> Subspace:
-    images = []
-    for g in basis_rows:
-        img = [ZERO] * out_dim
-        for out_idx, row in enumerate(delta_rows):
-            s = ZERO
-            for in_idx, c in row.items():
-                gi = g[in_idx]
-                if gi:
-                    s += c * gi
-            img[out_idx] = s
-        images.append(img)
-    return Subspace(out_dim, images)
+    """delta(space), with the delta rows indexed once by input coordinate."""
+    by_input: dict[int, list[tuple[int, Fraction]]] = {}
+    for out_idx, row in enumerate(delta_rows):
+        for in_idx, c in row.items():
+            by_input.setdefault(in_idx, []).append((out_idx, c))
+    elim = _Eliminator()
+    for g in space.sparse_rows():
+        img: dict[int, Fraction] = {}
+        for in_idx, gi in g:
+            for out_idx, c in by_input.get(in_idx, ()):
+                img[out_idx] = img.get(out_idx, ZERO) + c * gi
+        elim.add(img)
+    return Subspace._from_rref(out_dim, elim.rref()[1])
 
 
 def dialg_coboundaries(A: BiHomDialgebra, n: int) -> Subspace:
@@ -612,7 +606,7 @@ def dialg_coboundaries(A: BiHomDialgebra, n: int) -> Subspace:
         return Subspace(out_dim, [])
     prev = dialg_compatible_space(A, n - 1)
     delta_rows = dialg_coboundary_rows(A, n - 1)
-    return _image_space(prev.basis_rows(), delta_rows, out_dim)
+    return _image_space(prev, delta_rows, out_dim)
 
 
 def hoch_coboundaries(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
@@ -621,7 +615,7 @@ def hoch_coboundaries(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
         return Subspace(out_dim, [])
     prev = hoch_compatible_space(A, n - 1)
     delta_rows = hoch_coboundary_rows(A, n - 1)
-    return _image_space(prev.basis_rows(), delta_rows, out_dim)
+    return _image_space(prev, delta_rows, out_dim)
 
 
 @dataclass(frozen=True)
@@ -651,7 +645,15 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
     else:
         raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
     if not Z.contains_space(B):
-        raise ArithmeticError(f"coboundaries escape cocycles in degree {n}")
+        i, res = next((i, res) for i, r in enumerate(B.sparse_rows()) if (res := Z.residual(r)))
+        coord = min(res)
+        t, args, k = _decode(coord, n, X.dim)
+        where = f"tree {t}, " if isinstance(X, BiHomDialgebra) else ""
+        raise ArithmeticError(
+            f"coboundaries escape cocycles in degree {n}: coboundary basis row {i} "
+            f"has residual {res[coord]} at {where}args "
+            f"({', '.join(X.basis[a] for a in args)}), output {X.basis[k]}"
+        )
     return CohomologyReport(
         degree=n,
         compatible_dim=C.dim,
@@ -661,15 +663,27 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
     )
 
 
+def _decode(coord: int, n: int, m: int) -> tuple[int, tuple[int, ...], int]:
+    """(tree, args, output) of a flattened degree-n cochain coordinate."""
+    rest, k = divmod(coord, m)
+    t, r = divmod(rest, m**n)
+    args = []
+    for _ in range(n):
+        r, a = divmod(r, m)
+        args.append(a)
+    return t, tuple(reversed(args)), k
+
+
 def random_compatible_cochain(
     space: Subspace, rng: random.Random, degree: int, dim: int, tree_indexed: bool
 ) -> TreeCochain | HochschildCochain:
     """Random integer combination of a compatible-space basis."""
     coords = [ZERO] * space.ambient_dim
-    for row in space.basis_rows():
+    for row in space.sparse_rows():
         c = q(rng.randint(-9, 9))
         if c:
-            coords = [a + c * r for a, r in zip(coords, row)]
+            for j, x in row:
+                coords[j] += c * x
     if tree_indexed:
         return TreeCochain.unflatten(degree, dim, coords)
     return HochschildCochain.unflatten(degree, dim, coords)

@@ -1,4 +1,4 @@
-"""Exact rational scalars, dense matrices, and exact linear algebra.
+"""Exact rational scalars, dense matrices, and exact sparse linear algebra.
 
 Everything downstream (axiom checks, derivation solvers, cochain
 complexes) reduces to rank / nullspace / solve over the rationals, so
@@ -9,10 +9,14 @@ invariants we need (positive denominator, reduced form).
 Elimination is fraction-free: rows are scaled to integers and combined
 by cross-multiplication with a gcd renormalisation after every step,
 which bounds intermediate growth on the moderately sized systems that
-arise here (a few thousand rows, a few hundred unknowns).  Subspaces
-are always stored in reduced row echelon form with unit pivots ordered
-by pivot column, so equal subspaces have identical representations and
-reports built from them are deterministic.
+arise here (tens of thousands of sparse rows, a few thousand unknowns).
+Subspaces are stored sparsely, in canonical reduced row echelon form:
+unit pivots, rows ordered by pivot column, each row kept as its nonzero
+(column, value) pairs.  Equal subspaces therefore have identical
+representations and reports built from them are deterministic; dense
+vectors are built only when a caller asks for them.  Kernels come out
+of one elimination already in that canonical form (see
+`nullspace_rows`), so they are never densified or eliminated twice.
 """
 
 from __future__ import annotations
@@ -308,27 +312,37 @@ class _Eliminator:
         return len(self.pivots)
 
     def rref(self) -> tuple[tuple[int, ...], list[dict[int, Fraction]]]:
-        """Pivot columns (ascending) and fully reduced unit-pivot rows."""
+        """Pivot columns (ascending) and fully reduced unit-pivot rows.
+
+        Back-substitution runs from the last pivot up.  A finished row is
+        zero in every other pivot column, so a row is cleared by
+        subtracting once each finished row whose pivot column it holds,
+        scaled by the entry it held there on entry.
+        """
         cols = sorted(self.pivots)
-        rows: list[dict[int, Fraction]] = []
-        for c in cols:
+        done: dict[int, dict[int, Fraction]] = {}
+        for c in reversed(cols):
             piv = self.pivots[c]
-            lead = Fraction(piv[c])
-            rows.append({cc: Fraction(v) / lead for cc, v in piv.items()})
-        for i in range(len(cols) - 1, -1, -1):
-            ri = rows[i]
-            ci = cols[i]
-            for jpos in range(i):
-                rj = rows[jpos]
-                f = rj.get(ci)
-                if f:
-                    for cc, v in ri.items():
-                        nv = rj.get(cc, ZERO) - f * v
-                        if nv:
-                            rj[cc] = nv
-                        elif cc in rj:
-                            del rj[cc]
-        return tuple(cols), rows
+            lead = piv[c]
+            row = {cc: Fraction(v, lead) for cc, v in piv.items()}
+            for cc, f in [(cc, row[cc]) for cc in piv if cc in done]:
+                for k, v in done[cc].items():
+                    nv = row.get(k, ZERO) - f * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+            done[c] = row
+        return tuple(cols), [done[c] for c in cols]
+
+
+def _checked(rows: Iterable[dict[int, Fraction]], limit: int) -> Iterable[dict[int, Fraction]]:
+    """The rows, refusing any column outside [0, limit)."""
+    for i, row in enumerate(rows):
+        for c in row:
+            if not 0 <= c < limit:
+                raise ValueError(f"row {i}: column {c} outside [0, {limit})")
+        yield row
 
 
 def _rows_of_mat(M: Mat) -> list[dict[int, Fraction]]:
@@ -341,14 +355,17 @@ def _rows_of_mat(M: Mat) -> list[dict[int, Fraction]]:
 
 
 class Subspace:
-    """Subspace of K^d in canonical reduced-echelon form.
+    """Subspace of K^d in canonical reduced-echelon form, stored sparsely.
 
-    The basis is stored as rows of an RREF matrix (unit pivots, ordered
-    by pivot column); `basis` exposes them as column vectors.  Canonical
-    form means two equal subspaces compare equal structurally.
+    The basis is the set of rows of the reduced row echelon form (unit
+    pivots, ordered by pivot column).  Each row is a tuple of its nonzero
+    (column, value) pairs in column order, so its first pair is the pivot
+    (column, 1).  Canonical form means two equal subspaces compare equal
+    structurally.  `basis_rows()` and `basis` are dense views, built on
+    each call.
     """
 
-    __slots__ = ("ambient_dim", "_pivcols", "_rows")
+    __slots__ = ("ambient_dim", "_rows", "_by_pivot")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Fraction]] = ()):
         elim = _Eliminator()
@@ -357,26 +374,22 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
             elim.add({j: q(x) for j, x in enumerate(v) if x})
-        pivcols, rows = elim.rref()
+        self._fill(ambient_dim, elim.rref()[1])
+
+    def _fill(self, ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> None:
+        rows = tuple(tuple(sorted(r.items())) for r in rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_pivcols", pivcols)
-        object.__setattr__(
-            self,
-            "_rows",
-            tuple(tuple(r.get(j, ZERO) for j in range(ambient_dim)) for r in rows),
-        )
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_by_pivot", {r[0][0]: r for r in rows})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @staticmethod
-    def _from_rref(ambient_dim: int, pivcols, rows) -> Subspace:
+    def _from_rref(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> Subspace:
+        """Wrap unit-pivot reduced rows, in pivot order, with no elimination."""
         s = Subspace.__new__(Subspace)
-        object.__setattr__(s, "ambient_dim", ambient_dim)
-        object.__setattr__(s, "_pivcols", tuple(pivcols))
-        object.__setattr__(
-            s, "_rows", tuple(tuple(r.get(j, ZERO) for j in range(ambient_dim)) for r in rows)
-        )
+        s._fill(ambient_dim, rows)
         return s
 
     @property
@@ -386,33 +399,61 @@ class Subspace:
     @property
     def basis(self) -> tuple[Mat, ...]:
         """Canonical basis as column vectors."""
-        return tuple(Mat.column(r) for r in self._rows)
+        return tuple(Mat.column(r) for r in self.basis_rows())
 
     def basis_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        out = []
+        for r in self._rows:
+            v = [ZERO] * self.ambient_dim
+            for j, x in r:
+                v[j] = x
+            out.append(tuple(v))
+        return tuple(out)
+
+    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Canonical basis rows as (column, value) pairs in column order."""
         return self._rows
+
+    def residual(self, entries: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+        """Nonzero entries of a sparse vector minus its projection on the basis.
+
+        A basis row is zero in every other pivot column, so the projection
+        takes each pivot coordinate of the vector as it is given.
+        """
+        v = dict(entries)
+        for c, f in [(c, f) for c, f in v.items() if c in self._by_pivot]:
+            for j, x in self._by_pivot[c]:
+                nv = v.get(j, ZERO) - f * x
+                if nv:
+                    v[j] = nv
+                else:
+                    del v[j]
+        return v
 
     def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Residual of vec after subtracting its projection on the basis."""
-        v = [q(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        for pc, row in zip(self._pivcols, self._rows):
-            f = v[pc]
-            if f:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] -= f * x
-        return tuple(v)
+        out = [ZERO] * self.ambient_dim
+        for j, x in self.residual(self._entries(vec)).items():
+            out[j] = x
+        return tuple(out)
 
     def contains(self, vec: Sequence[Fraction] | Mat) -> bool:
         if isinstance(vec, Mat):
             if vec.cols != 1:
                 raise ValueError("expected a column vector")
             vec = vec.col(0)
-        return all(x == 0 for x in self.reduce(vec))
+        return not self.residual(self._entries(vec))
 
     def contains_space(self, other: Subspace) -> bool:
-        return all(self.contains(r) for r in other.basis_rows())
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return all(not self.residual(r) for r in other._rows)
+
+    def _entries(self, vec: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+        v = [q(x) for x in vec]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return [(j, x) for j, x in enumerate(v) if x]
 
     def __eq__(self, other) -> bool:
         return (
@@ -445,24 +486,29 @@ def nullspace(M: Mat) -> Subspace:
 
 
 def nullspace_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Subspace:
-    """Kernel of the linear system given by sparse rows over ncols unknowns."""
+    """Kernel of the linear system given by sparse rows over ncols unknowns.
+
+    The rows are eliminated with the columns reversed (j -> ncols-1-j), so
+    in the original order each reduced row ends at its pivot column.  The
+    standard kernel vector of a free column f is then e_f minus entries in
+    pivot columns right of f: its leading entry is the unit at f, and no
+    other kernel vector touches f.  That basis already is the canonical
+    reduced echelon form of the kernel; it is read off the reduced rows in
+    one transposing pass.
+    """
+    last = ncols - 1
     elim = _Eliminator()
-    elim.add_many(rows)
+    for row in _checked(rows, ncols):
+        elim.add({last - c: v for c, v in row.items()})
     pivcols, rref = elim.rref()
-    pivset = set(pivcols)
-    basis: list[dict[int, Fraction]] = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec: dict[int, Fraction] = {free: ONE}
-        for pc, row in zip(pivcols, rref):
-            coef = row.get(free)
-            if coef:
-                vec[pc] = -coef
-        basis.append(vec)
-    # The standard kernel basis is already echelon over the free columns;
-    # still canonicalise through the Subspace constructor for one format.
-    return Subspace(ncols, [[v.get(j, ZERO) for j in range(ncols)] for v in basis])
+    pivots = {last - c for c in pivcols}
+    kernel = {f: {f: ONE} for f in range(ncols) if f not in pivots}
+    for rc, row in zip(pivcols, rref):
+        pc = last - rc
+        for c, v in row.items():
+            if c != rc:
+                kernel[last - c][pc] = -v
+    return Subspace._from_rref(ncols, kernel.values())
 
 
 def solve(M: Mat, b: Mat) -> Mat | None:
@@ -483,7 +529,7 @@ def solve(M: Mat, b: Mat) -> Mat | None:
 def solve_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Mat | None:
     """Solve a sparse system where column `ncols` holds the right side."""
     elim = _Eliminator()
-    elim.add_many(rows)
+    elim.add_many(_checked(rows, ncols + 1))
     pivcols, rref = elim.rref()
     if ncols in pivcols:
         return None

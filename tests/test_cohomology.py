@@ -29,6 +29,7 @@ from bihom.cohomology import (
     random_compatible_cochain,
     tree_cochain_dim,
 )
+from bihom.scalars import Mat, Subspace
 from bihom.trees import trees
 
 import oracles
@@ -223,6 +224,69 @@ def test_cohomology_raises_when_complex_is_broken():
     A = BiHomAssociativeAlgebra(3, mul, phi, psi)
     with pytest.raises(ArithmeticError):
         cohomology(A, 2)
+
+
+def test_broken_complex_error_names_the_escaping_coordinate():
+    phi = map_from_entries(3, {2: {2: 1}})
+    psi = map_from_entries(3, {1: {1: 1}, 2: {1: 1, 2: -1}})
+    mul = table_from_entries(
+        3,
+        {(1, 2): {1: 1}, (2, 1): {2: 1}, (2, 2): {2: 1}, (3, 2): {3: 1}, (3, 3): {3: 1}},
+    )
+    A = BiHomAssociativeAlgebra(3, mul, phi, psi)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^coboundaries escape cocycles in degree 2: coboundary basis row 0 "
+        r"has residual 1 at args \(e1, e2\), output e1$",
+    ):
+        cohomology(A, 2)
+    # the named coordinate, (args (0, 1), output 0), is 3 in flattened order
+    residual = hoch_cocycles(A, 2).reduce(hoch_coboundaries(A, 2).basis_rows()[0])
+    assert residual[3] == 1 and not any(residual[:3])
+
+
+def test_rank_nullity_across_the_complex():
+    """dim B^n = dim C^(n-1) - dim Z^(n-1): delta restricted to C^(n-1)
+    has kernel Z^(n-1) and image B^n, each computed by its own route."""
+    algebras = [
+        entry.build(**{p: 1 for p in entry.params}) for entry in catalog().values()
+    ]
+    for n in (2, 3):
+        for A in algebras:
+            assert dialg_coboundaries(A, n).dim == (
+                dialg_compatible_space(A, n - 1).dim - dialg_cocycles(A, n - 1).dim
+            ), (A.name, n)
+        N = nil2()
+        assert hoch_coboundaries(N, n).dim == (
+            hoch_compatible_space(N, n - 1).dim - hoch_cocycles(N, n - 1).dim
+        ), n
+
+
+def test_coboundary_space_holds_directly_evaluated_coboundaries():
+    """B^n, built from the delta rows, contains delta f evaluated by the
+    direct coboundary for random compatible f.  For two one-product
+    algebras the evaluated images of a whole basis span it exactly; the
+    second has a non-diagonal twist, so its compatible bases carry
+    entries other than 1."""
+    rng = random.Random(61)
+    for entry in catalog().values():
+        A = entry.build(**{p: 1 for p in entry.params})
+        for n in (2, 3):
+            space = dialg_compatible_space(A, n - 1)
+            f = random_compatible_cochain(space, rng, n - 1, A.dim, tree_indexed=True)
+            assert dialg_coboundaries(A, n).contains(dialg_coboundary(A, f).flatten())
+    shear = Mat.from_rows([[2, 1], [0, 1]])
+    sheared = BiHomAssociativeAlgebra(
+        2, table_from_entries(2, {(1, 2): {2: 2}, (2, 2): {2: 2}}), shear, shear
+    )
+    for N in (nil2(), sheared):
+        for n in (2, 3):
+            space = hoch_compatible_space(N, n - 1)
+            images = [
+                hoch_coboundary(N, HochschildCochain.unflatten(n - 1, 2, row)).flatten()
+                for row in space.basis_rows()
+            ]
+            assert hoch_coboundaries(N, n) == Subspace(hochschild_cochain_dim(n, 2), images)
 
 
 def test_coboundary_matches_independent_four_term_evaluator():

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihom.scalars import Mat, Subspace, nullspace, rank, solve
+from bihom.scalars import (
+    Mat,
+    Subspace,
+    _Eliminator,
+    nullspace,
+    nullspace_rows,
+    rank,
+    solve,
+    solve_rows,
+)
 
 import oracles
 
@@ -20,6 +29,19 @@ def matrices(draw, max_rows=5, max_cols=5):
     c = draw(st.integers(1, max_cols))
     ents = draw(st.lists(rationals, min_size=r * c, max_size=r * c))
     return Mat(r, c, ents)
+
+
+@st.composite
+def sparse_systems(draw, max_rows=8, max_cols=12):
+    """Sparse rows over ncols unknowns, each with a few fractional entries."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), rationals, max_size=4),
+            max_size=max_rows,
+        )
+    )
+    return rows, ncols
 
 
 @given(matrices())
@@ -91,6 +113,8 @@ def test_subspace_membership():
     assert not S.contains([0, 0, 1])
     assert S.contains_space(Subspace(3, [[1, -1, 0]]))
     assert not S.contains_space(Subspace(3, [[1, 0, 0]]))
+    with pytest.raises(ValueError):
+        S.contains_space(Subspace(4, [[1, 0, 0, 0]]))
 
 
 @given(matrices(max_rows=4, max_cols=4), st.lists(rationals, min_size=4, max_size=4))
@@ -158,3 +182,47 @@ def test_mat_shape_errors():
         Mat.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         Mat.identity(2) @ Mat.identity(3)
+
+
+@given(sparse_systems())
+@settings(max_examples=80, deadline=None)
+def test_sparse_kernel_is_canonical_echelon_form(system):
+    rows, ncols = system
+    ns = nullspace_rows(rows, ncols)
+    assert ns == Subspace(ncols, ns.basis_rows())
+    dense = [list(v) for v in ns.basis_rows()]
+    assert dense == oracles.rref(dense)[0]
+    system_rows = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    assert ns.dim == oracles.checked_nullity(system_rows, ncols)
+
+
+def test_eliminator_rref_matches_oracle_with_fill_in():
+    # every row meets the dense first row, so reduction fills in columns
+    # the rows did not hold, and back-substitution must clear them again
+    rows = [
+        {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1},
+        {0: 2, 5: Fraction(1, 3)},
+        {0: 3, 4: -1},
+        {1: Fraction(1, 2), 3: 5},
+        {2: 7, 3: 1, 4: 1},
+    ]
+    dense = [[r.get(j, 0) for j in range(6)] for r in rows]
+    elim = _Eliminator()
+    elim.add_many(rows)
+    pivcols, rref = elim.rref()
+    expected, oracle_pivots = oracles.rref(dense)
+    assert list(pivcols) == oracle_pivots
+    assert [[r.get(j, 0) for j in range(6)] for r in rref] == expected[: len(oracle_pivots)]
+
+
+def test_out_of_range_columns_are_refused():
+    with pytest.raises(ValueError, match=r"row 0: column 5 outside \[0, 3\)"):
+        nullspace_rows([{0: 1, 5: 1}], 3)
+    with pytest.raises(ValueError, match=r"row 1: column -1 outside"):
+        nullspace_rows([{1: 1}, {0: 1, -1: 1}], 3)
+    # the right-hand side may use column ncols, nothing beyond it
+    assert solve_rows([{0: 1, 2: 4}], 2) == Mat.column([4, 0])
+    with pytest.raises(ValueError, match=r"row 0: column 3 outside \[0, 3\)"):
+        solve_rows([{0: 1, 3: 1}], 2)
+    with pytest.raises(ValueError, match=r"row 0: column -2 outside"):
+        solve_rows([{-2: 1}], 2)
