@@ -17,19 +17,12 @@ import click
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
+    basis_vec,
     catalog,
     check_bihom_associative,
     check_dialgebra,
 )
-from bihom.cohomology import (
-    HochschildCochain,
-    dialg_coboundaries,
-    dialg_cocycles,
-    dialg_compatible_space,
-    hoch_coboundaries,
-    hoch_cocycles,
-    hoch_compatible_space,
-)
+from bihom.cohomology import HochschildCochain, cohomology_spaces
 from bihom.deformation import (
     LAW_FOR_TREE,
     TruncatedDeformation,
@@ -406,14 +399,7 @@ def cohomology_cmd(file, name, degree, which, as_json):
         X = BiHomAssociativeAlgebra(X.dim, X.dashv, X.phi, X.psi, basis=X.basis, name=X.name)
     if which == "dialg" and isinstance(X, BiHomAssociativeAlgebra):
         X = X.as_dialgebra()
-    if which == "hoch":
-        comp = hoch_compatible_space(X, degree)
-        Z = hoch_cocycles(X, degree)
-        B = hoch_coboundaries(X, degree)
-    else:
-        comp = dialg_compatible_space(X, degree)
-        Z = dialg_cocycles(X, degree)
-        B = dialg_coboundaries(X, degree)
+    comp, Z, B = cohomology_spaces(X, degree)
     # the quotient only makes sense when the differential squares to
     # zero; on axiom-violating input report it as undefined instead
     contained = Z.contains_space(B)
@@ -449,16 +435,11 @@ def cohomology_cmd(file, name, degree, which, as_json):
     ):
         checklist = []
         for args, target in _REFERENCE_COCYCLES[degree]:
-            f = HochschildCochain(
-                degree,
-                X.dim,
-                {tuple(a - 1 for a in args): tuple(
-                    Fraction(1) if i == target - 1 else Fraction(0) for i in range(X.dim)
-                )},
-            )
+            zero_based = tuple(a - 1 for a in args)
+            f = HochschildCochain(degree, X.dim, {zero_based: basis_vec(X.dim, target - 1)})
             member = Z.contains(f.flatten())
             checklist.append({"args": list(args), "target": target, "in_kernel": member})
-            pat = _args_str(tuple(a - 1 for a in args), X.basis)
+            pat = _args_str(zero_based, X.basis)
             lines.append(
                 f"reference pattern {pat} -> {X.basis[target - 1]}: "
                 f"in Z^{degree}: {'yes' if member else 'no'}"

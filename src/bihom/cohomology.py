@@ -1,28 +1,30 @@
-"""Cochain complexes for the one-product and two-product structures.
+"""The cochain complex of a BiHom dialgebra, and its one-product case.
 
-Two complexes live here.  For a `BiHomAssociativeAlgebra` the degree-n
-cochains are multilinear maps A^n -> A; for a `BiHomDialgebra` a
-degree-n cochain additionally depends on a planar binary tree with n
-leaves, so it is a map Y_n x A^n -> A.  Both coboundaries follow the
-same three-block shape: multiply the first argument in from the left
-(twisted by phi^(n-1)), contract neighbouring arguments with signs
-(-1)^i while twisting earlier arguments by phi and later ones by psi,
-and multiply the last argument in from the right (twisted by
-psi^(n-1)).  In the tree complex the i-th block also replaces the tree
-by its i-th face, and every product is the one selected by the leaf
-orientation of the ambient tree.
+For a `BiHomDialgebra` a degree-n cochain is a multilinear map
+Y_n x A^n -> A, where Y_n are the planar binary trees of the degree.  The
+one-product (Hochschild-style) complex of a `BiHomAssociativeAlgebra` is
+the same complex over a single tree: its cochains are maps A^n -> A, every
+face of the tree is the tree itself and every block uses the one product.
+The coboundary has three blocks: multiply the first argument in from the
+left (twisted by phi^(n-1)), contract neighbouring arguments with signs
+(-1)^i while twisting earlier arguments by phi and later ones by psi, and
+multiply the last argument in from the right (twisted by psi^(n-1)).  The
+i-th block replaces the tree by its i-th face, and every product is the
+one selected by the leaf orientation of the ambient tree.
 
 Cochains are also required to intertwine the twist maps
 (phi f = f phi^(x n) and likewise for psi); the *_compatible_space
 functions return that subspace and the cocycle/coboundary/cohomology
 functions work inside it.  Degree-1 coboundaries are taken to be zero,
-so H^1 is the space of compatible 1-cocycles.
+so H^1 is the space of compatible 1-cocycles; there are no cochains
+below degree 1.
 
 Everything is exact and coordinatised: a degree-n cochain over a
 dim-m algebra flattens to a vector of length |Y_n| * m^n * m (tree
 index outer, then the argument multi-index row-major, then the output
-coordinate), and the coboundary is realised as sparse rows over those
-coordinates, which keeps kernel computations in the sparse eliminator.
+coordinate; |Y_n| is 1 in the one-product complex), and the coboundary
+is realised as sparse rows over those coordinates, which keeps kernel
+computations in the sparse eliminator.
 """
 
 from __future__ import annotations
@@ -56,42 +58,124 @@ def _args_rank(args: Sequence[int], dim: int) -> int:
     return r
 
 
-class TreeCochain:
-    """Degree-n multilinear map Y_n x A^n -> A, stored sparsely on basis tuples."""
+class _Cochain:
+    """Shared body of both cochain kinds: an immutable degree-n multilinear
+    map, stored sparsely as {key: value vector} with zero values dropped.
+
+    A `TreeCochain` is keyed by (tree index, args); a `HochschildCochain`
+    is the one-tree case and is keyed by args alone.
+    """
 
     __slots__ = ("degree", "dim", "data")
+    _tree_keyed = False
 
-    def __init__(
-        self,
-        degree: int,
-        dim: int,
-        data: Mapping[tuple[int, tuple[int, ...]], Sequence[Fraction]] | None = None,
-    ):
+    def __init__(self, degree: int, dim: int, data: Mapping | None = None):
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        ntrees = len(trees(degree))
-        clean: dict[tuple[int, tuple[int, ...]], Vec] = {}
-        for (t, args), val in (data or {}).items():
-            args = tuple(args)
-            if not 0 <= t < ntrees:
-                raise ValueError(f"tree index {t} out of range for degree {degree}")
+        tree_keyed = self._tree_keyed
+        ntrees = self._ntrees(degree)
+        clean: dict = {}
+        for key, val in (data or {}).items():
+            if tree_keyed:
+                t, args = key
+                if not 0 <= t < ntrees:
+                    raise ValueError(f"tree index {t} out of range for degree {degree}")
+                args = tuple(args)
+                key = (t, args)
+            else:
+                key = args = tuple(key)
             if len(args) != degree or any(not 0 <= a < dim for a in args):
                 raise ValueError(f"bad argument tuple {args}")
             v = tuple(q(c) for c in val)
             if len(v) != dim:
                 raise ValueError("value length mismatch")
             if not is_zero_vec(v):
-                clean[(t, args)] = v
+                clean[key] = v
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "data", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TreeCochain is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def zero(degree: int, dim: int) -> TreeCochain:
-        return TreeCochain(degree, dim, {})
+    @classmethod
+    def _ntrees(cls, degree: int) -> int:
+        return len(trees(degree)) if cls._tree_keyed else 1
+
+    @classmethod
+    def zero(cls, degree: int, dim: int) -> _Cochain:
+        return cls(degree, dim, {})
+
+    def __add__(self, other: _Cochain) -> _Cochain:
+        if self.degree != other.degree or self.dim != other.dim:
+            raise ValueError("cochain shape mismatch")
+        data = dict(self.data)
+        for key, val in other.data.items():
+            data[key] = vec_add(data.get(key, zero_vec(self.dim)), val)
+        return type(self)(self.degree, self.dim, data)
+
+    def __sub__(self, other: _Cochain) -> _Cochain:
+        return self + other.scale(-1)
+
+    def __neg__(self) -> _Cochain:
+        return self.scale(-1)
+
+    def scale(self, c) -> _Cochain:
+        c = q(c)
+        return type(self)(
+            self.degree, self.dim,
+            {key: tuple(c * v for v in val) for key, val in self.data.items()},
+        )
+
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.degree == other.degree
+            and self.dim == other.dim
+            and self.data == other.data
+        )
+
+    def flatten(self) -> tuple[Fraction, ...]:
+        """Coordinates: tree index outer, then args row-major, then output."""
+        n, m = self.degree, self.dim
+        size = m**n
+        out = [ZERO] * (self._ntrees(n) * size * m)
+        for key, val in self.data.items():
+            t, args = key if self._tree_keyed else (0, key)
+            base = (t * size + _args_rank(args, m)) * m
+            for k, v in enumerate(val):
+                out[base + k] = v
+        return tuple(out)
+
+    @classmethod
+    def unflatten(cls, degree: int, dim: int, coords: Sequence[Fraction]) -> _Cochain:
+        ntrees = cls._ntrees(degree)
+        if len(coords) != ntrees * dim**degree * dim:
+            raise ValueError("coordinate length mismatch")
+        data = {}
+        for t in range(ntrees):
+            for args in iproduct(range(dim), repeat=degree):
+                base = (t * dim**degree + _args_rank(args, dim)) * dim
+                val = tuple(q(c) for c in coords[base : base + dim])
+                if not is_zero_vec(val):
+                    data[(t, args) if cls._tree_keyed else args] = val
+        return cls(degree, dim, data)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(degree={self.degree}, dim={self.dim}, "
+            f"support={len(self.data)})"
+        )
+
+
+class TreeCochain(_Cochain):
+    """Degree-n multilinear map Y_n x A^n -> A, keyed by (tree index, args)."""
+
+    __slots__ = ()
+    _tree_keyed = True
 
     def value(self, t: int, args: tuple[int, ...]) -> Vec:
         return self.data.get((t, tuple(args)), zero_vec(self.dim))
@@ -118,100 +202,11 @@ class TreeCochain:
                         out[k] += coef * v
         return tuple(out)
 
-    def __add__(self, other: TreeCochain) -> TreeCochain:
-        self._match(other)
-        data = dict(self.data)
-        for key, val in other.data.items():
-            data[key] = vec_add(data.get(key, zero_vec(self.dim)), val)
-        return TreeCochain(self.degree, self.dim, data)
 
-    def __sub__(self, other: TreeCochain) -> TreeCochain:
-        return self + other.scale(-1)
+class HochschildCochain(_Cochain):
+    """Degree-n multilinear map A^n -> A for the one-product complex, keyed by args."""
 
-    def __neg__(self) -> TreeCochain:
-        return self.scale(-1)
-
-    def scale(self, c) -> TreeCochain:
-        c = q(c)
-        return TreeCochain(
-            self.degree, self.dim,
-            {key: tuple(c * v for v in val) for key, val in self.data.items()},
-        )
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TreeCochain)
-            and self.degree == other.degree
-            and self.dim == other.dim
-            and self.data == other.data
-        )
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        n, m = self.degree, self.dim
-        out = [ZERO] * tree_cochain_dim(n, m)
-        for (t, args), val in self.data.items():
-            base = (t * m**n + _args_rank(args, m)) * m
-            for k, v in enumerate(val):
-                out[base + k] = v
-        return tuple(out)
-
-    @staticmethod
-    def unflatten(degree: int, dim: int, coords: Sequence[Fraction]) -> TreeCochain:
-        if len(coords) != tree_cochain_dim(degree, dim):
-            raise ValueError("coordinate length mismatch")
-        data = {}
-        for t in range(len(trees(degree))):
-            for args in iproduct(range(dim), repeat=degree):
-                base = (t * dim**degree + _args_rank(args, dim)) * dim
-                val = tuple(q(c) for c in coords[base : base + dim])
-                if not is_zero_vec(val):
-                    data[(t, args)] = val
-        return TreeCochain(degree, dim, data)
-
-    def _match(self, other: TreeCochain) -> None:
-        if self.degree != other.degree or self.dim != other.dim:
-            raise ValueError("cochain shape mismatch")
-
-    def __repr__(self) -> str:
-        return f"TreeCochain(degree={self.degree}, dim={self.dim}, support={len(self.data)})"
-
-
-class HochschildCochain:
-    """Degree-n multilinear map A^n -> A for the one-product complex."""
-
-    __slots__ = ("degree", "dim", "data")
-
-    def __init__(
-        self,
-        degree: int,
-        dim: int,
-        data: Mapping[tuple[int, ...], Sequence[Fraction]] | None = None,
-    ):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        clean: dict[tuple[int, ...], Vec] = {}
-        for args, val in (data or {}).items():
-            args = tuple(args)
-            if len(args) != degree or any(not 0 <= a < dim for a in args):
-                raise ValueError(f"bad argument tuple {args}")
-            v = tuple(q(c) for c in val)
-            if len(v) != dim:
-                raise ValueError("value length mismatch")
-            if not is_zero_vec(v):
-                clean[args] = v
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "data", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HochschildCochain is immutable")
-
-    @staticmethod
-    def zero(degree: int, dim: int) -> HochschildCochain:
-        return HochschildCochain(degree, dim, {})
+    __slots__ = ()
 
     def value(self, args: tuple[int, ...]) -> Vec:
         return self.data.get(tuple(args), zero_vec(self.dim))
@@ -233,59 +228,6 @@ class HochschildCochain:
                     if v:
                         out[k] += coef * v
         return tuple(out)
-
-    def __add__(self, other: HochschildCochain) -> HochschildCochain:
-        if self.degree != other.degree or self.dim != other.dim:
-            raise ValueError("cochain shape mismatch")
-        data = dict(self.data)
-        for key, val in other.data.items():
-            data[key] = vec_add(data.get(key, zero_vec(self.dim)), val)
-        return HochschildCochain(self.degree, self.dim, data)
-
-    def __sub__(self, other: HochschildCochain) -> HochschildCochain:
-        return self + other.scale(-1)
-
-    def scale(self, c) -> HochschildCochain:
-        c = q(c)
-        return HochschildCochain(
-            self.degree, self.dim,
-            {key: tuple(c * v for v in val) for key, val in self.data.items()},
-        )
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HochschildCochain)
-            and self.degree == other.degree
-            and self.dim == other.dim
-            and self.data == other.data
-        )
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        n, m = self.degree, self.dim
-        out = [ZERO] * hochschild_cochain_dim(n, m)
-        for args, val in self.data.items():
-            base = _args_rank(args, m) * m
-            for k, v in enumerate(val):
-                out[base + k] = v
-        return tuple(out)
-
-    @staticmethod
-    def unflatten(degree: int, dim: int, coords: Sequence[Fraction]) -> HochschildCochain:
-        if len(coords) != hochschild_cochain_dim(degree, dim):
-            raise ValueError("coordinate length mismatch")
-        data = {}
-        for args in iproduct(range(dim), repeat=degree):
-            base = _args_rank(args, dim) * dim
-            val = tuple(q(c) for c in coords[base : base + dim])
-            if not is_zero_vec(val):
-                data[args] = val
-        return HochschildCochain(degree, dim, data)
-
-    def __repr__(self) -> str:
-        return f"HochschildCochain(degree={self.degree}, dim={self.dim}, support={len(self.data)})"
 
 
 def tree_cochain_dim(degree: int, dim: int) -> int:
@@ -373,10 +315,11 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
 # -- coboundaries as sparse rows over flattened coordinates --------------------
 
 
-def _expand_product_left(
+def _expand_product(
     table: Table, u: Vec, m: int
 ) -> list[tuple[int, tuple[Fraction, ...]]]:
-    """Coefficients of [u * e_j]_k as (j, column-of-k) pairs."""
+    """Coefficients of [u * e_j]_k as (j, column-of-k) pairs; on the
+    transposed table, those of [e_j * u]_k."""
     out = []
     for j in range(m):
         col = [ZERO] * m
@@ -387,26 +330,6 @@ def _expand_product_left(
                 for k, c in enumerate(cell):
                     if c:
                         col[k] += up * c
-                        hit = True
-        if hit:
-            out.append((j, tuple(col)))
-    return out
-
-
-def _expand_product_right(
-    table: Table, w: Vec, m: int
-) -> list[tuple[int, tuple[Fraction, ...]]]:
-    """Coefficients of [e_j * w]_k as (j, column-of-k) pairs."""
-    out = []
-    for j in range(m):
-        col = [ZERO] * m
-        hit = False
-        for p, wp in enumerate(w):
-            if wp:
-                cell = table[j][p]
-                for k, c in enumerate(cell):
-                    if c:
-                        col[k] += wp * c
                         hit = True
         if hit:
             out.append((j, tuple(col)))
@@ -444,13 +367,14 @@ def _coboundary_rows(
     for name, table in products.items():
         cells[name] = [[_support(cell) for cell in line] for line in table]
         left[name] = [
-            [(j, _support(col)) for j, col in _expand_product_left(table, P.apply(e), m)]
+            [(j, _support(col)) for j, col in _expand_product(table, P.apply(e), m)]
             for e in basis
         ]
+        transposed = list(zip(*table))
         right[name] = [
             [
                 (j, [(k, last_sign * c) for k, c in _support(col)])
-                for j, col in _expand_product_right(table, Q.apply(e), m)
+                for j, col in _expand_product(transposed, Q.apply(e), m)
             ]
             for e in basis
         ]
@@ -552,31 +476,52 @@ def _compat_rows(
     return rows
 
 
-def dialg_compatible_space(A: BiHomDialgebra, n: int) -> Subspace:
-    """Tree cochains commuting with both twist maps, as flattened vectors."""
-    rows = _compat_rows((A.phi, A.psi), A.dim, n, len(trees(n)))
-    return nullspace_rows(rows, tree_cochain_dim(n, A.dim))
+# -- one complex: compatible cochains, cocycles, coboundaries, cohomology -------
 
 
-def hoch_compatible_space(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
-    rows = _compat_rows((A.phi, A.psi), A.dim, n, 1)
-    return nullspace_rows(rows, hochschild_cochain_dim(n, A.dim))
+class _Complex:
+    """The cochain complex of one structure, degree by degree.
 
+    The tree complex of a dialgebra indexes degree-n cochains by the trees
+    of Y_n; the one-product complex of an algebra is its one-tree case.
+    Compatibility rows are built once per degree and shared by every space
+    asked of the same description.
+    """
 
-# -- cocycles, coboundaries, cohomology -----------------------------------------
+    def __init__(self, X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain]):
+        self.X = X
+        self.cochain = cochain
+        self._compat: dict[int, list[dict[int, Fraction]]] = {}
 
+    def cochain_dim(self, n: int) -> int:
+        """Length of a flattened degree-n cochain; there are no 0-cochains."""
+        if n < 1:
+            raise ValueError("degree must be >= 1")
+        return self.cochain._ntrees(n) * self.X.dim ** (n + 1)
 
-def dialg_cocycles(A: BiHomDialgebra, n: int) -> Subspace:
-    """Compatible cochains killed by delta^n."""
-    rows = _compat_rows((A.phi, A.psi), A.dim, n, len(trees(n)))
-    rows += dialg_coboundary_rows(A, n)
-    return nullspace_rows(rows, tree_cochain_dim(n, A.dim))
+    def compat_rows(self, n: int) -> list[dict[int, Fraction]]:
+        if n not in self._compat:
+            X = self.X
+            self._compat[n] = _compat_rows((X.phi, X.psi), X.dim, n, self.cochain._ntrees(n))
+        return self._compat[n]
 
+    def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
+        rows = dialg_coboundary_rows if self.cochain is TreeCochain else hoch_coboundary_rows
+        return rows(self.X, n)
 
-def hoch_cocycles(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
-    rows = _compat_rows((A.phi, A.psi), A.dim, n, 1)
-    rows += hoch_coboundary_rows(A, n)
-    return nullspace_rows(rows, hochschild_cochain_dim(n, A.dim))
+    def compatible_space(self, n: int) -> Subspace:
+        dim = self.cochain_dim(n)
+        return nullspace_rows(self.compat_rows(n), dim)
+
+    def cocycles(self, n: int) -> Subspace:
+        dim = self.cochain_dim(n)
+        return nullspace_rows(self.compat_rows(n) + self.delta_rows(n), dim)
+
+    def coboundaries(self, n: int) -> Subspace:
+        out_dim = self.cochain_dim(n)
+        if n == 1:
+            return Subspace(out_dim, [])
+        return _image_space(self.compatible_space(n - 1), self.delta_rows(n - 1), out_dim)
 
 
 def _image_space(
@@ -599,23 +544,48 @@ def _image_space(
     return Subspace._from_rref(out_dim, elim.rref()[1])
 
 
+def dialg_compatible_space(A: BiHomDialgebra, n: int) -> Subspace:
+    """Tree cochains commuting with both twist maps, as flattened vectors."""
+    return _Complex(A, TreeCochain).compatible_space(n)
+
+
+def hoch_compatible_space(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
+    return _Complex(A, HochschildCochain).compatible_space(n)
+
+
+def dialg_cocycles(A: BiHomDialgebra, n: int) -> Subspace:
+    """Compatible cochains killed by delta^n."""
+    return _Complex(A, TreeCochain).cocycles(n)
+
+
+def hoch_cocycles(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
+    return _Complex(A, HochschildCochain).cocycles(n)
+
+
 def dialg_coboundaries(A: BiHomDialgebra, n: int) -> Subspace:
     """delta of the compatible degree-(n-1) space; zero space at n = 1."""
-    out_dim = tree_cochain_dim(n, A.dim)
-    if n == 1:
-        return Subspace(out_dim, [])
-    prev = dialg_compatible_space(A, n - 1)
-    delta_rows = dialg_coboundary_rows(A, n - 1)
-    return _image_space(prev, delta_rows, out_dim)
+    return _Complex(A, TreeCochain).coboundaries(n)
 
 
 def hoch_coboundaries(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
-    out_dim = hochschild_cochain_dim(n, A.dim)
-    if n == 1:
-        return Subspace(out_dim, [])
-    prev = hoch_compatible_space(A, n - 1)
-    delta_rows = hoch_coboundary_rows(A, n - 1)
-    return _image_space(prev, delta_rows, out_dim)
+    return _Complex(A, HochschildCochain).coboundaries(n)
+
+
+def cohomology_spaces(
+    X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int
+) -> tuple[Subspace, Subspace, Subspace]:
+    """(C^n, Z^n, B^n): compatible cochains, cocycles and coboundaries.
+
+    The complex is the tree complex for a dialgebra and the one-product
+    complex for an algebra.  C^n and Z^n share one set of compatibility rows.
+    """
+    if isinstance(X, BiHomDialgebra):
+        cx = _Complex(X, TreeCochain)
+    elif isinstance(X, BiHomAssociativeAlgebra):
+        cx = _Complex(X, HochschildCochain)
+    else:
+        raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
+    return cx.compatible_space(n), cx.cocycles(n), cx.coboundaries(n)
 
 
 @dataclass(frozen=True)
@@ -634,16 +604,7 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
     ArithmeticError if the coboundary space escapes the cocycle space,
     which would mean the complex is broken for this algebra.
     """
-    if isinstance(X, BiHomDialgebra):
-        C = dialg_compatible_space(X, n)
-        Z = dialg_cocycles(X, n)
-        B = dialg_coboundaries(X, n)
-    elif isinstance(X, BiHomAssociativeAlgebra):
-        C = hoch_compatible_space(X, n)
-        Z = hoch_cocycles(X, n)
-        B = hoch_coboundaries(X, n)
-    else:
-        raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
+    C, Z, B = cohomology_spaces(X, n)
     if not Z.contains_space(B):
         i, res = next((i, res) for i, r in enumerate(B.sparse_rows()) if (res := Z.residual(r)))
         coord = min(res)
@@ -684,9 +645,7 @@ def random_compatible_cochain(
         if c:
             for j, x in row:
                 coords[j] += c * x
-    if tree_indexed:
-        return TreeCochain.unflatten(degree, dim, coords)
-    return HochschildCochain.unflatten(degree, dim, coords)
+    return (TreeCochain if tree_indexed else HochschildCochain).unflatten(degree, dim, coords)
 
 
 def hoch_delta_squared_is_zero(

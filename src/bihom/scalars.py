@@ -252,7 +252,7 @@ def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
     for v in row.values():
         d = v.denominator
         denlcm = denlcm * d // gcd(denlcm, d)
-    ints = {c: int(v * denlcm) for c, v in row.items() if v}
+    ints = {c: v.numerator * (denlcm // v.denominator) for c, v in row.items() if v}
     if not ints:
         return {}
     g = 0

@@ -3,9 +3,12 @@
 import glob
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from bihom.cli import main
+from bihom.cohomology import cohomology, cohomology_spaces
+from bihom.dsl import DeformationBlock, build_block, parse_path
 
 
 def run(*args):
@@ -133,6 +136,36 @@ def test_cohomology_reference_checklist():
     assert r3.exit_code == 0
     assert "ambiguous pattern (e3, e3, e1): excluded (listed 3 times)" in r3.output
     assert r3.output.count("reference pattern") == 9
+
+
+def test_cohomology_command_agrees_with_the_library():
+    """Every corpus algebra block, degrees 1-3: the CLI reports the same
+    dimensions as cohomology_spaces and cohomology().  Where coboundaries
+    escape the cocycles the library raises and the CLI reports the
+    quotient as undefined; the Ex43 readings do so in degrees 2 and 3."""
+    escaping = set()
+    for path in sorted(glob.glob("corpus/*.dlg")):
+        df = parse_path(path)
+        for block in df.blocks:
+            if isinstance(block, DeformationBlock):
+                continue
+            X = build_block(df, block.name)
+            for n in (1, 2, 3):
+                r = run("cohomology", path, "--name", block.name, "--degree", str(n), "--json")
+                assert r.exit_code == 0, (path, block.name, n)
+                doc = json.loads(r.output)
+                C, Z, B = cohomology_spaces(X, n)
+                assert (doc["compatible_dim"], doc["cocycle_dim"], doc["coboundary_dim"]) == (
+                    C.dim, Z.dim, B.dim
+                ), (block.name, n)
+                if doc["coboundaries_contained"]:
+                    assert doc["cohomology_dim"] == cohomology(X, n).cohomology_dim
+                else:
+                    assert doc["cohomology_dim"] is None
+                    with pytest.raises(ArithmeticError, match="^coboundaries escape cocycles"):
+                        cohomology(X, n)
+                    escaping.add((block.name, n))
+    assert escaping == {(f"Ex43_reading{r}", n) for r in "AB" for n in (2, 3)}
 
 
 def test_cohomology_bad_degree():

@@ -16,6 +16,7 @@ from bihom.cohomology import (
     HochschildCochain,
     TreeCochain,
     cohomology,
+    cohomology_spaces,
     dialg_coboundaries,
     dialg_coboundary,
     dialg_cocycles,
@@ -58,32 +59,61 @@ def test_cochain_dim_formulas():
     assert hochschild_cochain_dim(1, 2) == 4
 
 
-def test_cochain_flatten_round_trip():
-    f = TreeCochain(2, 2, {(0, (1, 1)): (1, 0), (1, (0, 1)): (0, Fraction(-1, 2))})
-    assert TreeCochain.unflatten(2, 2, f.flatten()) == f
-    g = HochschildCochain(2, 2, {(1, 1): (3, 0)})
-    assert HochschildCochain.unflatten(2, 2, g.flatten()) == g
+def keyed(cls, t, args):
+    """A data key of `cls`: (tree, args) for tree cochains, args alone otherwise."""
+    return (t, args) if cls is TreeCochain else args
 
 
-def test_cochain_validation():
-    with pytest.raises(ValueError):
-        TreeCochain(0, 2)
-    with pytest.raises(ValueError):
-        TreeCochain(2, 2, {(5, (0, 0)): (1, 0)})
-    with pytest.raises(ValueError):
-        TreeCochain(2, 2, {(0, (0, 0, 0)): (1, 0)})
-    with pytest.raises(ValueError):
-        HochschildCochain(1, 2, {(0,): (1, 0, 0)})
+BOTH_KINDS = pytest.mark.parametrize("cls", [TreeCochain, HochschildCochain])
 
 
-def test_eval_extends_value_multilinearly():
-    f = TreeCochain(2, 2, {(0, (0, 1)): (1, 1), (0, (1, 1)): (2, 0)})
+@BOTH_KINDS
+def test_cochain_flatten_round_trip(cls):
+    t = 1 if cls is TreeCochain else 0
+    f = cls(2, 2, {keyed(cls, 0, (1, 1)): (1, 0), keyed(cls, t, (0, 1)): (0, Fraction(-1, 2))})
+    flat = f.flatten()
+    assert len(flat) == (tree_cochain_dim if cls is TreeCochain else hochschild_cochain_dim)(2, 2)
+    # tree outer, then args row-major, then the output coordinate
+    assert flat[(0 * 4 + 3) * 2] == 1 and flat[(t * 4 + 1) * 2 + 1] == Fraction(-1, 2)
+    assert cls.unflatten(2, 2, flat) == f
+    assert f + f == f.scale(2) and -f == f.scale(-1)
+    assert (f - f).is_zero() and f - f == cls.zero(2, 2)
+
+
+@BOTH_KINDS
+def test_cochain_validation(cls):
+    with pytest.raises(ValueError, match="^degree must be >= 1$"):
+        cls(0, 2)
+    if cls is TreeCochain:
+        with pytest.raises(ValueError, match="tree index 5 out of range"):
+            cls(2, 2, {(5, (0, 0)): (1, 0)})
+    with pytest.raises(ValueError, match="bad argument tuple"):
+        cls(2, 2, {keyed(cls, 0, (0, 0, 0)): (1, 0)})
+    with pytest.raises(ValueError, match="bad argument tuple"):
+        cls(2, 2, {keyed(cls, 0, (0, 2)): (1, 0)})
+    with pytest.raises(ValueError, match="value length mismatch"):
+        cls(1, 2, {keyed(cls, 0, (0,)): (1, 0, 0)})
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        cls.unflatten(2, 2, (0,) * 3)
+    with pytest.raises(ValueError, match="cochain shape mismatch"):
+        cls.zero(1, 2) + cls.zero(2, 2)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        cls.zero(1, 2).degree = 2
+    other = HochschildCochain if cls is TreeCochain else TreeCochain
+    assert cls(1, 2, {keyed(cls, 0, (0,)): (1, 0)}) != other(1, 2, {keyed(other, 0, (0,)): (1, 0)})
+
+
+@BOTH_KINDS
+def test_eval_extends_value_multilinearly(cls):
+    f = cls(2, 2, {keyed(cls, 0, (0, 1)): (1, 1), keyed(cls, 0, (1, 1)): (2, 0)})
     x = (Fraction(2), Fraction(3))
     y = (Fraction(0), Fraction(5))
+    tree = (0,) if cls is TreeCochain else ()
     # 2*5*f(e1,e2) + 3*5*f(e2,e2)
-    assert f.eval(0, [x, y]) == (Fraction(40), Fraction(10))
-    h = HochschildCochain(1, 2, {(0,): (0, 1)})
-    assert h.eval([x]) == (Fraction(0), Fraction(2))
+    assert f.eval(*tree, [x, y]) == (Fraction(40), Fraction(10))
+    assert f.value(*tree, (0, 1)) == (1, 1) and f.value(*tree, (0, 0)) == (0, 0)
+    if cls is TreeCochain:
+        assert f.eval(1, [x, y]) == (0, 0)
 
 
 def test_dialg_delta_squared_vanishes_across_catalog():
@@ -203,12 +233,44 @@ def test_report_dims_for_nilpotent_algebra():
     assert rep.cohomology_dim == 3
 
 
-def test_identity_twists_make_every_map_compatible():
-    from bihom.scalars import Mat
+def identity_twists():
+    return BiHomAssociativeAlgebra(2, table_from_entries(2, {}), Mat.identity(2), Mat.identity(2))
 
-    A = BiHomAssociativeAlgebra(
-        2, table_from_entries(2, {}), Mat.identity(2), Mat.identity(2)
-    )
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_degree_below_one_is_refused(n):
+    """There are no cochains below degree 1: every space function and
+    cohomology refuse the degree, with one message, for both complexes."""
+    shared = (cohomology_spaces, cohomology)
+    cases = [
+        (catalog()["Alg2_2"].build(a=1),
+         (dialg_compatible_space, dialg_cocycles, dialg_coboundaries) + shared),
+        (identity_twists().as_dialgebra(),
+         (dialg_compatible_space, dialg_cocycles, dialg_coboundaries) + shared),
+        (identity_twists(), (hoch_compatible_space, hoch_cocycles, hoch_coboundaries) + shared),
+        (nil2(), (hoch_compatible_space, hoch_cocycles, hoch_coboundaries) + shared),
+    ]
+    for X, fns in cases:
+        for fn in fns:
+            with pytest.raises(ValueError, match="^degree must be >= 1$"):
+                fn(X, n)
+
+
+def test_cohomology_spaces_match_the_space_functions():
+    """The shared path gives the same canonical spaces as the per-complex
+    functions, and refuses anything that is not an algebra or dialgebra."""
+    for X, fns in (
+        (catalog()["Alg3_3"].build(b=1), (dialg_compatible_space, dialg_cocycles, dialg_coboundaries)),
+        (nil2(), (hoch_compatible_space, hoch_cocycles, hoch_coboundaries)),
+    ):
+        for n in (1, 2, 3):
+            assert cohomology_spaces(X, n) == tuple(fn(X, n) for fn in fns)
+    with pytest.raises(TypeError, match="^expected an algebra or dialgebra, got Mat$"):
+        cohomology_spaces(Mat.identity(2), 2)
+
+
+def test_identity_twists_make_every_map_compatible():
+    A = identity_twists()
     assert hoch_compatible_space(A, 2).dim == hochschild_cochain_dim(2, 2)
 
 
