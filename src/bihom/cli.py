@@ -66,14 +66,6 @@ _REFERENCE_AMBIGUOUS: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {
 }
 _REFERENCE_COCYCLE_NAMES = ("Ex43_readingA", "Ex43_readingB")
 
-_COMPONENT_LABELS = {
-    "plain": ("D",),
-    "generalized": ("D",),
-    "quasi": ("D", "D'"),
-    "generalized_triple": ("D", "D'", "D''"),
-}
-
-
 def _fail_usage(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
@@ -264,7 +256,7 @@ def derive(file, name, k, l, alpha, beta, gamma, quasi, triple, as_json):
             space = derivation_space(A, deg)
     except ValueError as e:
         _fail_usage(str(e))
-    labels = _COMPONENT_LABELS[variant]
+    labels = ("D", "D'", "D''")[: space.components]
     doc = {
         "command": "derive",
         "file": file,

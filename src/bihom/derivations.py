@@ -8,12 +8,15 @@ entries of the unknown maps, assembled from two kinds of rows:
   alpha D(e_a o e_b) = beta (W e_a o D e_b) + gamma (D e_a o W e_b),
   with W = phi^k psi^l for the chosen bidegree (k, l).
 
-The plain variant has one unknown map and alpha = beta = gamma = 1, the
-weighted one keeps (alpha, beta, gamma) free, the quasi variant solves
-for a pair (D, D') with D' on the left side, and the triple variant for
-(D, D', D'') with D'' on the left, D' in the right slot and D in the
-left slot.  Unknowns are stacked row-major, D first, then D', then D'',
-so the canonical basis of the solution space is reproducible.
+The variants differ only in which unknown sits in which slot and in the
+weights, so one assembler builds them all from a table: the plain variant
+has one unknown map and alpha = beta = gamma = 1, the weighted one keeps
+(alpha, beta, gamma) free, the quasi variant solves for a pair (D, D')
+with D' on the left side, and the triple variant for (D, D', D'') with
+D'' on the left, D' in the right slot and D in the left slot.  Unknowns
+are stacked row-major, D first, then D', then D'', so the canonical basis
+of the solution space is reproducible.  `quasi_partner` is the quasi
+system with D fixed, its block moved to the right-hand side.
 
 The module also carries the dimension and zero-pattern tables from the
 reference classification of the catalog algebras.  Computed spaces are
@@ -25,14 +28,13 @@ annotated with dimension two, for instance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from bihom.algebra import (
     AxiomReport,
     BiHomDialgebra,
-    Table,
     Vec,
     Violation,
     apply_table,
@@ -78,14 +80,6 @@ class Derivation:
     bidegree: BiDegree
 
 
-VARIANT_COMPONENTS = {
-    "plain": 1,
-    "generalized": 1,
-    "quasi": 2,
-    "generalized_triple": 3,
-}
-
-
 @dataclass(frozen=True)
 class DerivationSpace:
     """Solution space of one variant at one bidegree.
@@ -104,7 +98,7 @@ class DerivationSpace:
 
     @property
     def components(self) -> int:
-        return VARIANT_COMPONENTS[self.variant]
+        return _VARIANTS[self.variant][0]
 
     @property
     def dim(self) -> int:
@@ -144,76 +138,14 @@ class DerivationSpace:
 
 # -- row assembly ---------------------------------------------------------------
 
-
-def _commutation_rows(M: Mat, n: int, block: int, nunknowns: int) -> list[Row]:
-    """Rows of D M - M D = 0 for the unknown in the given block."""
-    rows = []
-    off = block * n * n
-    for i in range(n):
-        for j in range(n):
-            row: Row = {}
-            for s in range(n):
-                c = M[s, j]
-                if c:
-                    key = off + i * n + s
-                    row[key] = row.get(key, ZERO) + c
-                c = M[i, s]
-                if c:
-                    key = off + s * n + j
-                    row[key] = row.get(key, ZERO) - c
-            rows.append({k: v for k, v in row.items() if v})
-    return rows
-
-
-def _leibniz_rows(
-    table: Table,
-    W: Mat,
-    n: int,
-    alpha: Fraction,
-    beta: Fraction,
-    gamma: Fraction,
-    lhs_block: int,
-    left_block: int,
-    right_block: int,
-) -> list[Row]:
-    """alpha D_lhs(x o y) - beta (W x o D_right y) - gamma (D_left x o W y) = 0."""
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            prod = table[a][b]
-            for k in range(n):
-                row: Row = {}
-                if alpha:
-                    for p, c in enumerate(prod):
-                        if c:
-                            key = lhs_block * n * n + k * n + p
-                            row[key] = row.get(key, ZERO) + alpha * c
-                if beta:
-                    for qq in range(n):
-                        coeff = ZERO
-                        for p in range(n):
-                            w = W[p, a]
-                            if w:
-                                coeff += w * table[p][qq][k]
-                        if coeff:
-                            key = right_block * n * n + qq * n + b
-                            row[key] = row.get(key, ZERO) - beta * coeff
-                if gamma:
-                    for p in range(n):
-                        coeff = ZERO
-                        for qq in range(n):
-                            w = W[qq, b]
-                            if w:
-                                coeff += w * table[p][qq][k]
-                        if coeff:
-                            key = left_block * n * n + p * n + a
-                            row[key] = row.get(key, ZERO) - gamma * coeff
-                rows.append({kk: v for kk, v in row.items() if v})
-    return rows
-
-
-def _dense(rows: Sequence[Row], ncols: int) -> Mat:
-    return Mat.from_rows([[r.get(j, ZERO) for j in range(ncols)] for r in rows])
+# variant -> (components, lhs block, left-slot block, right-slot block) of
+# alpha D_lhs(x o y) = beta (W x o D_right y) + gamma (D_left x o W y).
+_VARIANTS = {
+    "plain": (1, 0, 0, 0),
+    "generalized": (1, 0, 0, 0),
+    "quasi": (2, 1, 0, 0),
+    "generalized_triple": (3, 2, 0, 1),
+}
 
 
 def _twist(A: BiHomDialgebra, deg: BiDegree) -> Mat:
@@ -222,127 +154,145 @@ def _twist(A: BiHomDialgebra, deg: BiDegree) -> Mat:
     return A.twist_power(deg.k, deg.l)
 
 
+def _system_rows(
+    A: BiHomDialgebra, deg: BiDegree, variant: str, spec: GeneralizedSpec | None = None
+) -> tuple[list[Row], int]:
+    """The variant's rows and its number of unknowns.
+
+    First D M - M D = 0 for every block and M = phi, psi, then for both
+    products alpha D_lhs(x o y) - beta (W x o D_right y) - gamma (D_left x o W y) = 0,
+    with unit weights unless a spec is given.
+    """
+    components, lhs_block, left_block, right_block = _VARIANTS[variant]
+    alpha, beta, gamma = (ONE, ONE, ONE) if spec is None else (spec.alpha, spec.beta, spec.gamma)
+    n = A.dim
+    W = _twist(A, deg)
+    rows: list[Row] = []
+    for block in range(components):
+        off = block * n * n
+        for M in (A.phi, A.psi):
+            for i in range(n):
+                for j in range(n):
+                    row: Row = {}
+                    for s in range(n):
+                        c = M[s, j]
+                        if c:
+                            key = off + i * n + s
+                            row[key] = row.get(key, ZERO) + c
+                        c = M[i, s]
+                        if c:
+                            key = off + s * n + j
+                            row[key] = row.get(key, ZERO) - c
+                    rows.append({k: v for k, v in row.items() if v})
+    for op in ("dashv", "vdash"):
+        table = A.table(op)
+        for a in range(n):
+            for b in range(n):
+                prod = table[a][b]
+                for k in range(n):
+                    row = {}
+                    if alpha:
+                        for p, c in enumerate(prod):
+                            if c:
+                                key = lhs_block * n * n + k * n + p
+                                row[key] = row.get(key, ZERO) + alpha * c
+                    if beta:
+                        for qq in range(n):
+                            coeff = ZERO
+                            for p in range(n):
+                                w = W[p, a]
+                                if w:
+                                    coeff += w * table[p][qq][k]
+                            if coeff:
+                                key = right_block * n * n + qq * n + b
+                                row[key] = row.get(key, ZERO) - beta * coeff
+                    if gamma:
+                        for p in range(n):
+                            coeff = ZERO
+                            for qq in range(n):
+                                w = W[qq, b]
+                                if w:
+                                    coeff += w * table[p][qq][k]
+                            if coeff:
+                                key = left_block * n * n + p * n + a
+                                row[key] = row.get(key, ZERO) - gamma * coeff
+                    rows.append({kk: v for kk, v in row.items() if v})
+    return rows, components * n * n
+
+
+def _dense(rows: Sequence[Row], ncols: int) -> Mat:
+    return Mat.from_rows([[r.get(j, ZERO) for j in range(ncols)] for r in rows])
+
+
+def _space(
+    A: BiHomDialgebra, deg: BiDegree, variant: str, spec: GeneralizedSpec | None = None
+) -> DerivationSpace:
+    rows, ncols = _system_rows(A, deg, variant, spec)
+    return DerivationSpace(
+        variant=variant,
+        bidegree=deg,
+        system=_dense(rows, ncols),
+        solutions=nullspace_rows(rows, ncols),
+        algebra_dim=A.dim,
+        spec=spec,
+    )
+
+
 def derivation_space(A: BiHomDialgebra, deg: BiDegree) -> DerivationSpace:
     """Maps D with D phi = phi D, D psi = psi D and the twisted Leibniz
     rule D(x o y) = W(x) o D(y) + D(x) o W(y) for both products."""
-    n = A.dim
-    W = _twist(A, deg)
-    rows = _commutation_rows(A.phi, n, 0, n * n)
-    rows += _commutation_rows(A.psi, n, 0, n * n)
-    for op in ("dashv", "vdash"):
-        rows += _leibniz_rows(A.table(op), W, n, ONE, ONE, ONE, 0, 0, 0)
-    return DerivationSpace(
-        variant="plain",
-        bidegree=deg,
-        system=_dense(rows, n * n),
-        solutions=nullspace_rows(rows, n * n),
-        algebra_dim=n,
-    )
+    return _space(A, deg, "plain")
 
 
 def generalized_derivation_space(
     A: BiHomDialgebra, deg: BiDegree, spec: GeneralizedSpec
 ) -> DerivationSpace:
     """Same system with weights: alpha D(x o y) = beta (Wx o Dy) + gamma (Dx o Wy)."""
-    n = A.dim
-    W = _twist(A, deg)
-    rows = _commutation_rows(A.phi, n, 0, n * n)
-    rows += _commutation_rows(A.psi, n, 0, n * n)
-    for op in ("dashv", "vdash"):
-        rows += _leibniz_rows(
-            A.table(op), W, n, spec.alpha, spec.beta, spec.gamma, 0, 0, 0
-        )
-    return DerivationSpace(
-        variant="generalized",
-        bidegree=deg,
-        system=_dense(rows, n * n),
-        solutions=nullspace_rows(rows, n * n),
-        algebra_dim=n,
-        spec=spec,
-    )
+    return _space(A, deg, "generalized", spec)
 
 
 def quasi_derivation_space(A: BiHomDialgebra, deg: BiDegree) -> DerivationSpace:
-    """Pairs (D, D') with D'(x o y) = W(x) o D(y) + D(x) o W(y).
-
-    Both maps commute with phi and psi.  Unknowns are stacked D then D'.
-    """
-    n = A.dim
-    W = _twist(A, deg)
-    rows: list[Row] = []
-    for blk in (0, 1):
-        rows += _commutation_rows(A.phi, n, blk, 2 * n * n)
-        rows += _commutation_rows(A.psi, n, blk, 2 * n * n)
-    for op in ("dashv", "vdash"):
-        rows += _leibniz_rows(A.table(op), W, n, ONE, ONE, ONE, 1, 0, 0)
-    return DerivationSpace(
-        variant="quasi",
-        bidegree=deg,
-        system=_dense(rows, 2 * n * n),
-        solutions=nullspace_rows(rows, 2 * n * n),
-        algebra_dim=n,
-    )
+    """Pairs (D, D') with D'(x o y) = W(x) o D(y) + D(x) o W(y), both
+    commuting with phi and psi.  Stacked D, D'."""
+    return _space(A, deg, "quasi")
 
 
 def generalized_triple_space(A: BiHomDialgebra, deg: BiDegree) -> DerivationSpace:
     """Triples (D, D', D'') with D''(x o y) = W(x) o D'(y) + D(x) o W(y),
     all three commuting with phi and psi.  Stacked D, D', D''."""
-    n = A.dim
-    W = _twist(A, deg)
-    rows: list[Row] = []
-    for blk in (0, 1, 2):
-        rows += _commutation_rows(A.phi, n, blk, 3 * n * n)
-        rows += _commutation_rows(A.psi, n, blk, 3 * n * n)
-    for op in ("dashv", "vdash"):
-        rows += _leibniz_rows(A.table(op), W, n, ONE, ONE, ONE, 2, 0, 1)
-    return DerivationSpace(
-        variant="generalized_triple",
-        bidegree=deg,
-        system=_dense(rows, 3 * n * n),
-        solutions=nullspace_rows(rows, 3 * n * n),
-        algebra_dim=n,
-    )
+    return _space(A, deg, "generalized_triple")
 
 
 def quasi_partner(
     A: BiHomDialgebra, deg: BiDegree, D: Mat
 ) -> tuple[Mat, Subspace] | None:
-    """Solve for D' given a fixed D: commutation rows for D' plus
-    D'(x o y) = W(x) o D(y) + D(x) o W(y) with known right side.
+    """Solve the quasi system for D' with D fixed: D's block moves to the
+    right-hand side.
 
     Returns (particular D', homogeneous space for D') or None when the
-    system is infeasible.
+    system is infeasible, which includes every D that does not commute
+    with phi and psi.
     """
     n = A.dim
-    W = _twist(A, deg)
-    rows = _commutation_rows(A.phi, n, 0, n * n)
-    rows += _commutation_rows(A.psi, n, 0, n * n)
-    hom_rows = [dict(r) for r in rows]
-    for op in ("dashv", "vdash"):
-        table = A.table(op)
-        for a in range(n):
-            for b in range(n):
-                ea, eb = basis_vec(n, a), basis_vec(n, b)
-                rhs = apply_table(table, W.apply(ea), D.apply(eb))
-                rhs = tuple(
-                    r + s
-                    for r, s in zip(rhs, apply_table(table, D.apply(ea), W.apply(eb)))
-                )
-                prod = table[a][b]
-                for k in range(n):
-                    row: Row = {}
-                    for p, c in enumerate(prod):
-                        if c:
-                            row[k * n + p] = row.get(k * n + p, ZERO) + c
-                    hom_rows.append(dict(row))
-                    if rhs[k]:
-                        row[n * n] = rhs[k]
-                    rows.append(row)
-    part = solve_rows(rows, n * n)
+    if D.shape != (n, n):
+        raise ValueError(f"D must be {n}x{n}")
+    rows, _ = _system_rows(A, deg, "quasi")
+    nn, d = n * n, D.entries()
+    hom_rows, rhs_rows = [], []
+    for row in rows:
+        hom: Row = {}
+        rhs = ZERO
+        for col, v in row.items():
+            if col < nn:
+                rhs -= v * d[col]
+            else:
+                hom[col - nn] = v
+        hom_rows.append(hom)
+        rhs_rows.append({**hom, nn: rhs} if rhs else hom)
+    part = solve_rows(rhs_rows, nn)
     if part is None:
         return None
-    particular = Mat(n, n, list(part.entries()))
-    return particular, nullspace_rows(hom_rows, n * n)
+    return Mat(n, n, list(part.entries())), nullspace_rows(hom_rows, nn)
 
 
 # -- single-map checks ----------------------------------------------------------
@@ -561,6 +511,12 @@ def classify(
     Computed dimensions come from the exact solvers; reference numbers
     are the printed table values, attached for comparison only.
     """
+    for variant in variants:
+        if variant not in _VARIANT_SOLVERS:
+            why = "needs weights" if variant == "generalized" else "is unknown"
+            raise ValueError(
+                f"variant {variant!r} {why}; classify solves {', '.join(_VARIANT_SOLVERS)}"
+            )
     cat = catalog()
     cells = []
     for name, binding in zip(names, bindings):

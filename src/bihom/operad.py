@@ -7,12 +7,18 @@ outer retraction keeps one leaf per block, the inner one keeps one
 block) and twists pass-through arguments by powers of phi and psi, left
 arguments getting phi and right arguments psi.
 
+Every composition is one rule, f(R0 y; T_1 g_1(R_1 y; ...), ...,
+T_k g_k(R_k y; ...)), evaluated by a single loop over trees and basis
+arguments; a slot of f may also take a pass-through basis argument.
+`partial_composition` fills one slot with an untwisted factor and twists
+the pass-through arguments, `gamma_direct` twists each factor's output,
+and `dot` inserts two twisted factors into the products' element.
+
 `gamma` composes by iterating partial compositions from the rightmost
-slot inward; `gamma_direct` evaluates the one-shot formula that twists
-each inserted factor's output instead.  The two agree when the inserted
-factors intertwine the twist maps (the compatible cochains of the
-cohomology module); on arbitrary cochains they can differ, which is why
-both are exposed.
+slot inward, so it differs from `gamma_direct` in where the twists act.
+The two agree when the inserted factors intertwine the twist maps (the
+compatible cochains of the cohomology module); on arbitrary cochains
+they can differ, which is why both are exposed.
 
 The arity-2 element attached to a dialgebra by `pi_element` packages
 both products: on the tree whose first leaf hangs off the root it
@@ -51,36 +57,55 @@ def pi_element(A: BiHomDialgebra) -> TreeCochain:
     return TreeCochain(2, A.dim, data)
 
 
-def partial_composition(A: BiHomDialgebra, f: TreeCochain, i: int, g: TreeCochain) -> TreeCochain:
-    """Partial composition f o_i g, slot i counted from 1."""
-    if f.dim != A.dim or g.dim != A.dim:
+def _compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeCochain:
+    """The one composition loop: f on the outer retraction R0 y, with
+    factor j's output twisted by T_j.
+
+    `factors` holds one (g_j, T_j) per slot of f.  g_j is a cochain
+    evaluated on its inner retraction, or None for a pass-through basis
+    argument; T_j is a Mat, or None for no twist.
+    """
+    dim = A.dim
+    if f.dim != dim or any(g is not None and g.dim != dim for g, _ in factors):
         raise ValueError("cochain dimension mismatch")
+    parts = tuple(1 if g is None else g.degree for g, _ in factors)
+    N = sum(parts)
+    starts = [sum(parts[:j]) for j in range(len(parts))]
+    basis = [tuple(ONE if s == k else ZERO for s in range(dim)) for k in range(dim)]
+    # a pass-through argument is a fixed column of its twist
+    passed = [
+        (basis if T is None else [T.apply(e) for e in basis]) if g is None else None
+        for g, T in factors
+    ]
+    data = {}
+    for yi, y in enumerate(trees(N)):
+        # retractions located once per tree, so eval gets indices, not trees to look up
+        outer = tree_index(r0(y, parts))
+        inners = [
+            None if g is None else tree_index(ri(y, parts, j + 1)) for j, (g, _) in enumerate(factors)
+        ]
+        for b in iproduct(range(dim), repeat=N):
+            args: list[Vec] = []
+            for j, (g, T) in enumerate(factors):
+                if g is None:
+                    args.append(passed[j][b[starts[j]]])
+                    continue
+                v = g.eval(inners[j], [basis[x] for x in b[starts[j] : starts[j] + parts[j]]])
+                args.append(v if T is None else T.apply(v))
+            val = f.eval(outer, args)
+            if not is_zero_vec(val):
+                data[(yi, b)] = val if sign == 1 else tuple(sign * v for v in val)
+    return TreeCochain(N, dim, data)
+
+
+def partial_composition(A: BiHomDialgebra, f: TreeCochain, i: int, g: TreeCochain) -> TreeCochain:
+    """Partial composition f o_i g, slot i counted from 1: g fills slot i
+    untwisted, arguments left of it get phi^(n-1), right of it psi^(n-1)."""
     m, n = f.degree, g.degree
     if not 1 <= i <= m:
         raise ValueError(f"slot {i} out of range for arity {m}")
-    N = m + n - 1
-    parts = (1,) * (i - 1) + (n,) + (1,) * (m - i)
-    dim = A.dim
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(n - 1)
-    data = {}
-    for yi, y in enumerate(trees(N)):
-        outer = r0(y, parts)
-        inner = ri(y, parts, i)
-        for b in iproduct(range(dim), repeat=N):
-            es = [tuple(ONE if s == bi else ZERO for s in range(dim)) for bi in b]
-            args: list[Vec] = []
-            for s in range(1, m + 1):
-                if s < i:
-                    args.append(P.apply(es[s - 1]))
-                elif s == i:
-                    args.append(g.eval(inner, es[i - 1 : i - 1 + n]))
-                else:
-                    args.append(Q.apply(es[s + n - 2]))
-            val = f.eval(outer, args)
-            if not is_zero_vec(val):
-                data[(yi, b)] = val
-    return TreeCochain(N, dim, data)
+    P, Q = A.phi.power(n - 1), A.psi.power(n - 1)
+    return _compose(A, f, [(None, P)] * (i - 1) + [(g, None)] + [(None, Q)] * (m - i))
 
 
 def gamma(A: BiHomDialgebra, f: TreeCochain, gs) -> TreeCochain:
@@ -102,34 +127,13 @@ def gamma_direct(A: BiHomDialgebra, f: TreeCochain, gs) -> TreeCochain:
     that intertwine phi and psi.
     """
     gs = list(gs)
-    k = f.degree
-    if len(gs) != k:
+    if len(gs) != f.degree:
         raise ValueError("need one factor per slot")
-    parts = tuple(g.degree for g in gs)
-    N = sum(parts)
-    dim = A.dim
-    sums = [0]
-    for p in parts:
-        sums.append(sums[-1] + p)
-    twists = []
-    for j in range(1, k + 1):
-        a = sum(parts[u] - 1 for u in range(j, k))
-        bpow = sum(parts[u] - 1 for u in range(j - 1))
-        twists.append(A.phi.power(a) @ A.psi.power(bpow))
-    data = {}
-    for yi, y in enumerate(trees(N)):
-        outer = r0(y, parts)
-        inners = [ri(y, parts, j) for j in range(1, k + 1)]
-        for b in iproduct(range(dim), repeat=N):
-            es = [tuple(ONE if s == bi else ZERO for s in range(dim)) for bi in b]
-            args = []
-            for j in range(k):
-                block = es[sums[j] : sums[j + 1]]
-                args.append(twists[j].apply(gs[j].eval(inners[j], block)))
-            val = f.eval(outer, args)
-            if not is_zero_vec(val):
-                data[(yi, b)] = val
-    return TreeCochain(N, dim, data)
+    extra = [g.degree - 1 for g in gs]
+    return _compose(A, f, [
+        (g, A.phi.power(sum(extra[j + 1 :])) @ A.psi.power(sum(extra[:j])))
+        for j, g in enumerate(gs)
+    ])
 
 
 def braces(A: BiHomDialgebra, f: TreeCochain, gs) -> TreeCochain:
@@ -193,22 +197,5 @@ def dot(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:
     Evaluated literally; note id.id comes out as -pi under this sign.
     """
     m, n = f.degree, g.degree
-    dim = A.dim
-    pi = pi_element(A)
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(m - 1)
-    parts = (m, n)
     sign = -1 if (m * n) % 2 else 1
-    data = {}
-    for yi, y in enumerate(trees(m + n)):
-        outer = r0(y, parts)
-        in1 = ri(y, parts, 1)
-        in2 = ri(y, parts, 2)
-        for b in iproduct(range(dim), repeat=m + n):
-            es = [tuple(ONE if s == bi else ZERO for s in range(dim)) for bi in b]
-            left = P.apply(f.eval(in1, es[:m]))
-            right = Q.apply(g.eval(in2, es[m:]))
-            val = pi.eval(outer, [left, right])
-            if not is_zero_vec(val):
-                data[(yi, b)] = tuple(sign * v for v in val)
-    return TreeCochain(m + n, dim, data)
+    return _compose(A, pi_element(A), [(f, A.phi.power(n - 1)), (g, A.psi.power(m - 1))], sign)

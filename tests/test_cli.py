@@ -2,12 +2,22 @@
 
 import glob
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from bihom.algebra import BiHomAssociativeAlgebra
 from bihom.cli import main
 from bihom.cohomology import cohomology, cohomology_spaces
+from bihom.derivations import (
+    BiDegree,
+    GeneralizedSpec,
+    derivation_space,
+    generalized_derivation_space,
+    generalized_triple_space,
+    quasi_derivation_space,
+)
 from bihom.dsl import DeformationBlock, build_block, parse_path
 
 
@@ -97,6 +107,48 @@ def test_derive_generalized_scales():
     base = run("derive", "corpus/alg2_2.dlg", "--name", "Alg2_2",
                "--k", "1", "--l", "1", "--json")
     assert doc["dim"] == json.loads(base.output)["dim"]
+
+
+def test_derive_command_agrees_with_the_library():
+    """Every corpus algebra block at (1, 1), in all four variants: the CLI
+    reports the library space's dimension, projections and basis."""
+    spec = GeneralizedSpec(2, -1, Fraction(3, 2))
+    variants = (
+        ((), derivation_space),
+        (("--quasi",), quasi_derivation_space),
+        (("--triple",), generalized_triple_space),
+        (("--alpha", "2", "--beta", "-1", "--gamma", "3/2"),
+         lambda A, deg: generalized_derivation_space(A, deg, spec)),
+    )
+    deg = BiDegree(1, 1)
+    checked = 0
+    for path in sorted(glob.glob("corpus/*.dlg")):
+        df = parse_path(path)
+        for block in df.blocks:
+            if isinstance(block, DeformationBlock):
+                continue
+            A = build_block(df, block.name)
+            if isinstance(A, BiHomAssociativeAlgebra):
+                A = A.as_dialgebra()
+            for flags, solver in variants:
+                r = run("derive", path, "--name", block.name, "--k", "1", "--l", "1",
+                        *flags, "--json")
+                assert r.exit_code == 0, (path, block.name, flags, r.output)
+                doc = json.loads(r.output)
+                space = solver(A, deg)
+                labels = list(doc["projection_dims"])
+                assert labels == ["D", "D'", "D''"][: space.components]
+                assert doc["dim"] == space.dim, (block.name, flags)
+                assert list(doc["projection_dims"].values()) == [
+                    space.projection(c).dim for c in range(space.components)
+                ]
+                assert doc["basis"] == [
+                    {lab: [[str(M[i, j]) for j in range(A.dim)] for i in range(A.dim)]
+                     for lab, M in zip(labels, mats)}
+                    for mats in space.basis_matrices()
+                ]
+                checked += 1
+    assert checked >= 4 * 10
 
 
 def test_classify_summary_line():

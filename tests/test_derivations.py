@@ -1,12 +1,13 @@
 """Derivation solvers: re-substitution, closure, embeddings, and the
 reconciliation against the reference classification tables."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from bihom.algebra import BiHomDialgebra, catalog, table_from_entries, zero_table
+from bihom.algebra import BiHomDialgebra, apply_table, catalog, table_from_entries, zero_table
 from bihom.derivations import (
     BiDegree,
     Derivation,
@@ -60,6 +61,57 @@ def test_resubstitution_across_catalog():
                     assert rep.ok, (name, binding, deg, rep.laws_violated())
 
 
+def upper_triangular():
+    """2x2 upper triangular matrices on e11, e12, e22, both products the
+    matrix product, identity twists: a non-commutative dialgebra, so the
+    left and right slots of the Leibniz law differ."""
+    table = table_from_entries(3, {(1, 1): {1: 1}, (1, 2): {2: 1}, (2, 3): {2: 1}, (3, 3): {3: 1}})
+    return BiHomDialgebra(3, table, table, Mat.identity(3), Mat.identity(3), name="upper")
+
+
+def test_every_variant_satisfies_its_identity():
+    """Each basis tuple of each variant, re-substituted into its own law:
+    every map commutes with phi and psi, and for both products
+    alpha L(x o y) = beta (W x o R y) + gamma (P x o W y), with L, P, R
+    the maps the variant puts on the left-hand side, in the left slot
+    and in the right slot."""
+    rng = random.Random(10)
+    unit = (1, 1, 1)
+    variants = [
+        (derivation_space, unit, lambda D: (D, D, D)),
+        (quasi_derivation_space, unit, lambda D, D1: (D1, D, D)),
+        (generalized_triple_space, unit, lambda D, D1, D2: (D2, D, D1)),
+    ]
+    for spec in (GeneralizedSpec(2, -1, Fraction(3, 2)), GeneralizedSpec(1, 1, 0)):
+        variants.append((functools.partial(generalized_derivation_space, spec=spec),
+                         (spec.alpha, spec.beta, spec.gamma), lambda D: (D, D, D)))
+    algebras = [e.build(**bindings_for(e, rng, count=1)[0]) for e in catalog().values()]
+    checked = [0] * len(variants)
+    for A in algebras + [upper_triangular()]:
+        n = A.dim
+        for deg in (BiDegree(0, 0), BiDegree(1, 1)):
+            W = A.twist_power(deg.k, deg.l)
+            for v, (solver, (alpha, beta, gamma), slots) in enumerate(variants):
+                for mats in solver(A, deg).basis_matrices():
+                    for M in mats:
+                        assert M @ A.phi == A.phi @ M and M @ A.psi == A.psi @ M
+                    L, P, R = slots(*mats)
+                    for op in ("dashv", "vdash"):
+                        table = A.table(op)
+                        for a in range(n):
+                            for b in range(n):
+                                x, y = A.e(a), A.e(b)
+                                lhs = L.apply(apply_table(table, x, y))
+                                right = apply_table(table, W.apply(x), R.apply(y))
+                                left = apply_table(table, P.apply(x), W.apply(y))
+                                for k in range(n):
+                                    assert alpha * lhs[k] == beta * right[k] + gamma * left[k], (
+                                        A.name, deg, v, op, a, b
+                                    )
+                    checked[v] += 1
+    assert all(checked), checked
+
+
 def test_solution_spaces_are_linear():
     rng = random.Random(6)
     for name in ("Alg2_1", "Alg3_2"):
@@ -89,7 +141,11 @@ def test_system_nullity_against_independent_solver():
     ]
     for name, binding, deg in cells:
         A = catalog()[name].build(**binding)
-        for solver in (derivation_space, quasi_derivation_space, generalized_triple_space):
+        weighted = functools.partial(
+            generalized_derivation_space, spec=GeneralizedSpec(2, -1, Fraction(3, 2))
+        )
+        solvers = (derivation_space, weighted, quasi_derivation_space, generalized_triple_space)
+        for solver in solvers:
             space = solver(A, deg)
             assert space.dim == oracles.nullspace_dim(
                 space.system, seed=rng.randint(0, 2**30)
@@ -173,6 +229,49 @@ def test_quasi_partner_solves_for_the_second_map():
         zero = Mat.zeros(2, 2)
         for row in hom.basis_rows():
             assert quasi.contains(zero, Mat(2, 2, list(row)))
+
+
+def test_quasi_partner_refuses_an_invalid_map():
+    """E11 breaks all four laws on Alg2_2 at (1, 1), and no D' makes
+    (E11, D') a quasi-derivation, so there is no partner."""
+    A = catalog()["Alg2_2"].build(a=1)
+    deg = BiDegree(1, 1)
+    e11 = Mat.from_rows([[1, 0], [0, 0]])
+    assert set(derivation_report(A, e11, deg).laws_violated()) == {
+        "commute_phi", "commute_psi", "leibniz_dashv", "leibniz_vdash"
+    }
+    assert not quasi_derivation_space(A, deg).projection(0).contains(e11.entries())
+    assert quasi_partner(A, deg, e11) is None
+    with pytest.raises(ValueError):
+        quasi_partner(A, deg, Mat.identity(3))
+
+
+def test_quasi_partner_exists_exactly_on_the_quasi_projection():
+    """A partner exists iff D is the first map of some quasi pair; when it
+    exists, it and its homogeneous space solve the quasi system."""
+    rng = random.Random(9)
+    for name, binding in (("Alg2_2", {"a": 1}), ("Alg2_3", {"a": 1, "b": 1, "c": 2, "d": 1}),
+                          ("Alg3_3", {"b": 1})):
+        A = catalog()[name].build(**binding)
+        n = A.dim
+        for deg in (BiDegree(0, 0), BiDegree(1, 1)):
+            quasi = quasi_derivation_space(A, deg)
+            first = quasi.projection(0)
+            candidates = [Mat(n, n, [int(k == c) for k in range(n * n)]) for c in range(n * n)]
+            candidates += [D for D, _ in quasi.basis_matrices()]
+            candidates += [Mat(n, n, [rng.randint(-2, 2) for _ in range(n * n)]) for _ in range(5)]
+            found = 0
+            for D in candidates:
+                got = quasi_partner(A, deg, D)
+                assert (got is not None) == first.contains(D.entries()), (name, deg, D)
+                if got is None:
+                    continue
+                found += 1
+                part, hom = got
+                assert quasi.contains(D, part)
+                for row in hom.basis_rows():
+                    assert quasi.contains(Mat.zeros(n, n), Mat(n, n, list(row)))
+            assert found, (name, deg)
 
 
 def test_known_basis_for_dim3_family():
@@ -291,3 +390,9 @@ def test_shape_containment_flags_at_unit_binding():
             assert c.shape_contained == (True, True)
         if c.variant == "generalized_triple":
             assert c.shape_contained == (True, False, True)
+
+
+@pytest.mark.parametrize("variant", ["generalized", "derivation"])
+def test_classify_refuses_a_variant_it_cannot_solve(variant):
+    with pytest.raises(ValueError, match=f"variant '{variant}'"):
+        classify(["Alg2_2"], [{"a": 1}], [BiDegree(1, 1)], variants=("plain", variant))

@@ -132,16 +132,18 @@ def test_gamma_identities():
 
 
 def test_gamma_direct_agrees_on_compatible_factors():
+    # Alg3_3 has phi != psi, so there the twists' placement shows
     rng = random.Random(77)
-    A = catalog()["Alg2_2"].build(a=1)
-    c1 = dialg_compatible_space(A, 1)
-    c2 = dialg_compatible_space(A, 2)
-    for _ in range(4):
-        f = random_compatible_cochain(c2, rng, 2, 2, tree_indexed=True)
-        g = random_compatible_cochain(c1, rng, 1, 2, tree_indexed=True)
-        h = random_compatible_cochain(c2, rng, 2, 2, tree_indexed=True)
-        assert gamma_direct(A, f, [g, h]) == gamma(A, f, [g, h])
-        assert gamma_direct(A, f, [h, g]) == gamma(A, f, [h, g])
+    for A in (catalog()["Alg2_2"].build(a=1), catalog()["Alg3_3"].build(b=1)):
+        m = A.dim
+        c1 = dialg_compatible_space(A, 1)
+        c2 = dialg_compatible_space(A, 2)
+        for _ in range(4):
+            f = random_compatible_cochain(c2, rng, 2, m, tree_indexed=True)
+            g = random_compatible_cochain(c1, rng, 1, m, tree_indexed=True)
+            h = random_compatible_cochain(c2, rng, 2, m, tree_indexed=True)
+            assert gamma_direct(A, f, [g, h]) == gamma(A, f, [g, h])
+            assert gamma_direct(A, f, [h, g]) == gamma(A, f, [h, g])
 
 
 def test_bracket_graded_antisymmetry():
@@ -197,3 +199,19 @@ def test_dot_preserves_compatibility():
         assert target.contains(dot(A, g, f).flatten())
     z = dot(A, f, random_compatible_cochain(c2, rng, 2, 2, tree_indexed=True).scale(0))
     assert z.is_zero()
+
+
+def test_compositions_refuse_a_cochain_of_another_dimension():
+    A = catalog()["Alg2_2"].build(a=1)
+    pi = pi_element(A)
+    wide = identity_element(3)
+    for call in (
+        lambda: partial_composition(A, pi, 1, wide),
+        lambda: partial_composition(A, wide, 1, pi),
+        lambda: gamma_direct(A, pi, [pi, wide]),
+        lambda: gamma_direct(A, wide, [pi]),
+        lambda: dot(A, pi, wide),
+        lambda: dot(A, wide, pi),
+    ):
+        with pytest.raises(ValueError, match="cochain dimension mismatch"):
+            call()
