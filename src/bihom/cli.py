@@ -2,8 +2,10 @@
 
 Exit codes: 0 all checks pass or computation done, 1 mathematical
 failure (axiom violation, invalid deformation, obstruction), 2 usage or
-parse error.  Reports are byte-deterministic; `--json` mirrors every
-text report with a fixed field order.
+parse error.  Each command fills one `_Report`: every call writes one
+JSON field together with the text lines that show it, and the report is
+rendered once, as text or with `--json` as JSON.  Both renderings are
+byte-deterministic and keep a fixed field order.
 """
 
 from __future__ import annotations
@@ -89,6 +91,15 @@ def _pick(df, name: str):
         _fail_usage(f"no block named {name!r} in the file")
 
 
+def _load_algebra(path: str, name: str):
+    """The algebra built from block NAME of PATH; a deformation block is
+    a usage error."""
+    df = _load(path)
+    if isinstance(_pick(df, name), DeformationBlock):
+        _fail_usage(f"block {name!r} is a deformation, not an algebra")
+    return build_block(df, name)
+
+
 def _rational(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
@@ -99,6 +110,10 @@ def _rational(text: str, flag: str) -> Fraction:
 def _mat_rows(M) -> list[list[str]]:
     r, c = M.shape
     return [[str(M[i, j]) for j in range(c)] for i in range(r)]
+
+
+def _matrix_lines(title: str, rows: list[list[str]]) -> list[str]:
+    return [f"{title}:", *("  [" + ", ".join(row) + "]" for row in rows)]
 
 
 def _vec_str(vec, basis) -> str:
@@ -114,13 +129,32 @@ def _args_str(args, basis) -> str:
     return "(" + ", ".join(basis[a] for a in args) + ")"
 
 
-def _emit(doc: dict, lines: list[str], as_json: bool, code: int):
-    if as_json:
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            click.echo(line)
-    sys.exit(code)
+class _Report:
+    """One command's report: ordered JSON fields and the text lines
+    that show them, written together and rendered once."""
+
+    def __init__(self, command: str, **head):
+        self.doc: dict = {"command": command}
+        self.lines = [f"command: {command}"]
+        for key, value in head.items():
+            self.add(key, value, f"{key.replace('_', ' ')}: {value}")
+
+    def add(self, key: str, value, *lines: str):
+        self.doc[key] = value
+        self.lines.extend(lines)
+
+    def item(self, key: str, entry, *lines: str):
+        """Append ENTRY to the list field KEY, creating it if absent."""
+        self.doc.setdefault(key, []).append(entry)
+        self.lines.extend(lines)
+
+    def finish(self, as_json: bool, ok: bool = True, verdict: bool = False):
+        """Print one rendering and exit 0 if OK, else 1; VERDICT ends the
+        text with a result line."""
+        if verdict:
+            self.lines.append(f"result: {'PASS' if ok else 'FAIL'}")
+        click.echo(json.dumps(self.doc, indent=2) if as_json else "\n".join(self.lines))
+        sys.exit(0 if ok else 1)
 
 
 def _json_flag(fn):
@@ -190,19 +224,18 @@ def verify(file, name, as_json):
     blocks = [_pick(df, name)] if name else list(df.blocks)
     if not blocks:
         _fail_usage("file contains no blocks")
-    doc = {"command": "verify", "file": file, "blocks": [], "ok": True}
-    lines = [f"command: verify", f"file: {file}"]
+    r = _Report("verify", file=file)
     ok_all = True
     for b in blocks:
         ok, summary, violations = _verify_block(df, b)
         ok_all = ok_all and ok
-        doc["blocks"].append(
-            {"name": b.name, "kind": b.kind, "ok": ok, "summary": summary, "violations": violations}
+        r.item(
+            "blocks",
+            {"name": b.name, "kind": b.kind, "ok": ok, "summary": summary, "violations": violations},
+            f"{b.name}: {summary}",
         )
-        lines.append(f"{b.name}: {summary}")
-    doc["ok"] = ok_all
-    lines.append(f"result: {'PASS' if ok_all else 'FAIL'}")
-    _emit(doc, lines, as_json, 0 if ok_all else 1)
+    r.add("ok", ok_all)
+    r.finish(as_json, ok_all, verdict=True)
 
 
 # -- derive ----------------------------------------------------------------------
@@ -221,11 +254,7 @@ def verify(file, name, as_json):
 @_json_flag
 def derive(file, name, k, l, alpha, beta, gamma, quasi, triple, as_json):
     """Solve the twisted Leibniz system for the named algebra."""
-    df = _load(file)
-    block = _pick(df, name)
-    if isinstance(block, DeformationBlock):
-        _fail_usage(f"block {name!r} is a deformation, not an algebra")
-    A = build_block(df, name)
+    A = _load_algebra(file, name)
     if isinstance(A, BiHomAssociativeAlgebra):
         A = A.as_dialgebra()
     gen_given = [x for x in (alpha, beta, gamma) if x is not None]
@@ -257,44 +286,30 @@ def derive(file, name, k, l, alpha, beta, gamma, quasi, triple, as_json):
     except ValueError as e:
         _fail_usage(str(e))
     labels = ("D", "D'", "D''")[: space.components]
-    doc = {
-        "command": "derive",
-        "file": file,
-        "name": name,
-        "variant": variant,
-        "bidegree": [k, l],
-        "dim": space.dim,
-        "projection_dims": {
-            lab: space.projection(c).dim for c, lab in enumerate(labels)
-        },
-        "basis": [
-            {lab: _mat_rows(mats[c]) for c, lab in enumerate(labels)}
-            for mats in space.basis_matrices()
-        ],
-    }
-    lines = [
-        "command: derive",
-        f"file: {file}",
-        f"name: {name}",
-        f"variant: {variant}",
-        f"bidegree: ({k}, {l})",
-        f"dim Der = {space.dim}",
-    ]
-    if len(labels) > 1:
-        for c, lab in enumerate(labels):
-            lines.append(f"dim {lab}-projection = {space.projection(c).dim}")
+    r = _Report("derive", file=file, name=name, variant=variant)
+    r.add("bidegree", [k, l], f"bidegree: ({k}, {l})")
+    r.add("dim", space.dim, f"dim Der = {space.dim}")
+    proj = {lab: space.projection(c).dim for c, lab in enumerate(labels)}
+    r.add(
+        "projection_dims",
+        proj,
+        *(f"dim {lab}-projection = {d}" for lab, d in proj.items() if len(labels) > 1),
+    )
+    r.add("basis", [])
     for i, mats in enumerate(space.basis_matrices(), start=1):
-        for c, lab in enumerate(labels):
-            lines.append(f"basis {i} ({lab}):")
-            for row in _mat_rows(mats[c]):
-                lines.append("  [" + ", ".join(row) + "]")
-    _emit(doc, lines, as_json, 0)
+        entry = {lab: _mat_rows(M) for lab, M in zip(labels, mats)}
+        r.item(
+            "basis",
+            entry,
+            *(line for lab, rows in entry.items() for line in _matrix_lines(f"basis {i} ({lab})", rows)),
+        )
+    r.finish(as_json)
 
 
 # -- classify --------------------------------------------------------------------
 
 
-def _parse_binding(text: str) -> dict[str, Fraction]:
+def _parse_binding(text: str, known) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     if not text:
         return out
@@ -306,37 +321,29 @@ def _parse_binding(text: str) -> dict[str, Fraction]:
             _fail_usage(f"--bind expects name=value pairs, got {piece!r}")
         key, _, val = piece.partition("=")
         out[key.strip()] = _rational(val.strip(), "--bind")
+    for key in out:
+        if key not in known:
+            _fail_usage(f"--bind names unknown parameter {key!r}; known: {', '.join(known)}")
     return out
 
 
 @main.command()
-@click.option("--catalog", "use_catalog", is_flag=True, default=True,
-              help="classify the built-in families (the default and only source)")
 @click.option("--bind", default="", help="parameter values, e.g. a=1,f=2 (default 1)")
 @_json_flag
-def classify(use_catalog, bind, as_json):
+def classify(bind, as_json):
     """Derivation-space dimensions for the built-in families at deg (1,1)."""
-    binding = _parse_binding(bind)
     cat = catalog()
+    binding = _parse_binding(bind, sorted({p for fam in cat.values() for p in fam.params}))
     names = list(cat)
     bindings = [
         {p: binding.get(p, Fraction(1)) for p in cat[n].params} for n in names
     ]
     report = classify_cells(names, bindings, [BiDegree(1, 1)])
-    doc = {
-        "command": "classify",
-        "bind": bind or None,
-        "cells": [],
-        "ok": True,
-    }
-    lines = ["command: classify", f"bind: {bind or '(defaults)'}"]
-    for c in report.cells:
-        shapes = (
-            None
-            if c.shape_contained is None
-            else "/".join("yes" if s else "no" for s in c.shape_contained)
-        )
-        doc["cells"].append(
+    r = _Report("classify")
+    r.add("bind", bind or None, f"bind: {bind or '(defaults)'}")
+    for c, line in zip(report.cells, report.lines()):
+        r.item(
+            "cells",
             {
                 "algebra": c.algebra,
                 "binding": {p: str(v) for p, v in c.binding},
@@ -346,22 +353,18 @@ def classify(use_catalog, bind, as_json):
                 "reference": list(c.reference) if c.reference else None,
                 "agrees": c.agrees,
                 "shape_contained": list(c.shape_contained) if c.shape_contained else None,
-            }
-        )
-        binding_s = ",".join(f"{p}={v}" for p, v in c.binding)
-        comp = "/".join(str(d) for d in c.computed)
-        ref = "/".join(str(d) for d in c.reference) if c.reference else "-"
-        mark = "-" if c.agrees is None else ("ok" if c.agrees else "DIFFERS")
-        shape_s = f" shapes={shapes}" if shapes is not None else ""
-        lines.append(
-            f"{c.algebra}[{binding_s}] deg=({c.degree.k},{c.degree.l}) "
-            f"{c.variant}: computed {comp}, reference {ref} [{mark}]{shape_s}"
+            },
+            line,
         )
     agree = sum(1 for c in report.cells if c.agrees)
     differ = sum(1 for c in report.cells if c.agrees is False)
-    lines.append(f"cells: {len(report.cells)}, agree: {agree}, differ: {differ}")
-    doc["summary"] = {"cells": len(report.cells), "agree": agree, "differ": differ}
-    _emit(doc, lines, as_json, 0)
+    r.add("ok", True)
+    r.add(
+        "summary",
+        {"cells": len(report.cells), "agree": agree, "differ": differ},
+        f"cells: {len(report.cells)}, agree: {agree}, differ: {differ}",
+    )
+    r.finish(as_json)
 
 
 # -- cohomology ------------------------------------------------------------------
@@ -376,13 +379,9 @@ def classify(use_catalog, bind, as_json):
 @_json_flag
 def cohomology_cmd(file, name, degree, which, as_json):
     """Cocycle, coboundary and quotient dimensions in one degree."""
-    df = _load(file)
-    block = _pick(df, name)
-    if isinstance(block, DeformationBlock):
-        _fail_usage(f"block {name!r} is a deformation, not an algebra")
+    X = _load_algebra(file, name)
     if degree < 1:
         _fail_usage("--degree must be at least 1")
-    X = build_block(df, name)
     if which is None:
         which = "hoch" if isinstance(X, BiHomAssociativeAlgebra) else "dialg"
     if which == "hoch" and isinstance(X, BiHomDialgebra):
@@ -396,55 +395,40 @@ def cohomology_cmd(file, name, degree, which, as_json):
     # zero; on axiom-violating input report it as undefined instead
     contained = Z.contains_space(B)
     hdim = Z.dim - B.dim if contained else None
-    doc = {
-        "command": "cohomology",
-        "file": file,
-        "name": name,
-        "complex": which,
-        "degree": degree,
-        "compatible_dim": comp.dim,
-        "cocycle_dim": Z.dim,
-        "coboundary_dim": B.dim,
-        "coboundaries_contained": contained,
-        "cohomology_dim": hdim,
-    }
-    lines = [
-        "command: cohomology",
-        f"file: {file}",
-        f"name: {name}",
-        f"complex: {which}",
-        f"degree: {degree}",
-        f"compatible dim = {comp.dim}",
-        f"cocycle dim = {Z.dim}",
-        f"coboundary dim = {B.dim}",
+    r = _Report("cohomology", file=file, name=name, complex=which, degree=degree)
+    r.add("compatible_dim", comp.dim, f"compatible dim = {comp.dim}")
+    r.add("cocycle_dim", Z.dim, f"cocycle dim = {Z.dim}")
+    r.add("coboundary_dim", B.dim, f"coboundary dim = {B.dim}")
+    r.add("coboundaries_contained", contained)
+    r.add(
+        "cohomology_dim",
+        hdim,
         f"cohomology dim = {hdim if hdim is not None else 'undefined (coboundaries escape cocycles)'}",
-    ]
+    )
     if (
         which == "hoch"
         and name in _REFERENCE_COCYCLE_NAMES
         and degree in _REFERENCE_COCYCLES
         and X.dim == 3
     ):
-        checklist = []
         for args, target in _REFERENCE_COCYCLES[degree]:
             zero_based = tuple(a - 1 for a in args)
             f = HochschildCochain(degree, X.dim, {zero_based: basis_vec(X.dim, target - 1)})
             member = Z.contains(f.flatten())
-            checklist.append({"args": list(args), "target": target, "in_kernel": member})
-            pat = _args_str(zero_based, X.basis)
-            lines.append(
-                f"reference pattern {pat} -> {X.basis[target - 1]}: "
-                f"in Z^{degree}: {'yes' if member else 'no'}"
+            r.item(
+                "reference_cocycles",
+                {"args": list(args), "target": target, "in_kernel": member},
+                f"reference pattern {_args_str(zero_based, X.basis)} -> {X.basis[target - 1]}: "
+                f"in Z^{degree}: {'yes' if member else 'no'}",
             )
-        doc["reference_cocycles"] = checklist
-        excluded = []
         for args, _ in _REFERENCE_AMBIGUOUS.get(degree, ()):
-            excluded.append({"args": list(args), "listings": 3})
             pat = _args_str(tuple(a - 1 for a in args), X.basis)
-            lines.append(f"ambiguous pattern {pat}: excluded (listed 3 times)")
-        if excluded:
-            doc["excluded_ambiguous"] = excluded
-    _emit(doc, lines, as_json, 0)
+            r.item(
+                "excluded_ambiguous",
+                {"args": list(args), "listings": 3},
+                f"ambiguous pattern {pat}: excluded (listed 3 times)",
+            )
+    r.finish(as_json)
 
 
 # -- operad-check ----------------------------------------------------------------
@@ -456,11 +440,7 @@ def cohomology_cmd(file, name, degree, which, as_json):
 @_json_flag
 def operad_check(file, name, as_json):
     """Brace square of the product element; zero iff the five laws hold."""
-    df = _load(file)
-    block = _pick(df, name)
-    if isinstance(block, DeformationBlock):
-        _fail_usage(f"block {name!r} is a deformation, not an algebra")
-    A = build_block(df, name)
+    A = _load_algebra(file, name)
     if isinstance(A, BiHomAssociativeAlgebra):
         A = A.as_dialgebra()
     p = pi_element(A)
@@ -468,42 +448,35 @@ def operad_check(file, name, as_json):
     by_tree: dict[int, list] = {t: [] for t in range(5)}
     for (t, args), val in sorted(sq.data.items()):
         by_tree[t].append((args, val))
-    doc = {
-        "command": "operad-check",
-        "file": file,
-        "name": name,
-        "laws": [],
-        "ok": sq.is_zero(),
-    }
-    lines = ["command: operad-check", f"file: {file}", f"name: {name}"]
+    r = _Report("operad-check", file=file, name=name)
     for t, law in enumerate(LAW_FOR_TREE):
         hits = by_tree[t]
-        entry = {"law": law, "tree": t, "zero": not hits}
-        if hits:
-            args, val = hits[0]
-            entry["witness"] = {
-                "args": [A.basis[a] for a in args],
-                "residual": [str(c) for c in val],
-            }
-            lines.append(
-                f"law {law} (tree {t}): nonzero at {_args_str(args, A.basis)} "
-                f"-> {_vec_str(val, A.basis)}"
-            )
-        else:
-            lines.append(f"law {law} (tree {t}): 0")
-        doc["laws"].append(entry)
+        if not hits:
+            r.item("laws", {"law": law, "tree": t, "zero": True}, f"law {law} (tree {t}): 0")
+            continue
+        args, val = hits[0]
+        r.item(
+            "laws",
+            {
+                "law": law,
+                "tree": t,
+                "zero": False,
+                "witness": {"args": [A.basis[a] for a in args], "residual": [str(c) for c in val]},
+            },
+            f"law {law} (tree {t}): nonzero at {_args_str(args, A.basis)} "
+            f"-> {_vec_str(val, A.basis)}",
+        )
     ok = sq.is_zero()
-    lines.append(f"brace square: {'0' if ok else 'nonzero'}")
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    _emit(doc, lines, as_json, 0 if ok else 1)
+    r.add("ok", ok, f"brace square: {'0' if ok else 'nonzero'}")
+    r.finish(as_json, ok, verdict=True)
 
 
 # -- deform ----------------------------------------------------------------------
 
 
-def _load_deformation(df, name) -> TruncatedDeformation:
-    block = _pick(df, name)
-    if not isinstance(block, DeformationBlock):
+def _load_deformation(path: str, name: str) -> TruncatedDeformation:
+    df = _load(path)
+    if not isinstance(_pick(df, name), DeformationBlock):
         _fail_usage(f"block {name!r} is not a deformation")
     try:
         return build_block(df, name)
@@ -519,54 +492,37 @@ def _load_deformation(df, name) -> TruncatedDeformation:
 @_json_flag
 def deform(file, name, check_order, as_json):
     """Check the deformation equation order by order."""
-    df = _load(file)
-    D = _load_deformation(df, name)
+    D = _load_deformation(file, name)
     if check_order < 0:
         _fail_usage("--check-order must be nonnegative")
     ext = D if check_order <= D.order else D.extended(check_order)
-    doc = {
-        "command": "deform",
-        "file": file,
-        "name": name,
-        "base": D.base.name,
-        "order": D.order,
-        "check_order": check_order,
-        "orders": [],
-        "ok": True,
-    }
-    lines = [
-        "command: deform",
-        f"file: {file}",
-        f"name: {name}",
-        f"base: {D.base.name}",
-        f"order: {D.order}",
-        f"check order: {check_order}",
-    ]
+    basis = D.base.basis
+    r = _Report(
+        "deform", file=file, name=name, base=D.base.name, order=D.order, check_order=check_order
+    )
+    r.add("orders", [])
     ok_all = True
     for n in range(1, check_order + 1):
         res = deformation_residual(ext, n)
         if res.is_zero():
-            doc["orders"].append({"order": n, "ok": True})
-            lines.append(f"order {n}: OK")
-        else:
-            ok_all = False
-            (t, args), val = min(res.data.items())
-            doc["orders"].append(
-                {
-                    "order": n,
-                    "ok": False,
-                    "law": LAW_FOR_TREE[t],
-                    "args": [D.base.basis[a] for a in args],
-                    "residual": [str(c) for c in val],
-                }
-            )
-            lines.append(
-                f"order {n}: FAIL {LAW_FOR_TREE[t]} at "
-                f"{_args_str(args, D.base.basis)} -> {_vec_str(val, D.base.basis)}"
-            )
-    doc["ok"] = ok_all
-    lines.append(f"result: {'PASS' if ok_all else 'FAIL'}")
-    _emit(doc, lines, as_json, 0 if ok_all else 1)
+            r.item("orders", {"order": n, "ok": True}, f"order {n}: OK")
+            continue
+        ok_all = False
+        (t, args), val = min(res.data.items())
+        r.item(
+            "orders",
+            {
+                "order": n,
+                "ok": False,
+                "law": LAW_FOR_TREE[t],
+                "args": [basis[a] for a in args],
+                "residual": [str(c) for c in val],
+            },
+            f"order {n}: FAIL {LAW_FOR_TREE[t]} at "
+            f"{_args_str(args, basis)} -> {_vec_str(val, basis)}",
+        )
+    r.add("ok", ok_all)
+    r.finish(as_json, ok_all, verdict=True)
 
 
 # -- trivialize ------------------------------------------------------------------
@@ -579,58 +535,38 @@ def deform(file, name, check_order, as_json):
 @_json_flag
 def trivialize(file, name, order, as_json):
     """Solve for a formal change of variables undoing the deformation."""
-    df = _load(file)
-    D = _load_deformation(df, name)
+    D = _load_deformation(file, name)
     if order < 0:
         _fail_usage("--order must be nonnegative")
     res = solve_triviality(D, order)
-    doc = {
-        "command": "trivialize",
-        "file": file,
-        "name": name,
-        "base": D.base.name,
-        "order": order,
-        "trivial": res.trivial,
-    }
-    lines = [
-        "command: trivialize",
-        f"file: {file}",
-        f"name: {name}",
-        f"base: {D.base.name}",
-        f"order: {order}",
-    ]
+    basis = D.base.basis
+    r = _Report("trivialize", file=file, name=name, base=D.base.name, order=order)
     if res.trivial:
-        doc["witness"] = [
-            _mat_rows(res.witness.map(i)) for i in range(1, order + 1)
-        ]
-        for i in range(1, order + 1):
-            lines.append(f"psi_{i}:")
-            for row in _mat_rows(res.witness.map(i)):
-                lines.append("  [" + ", ".join(row) + "]")
-        lines.append("trivial: yes")
-        lines.append("result: PASS")
-        _emit(doc, lines, as_json, 0)
-    doc["obstructed_order"] = res.obstructed_order
-    doc["obstruction_closed"] = res.obstruction_closed
-    doc["obstruction"] = [
-        {
-            "product": "dashv" if t == 0 else "vdash",
-            "args": [D.base.basis[a] for a in args],
-            "value": [str(c) for c in val],
-        }
-        for (t, args), val in sorted(res.obstruction.data.items())
-    ]
-    lines.append("trivial: no")
-    lines.append(f"obstructed at order: {res.obstructed_order}")
-    lines.append(f"obstruction closed: {'yes' if res.obstruction_closed else 'no'}")
+        witness = [_mat_rows(res.witness.map(i)) for i in range(1, order + 1)]
+        r.add("trivial", True)
+        r.add(
+            "witness",
+            witness,
+            *(line for i, rows in enumerate(witness, start=1) for line in _matrix_lines(f"psi_{i}", rows)),
+            "trivial: yes",
+        )
+        r.finish(as_json, verdict=True)
+    r.add("trivial", False, "trivial: no")
+    r.add("obstructed_order", res.obstructed_order, f"obstructed at order: {res.obstructed_order}")
+    r.add(
+        "obstruction_closed",
+        res.obstruction_closed,
+        f"obstruction closed: {'yes' if res.obstruction_closed else 'no'}",
+    )
+    r.add("obstruction", [])
     for (t, args), val in sorted(res.obstruction.data.items()):
         op = "dashv" if t == 0 else "vdash"
-        lines.append(
-            f"obstruction {op} {_args_str(args, D.base.basis)} -> "
-            f"{_vec_str(val, D.base.basis)}"
+        r.item(
+            "obstruction",
+            {"product": op, "args": [basis[a] for a in args], "value": [str(c) for c in val]},
+            f"obstruction {op} {_args_str(args, basis)} -> {_vec_str(val, basis)}",
         )
-    lines.append("result: FAIL")
-    _emit(doc, lines, as_json, 1)
+    r.finish(as_json, False, verdict=True)
 
 
 if __name__ == "__main__":

@@ -486,9 +486,14 @@ class ClassificationReport:
             comp = "/".join(str(d) for d in c.computed)
             ref = "/".join(str(d) for d in c.reference) if c.reference else "-"
             mark = "-" if c.agrees is None else ("ok" if c.agrees else "DIFFERS")
+            shapes = (
+                ""
+                if c.shape_contained is None
+                else " shapes=" + "/".join("yes" if s else "no" for s in c.shape_contained)
+            )
             out.append(
                 f"{c.algebra}[{binding}] deg=({c.degree.k},{c.degree.l}) "
-                f"{c.variant}: computed {comp}, reference {ref} [{mark}]"
+                f"{c.variant}: computed {comp}, reference {ref} [{mark}]{shapes}"
             )
         return out
 

@@ -452,9 +452,23 @@ def parse(text: str) -> DefinitionFile:
     return _Parser(text).parse_file()
 
 
+def _universal_newlines(text: str) -> str:
+    # what text-mode open() does: CRLF and a lone CR both become LF
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_path(path) -> DefinitionFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse a UTF-8 file; a byte that is not UTF-8 is a lexical error
+    located like any other."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = _universal_newlines(data[: e.start].decode("utf-8"))
+        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise DslError("lexical", f"invalid UTF-8 byte 0x{data[e.start]:02x}", line, col) from None
+    return parse(_universal_newlines(text))
 
 
 # -- printer -------------------------------------------------------------------

@@ -67,6 +67,20 @@ def test_error_fixtures_exit_2_with_locations():
         assert message in r.output, path
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [(b"\xff\xfedialgebra X {\n", "line 1, column 1: invalid UTF-8 byte 0xff"),
+     (b"dialgebra X {\n  dim 1;\n  basis \xe9;\n}\n", "line 3, column 9: invalid UTF-8 byte 0xe9")],
+    ids=["line1", "line3"],
+)
+def test_non_utf8_file_exits_2_with_location(tmp_path, data, where):
+    path = tmp_path / "bad.dlg"
+    path.write_bytes(data)
+    r = run("verify", str(path))
+    assert r.exit_code == 2
+    assert r.stderr == f"error: {path}: lexical error at {where}\n"
+
+
 def test_derive_prints_dimension_and_basis():
     r = run("derive", "corpus/alg3_3.dlg", "--name", "Alg3_3", "--k", "1", "--l", "1")
     assert r.exit_code == 0
@@ -156,6 +170,13 @@ def test_classify_summary_line():
     assert r.exit_code == 0
     assert r.output.rstrip().endswith("cells: 27, agree: 16, differ: 11")
     assert "[DIFFERS]" in r.output and "[ok]" in r.output
+
+
+def test_classify_refuses_unknown_bind_names():
+    r = run("classify", "--bind", "a=2,zz=3")
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "unknown parameter 'zz'; known: a, b, c, d, f" in r.stderr
 
 
 def test_classify_json_is_deterministic():
@@ -253,20 +274,8 @@ def test_deform_check_orders():
     assert "not a deformation" in r.output
 
 
-def test_deform_reports_failing_order(tmp_path):
-    base = (
-        "dialgebra Alg2_2 {\n  dim 2;\n  basis e1 e2;\n  param a = 1;\n"
-        "  dashv(e1, e2) = a*e1;\n  dashv(e2, e1) = a*e1;\n  dashv(e2, e2) = e1;\n"
-        "  vdash(e1, e2) = e1;\n  vdash(e2, e1) = e1;\n"
-        "  phi(e2) = e1;\n  psi(e2) = e1;\n}\n\n"
-    )
-    bad = base + (
-        "deformation Dbad of Alg2_2 {\n  order 1;\n"
-        "  term 1 dashv(e1, e1) = e1;\n  term 1 dashv(e2, e2) = e2;\n}\n"
-    )
-    path = tmp_path / "bad.dlg"
-    path.write_text(bad)
-    r = run("deform", str(path), "--name", "Dbad", "--check-order", "1")
+def test_deform_reports_failing_order():
+    r = run("deform", "tests/fixtures/deform_bad.dlg", "--name", "Dbad", "--check-order", "1")
     assert r.exit_code == 1
     assert "order 1: FAIL" in r.output
     assert r.output.rstrip().endswith("result: FAIL")
@@ -286,21 +295,10 @@ def test_trivialize_corpus_deformation():
     assert doc["witness"][0] == [["-1/2", "0"], ["0", "0"]]
 
 
-def test_trivialize_reports_obstruction(tmp_path):
-    base = (
-        "dialgebra Alg2_2 {\n  dim 2;\n  basis e1 e2;\n  param a = 1;\n"
-        "  dashv(e1, e2) = a*e1;\n  dashv(e2, e1) = a*e1;\n  dashv(e2, e2) = e1;\n"
-        "  vdash(e1, e2) = e1;\n  vdash(e2, e1) = e1;\n"
-        "  phi(e2) = e1;\n  psi(e2) = e1;\n}\n\n"
-    )
+def test_trivialize_reports_obstruction():
     # first-order term is a cocycle outside the coboundaries
-    stuck = base + (
-        "deformation Dstuck of Alg2_2 {\n  order 1;\n"
-        "  term 1 dashv(e1, e2) = e1;\n}\n"
-    )
-    path = tmp_path / "stuck.dlg"
-    path.write_text(stuck)
-    r = run("trivialize", str(path), "--name", "Dstuck", "--order", "1")
+    r = run("trivialize", "tests/fixtures/trivialize_stuck.dlg", "--name", "Dstuck",
+            "--order", "1")
     assert r.exit_code == 1
     assert "trivial: no" in r.output
     assert "obstructed at order: 1" in r.output
@@ -320,3 +318,16 @@ def test_json_outputs_parse_everywhere():
         assert r1.exit_code == 0, args
         assert r1.output == r2.output
         json.loads(r1.output)
+
+
+@pytest.mark.parametrize("golden", ["tests/fixtures/cli_pinned.json", "perfbench/cli_golden.json"])
+def test_reports_replay_byte_for_byte(golden):
+    """Recorded stdout and exit code of every command in text and --json.
+    cli_pinned.json holds the failure and variant paths; the benchmark's
+    goldens are only read here."""
+    with open(golden, encoding="utf-8") as fh:
+        commands = json.load(fh)["commands"]
+    for name, variants in commands.items():
+        for variant, want in variants.items():
+            r = run(*want["argv"])
+            assert (r.exit_code, r.stdout) == (want["exit"], want["stdout"]), (name, variant)

@@ -98,6 +98,42 @@ def test_conflicting_entry_fixture():
     assert str(e).endswith("conflicting entry for mul(e1, e2)")
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"\xff\xfedialgebra X {\n", (1, 1, "0xff")),
+        (b"dialgebra X {\r\n  dim 1;\r\n  basis e\xc3\xa9 \xe9;\r\n}\r\n", (3, 12, "0xe9")),
+    ],
+    ids=["line1", "line3"],
+)
+def test_non_utf8_byte_is_a_located_lexical_error(tmp_path, data, where):
+    path = tmp_path / "bad.dlg"
+    path.write_bytes(data)
+    with pytest.raises(DslError) as exc:
+        parse_path(path)
+    line, col, byte = where
+    e = exc.value
+    assert (e.kind, e.line, e.col) == ("lexical", line, col)
+    assert str(e) == f"lexical error at line {line}, column {col}: invalid UTF-8 byte {byte}"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_read_as_lf(tmp_path, newline):
+    path = tmp_path / "x.dlg"
+    for source in ("corpus/deform_alg2_2.dlg", "tests/fixtures/lexical.dlg"):
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        try:
+            want = parse(text)
+        except DslError as e:
+            with pytest.raises(DslError) as exc:
+                parse_path(path)
+            assert str(exc.value) == str(e)
+        else:
+            assert parse_path(path) == want
+
+
 def test_syntax_error_reports_location():
     with pytest.raises(DslError) as exc:
         parse("dialgebra X {\n  dim 2\n  basis e1 e2;\n}")
