@@ -39,9 +39,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
-def vec_scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
 def is_zero_vec(v: Vec) -> bool:
     return all(a == 0 for a in v)
 

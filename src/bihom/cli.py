@@ -221,7 +221,7 @@ def _violation_doc(v, basis) -> dict:
 def verify(file, name, as_json):
     """Check the axioms of every block in FILE (or one named block)."""
     df = _load(file)
-    blocks = [_pick(df, name)] if name else list(df.blocks)
+    blocks = [_pick(df, name)] if name is not None else list(df.blocks)
     if not blocks:
         _fail_usage("file contains no blocks")
     r = _Report("verify", file=file)
@@ -320,7 +320,10 @@ def _parse_binding(text: str, known) -> dict[str, Fraction]:
         if "=" not in piece:
             _fail_usage(f"--bind expects name=value pairs, got {piece!r}")
         key, _, val = piece.partition("=")
-        out[key.strip()] = _rational(val.strip(), "--bind")
+        key = key.strip()
+        if key in out:
+            _fail_usage(f"--bind names parameter {key!r} more than once")
+        out[key] = _rational(val.strip(), "--bind")
     for key in out:
         if key not in known:
             _fail_usage(f"--bind names unknown parameter {key!r}; known: {', '.join(known)}")

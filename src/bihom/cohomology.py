@@ -22,9 +22,11 @@ below degree 1.
 Everything is exact and coordinatised: a degree-n cochain over a
 dim-m algebra flattens to a vector of length |Y_n| * m^n * m (tree
 index outer, then the argument multi-index row-major, then the output
-coordinate; |Y_n| is 1 in the one-product complex), and the coboundary
-is realised as sparse rows over those coordinates, which keeps kernel
-computations in the sparse eliminator.
+coordinate; |Y_n| is 1 in the one-product complex).  The coboundary is
+realised only as sparse rows over those coordinates: the spaces hand
+them to the sparse eliminator, and `dialg_coboundary`/`hoch_coboundary`
+apply them to one cochain.  The term-by-term evaluation of the formula
+is kept in `tests/oracles.py` as the independent reference.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from bihom.algebra import (
     BiHomDialgebra,
     Table,
     Vec,
-    apply_table,
     check_bihom_associative,
     is_multiplicative,
     is_zero_vec,
@@ -238,80 +239,6 @@ def hochschild_cochain_dim(degree: int, dim: int) -> int:
     return dim**degree * dim
 
 
-# -- coboundaries, evaluated directly ------------------------------------------
-
-
-def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
-    """delta f in the tree complex; output degree is f.degree + 1."""
-    if f.dim != A.dim:
-        raise ValueError("cochain dimension mismatch")
-    n, m = f.degree, A.dim
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(n - 1)
-    data: dict[tuple[int, tuple[int, ...]], Vec] = {}
-    for yi, y in enumerate(trees(n + 1)):
-        ors = orientations(y)
-        face_idx = [tree_index(face(y, i)) for i in range(n + 2)]
-        for b in iproduct(range(m), repeat=n + 1):
-            es = [tuple(ONE if s == bi else ZERO for s in range(m)) for bi in b]
-            acc = list(
-                apply_table(
-                    A.table(ors[0]), P.apply(es[0]), f.eval(face_idx[0], es[1:])
-                )
-            )
-            for i in range(1, n + 1):
-                args = (
-                    [A.phi.apply(v) for v in es[: i - 1]]
-                    + [apply_table(A.table(ors[i]), es[i - 1], es[i])]
-                    + [A.psi.apply(v) for v in es[i + 1 :]]
-                )
-                term = f.eval(face_idx[i], args)
-                sign = -1 if i % 2 else 1
-                for k, v in enumerate(term):
-                    acc[k] += sign * v
-            last = apply_table(
-                A.table(ors[n + 1]), f.eval(face_idx[n + 1], es[:-1]), Q.apply(es[-1])
-            )
-            sign = -1 if (n + 1) % 2 else 1
-            for k, v in enumerate(last):
-                acc[k] += sign * v
-            val = tuple(acc)
-            if not is_zero_vec(val):
-                data[(yi, b)] = val
-    return TreeCochain(n + 1, m, data)
-
-
-def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> HochschildCochain:
-    """delta f in the one-product complex; output degree is f.degree + 1."""
-    if f.dim != A.dim:
-        raise ValueError("cochain dimension mismatch")
-    n, m = f.degree, A.dim
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(n - 1)
-    data: dict[tuple[int, ...], Vec] = {}
-    for b in iproduct(range(m), repeat=n + 1):
-        es = [tuple(ONE if s == bi else ZERO for s in range(m)) for bi in b]
-        acc = list(A.product(P.apply(es[0]), f.eval(es[1:])))
-        for i in range(1, n + 1):
-            args = (
-                [A.phi.apply(v) for v in es[: i - 1]]
-                + [A.product(es[i - 1], es[i])]
-                + [A.psi.apply(v) for v in es[i + 1 :]]
-            )
-            term = f.eval(args)
-            sign = -1 if i % 2 else 1
-            for k, v in enumerate(term):
-                acc[k] += sign * v
-        last = A.product(f.eval(es[:-1]), Q.apply(es[-1]))
-        sign = -1 if (n + 1) % 2 else 1
-        for k, v in enumerate(last):
-            acc[k] += sign * v
-        val = tuple(acc)
-        if not is_zero_vec(val):
-            data[b] = val
-    return HochschildCochain(n + 1, m, data)
-
-
 # -- coboundaries as sparse rows over flattened coordinates --------------------
 
 
@@ -440,6 +367,27 @@ def hoch_coboundary_rows(
     """Same row construction for the one-product complex."""
     layout = [([0] * (n + 2), ["mul"] * (n + 2))]
     return _coboundary_rows(A.phi, A.psi, {"mul": A.mul}, n, layout)
+
+
+def _apply_delta(rows: list[dict[int, Fraction]], f: _Cochain) -> _Cochain:
+    """delta f from the delta^n rows: one dot product per output coordinate."""
+    x = f.flatten()
+    coords = [sum((c * x[j] for j, c in row.items() if x[j]), ZERO) for row in rows]
+    return type(f).unflatten(f.degree + 1, f.dim, coords)
+
+
+def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
+    """delta f in the tree complex; output degree is f.degree + 1."""
+    if f.dim != A.dim:
+        raise ValueError("cochain dimension mismatch")
+    return _apply_delta(dialg_coboundary_rows(A, f.degree), f)
+
+
+def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> HochschildCochain:
+    """delta f in the one-product complex; output degree is f.degree + 1."""
+    if f.dim != A.dim:
+        raise ValueError("cochain dimension mismatch")
+    return _apply_delta(hoch_coboundary_rows(A, f.degree), f)
 
 
 # -- twist compatibility --------------------------------------------------------

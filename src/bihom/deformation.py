@@ -42,8 +42,9 @@ from bihom.algebra import (
     zero_vec,
 )
 from bihom.cohomology import TreeCochain, dialg_coboundary
+from bihom.derivations import leibniz_rows
 from bihom.operad import circle, pi_element
-from bihom.scalars import Mat, ZERO, solve_rows
+from bihom.scalars import Mat, solve_rows
 from bihom.trees import DASHV, VDASH, trees
 
 # Tree indices of the two product slots in an arity-2 cochain.
@@ -444,15 +445,17 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
     psi_n(x o y) - psi_n(x) o y - x o psi_n(y) = -K_n(x, y) with
     K_n(x, y) = sum_{0<=i<n} psi_i(x o_{n-i} y)
               - sum_{0<i<n} psi_i(x) o psi_{n-i}(y),
-    everything built from the already-solved lower orders.  On
-    infeasibility K_n is returned as the obstruction along with whether
-    it is closed for the coboundary.
+    everything built from the already-solved lower orders.  The left side
+    is the Leibniz system of a derivation with W = id, the same rows at
+    every order.  On infeasibility K_n is returned as the obstruction
+    along with whether it is closed for the coboundary.
     """
     base = defm.base
     m = base.dim
     psis: list[Mat] = [Mat.identity(m)]
+    lhs = leibniz_rows(base, Mat.identity(m), (0, 0, 0))
     for n in range(1, N + 1):
-        rows = []
+        ks: list[Fraction] = []
         kdata: dict[tuple[int, tuple[int, ...]], Vec] = {}
         for t, op in ((TREE_DASHV, DASHV), (TREE_VDASH, VDASH)):
             table = base.table(op)
@@ -471,22 +474,8 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
                         )
                     if not is_zero_vec(K):
                         kdata[(t, (a, b))] = K
-                    prod = table[a][b]
-                    for k in range(m):
-                        row: dict[int, Fraction] = {}
-                        for p, c in enumerate(prod):
-                            if c:
-                                row[k * m + p] = row.get(k * m + p, ZERO) + c
-                        for p in range(m):
-                            c = table[p][b][k]
-                            if c:
-                                row[p * m + a] = row.get(p * m + a, ZERO) - c
-                            c = table[a][p][k]
-                            if c:
-                                row[p * m + b] = row.get(p * m + b, ZERO) - c
-                        if K[k]:
-                            row[m * m] = -K[k]
-                        rows.append(row)
+                    ks.extend(K)
+        rows = [{**row, m * m: -k} if k else row for row, k in zip(lhs, ks)]
         sol = solve_rows(rows, m * m)
         if sol is None:
             K_cochain = TreeCochain(2, m, kdata)

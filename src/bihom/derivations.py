@@ -159,14 +159,12 @@ def _system_rows(
 ) -> tuple[list[Row], int]:
     """The variant's rows and its number of unknowns.
 
-    First D M - M D = 0 for every block and M = phi, psi, then for both
-    products alpha D_lhs(x o y) - beta (W x o D_right y) - gamma (D_left x o W y) = 0,
-    with unit weights unless a spec is given.
+    First D M - M D = 0 for every block and M = phi, psi, then the
+    Leibniz rows, with unit weights unless a spec is given.
     """
     components, lhs_block, left_block, right_block = _VARIANTS[variant]
-    alpha, beta, gamma = (ONE, ONE, ONE) if spec is None else (spec.alpha, spec.beta, spec.gamma)
+    weights = (ONE, ONE, ONE) if spec is None else (spec.alpha, spec.beta, spec.gamma)
     n = A.dim
-    W = _twist(A, deg)
     rows: list[Row] = []
     for block in range(components):
         off = block * n * n
@@ -184,40 +182,59 @@ def _system_rows(
                             key = off + s * n + j
                             row[key] = row.get(key, ZERO) - c
                     rows.append({k: v for k, v in row.items() if v})
+    rows += leibniz_rows(A, _twist(A, deg), (lhs_block, left_block, right_block), weights)
+    return rows, components * n * n
+
+
+def leibniz_rows(
+    A: BiHomDialgebra,
+    W: Mat,
+    blocks: tuple[int, int, int],
+    weights: tuple[Fraction, Fraction, Fraction] = (ONE, ONE, ONE),
+) -> list[Row]:
+    """alpha D_lhs(x o y) - beta (W x o D_right y) - gamma (D_left x o W y) = 0.
+
+    `blocks` is (lhs, left, right) and `weights` is (alpha, beta, gamma);
+    each D is an n x n block of the unknowns, stacked row-major.  One row
+    per product o, basis pair (e_a, e_b) and output coordinate k, in that
+    order.
+    """
+    lhs_block, left_block, right_block = blocks
+    alpha, beta, gamma = weights
+    n = A.dim
+    basis = [basis_vec(n, j) for j in range(n)]
+    rows: list[Row] = []
     for op in ("dashv", "vdash"):
         table = A.table(op)
+        # the weighted terms, tabulated once per product: alpha (e_a o e_b),
+        # beta (W e_a o e_q) and gamma (e_p o W e_b)
+        ab = [[_weighted(alpha, cell) for cell in line] for line in table]
+        wx = [[_weighted(beta, apply_table(table, W.col(a), e)) for e in basis] for a in range(n)]
+        xw = [[_weighted(gamma, apply_table(table, e, W.col(b))) for b in range(n)] for e in basis]
         for a in range(n):
             for b in range(n):
-                prod = table[a][b]
                 for k in range(n):
-                    row = {}
-                    if alpha:
-                        for p, c in enumerate(prod):
-                            if c:
-                                key = lhs_block * n * n + k * n + p
-                                row[key] = row.get(key, ZERO) + alpha * c
-                    if beta:
-                        for qq in range(n):
-                            coeff = ZERO
-                            for p in range(n):
-                                w = W[p, a]
-                                if w:
-                                    coeff += w * table[p][qq][k]
-                            if coeff:
-                                key = right_block * n * n + qq * n + b
-                                row[key] = row.get(key, ZERO) - beta * coeff
-                    if gamma:
-                        for p in range(n):
-                            coeff = ZERO
-                            for qq in range(n):
-                                w = W[qq, b]
-                                if w:
-                                    coeff += w * table[p][qq][k]
-                            if coeff:
-                                key = left_block * n * n + p * n + a
-                                row[key] = row.get(key, ZERO) - gamma * coeff
+                    row: Row = {}
+                    for p, c in enumerate(ab[a][b]):
+                        if c:
+                            key = lhs_block * n * n + k * n + p
+                            row[key] = row.get(key, ZERO) + c
+                    for qq in range(n):
+                        c = wx[a][qq][k]
+                        if c:
+                            key = right_block * n * n + qq * n + b
+                            row[key] = row.get(key, ZERO) - c
+                    for p in range(n):
+                        c = xw[p][b][k]
+                        if c:
+                            key = left_block * n * n + p * n + a
+                            row[key] = row.get(key, ZERO) - c
                     rows.append({kk: v for kk, v in row.items() if v})
-    return rows, components * n * n
+    return rows
+
+
+def _weighted(w: Fraction, v: Vec) -> Vec:
+    return v if w == ONE else tuple(w * c for c in v)
 
 
 def _dense(rows: Sequence[Row], ncols: int) -> Mat:

@@ -179,11 +179,6 @@ def bracket(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:
     return fg - gf if ((m - 1) * (n - 1)) % 2 == 0 else fg + gf
 
 
-def brace_pi(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:
-    """{pi}{f, g}: both factors inserted into the two slots of pi."""
-    return braces(A, pi_element(A), [f, g])
-
-
 def brace_pi_single(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
     """{pi}{f}: one factor into either slot of pi, signed sum."""
     return braces(A, pi_element(A), [f])

@@ -1,15 +1,29 @@
-"""Independent dense linear algebra for cross-checking solver output.
+"""Independent references for cross-checking library output.
 
 Deliberately naive: textbook row reduction over Fraction lists, plus
-integer elimination modulo large primes.  Shares no code with the
-package's Mat/Subspace implementation.
+integer elimination modulo large primes, sharing no code with the
+package's Mat/Subspace implementation.  The coboundary is also written
+out here term by term through `TreeCochain.eval`, independent of the
+sparse delta rows that the library applies.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 from math import lcm
+
+from bihom.algebra import (
+    BiHomAssociativeAlgebra,
+    BiHomDialgebra,
+    Vec,
+    apply_table,
+    is_zero_vec,
+)
+from bihom.cohomology import HochschildCochain, TreeCochain
+from bihom.scalars import ONE, ZERO
+from bihom.trees import face, orientations, tree_index, trees
 
 # the ten smallest primes above 10**6
 PRIMES = (
@@ -187,3 +201,77 @@ def hoch_delta2(A, fvals: dict[tuple[int, int], tuple]) -> dict[tuple[int, int, 
                 if any(term):
                     out[(a, b_, c)] = tuple(term)
     return out
+
+
+# -- the coboundary, evaluated directly ----------------------------------------
+
+
+def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
+    """delta f in the tree complex; output degree is f.degree + 1."""
+    if f.dim != A.dim:
+        raise ValueError("cochain dimension mismatch")
+    n, m = f.degree, A.dim
+    P = A.phi.power(n - 1)
+    Q = A.psi.power(n - 1)
+    data: dict[tuple[int, tuple[int, ...]], Vec] = {}
+    for yi, y in enumerate(trees(n + 1)):
+        ors = orientations(y)
+        face_idx = [tree_index(face(y, i)) for i in range(n + 2)]
+        for b in iproduct(range(m), repeat=n + 1):
+            es = [tuple(ONE if s == bi else ZERO for s in range(m)) for bi in b]
+            acc = list(
+                apply_table(
+                    A.table(ors[0]), P.apply(es[0]), f.eval(face_idx[0], es[1:])
+                )
+            )
+            for i in range(1, n + 1):
+                args = (
+                    [A.phi.apply(v) for v in es[: i - 1]]
+                    + [apply_table(A.table(ors[i]), es[i - 1], es[i])]
+                    + [A.psi.apply(v) for v in es[i + 1 :]]
+                )
+                term = f.eval(face_idx[i], args)
+                sign = -1 if i % 2 else 1
+                for k, v in enumerate(term):
+                    acc[k] += sign * v
+            last = apply_table(
+                A.table(ors[n + 1]), f.eval(face_idx[n + 1], es[:-1]), Q.apply(es[-1])
+            )
+            sign = -1 if (n + 1) % 2 else 1
+            for k, v in enumerate(last):
+                acc[k] += sign * v
+            val = tuple(acc)
+            if not is_zero_vec(val):
+                data[(yi, b)] = val
+    return TreeCochain(n + 1, m, data)
+
+
+def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> HochschildCochain:
+    """delta f in the one-product complex; output degree is f.degree + 1."""
+    if f.dim != A.dim:
+        raise ValueError("cochain dimension mismatch")
+    n, m = f.degree, A.dim
+    P = A.phi.power(n - 1)
+    Q = A.psi.power(n - 1)
+    data: dict[tuple[int, ...], Vec] = {}
+    for b in iproduct(range(m), repeat=n + 1):
+        es = [tuple(ONE if s == bi else ZERO for s in range(m)) for bi in b]
+        acc = list(A.product(P.apply(es[0]), f.eval(es[1:])))
+        for i in range(1, n + 1):
+            args = (
+                [A.phi.apply(v) for v in es[: i - 1]]
+                + [A.product(es[i - 1], es[i])]
+                + [A.psi.apply(v) for v in es[i + 1 :]]
+            )
+            term = f.eval(args)
+            sign = -1 if i % 2 else 1
+            for k, v in enumerate(term):
+                acc[k] += sign * v
+        last = A.product(f.eval(es[:-1]), Q.apply(es[-1]))
+        sign = -1 if (n + 1) % 2 else 1
+        for k, v in enumerate(last):
+            acc[k] += sign * v
+        val = tuple(acc)
+        if not is_zero_vec(val):
+            data[b] = val
+    return HochschildCochain(n + 1, m, data)

@@ -47,6 +47,13 @@ def test_verify_single_block():
     assert "no block named" in r.output
 
 
+def test_verify_refuses_an_empty_block_name():
+    r = run("verify", "corpus/deform_alg2_2.dlg", "--name", "")
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "no block named '' in the file" in r.stderr
+
+
 def test_verify_ambiguous_example_fails():
     r = run("verify", "corpus/ex43.dlg")
     assert r.exit_code == 1
@@ -177,6 +184,13 @@ def test_classify_refuses_unknown_bind_names():
     assert r.exit_code == 2
     assert r.stdout == ""
     assert "unknown parameter 'zz'; known: a, b, c, d, f" in r.stderr
+
+
+def test_classify_refuses_a_repeated_bind_name():
+    r = run("classify", "--bind", "a=1,a=2")
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "--bind names parameter 'a' more than once" in r.stderr
 
 
 def test_classify_json_is_deterministic():

@@ -43,6 +43,14 @@ def nil2():
     )
 
 
+def sheared():
+    """A one-product algebra whose twist is not diagonal."""
+    shear = Mat.from_rows([[2, 1], [0, 1]])
+    return BiHomAssociativeAlgebra(
+        2, table_from_entries(2, {(1, 2): {2: 2}, (2, 2): {2: 2}}), shear, shear
+    )
+
+
 def rand_bindings(entry, rng, count=3):
     out = []
     for _ in range(count):
@@ -336,16 +344,12 @@ def test_coboundary_space_holds_directly_evaluated_coboundaries():
         for n in (2, 3):
             space = dialg_compatible_space(A, n - 1)
             f = random_compatible_cochain(space, rng, n - 1, A.dim, tree_indexed=True)
-            assert dialg_coboundaries(A, n).contains(dialg_coboundary(A, f).flatten())
-    shear = Mat.from_rows([[2, 1], [0, 1]])
-    sheared = BiHomAssociativeAlgebra(
-        2, table_from_entries(2, {(1, 2): {2: 2}, (2, 2): {2: 2}}), shear, shear
-    )
-    for N in (nil2(), sheared):
+            assert dialg_coboundaries(A, n).contains(oracles.dialg_coboundary(A, f).flatten())
+    for N in (nil2(), sheared()):
         for n in (2, 3):
             space = hoch_compatible_space(N, n - 1)
             images = [
-                hoch_coboundary(N, HochschildCochain.unflatten(n - 1, 2, row)).flatten()
+                oracles.hoch_coboundary(N, HochschildCochain.unflatten(n - 1, 2, row)).flatten()
                 for row in space.basis_rows()
             ]
             assert hoch_coboundaries(N, n) == Subspace(hochschild_cochain_dim(n, 2), images)
@@ -363,6 +367,55 @@ def test_coboundary_matches_independent_four_term_evaluator():
             expected = oracles.hoch_delta2(A, fvals)
             got = hoch_coboundary(A, f)
             assert {k: tuple(v) for k, v in got.data.items()} == expected
+
+
+def random_cochain(cls, rng, degree, dim, support=6):
+    """A cochain on `support` random keys, not required to commute with
+    the twists."""
+    ntrees = len(trees(degree)) if cls is TreeCochain else 1
+    data = {
+        keyed(cls, rng.randrange(ntrees), tuple(rng.randrange(dim) for _ in range(degree))):
+        tuple(rng.randint(-3, 3) for _ in range(dim))
+        for _ in range(support)
+    }
+    return cls(degree, dim, data)
+
+
+def test_coboundary_rows_agree_with_direct_evaluation():
+    """delta f applied through the delta rows equals the term-by-term
+    oracle entry for entry, on arbitrary and on compatible cochains."""
+    rng = random.Random(71)
+    for name, entry in catalog().items():
+        for i, binding in enumerate(rand_bindings(entry, rng, count=2)):
+            A = entry.build(**binding)
+            for n in (1, 2, 3):
+                space = dialg_compatible_space(A, n)
+                kinds = (
+                    random_cochain(TreeCochain, rng, n, A.dim),
+                    random_compatible_cochain(space, rng, n, A.dim, tree_indexed=True),
+                )
+                # the oracle is slow at degree 3 (it evaluates every term on
+                # every basis tuple), so there each binding checks one kind
+                for f in kinds if n < 3 else kinds[i : i + 1]:
+                    assert dialg_coboundary(A, f) == oracles.dialg_coboundary(A, f), (
+                        name, binding, n,
+                    )
+    for N in (nil2(), sheared()):
+        for n in (1, 2, 3, 4):
+            space = hoch_compatible_space(N, n)
+            for f in (
+                random_cochain(HochschildCochain, rng, n, 2),
+                random_compatible_cochain(space, rng, n, 2, tree_indexed=False),
+            ):
+                assert hoch_coboundary(N, f) == oracles.hoch_coboundary(N, f), (N.name, n)
+
+
+def test_coboundary_refuses_a_cochain_of_another_dimension():
+    A = catalog()["Alg2_2"].build(a=1)
+    with pytest.raises(ValueError, match="^cochain dimension mismatch$"):
+        dialg_coboundary(A, TreeCochain.zero(1, 3))
+    with pytest.raises(ValueError, match="^cochain dimension mismatch$"):
+        hoch_coboundary(nil2(), HochschildCochain.zero(1, 3))
 
 
 def test_tree_and_hoch_coboundaries_agree_when_products_coincide():
@@ -385,8 +438,8 @@ def test_tree_and_hoch_coboundaries_agree_when_products_coincide():
                     for args, val in f.data.items()
                 },
             )
-            lifted = dialg_coboundary(D, const)
-            plain = hoch_coboundary(N, f)
+            lifted = oracles.dialg_coboundary(D, const)
+            plain = oracles.hoch_coboundary(N, f)
             for t in range(len(trees(n + 1))):
                 for args, val in plain.data.items():
                     assert lifted.value(t, args) == val
