@@ -22,11 +22,29 @@ below degree 1.
 Everything is exact and coordinatised: a degree-n cochain over a
 dim-m algebra flattens to a vector of length |Y_n| * m^n * m (tree
 index outer, then the argument multi-index row-major, then the output
-coordinate; |Y_n| is 1 in the one-product complex).  The coboundary is
-realised only as sparse rows over those coordinates: the spaces hand
-them to the sparse eliminator, and `dialg_coboundary`/`hoch_coboundary`
-apply them to one cochain.  The term-by-term evaluation of the formula
-is kept in `tests/oracles.py` as the independent reference.
+coordinate; |Y_n| is 1 in the one-product complex).
+
+The coboundary is written once, as block tables (`_coboundary_blocks`).
+Block i of delta f on a tree y reads f on face i of y through the
+product of leaf i of y, and depends on y in no other way, so delta^n is
+one table per (block, product) over the local coordinates of one tree,
+built once per degree.  The ambient rows of a tree are its blocks
+shifted to their faces and summed; `dialg_coboundary`/`hoch_coboundary`
+apply those rows to one cochain.  The term-by-term evaluation of the
+formula is kept in `tests/oracles.py` as the independent reference.
+
+The spaces are computed in compatible coordinates.  No twist condition
+mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
+tree, repeated per tree, and its canonical basis G is the shifted copies
+of K_n's.  Each distinct block row is restricted to K_n once; combined
+through the face offsets these give delta^n . G, whose distinct rows are
+few, and Z^n = G . ker(delta^n . G).  That basis is already canonical:
+row c of G has a unit at its pivot and every other row of G is zero
+there, so G^T w takes the value w_c at that pivot and leads at the pivot
+of w's leading index; reduced echelon rows of ker(delta^n . G) thus map
+to reduced echelon rows.  B^n pushes K_(n-1) through the block tables of
+delta^(n-1).  Nothing is eliminated over all of a degree's coordinates;
+`tests/oracles.py` keeps that route as the reference.
 """
 
 from __future__ import annotations
@@ -49,7 +67,7 @@ from bihom.algebra import (
     zero_vec,
 )
 from bihom.scalars import Mat, ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q
-from bihom.trees import DASHV, VDASH, Tree, face, orientations, tree_index, trees
+from bihom.trees import DASHV, VDASH, Tree, face_layout, tree_index, trees
 
 
 def _args_rank(args: Sequence[int], dim: int) -> int:
@@ -267,81 +285,106 @@ def _support(v: Vec) -> list[tuple[int, Fraction]]:
     return [(i, c) for i, c in enumerate(v) if c]
 
 
-def _coboundary_rows(
+def _coboundary_blocks(
     phi: Mat,
     psi: Mat,
     products: Mapping[str, Table],
     n: int,
-    layout: Iterable[tuple[Sequence[int], Sequence[str]]],
-) -> list[dict[int, Fraction]]:
-    """delta^n rows for both complexes.
+) -> dict[tuple[int, str], dict[int, dict[int, Fraction]]]:
+    """delta^n as tree-independent block tables.
 
-    `layout` gives, per output tree in tree order, the face index and the
-    product name of each of the n + 2 blocks; the one-product complex is
-    one tree whose faces are all tree 0.  Everything that depends only on
-    a basis index or a product (twist column supports, product cells, the
-    expansions of P e_j and Q e_j through each product) is tabulated once.
+    Entry (i, p) is block i of the coboundary taken with product p: its
+    nonzero rows, keyed by local output coordinate of a degree-(n+1) tree
+    (arguments b row-major, then the output k), each over the local
+    coordinates of the degree-n tree it reads (arguments, then output).
+    The rows of a tree
+    y are the sum over i of block (i, orientation i of y), shifted to
+    face i of y.  Everything that depends only on a basis index or a
+    product (twist column supports, product cells, the expansions of
+    P e_j and Q e_j through each product) is tabulated once.
     """
     m = phi.rows
-    size = m**n
     P = phi.power(n - 1)
     Q = psi.power(n - 1)
     basis = [tuple(ONE if s == j else ZERO for s in range(m)) for j in range(m)]
     phi_sup = [_support(phi.col(j)) for j in range(m)]
     psi_sup = [_support(psi.col(j)) for j in range(m)]
     last_sign = -1 if (n + 1) % 2 else 1
-    cells, left, right = {}, {}, {}
+    signs = [q(-1 if i % 2 else 1) for i in range(n + 1)]
+    arg_tuples = list(iproduct(range(m), repeat=n + 1))
+
+    def outer(expansions, args_of):
+        # the first or last block: rows (b, k) of f(args_of(b)) multiplied in
+        rows: dict[int, dict[int, Fraction]] = {}
+        for r, b in enumerate(arg_tuples):
+            base = _args_rank(args_of(b), m) * m
+            for j, col in expansions(b):
+                for k, c in col:
+                    rows.setdefault(r * m + k, {})[base + j] = c
+        return rows
+
+    tables: dict[tuple[int, str], dict[int, dict[int, Fraction]]] = {}
     for name, table in products.items():
-        cells[name] = [[_support(cell) for cell in line] for line in table]
-        left[name] = [
+        cells = [[_support(cell) for cell in line] for line in table]
+        left = [
             [(j, _support(col)) for j, col in _expand_product(table, P.apply(e), m)]
             for e in basis
         ]
         transposed = list(zip(*table))
-        right[name] = [
+        right = [
             [
                 (j, [(k, last_sign * c) for k, c in _support(col)])
                 for j, col in _expand_product(transposed, Q.apply(e), m)
             ]
             for e in basis
         ]
-    signs = [q(-1 if i % 2 else 1) for i in range(n + 1)]
-
-    rows: list[dict[int, Fraction]] = []
-    for face_idx, ors in layout:
-        for b in iproduct(range(m), repeat=n + 1):
-            out_rows: list[dict[int, Fraction]] = [dict() for _ in range(m)]
-
-            base = (face_idx[0] * size + _args_rank(b[1:], m)) * m
-            for j, col in left[ors[0]][b[0]]:
-                key = base + j
-                for k, c in col:
-                    out_rows[k][key] = out_rows[k].get(key, ZERO) + c
-
-            for i in range(1, n + 1):
-                vecs = [phi_sup[b[s]] for s in range(i - 1)]
-                vecs.append(cells[ors[i]][b[i - 1]][b[i]])
-                vecs += [psi_sup[b[s]] for s in range(i + 1, n + 1)]
-                tbase = face_idx[i] * size
+        tables[0, name] = outer(lambda b: left[b[0]], lambda b: b[1:])
+        for i in range(1, n + 1):
+            rows = {}
+            for r, b in enumerate(arg_tuples):
+                cell = cells[b[i - 1]][b[i]]
+                if not cell:
+                    continue
+                vecs = [phi_sup[x] for x in b[: i - 1]]
+                vecs.append(cell)
+                vecs += [psi_sup[x] for x in b[i + 1 :]]
+                # distinct combos give distinct argument tuples
+                terms = []
                 for combo in iproduct(*vecs):
                     coef = signs[i]
-                    r = 0
+                    a = 0
                     for ci, c in combo:
                         coef *= c
-                        r = r * m + ci
-                    base = (tbase + r) * m
+                        a = a * m + ci
+                    terms.append((a * m, coef))
+                if terms:
                     for k in range(m):
-                        key = base + k
-                        out_rows[k][key] = out_rows[k].get(key, ZERO) + coef
+                        rows[r * m + k] = {a + k: c for a, c in terms}
+            tables[i, name] = rows
+        tables[n + 1, name] = outer(lambda b: right[b[n]], lambda b: b[:-1])
+    return tables
 
-            base = (face_idx[n + 1] * size + _args_rank(b[:-1], m)) * m
-            for j, col in right[ors[n + 1]][b[n]]:
-                key = base + j
-                for k, c in col:
-                    out_rows[k][key] = out_rows[k].get(key, ZERO) + c
 
-            for k in range(m):
-                rows.append({key: v for key, v in out_rows[k].items() if v})
+def _assemble(
+    blocks: Mapping[tuple[int, str], Mapping[int, dict[int, Fraction]]],
+    layout: Sequence[tuple[Sequence[int], Sequence[str]]],
+    m: int,
+    n: int,
+) -> list[dict[int, Fraction]]:
+    """Ambient delta^n rows, output tree by output tree: each block shifted
+    by face * m^(n+1), the length of one input tree, and summed."""
+    size = m ** (n + 1)
+    rows: list[dict[int, Fraction]] = []
+    for faces, ors in layout:
+        tree_rows: list[dict[int, Fraction]] = [{} for _ in range(size * m)]
+        for i, (f, p) in enumerate(zip(faces, ors)):
+            off = f * size
+            for r, row in blocks[i, p].items():
+                target = tree_rows[r]
+                for c, v in row.items():
+                    key = c + off
+                    target[key] = target[key] + v if key in target else v
+        rows += [{key: v for key, v in row.items() if v} for row in tree_rows]
     return rows
 
 
@@ -353,20 +396,14 @@ def dialg_coboundary_rows(
     Row r for output coordinate (y, b, k) satisfies
     (delta f)(y; b)_k = sum_in r[in] * f_flat[in].
     """
-    layout = [
-        ([tree_index(face(y, i)) for i in range(n + 2)], orientations(y))
-        for y in trees(n + 1)
-    ]
-    products = {op: A.table(op) for op in (DASHV, VDASH)}
-    return _coboundary_rows(A.phi, A.psi, products, n, layout)
+    return _Complex(A, TreeCochain).delta_rows(n)
 
 
 def hoch_coboundary_rows(
     A: BiHomAssociativeAlgebra, n: int
 ) -> list[dict[int, Fraction]]:
     """Same row construction for the one-product complex."""
-    layout = [([0] * (n + 2), ["mul"] * (n + 2))]
-    return _coboundary_rows(A.phi, A.psi, {"mul": A.mul}, n, layout)
+    return _Complex(A, HochschildCochain).delta_rows(n)
 
 
 def _apply_delta(rows: list[dict[int, Fraction]], f: _Cochain) -> _Cochain:
@@ -376,51 +413,57 @@ def _apply_delta(rows: list[dict[int, Fraction]], f: _Cochain) -> _Cochain:
     return type(f).unflatten(f.degree + 1, f.dim, coords)
 
 
+def _check_kind(fn: str, X, f, structure: type, cochain: type[_Cochain]) -> None:
+    if not (isinstance(X, structure) and isinstance(f, cochain)):
+        raise TypeError(
+            f"{fn} expects a {cochain.__name__} on a {structure.__name__}, "
+            f"got a {type(f).__name__} on a {type(X).__name__}"
+        )
+    if f.dim != X.dim:
+        raise ValueError("cochain dimension mismatch")
+
+
 def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
     """delta f in the tree complex; output degree is f.degree + 1."""
-    if f.dim != A.dim:
-        raise ValueError("cochain dimension mismatch")
+    _check_kind("dialg_coboundary", A, f, BiHomDialgebra, TreeCochain)
     return _apply_delta(dialg_coboundary_rows(A, f.degree), f)
 
 
 def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> HochschildCochain:
     """delta f in the one-product complex; output degree is f.degree + 1."""
-    if f.dim != A.dim:
-        raise ValueError("cochain dimension mismatch")
+    _check_kind("hoch_coboundary", A, f, BiHomAssociativeAlgebra, HochschildCochain)
     return _apply_delta(hoch_coboundary_rows(A, f.degree), f)
 
 
 # -- twist compatibility --------------------------------------------------------
 
 
-def _compat_rows(
-    maps: Sequence[Mat], dim: int, degree: int, ntrees: int
-) -> list[dict[int, Fraction]]:
+def _compat_rows(maps: Sequence[Mat], dim: int, degree: int) -> list[dict[int, Fraction]]:
+    """Rows of M f(b) = f(M b) for each twist M, over one tree's coordinates."""
     m = dim
     rows: list[dict[int, Fraction]] = []
-    size = m**degree
     for M in maps:
-        cols = [ _support(tuple(M[r, c] for r in range(m))) for c in range(m) ]
-        for t in range(ntrees):
-            for b in iproduct(range(m), repeat=degree):
-                for k in range(m):
-                    row: dict[int, Fraction] = {}
-                    # phi(f(t; b))_k
-                    for j in range(m):
-                        c = M[k, j]
-                        if c:
-                            key = (t * size + _args_rank(b, m)) * m + j
-                            row[key] = row.get(key, ZERO) + c
-                    # - f(t; phi b)_k
-                    for combo in iproduct(*[cols[bi] for bi in b]):
-                        coef = ONE
-                        for _, c in combo:
-                            coef *= c
-                        args = tuple(ci for ci, _ in combo)
-                        key = (t * size + _args_rank(args, m)) * m + k
-                        row[key] = row.get(key, ZERO) - coef
-                    if any(v for v in row.values()):
-                        rows.append({kk: v for kk, v in row.items() if v})
+        cols = [_support(M.col(c)) for c in range(m)]
+        lines = [_support(M.row(k)) for k in range(m)]
+        for r, b in enumerate(iproduct(range(m), repeat=degree)):
+            base = r * m
+            # f(M b): the argument tuples M b expands to, with coefficients
+            terms = []
+            for combo in iproduct(*[cols[x] for x in b]):
+                coef = ONE
+                a = 0
+                for ci, c in combo:
+                    coef *= c
+                    a = a * m + ci
+                terms.append((a * m, coef))
+            for k in range(m):
+                # M f(b)_k - f(M b)_k
+                row = {base + j: c for j, c in lines[k]}
+                for a, coef in terms:
+                    row[a + k] = row.get(a + k, ZERO) - coef
+                row = {key: v for key, v in row.items() if v}
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -428,18 +471,25 @@ def _compat_rows(
 
 
 class _Complex:
-    """The cochain complex of one structure, degree by degree.
+    """The cochain complex of one structure, degree by degree, in
+    compatible coordinates.
 
     The tree complex of a dialgebra indexes degree-n cochains by the trees
     of Y_n; the one-product complex of an algebra is its one-tree case.
-    Compatibility rows are built once per degree and shared by every space
-    asked of the same description.
+    The compatible block K_n of one tree and the block tables of delta^n
+    restricted to it are built once per degree and shared by every space
+    asked of the complex.
     """
 
     def __init__(self, X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain]):
         self.X = X
         self.cochain = cochain
-        self._compat: dict[int, list[dict[int, Fraction]]] = {}
+        if cochain is TreeCochain:
+            self.products = {op: X.table(op) for op in (DASHV, VDASH)}
+        else:
+            self.products = {"mul": X.mul}
+        self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
+        self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
 
     def cochain_dim(self, n: int) -> int:
         """Length of a flattened degree-n cochain; there are no 0-cochains."""
@@ -447,49 +497,146 @@ class _Complex:
             raise ValueError("degree must be >= 1")
         return self.cochain._ntrees(n) * self.X.dim ** (n + 1)
 
-    def compat_rows(self, n: int) -> list[dict[int, Fraction]]:
-        if n not in self._compat:
-            X = self.X
-            self._compat[n] = _compat_rows((X.phi, X.psi), X.dim, n, self.cochain._ntrees(n))
-        return self._compat[n]
+    def layout(self, n: int) -> Sequence[tuple[Sequence[int], Sequence[str]]]:
+        """Per output tree of delta^n: the face and the product of each block."""
+        if self.cochain is TreeCochain:
+            return face_layout(n + 1)
+        return (((0,) * (n + 2), ("mul",) * (n + 2)),)
 
     def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
-        rows = dialg_coboundary_rows if self.cochain is TreeCochain else hoch_coboundary_rows
-        return rows(self.X, n)
+        blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
+        return _assemble(blocks, self.layout(n), self.X.dim, n)
+
+    def kernel(self, n: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """K_n: the canonical basis of one tree's compatible cochains, over
+        its m^(n+1) local coordinates.  No compatibility row mixes trees."""
+        if n not in self._kernel:
+            X = self.X
+            rows = _compat_rows((X.phi, X.psi), X.dim, n)
+            self._kernel[n] = nullspace_rows(rows, X.dim ** (n + 1)).sparse_rows()
+        return self._kernel[n]
+
+    def restricted(self, n: int) -> tuple[dict[tuple[int, str], list[int]], list[dict]]:
+        """The block tables of delta^n composed with K_n.
+
+        Returns, per (block, product), the id of each local output row's
+        restriction, and the distinct restrictions by id: a restriction
+        maps row a of K_n to the row's value on it.  Id 0 is the zero row.
+        """
+        if n not in self._restricted:
+            by_col: dict[int, list[tuple[int, Fraction]]] = {}
+            for a, krow in enumerate(self.kernel(n)):
+                for j, v in krow:
+                    by_col.setdefault(j, []).append((a, v))
+            by_row: dict[tuple, int] = {}
+            by_image: dict[tuple, int] = {(): 0}
+            images: list[dict[int, Fraction]] = [{}]
+            ids: dict[tuple[int, str], list[int]] = {}
+            blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
+            for key, table in blocks.items():
+                col = ids[key] = [0] * self.X.dim ** (n + 2)
+                for r, row in table.items():
+                    rk = tuple(row.items())
+                    if rk not in by_row:
+                        img: dict[int, Fraction] = {}
+                        for j, x in row.items():
+                            for a, v in by_col.get(j, ()):
+                                img[a] = img[a] + x * v if a in img else x * v
+                        img = {a: v for a, v in img.items() if v}
+                        rid = by_image.setdefault(tuple(sorted(img.items())), len(images))
+                        if rid == len(images):
+                            images.append(img)
+                        by_row[rk] = rid
+                    col[r] = by_row[rk]
+            self._restricted[n] = ids, images
+        return self._restricted[n]
 
     def compatible_space(self, n: int) -> Subspace:
+        """C^n: the shifted copies of K_n, one per tree, already canonical."""
         dim = self.cochain_dim(n)
-        return nullspace_rows(self.compat_rows(n), dim)
+        size = self.X.dim ** (n + 1)
+        K = self.kernel(n)
+        return Subspace._from_rref(dim, [
+            {c + t * size: v for c, v in row}
+            for t in range(self.cochain._ntrees(n))
+            for row in K
+        ])
 
     def cocycles(self, n: int) -> Subspace:
+        """Z^n = G . ker(delta^n . G), G the canonical basis of C^n.
+
+        delta^n . G is solved over the coordinates t * dim K_n + a of row
+        a of K_n on tree t.  Output coordinates that read the same
+        restrictions give the same row on every tree, so each tree
+        combines one row per class of them, and only distinct rows are
+        kept.  G's value at the pivot of its row c is that row's
+        coefficient, so the canonical kernel lifts to canonical rows.
+        """
         dim = self.cochain_dim(n)
-        return nullspace_rows(self.compat_rows(n) + self.delta_rows(n), dim)
+        K = self.kernel(n)
+        dK, size = len(K), self.X.dim ** (n + 1)
+        ids, images = self.restricted(n)
+        classes = dict.fromkeys(zip(*ids.values()))
+        pos = {key: s for s, key in enumerate(ids)}
+        seen: set[tuple] = set()
+        rows: dict[tuple[tuple[int, Fraction], ...], None] = {}
+        for faces, ors in self.layout(n):
+            sel = [(pos[i, p], f * dK) for i, (f, p) in enumerate(zip(faces, ors))]
+            for cls in classes:
+                parts = tuple((off, cls[s]) for s, off in sel if cls[s])
+                if parts in seen:
+                    continue
+                seen.add(parts)
+                row: dict[int, Fraction] = {}
+                for off, rid in parts:
+                    for a, v in images[rid].items():
+                        row[a + off] = row[a + off] + v if a + off in row else v
+                key = tuple(sorted((c, v) for c, v in row.items() if v))
+                if key:
+                    rows[key] = None
+        w = nullspace_rows([dict(row) for row in rows], self.cochain._ntrees(n) * dK)
+        lifted = []
+        for wrow in w.sparse_rows():
+            acc: dict[int, Fraction] = {}
+            for c, x in wrow:
+                t, a = divmod(c, dK)
+                for j, v in K[a]:
+                    key = t * size + j
+                    acc[key] = acc[key] + x * v if key in acc else x * v
+            lifted.append({j: v for j, v in acc.items() if v})
+        return Subspace._from_rref(dim, lifted)
 
     def coboundaries(self, n: int) -> Subspace:
+        """B^n = delta(C^(n-1)): the restricted block tables of delta^(n-1)
+        give each row of K_(n-1) pushed through each block; its image on a
+        tree of G_(n-1) is those pushes shifted to every output tree whose
+        block reads that tree."""
         out_dim = self.cochain_dim(n)
         if n == 1:
             return Subspace(out_dim, [])
-        return _image_space(self.compatible_space(n - 1), self.delta_rows(n - 1), out_dim)
-
-
-def _image_space(
-    space: Subspace,
-    delta_rows: list[dict[int, Fraction]],
-    out_dim: int,
-) -> Subspace:
-    """delta(space), with the delta rows indexed once by input coordinate."""
-    by_input: dict[int, list[tuple[int, Fraction]]] = {}
-    for out_idx, row in enumerate(delta_rows):
-        for in_idx, c in row.items():
-            by_input.setdefault(in_idx, []).append((out_idx, c))
-    elim = _Eliminator()
-    for g in space.sparse_rows():
-        img: dict[int, Fraction] = {}
-        for in_idx, gi in g:
-            for out_idx, c in by_input.get(in_idx, ()):
-                img[out_idx] = img.get(out_idx, ZERO) + c * gi
-        elim.add(img)
-    return Subspace._from_rref(out_dim, elim.rref()[1])
+        ids, images = self.restricted(n - 1)
+        dK = len(self.kernel(n - 1))
+        size = self.X.dim ** (n + 1)
+        pushed = {}
+        for key, col in ids.items():
+            per_row: list[dict[int, Fraction]] = [{} for _ in range(dK)]
+            for r, rid in enumerate(col):
+                for a, v in images[rid].items():
+                    per_row[a][r] = v
+            pushed[key] = per_row
+        reads: dict[int, list[tuple[int, list[dict[int, Fraction]]]]] = {}
+        for y, (faces, ors) in enumerate(self.layout(n - 1)):
+            for i, (f, p) in enumerate(zip(faces, ors)):
+                reads.setdefault(f, []).append((y * size, pushed[i, p]))
+        elim = _Eliminator()
+        for t in range(self.cochain._ntrees(n - 1)):
+            for a in range(dK):
+                img: dict[int, Fraction] = {}
+                for off, per_row in reads.get(t, ()):
+                    for r, v in per_row[a].items():
+                        img[off + r] = img[off + r] + v if off + r in img else v
+                elim.add(img)
+        return Subspace._from_rref(out_dim, elim.rref()[1])
 
 
 def dialg_compatible_space(A: BiHomDialgebra, n: int) -> Subspace:

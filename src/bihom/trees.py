@@ -96,13 +96,27 @@ def trees(n: int) -> tuple[Tree, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _index_table(n: int) -> dict[Tree, int]:
+    return {t: i for i, t in enumerate(trees(n))}
+
+
 def tree_index(t: Tree) -> int:
-    """Position of t inside trees(t.n_internal)."""
-    family = trees(t.n_internal)
-    for i, u in enumerate(family):
-        if u == t:
-            return i
-    raise ValueError("tree not found in its family")
+    """Position of t inside trees(t.n_internal), read from one cached
+    table per degree."""
+    return _index_table(t.n_internal)[t]
+
+
+@lru_cache(maxsize=None)
+def face_layout(n: int) -> tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]:
+    """Per tree of trees(n), in order: the positions in trees(n - 1) of its
+    n + 1 faces (face i deletes leaf i), and its leaf orientations."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return tuple(
+        (tuple(tree_index(face(y, i)) for i in range(n + 1)), orientations(y))
+        for y in trees(n)
+    )
 
 
 def to_paren(t: Tree) -> str:

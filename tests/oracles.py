@@ -4,7 +4,9 @@ Deliberately naive: textbook row reduction over Fraction lists, plus
 integer elimination modulo large primes, sharing no code with the
 package's Mat/Subspace implementation.  The coboundary is also written
 out here term by term through `TreeCochain.eval`, independent of the
-sparse delta rows that the library applies.
+sparse delta rows that the library applies.  The cochain spaces are
+also built here the direct way, in ambient coordinates, as the reference
+for the library's compatible-coordinate route.
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ from bihom.algebra import (
     apply_table,
     is_zero_vec,
 )
-from bihom.cohomology import HochschildCochain, TreeCochain
-from bihom.scalars import ONE, ZERO
+from bihom.cohomology import (
+    HochschildCochain,
+    TreeCochain,
+    _compat_rows,
+    dialg_coboundary_rows,
+    hoch_coboundary_rows,
+)
+from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows
 from bihom.trees import face, orientations, tree_index, trees
 
 # the ten smallest primes above 10**6
@@ -275,3 +283,49 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
         if not is_zero_vec(val):
             data[b] = val
     return HochschildCochain(n + 1, m, data)
+
+
+# -- the cochain spaces, eliminated in ambient coordinates ---------------------
+
+
+def ambient_cohomology_spaces(X, n: int) -> tuple[Subspace, Subspace, Subspace]:
+    """(C^n, Z^n, B^n) the direct way, over every coordinate of every tree.
+
+    C^n is the kernel of the compatibility rows of all trees, Z^n the
+    kernel of those rows together with the delta^n rows, and B^n the span
+    of the delta^(n-1) images of the basis of the ambient C^(n-1).
+    """
+    if isinstance(X, BiHomDialgebra):
+        cochain, delta_rows = TreeCochain, dialg_coboundary_rows
+    else:
+        cochain, delta_rows = HochschildCochain, hoch_coboundary_rows
+    m = X.dim
+
+    def compat(k):
+        size = m ** (k + 1)
+        one_tree = _compat_rows((X.phi, X.psi), m, k)
+        rows = [
+            {c + t * size: v for c, v in row.items()}
+            for t in range(cochain._ntrees(k))
+            for row in one_tree
+        ]
+        return rows, cochain._ntrees(k) * size
+
+    rows, dim = compat(n)
+    C = nullspace_rows(rows, dim)
+    Z = nullspace_rows(rows + delta_rows(X, n), dim)
+    if n == 1:
+        return C, Z, Subspace(dim, [])
+    prev = nullspace_rows(*compat(n - 1))
+    by_input: dict[int, list[tuple[int, Fraction]]] = {}
+    for out_idx, row in enumerate(delta_rows(X, n - 1)):
+        for in_idx, c in row.items():
+            by_input.setdefault(in_idx, []).append((out_idx, c))
+    elim = _Eliminator()
+    for g in prev.sparse_rows():
+        img: dict[int, Fraction] = {}
+        for in_idx, gi in g:
+            for out_idx, c in by_input.get(in_idx, ()):
+                img[out_idx] = img.get(out_idx, ZERO) + c * gi
+        elim.add(img)
+    return C, Z, Subspace._from_rref(dim, elim.rref()[1])

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import bihom.cohomology
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
+    BiHomDialgebra,
     catalog,
     map_from_entries,
     table_from_entries,
@@ -30,7 +32,7 @@ from bihom.cohomology import (
     random_compatible_cochain,
     tree_cochain_dim,
 )
-from bihom.scalars import Mat, Subspace
+from bihom.scalars import Mat, Subspace, nullspace_rows
 from bihom.trees import trees
 
 import oracles
@@ -48,6 +50,28 @@ def sheared():
     shear = Mat.from_rows([[2, 1], [0, 1]])
     return BiHomAssociativeAlgebra(
         2, table_from_entries(2, {(1, 2): {2: 2}, (2, 2): {2: 2}}), shear, shear
+    )
+
+
+def broken():
+    """A one-product algebra that violates the twisted associativity law."""
+    phi = map_from_entries(3, {2: {2: 1}})
+    psi = map_from_entries(3, {1: {1: 1}, 2: {1: 1, 2: -1}})
+    mul = table_from_entries(
+        3,
+        {(1, 2): {1: 1}, (2, 1): {2: 1}, (2, 2): {2: 1}, (3, 2): {3: 1}, (3, 3): {3: 1}},
+    )
+    return BiHomAssociativeAlgebra(3, mul, phi, psi)
+
+
+def random_table(rng, dim=2):
+    """A product table with sparse random integer entries."""
+    return tuple(
+        tuple(
+            tuple(Fraction(rng.randint(-2, 2) * rng.randint(0, 1)) for _ in range(dim))
+            for _ in range(dim)
+        )
+        for _ in range(dim)
     )
 
 
@@ -285,25 +309,13 @@ def test_identity_twists_make_every_map_compatible():
 def test_cohomology_raises_when_complex_is_broken():
     """On an axiom-violating algebra the coboundaries can escape the
     cocycle space; the quotient is refused rather than reported."""
-    phi = map_from_entries(3, {2: {2: 1}})
-    psi = map_from_entries(3, {1: {1: 1}, 2: {1: 1, 2: -1}})
-    mul = table_from_entries(
-        3,
-        {(1, 2): {1: 1}, (2, 1): {2: 1}, (2, 2): {2: 1}, (3, 2): {3: 1}, (3, 3): {3: 1}},
-    )
-    A = BiHomAssociativeAlgebra(3, mul, phi, psi)
+    A = broken()
     with pytest.raises(ArithmeticError):
         cohomology(A, 2)
 
 
 def test_broken_complex_error_names_the_escaping_coordinate():
-    phi = map_from_entries(3, {2: {2: 1}})
-    psi = map_from_entries(3, {1: {1: 1}, 2: {1: 1, 2: -1}})
-    mul = table_from_entries(
-        3,
-        {(1, 2): {1: 1}, (2, 1): {2: 1}, (2, 2): {2: 1}, (3, 2): {3: 1}, (3, 3): {3: 1}},
-    )
-    A = BiHomAssociativeAlgebra(3, mul, phi, psi)
+    A = broken()
     with pytest.raises(
         ArithmeticError,
         match=r"^coboundaries escape cocycles in degree 2: coboundary basis row 0 "
@@ -416,6 +428,67 @@ def test_coboundary_refuses_a_cochain_of_another_dimension():
         dialg_coboundary(A, TreeCochain.zero(1, 3))
     with pytest.raises(ValueError, match="^cochain dimension mismatch$"):
         hoch_coboundary(nil2(), HochschildCochain.zero(1, 3))
+
+
+def test_dialg_coboundary_refuses_the_other_kind():
+    """The kind is checked before the dimension, so a one-product cochain
+    of another dimension is refused for its kind."""
+    A = catalog()["Alg2_2"].build(a=1)
+    expected = "^dialg_coboundary expects a TreeCochain on a BiHomDialgebra, got a "
+    for f in (HochschildCochain.zero(2, 2), HochschildCochain.zero(1, 3)):
+        with pytest.raises(TypeError, match=expected + "HochschildCochain on a BiHomDialgebra$"):
+            dialg_coboundary(A, f)
+    with pytest.raises(TypeError, match=expected + "TreeCochain on a BiHomAssociativeAlgebra$"):
+        dialg_coboundary(nil2(), TreeCochain.zero(1, 2))
+
+
+def test_hoch_coboundary_refuses_the_other_kind():
+    N = nil2()
+    expected = "^hoch_coboundary expects a HochschildCochain on a BiHomAssociativeAlgebra, got a "
+    for f in (TreeCochain.zero(2, 2), TreeCochain.zero(1, 3)):
+        with pytest.raises(TypeError, match=expected + "TreeCochain on a BiHomAssociativeAlgebra$"):
+            hoch_coboundary(N, f)
+    with pytest.raises(TypeError, match=expected + "HochschildCochain on a BiHomDialgebra$"):
+        hoch_coboundary(N.as_dialgebra(), HochschildCochain.zero(1, 2))
+
+
+def test_spaces_agree_with_the_ambient_oracle():
+    """C^n, Z^n and B^n from compatible coordinates equal, row for row,
+    the spaces eliminated over every coordinate of every tree."""
+    rng = random.Random(83)
+    cases = []
+    for entry in catalog().values():
+        for binding in ({p: 1 for p in entry.params}, rand_bindings(entry, rng, count=1)[0]):
+            cases += [(entry.build(**binding), n) for n in (1, 2, 3)]
+    cases += [(catalog()[name].build(**{p: 1 for p in catalog()[name].params}), 4)
+              for name in ("Alg3_3", "Alg2_2")]
+    cases += [(nil2(), n) for n in range(1, 9)]
+    for X in (sheared(), broken()):
+        cases += [(Y, n) for Y in (X, X.as_dialgebra()) for n in (1, 2, 3, 4)]
+    # random tables obey no law, so no delta row is redundant by accident
+    for twist in (Mat.identity(2), Mat.from_rows([[1, 1], [0, 1]])):
+        X = BiHomDialgebra(2, random_table(rng), random_table(rng), twist, twist)
+        cases += [(X, n) for n in (1, 2, 3)]
+    for X, n in cases:
+        got = cohomology_spaces(X, n)
+        want = oracles.ambient_cohomology_spaces(X, n)
+        assert [S.sparse_rows() for S in got] == [S.sparse_rows() for S in want], (X, n)
+
+
+def test_cohomology_never_eliminates_in_ambient_coordinates(monkeypatch):
+    """Structural guard: no kernel is taken over all of C^n's or C^(n-1)'s
+    ambient coordinates; only one tree's block and delta . G are solved."""
+    widths = []
+
+    def recording(rows, ncols):
+        widths.append(ncols)
+        return nullspace_rows(rows, ncols)
+
+    monkeypatch.setattr(bihom.cohomology, "nullspace_rows", recording)
+    A = catalog()["Alg3_3"].build(b=1)
+    cohomology(A, 4)
+    assert widths
+    assert not {tree_cochain_dim(4, A.dim), tree_cochain_dim(3, A.dim)} & set(widths), widths
 
 
 def test_tree_and_hoch_coboundaries_agree_when_products_coincide():

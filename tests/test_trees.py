@@ -13,6 +13,7 @@ from bihom.trees import (
     LEAF,
     VDASH,
     face,
+    face_layout,
     from_paren,
     graft,
     keep_leaves,
@@ -68,9 +69,31 @@ def test_paren_rejects_malformed():
 
 
 def test_tree_index_round_trip():
-    for n in range(6):
-        for i, t in enumerate(trees(n)):
+    """The cached table also finds trees that are equal to, but not the
+    same objects as, the enumerated ones: rebuilt from their parens, or
+    made by a face map (checked against a linear search)."""
+    for n in range(8):
+        family = trees(n)
+        for i, t in enumerate(family):
             assert tree_index(t) == i
+            rebuilt = from_paren(to_paren(t))
+            assert rebuilt is not t or n == 0
+            assert tree_index(rebuilt) == i
+        if n < 7:
+            for y in trees(n + 1):
+                for i in range(n + 2):
+                    f = face(y, i)
+                    assert tree_index(f) == next(j for j, u in enumerate(family) if u == f)
+
+
+def test_face_layout_lists_faces_and_orientations():
+    for n in range(1, 7):
+        assert face_layout(n) == tuple(
+            (tuple(tree_index(face(y, i)) for i in range(n + 1)), orientations(y))
+            for y in trees(n)
+        )
+    with pytest.raises(ValueError):
+        face_layout(0)
 
 
 def test_face_reduces_leaf_count():
