@@ -297,11 +297,10 @@ def _coboundary_blocks(
     nonzero rows, keyed by local output coordinate of a degree-(n+1) tree
     (arguments b row-major, then the output k), each over the local
     coordinates of the degree-n tree it reads (arguments, then output).
-    The rows of a tree
-    y are the sum over i of block (i, orientation i of y), shifted to
-    face i of y.  Everything that depends only on a basis index or a
-    product (twist column supports, product cells, the expansions of
-    P e_j and Q e_j through each product) is tabulated once.
+    The rows of a tree y are the sum over i of block (i, orientation i
+    of y), shifted to face i of y.  Everything that depends only on a
+    basis index or a product (twist column supports, product cells, the
+    expansions of P e_j and Q e_j through each product) is tabulated once.
     """
     m = phi.rows
     P = phi.power(n - 1)
@@ -504,6 +503,7 @@ class _Complex:
         return (((0,) * (n + 2), ("mul",) * (n + 2)),)
 
     def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
+        self.cochain_dim(n)
         blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
         return _assemble(blocks, self.layout(n), self.X.dim, n)
 

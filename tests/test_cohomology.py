@@ -21,10 +21,12 @@ from bihom.cohomology import (
     cohomology_spaces,
     dialg_coboundaries,
     dialg_coboundary,
+    dialg_coboundary_rows,
     dialg_cocycles,
     dialg_compatible_space,
     hoch_coboundaries,
     hoch_coboundary,
+    hoch_coboundary_rows,
     hoch_cocycles,
     hoch_compatible_space,
     hoch_delta_squared_is_zero,
@@ -271,16 +273,17 @@ def identity_twists():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_degree_below_one_is_refused(n):
-    """There are no cochains below degree 1: every space function and
-    cohomology refuse the degree, with one message, for both complexes."""
+    """There are no cochains below degree 1: every space function, the
+    delta rows and cohomology refuse the degree, with one message, for
+    both complexes."""
     shared = (cohomology_spaces, cohomology)
+    dialg = (dialg_compatible_space, dialg_cocycles, dialg_coboundaries, dialg_coboundary_rows)
+    hoch = (hoch_compatible_space, hoch_cocycles, hoch_coboundaries, hoch_coboundary_rows)
     cases = [
-        (catalog()["Alg2_2"].build(a=1),
-         (dialg_compatible_space, dialg_cocycles, dialg_coboundaries) + shared),
-        (identity_twists().as_dialgebra(),
-         (dialg_compatible_space, dialg_cocycles, dialg_coboundaries) + shared),
-        (identity_twists(), (hoch_compatible_space, hoch_cocycles, hoch_coboundaries) + shared),
-        (nil2(), (hoch_compatible_space, hoch_cocycles, hoch_coboundaries) + shared),
+        (catalog()["Alg2_2"].build(a=1), dialg + shared),
+        (identity_twists().as_dialgebra(), dialg + shared),
+        (identity_twists(), hoch + shared),
+        (nil2(), hoch + shared),
     ]
     for X, fns in cases:
         for fn in fns:
