@@ -53,7 +53,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from bihom.algebra import (
     BiHomAssociativeAlgebra,

@@ -6,7 +6,9 @@ package's Mat/Subspace implementation.  The coboundary is also written
 out here term by term through `TreeCochain.eval`, independent of the
 sparse delta rows that the library applies.  The cochain spaces are
 also built here the direct way, in ambient coordinates, as the reference
-for the library's compatible-coordinate route.
+for the library's compatible-coordinate route; that reference does use
+the package's sparse eliminator, so it checks the construction, not the
+elimination.
 """
 
 from __future__ import annotations
