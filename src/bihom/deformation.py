@@ -15,18 +15,25 @@ summands expand to exactly the left and right sides of the laws), and
 the test suite keeps both routes.
 
 Equivalences are truncated automorphism families psi_t = id + t psi_1 +
-... acting by psi_t(x *_t y) = psi_t(x) *'_t psi_t(y).  Triviality at
-order n is a linear system in psi_n whose right side is built from the
-lower-order maps; when the system is infeasible the moved-over right
-side is the obstruction, returned as an arity-2 cochain.
+... acting by psi_t(x *_t y) = psi_t(x) *'_t psi_t(y).  Every transport
+reads that identity order by order through one coefficient, the order-n
+term of outer_t(inner_t(e_a) *_t inner_t(e_b)) (`_transport`):
+- pushforward term n: outer psi_t, inner psi_t^{-1};
+- pullback order i: outer S^{-1}, inner S, order 0 giving the new base;
+- equivalence at order n: (psi_t, id) on the source against (id, psi_t)
+  on the target;
+- triviality at order n: the same two sides with psi_t cut below n and
+  the target the undeformed base.  The unknown psi_n then solves a
+  linear system whose right side is their difference; when the system
+  is infeasible that difference is the obstruction, returned as an
+  arity-2 cochain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Sequence
+from typing import Sequence
 
 from bihom.algebra import (
     BiHomDialgebra,
@@ -36,7 +43,6 @@ from bihom.algebra import (
     apply_table,
     basis_vec,
     is_zero_vec,
-    table_from_entries,
     vec_add,
     vec_sub,
     zero_vec,
@@ -83,6 +89,8 @@ class TruncatedDeformation:
     ):
         terms = tuple(terms)
         for i, f in enumerate(terms, start=1):
+            if not isinstance(f, TreeCochain):
+                raise TypeError(f"term {i} must be a TreeCochain, not {type(f).__name__}")
             if f.degree != 2 or f.dim != base.dim:
                 raise ValueError(f"term {i} must be an arity-2 cochain over the base")
             if require_compatible:
@@ -221,54 +229,65 @@ def infinitesimal(defm: TruncatedDeformation) -> TreeCochain:
     return defm.terms[0]
 
 
-# -- base change ------------------------------------------------------------------
+# -- transport and base change ---------------------------------------------------
 
 
-def _table_from_bilinear(m: int, fn: Callable[[Vec, Vec], Vec]):
-    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(m):
-        for b in range(m):
-            v = fn(basis_vec(m, a), basis_vec(m, b))
-            cell = {k + 1: c for k, c in enumerate(v) if c}
-            if cell:
-                entries[(a + 1, b + 1)] = cell
-    return table_from_entries(m, entries)
+def _transport(
+    defm: TruncatedDeformation, outer: Sequence[Mat], inner: Sequence[Mat], n: int
+) -> dict[tuple[int, tuple[int, ...]], Vec]:
+    """Order-n coefficient of outer_t(inner_t(e_a) *_t inner_t(e_b)),
+    sum_{i+j+k+l=n} outer_i(inner_j e_a *_l inner_k e_b), for both
+    products and every basis pair, keyed (tree, (a, b)) with zeros left
+    out.  A series lists the maps by order and is zero past its end."""
+    m = defm.base.dim
+    data = {}
+    for t in (TREE_DASHV, TREE_VDASH):
+        for a in range(m):
+            for b in range(m):
+                acc = zero_vec(m)
+                for i, out in enumerate(outer[: n + 1]):
+                    s = zero_vec(m)
+                    for l in range(min(n - i, defm.order) + 1):
+                        for j, inn in enumerate(inner[: n - i - l + 1]):
+                            k = n - i - l - j
+                            if k < len(inner):
+                                s = vec_add(s, defm.product(l, t, inn.col(a), inner[k].col(b)))
+                    acc = vec_add(acc, out.apply(s))
+                if not is_zero_vec(acc):
+                    data[(t, (a, b))] = acc
+    return data
+
+
+def _difference(p: dict, q: dict, m: int) -> TreeCochain:
+    """p - q as an arity-2 cochain whose data runs in (tree, a, b) order."""
+    zero = zero_vec(m)
+    return TreeCochain(
+        2, m, {k: vec_sub(p.get(k, zero), q.get(k, zero)) for k in sorted(p.keys() | q.keys())}
+    )
 
 
 def base_change_pullback(defm: TruncatedDeformation, S: Mat) -> TruncatedDeformation:
     """Conjugate everything by an invertible S: products become
     S^{-1}(S x *_i S y), twists S^{-1} phi S and S^{-1} psi S."""
+    base = defm.base
+    m = base.dim
+    if S.shape != (m, m):
+        raise ValueError(f"base change matrix must be {m}x{m}, got {S.shape[0]}x{S.shape[1]}")
     inv = S.inverse()
     if inv is None:
         raise ValueError("base change matrix is singular")
-    base = defm.base
-    m = base.dim
-    new_base = BiHomDialgebra(
-        dim=m,
-        basis=base.basis,
-        dashv=_table_from_bilinear(
-            m, lambda x, y: inv.apply(apply_table(base.dashv, S.apply(x), S.apply(y)))
-        ),
-        vdash=_table_from_bilinear(
-            m, lambda x, y: inv.apply(apply_table(base.vdash, S.apply(x), S.apply(y)))
-        ),
-        phi=inv @ base.phi @ S,
-        psi=inv @ base.psi @ S,
-        name=f"{base.name}:pullback",
+    cells = _transport(defm, [inv], [S], 0)
+    zero = zero_vec(m)
+    dashv, vdash = (
+        tuple(tuple(cells.get((t, (a, b)), zero) for b in range(m)) for a in range(m))
+        for t in (TREE_DASHV, TREE_VDASH)
     )
-    new_terms = []
-    for f in defm.terms:
-        data = {}
-        for t in (TREE_DASHV, TREE_VDASH):
-            for a in range(m):
-                for b in range(m):
-                    v = inv.apply(
-                        f.eval(t, [S.apply(basis_vec(m, a)), S.apply(basis_vec(m, b))])
-                    )
-                    if not is_zero_vec(v):
-                        data[(t, (a, b))] = v
-        new_terms.append(TreeCochain(2, m, data))
-    return TruncatedDeformation(new_base, new_terms)
+    new_base = BiHomDialgebra(
+        m, dashv, vdash, inv @ base.phi @ S, inv @ base.psi @ S,
+        basis=base.basis, name=f"{base.name}:pullback",
+    )
+    terms = [TreeCochain(2, m, _transport(defm, [inv], [S], i)) for i in range(1, defm.order + 1)]
+    return TruncatedDeformation(new_base, terms)
 
 
 @dataclass(frozen=True)
@@ -283,6 +302,9 @@ class EquivalenceTransformation:
         dim = self.maps[0].shape[0]
         if self.maps[0] != Mat.identity(dim):
             raise ValueError("psi_0 must be the identity")
+        for i, M in enumerate(self.maps):
+            if M.shape != (dim, dim):
+                raise ValueError(f"psi_{i} has shape {M.shape}, psi_0 has {(dim, dim)}")
         object.__setattr__(self, "maps", tuple(self.maps))
 
     @property
@@ -329,37 +351,13 @@ def base_change_pushforward(
     with phi and psi can push a valid deformation out of the class; the
     constructor's compatibility check will say so.
     """
-    if psit.dim != defm.base.dim:
-        raise ValueError("dimension mismatch")
     m = defm.base.dim
+    if psit.dim != m:
+        raise ValueError("dimension mismatch")
     N_out = defm.order + psit.order
     chis = psit.inverse_maps(N_out)
-
-    def chi(i: int) -> Mat:
-        return chis[i] if i < len(chis) else Mat.zeros(m, m)
-
-    new_terms = []
-    for n in range(1, N_out + 1):
-        data = {}
-        for t in (TREE_DASHV, TREE_VDASH):
-            for a in range(m):
-                for b in range(m):
-                    acc = zero_vec(m)
-                    for i in range(n + 1):
-                        for j in range(n - i + 1):
-                            for k in range(n - i - j + 1):
-                                l = n - i - j - k
-                                inner = defm.product(
-                                    l,
-                                    t,
-                                    chi(j).apply(basis_vec(m, a)),
-                                    chi(k).apply(basis_vec(m, b)),
-                                )
-                                acc = vec_add(acc, psit.map(i).apply(inner))
-                    if not is_zero_vec(acc):
-                        data[(t, (a, b))] = acc
-        new_terms.append(TreeCochain(2, m, data))
-    return TruncatedDeformation(defm.base, new_terms, require_compatible)
+    terms = [TreeCochain(2, m, _transport(defm, psit.maps, chis, n)) for n in range(1, N_out + 1)]
+    return TruncatedDeformation(defm.base, terms, require_compatible)
 
 
 # -- equivalence and triviality ----------------------------------------------------
@@ -380,7 +378,8 @@ def check_equivalence(
 ) -> EquivalenceCheck:
     """Order-by-order product identities
     sum_{i+j=n} psi_i(x *_j y) = sum_{i+j+k=n} psi_i(x) *'_j psi_k(y)
-    for both products and 0 <= n <= N, on all basis pairs.
+    for both products and 0 <= n <= N, on all basis pairs; the witness
+    is the first failing (n, product, (a, b), lhs - rhs).
 
     Whether each psi_n commutes with the structure twists is reported
     alongside, not folded into the verdict.
@@ -393,36 +392,16 @@ def check_equivalence(
         for name, M in (("phi", defm1.base.phi), ("psi", defm1.base.psi)):
             diagnostics.append((i, name, (psit.map(i) @ M - M @ psit.map(i)).is_zero()))
     diagnostics = tuple(diagnostics)
-    if not (defm1.base.phi - defm2.base.phi).is_zero() or not (
-        defm1.base.psi - defm2.base.psi
-    ).is_zero():
+    if defm1.base.phi != defm2.base.phi or defm1.base.psi != defm2.base.psi:
         return EquivalenceCheck(False, ("twist_mismatch",), diagnostics)
+    one = [Mat.identity(m)]
     for n in range(N + 1):
-        for t, opname in ((TREE_DASHV, "dashv"), (TREE_VDASH, "vdash")):
-            for a in range(m):
-                for b in range(m):
-                    ea, eb = basis_vec(m, a), basis_vec(m, b)
-                    lhs = zero_vec(m)
-                    for i in range(n + 1):
-                        lhs = vec_add(
-                            lhs, psit.map(i).apply(defm1.product(n - i, t, ea, eb))
-                        )
-                    rhs = zero_vec(m)
-                    for i in range(n + 1):
-                        for j in range(n - i + 1):
-                            k = n - i - j
-                            rhs = vec_add(
-                                rhs,
-                                defm2.product(
-                                    j, t, psit.map(i).apply(ea), psit.map(k).apply(eb)
-                                ),
-                            )
-                    if lhs != rhs:
-                        return EquivalenceCheck(
-                            False,
-                            (n, opname, (a, b), vec_sub(lhs, rhs)),
-                            diagnostics,
-                        )
+        diff = _difference(
+            _transport(defm1, psit.maps, one, n), _transport(defm2, one, psit.maps, n), m
+        )
+        if not diff.is_zero():
+            (t, ab), val = next(iter(diff.data.items()))
+            return EquivalenceCheck(False, (n, ("dashv", "vdash")[t], ab, val), diagnostics)
     return EquivalenceCheck(True, None, diagnostics)
 
 
@@ -445,43 +424,22 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
     psi_n(x o y) - psi_n(x) o y - x o psi_n(y) = -K_n(x, y) with
     K_n(x, y) = sum_{0<=i<n} psi_i(x o_{n-i} y)
               - sum_{0<i<n} psi_i(x) o psi_{n-i}(y),
-    everything built from the already-solved lower orders.  The left side
+    the two transport coefficients with psi_t cut below n.  The left side
     is the Leibniz system of a derivation with W = id, the same rows at
     every order.  On infeasibility K_n is returned as the obstruction
     along with whether it is closed for the coboundary.
     """
     base = defm.base
     m = base.dim
-    psis: list[Mat] = [Mat.identity(m)]
-    lhs = leibniz_rows(base, Mat.identity(m), (0, 0, 0))
+    one = [Mat.identity(m)]
+    flat = zero_deformation(base)
+    psis: list[Mat] = list(one)
+    lhs = leibniz_rows(base, one[0], (0, 0, 0))
     for n in range(1, N + 1):
-        ks: list[Fraction] = []
-        kdata: dict[tuple[int, tuple[int, ...]], Vec] = {}
-        for t, op in ((TREE_DASHV, DASHV), (TREE_VDASH, VDASH)):
-            table = base.table(op)
-            for a in range(m):
-                for b in range(m):
-                    ea, eb = basis_vec(m, a), basis_vec(m, b)
-                    K = zero_vec(m)
-                    for i in range(n):
-                        K = vec_add(K, psis[i].apply(defm.product(n - i, t, ea, eb)))
-                    for i in range(1, n):
-                        K = vec_sub(
-                            K,
-                            apply_table(
-                                table, psis[i].apply(ea), psis[n - i].apply(eb)
-                            ),
-                        )
-                    if not is_zero_vec(K):
-                        kdata[(t, (a, b))] = K
-                    ks.extend(K)
-        rows = [{**row, m * m: -k} if k else row for row, k in zip(lhs, ks)]
+        K = _difference(_transport(defm, psis, one, n), _transport(flat, one, psis, n), m)
+        rows = [{**row, m * m: -k} if k else row for row, k in zip(lhs, K.flatten())]
         sol = solve_rows(rows, m * m)
         if sol is None:
-            K_cochain = TreeCochain(2, m, kdata)
-            closed = dialg_coboundary(base, K_cochain).is_zero()
-            return TrivialityResult(None, n, K_cochain, closed)
+            return TrivialityResult(None, n, K, dialg_coboundary(base, K).is_zero())
         psis.append(Mat(m, m, list(sol.entries())))
-    return TrivialityResult(
-        EquivalenceTransformation(tuple(psis)), None, None, None
-    )
+    return TrivialityResult(EquivalenceTransformation(tuple(psis)), None, None, None)

@@ -549,16 +549,15 @@ def classify(
         for deg in degrees:
             for variant in variants:
                 space = _VARIANT_SOLVERS[variant](A, deg)
-                computed = tuple(
-                    space.projection(c).dim for c in range(space.components)
-                )
+                projections = [space.projection(c) for c in range(space.components)]
+                computed = tuple(P.dim for P in projections)
                 reference = REFERENCE_DIMS.get(name, {}).get(variant)
                 shapes = REFERENCE_SHAPES.get((A.dim, variant))
                 contained = None
                 if shapes is not None:
                     contained = tuple(
-                        shape_pattern_contained(space.projection(c), shapes[c], A.dim)
-                        for c in range(space.components)
+                        shape_pattern_contained(P, shapes[c], A.dim)
+                        for c, P in enumerate(projections)
                     )
                 cells.append(
                     ClassificationCell(

@@ -216,36 +216,42 @@ def hoch_delta2(A, fvals: dict[tuple[int, int], tuple]) -> dict[tuple[int, int, 
 # -- the coboundary, evaluated directly ----------------------------------------
 
 
+def _columns(M, m: int) -> list[Vec]:
+    return [M.col(j) for j in range(m)]
+
+
 def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
-    """delta f in the tree complex; output degree is f.degree + 1."""
+    """delta f in the tree complex; output degree is f.degree + 1.
+
+    The twist columns and the products of two basis vectors are looked up
+    in tables made once per call; f is evaluated term by term."""
     if f.dim != A.dim:
         raise ValueError("cochain dimension mismatch")
     n, m = f.degree, A.dim
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(n - 1)
+    P = _columns(A.phi.power(n - 1), m)
+    Q = _columns(A.psi.power(n - 1), m)
+    phi, psi = _columns(A.phi, m), _columns(A.psi, m)
+    es = [tuple(ONE if s == j else ZERO for s in range(m)) for j in range(m)]
     data: dict[tuple[int, tuple[int, ...]], Vec] = {}
     for yi, y in enumerate(trees(n + 1)):
-        ors = orientations(y)
+        tables = [A.table(o) for o in orientations(y)]
         face_idx = [tree_index(face(y, i)) for i in range(n + 2)]
         for b in iproduct(range(m), repeat=n + 1):
-            es = [tuple(ONE if s == bi else ZERO for s in range(m)) for bi in b]
             acc = list(
-                apply_table(
-                    A.table(ors[0]), P.apply(es[0]), f.eval(face_idx[0], es[1:])
-                )
+                apply_table(tables[0], P[b[0]], f.eval(face_idx[0], [es[x] for x in b[1:]]))
             )
             for i in range(1, n + 1):
                 args = (
-                    [A.phi.apply(v) for v in es[: i - 1]]
-                    + [apply_table(A.table(ors[i]), es[i - 1], es[i])]
-                    + [A.psi.apply(v) for v in es[i + 1 :]]
+                    [phi[x] for x in b[: i - 1]]
+                    + [tables[i][b[i - 1]][b[i]]]
+                    + [psi[x] for x in b[i + 1 :]]
                 )
                 term = f.eval(face_idx[i], args)
                 sign = -1 if i % 2 else 1
                 for k, v in enumerate(term):
                     acc[k] += sign * v
             last = apply_table(
-                A.table(ors[n + 1]), f.eval(face_idx[n + 1], es[:-1]), Q.apply(es[-1])
+                tables[n + 1], f.eval(face_idx[n + 1], [es[x] for x in b[:-1]]), Q[b[-1]]
             )
             sign = -1 if (n + 1) % 2 else 1
             for k, v in enumerate(last):
@@ -257,27 +263,29 @@ def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
 
 
 def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> HochschildCochain:
-    """delta f in the one-product complex; output degree is f.degree + 1."""
+    """delta f in the one-product complex; output degree is f.degree + 1,
+    with the same tables as `dialg_coboundary`."""
     if f.dim != A.dim:
         raise ValueError("cochain dimension mismatch")
     n, m = f.degree, A.dim
-    P = A.phi.power(n - 1)
-    Q = A.psi.power(n - 1)
+    P = _columns(A.phi.power(n - 1), m)
+    Q = _columns(A.psi.power(n - 1), m)
+    phi, psi = _columns(A.phi, m), _columns(A.psi, m)
+    es = [tuple(ONE if s == j else ZERO for s in range(m)) for j in range(m)]
     data: dict[tuple[int, ...], Vec] = {}
     for b in iproduct(range(m), repeat=n + 1):
-        es = [tuple(ONE if s == bi else ZERO for s in range(m)) for bi in b]
-        acc = list(A.product(P.apply(es[0]), f.eval(es[1:])))
+        acc = list(apply_table(A.mul, P[b[0]], f.eval([es[x] for x in b[1:]])))
         for i in range(1, n + 1):
             args = (
-                [A.phi.apply(v) for v in es[: i - 1]]
-                + [A.product(es[i - 1], es[i])]
-                + [A.psi.apply(v) for v in es[i + 1 :]]
+                [phi[x] for x in b[: i - 1]]
+                + [A.mul[b[i - 1]][b[i]]]
+                + [psi[x] for x in b[i + 1 :]]
             )
             term = f.eval(args)
             sign = -1 if i % 2 else 1
             for k, v in enumerate(term):
                 acc[k] += sign * v
-        last = A.product(f.eval(es[:-1]), Q.apply(es[-1]))
+        last = apply_table(A.mul, f.eval([es[x] for x in b[:-1]]), Q[b[-1]])
         sign = -1 if (n + 1) % 2 else 1
         for k, v in enumerate(last):
             acc[k] += sign * v

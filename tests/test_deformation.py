@@ -9,9 +9,11 @@ from bihom.algebra import (
     BiHomDialgebra,
     basis_vec,
     catalog,
+    is_morphism,
     table_from_entries,
 )
 from bihom.cohomology import (
+    HochschildCochain,
     TreeCochain,
     dialg_coboundaries,
     dialg_cocycles,
@@ -336,3 +338,116 @@ def test_equivalence_reflexive_and_twist_mismatch():
     )
     assert not bad.ok
     assert bad.witness == ("twist_mismatch",)
+
+
+# -- refusals at the door ---------------------------------------------------------
+
+
+def test_non_tree_cochain_term_is_refused_by_class():
+    A = alg22()
+    hoch = HochschildCochain(2, 2, {(0, 0): (Fraction(1), Fraction(0))})
+    for strict in (True, False):
+        with pytest.raises(TypeError, match="HochschildCochain"):
+            TruncatedDeformation(A, [hoch], require_compatible=strict)
+
+
+def test_transformation_maps_must_share_psi0_shape():
+    with pytest.raises(ValueError, match="psi_1"):
+        EquivalenceTransformation((Mat.identity(2), Mat.identity(3)))
+    with pytest.raises(ValueError, match="psi_2"):
+        EquivalenceTransformation((Mat.identity(2), Mat.zeros(2, 2), Mat.zeros(2, 3)))
+
+
+def test_pullback_refuses_a_matrix_of_the_wrong_shape():
+    d1 = corpus_d1()
+    for S in (Mat.identity(3), Mat.from_rows([[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            base_change_pullback(d1, S)
+
+
+# -- direction of the transport coefficient ---------------------------------------
+
+
+def random_families(seed):
+    """Every catalog family with a random binding and a random compatible
+    order-2 deformation over it."""
+    rng = random.Random(seed)
+    for name, entry in sorted(catalog().items()):
+        A = entry.build(**{p: rng.randint(1, 3) for p in entry.params})
+        rows = dialg_compatible_space(A, 2).basis_rows()
+
+        def term():
+            coords = [Fraction(0)] * len(rows[0])
+            for row in rows:
+                c = rng.randint(-2, 2)
+                coords = [x + c * y for x, y in zip(coords, row)]
+            return TreeCochain.unflatten(2, A.dim, coords)
+
+        yield rng, name, TruncatedDeformation(A, [term(), term()])
+
+
+def random_matrix(rng, m):
+    return Mat(m, m, [Fraction(rng.randint(-2, 2)) for _ in range(m * m)])
+
+
+def test_pullback_makes_s_a_morphism_onto_the_source():
+    """S is a morphism from the pulled-back base to the original one, and
+    S pi'_i(e_a, e_b) = pi_i(S e_a, S e_b) at every order i."""
+    seen = set()
+    for rng, name, d in random_families(91):
+        m = d.base.dim
+        S = random_matrix(rng, m)
+        while S.inverse() is None:
+            S = random_matrix(rng, m)
+        pulled = base_change_pullback(d, S)
+        assert is_morphism(S, pulled.base, d.base).ok, name
+        for i in range(d.order + 1):
+            for t in (0, 1):
+                for a in range(m):
+                    for b in range(m):
+                        ea, eb = basis_vec(m, a), basis_vec(m, b)
+                        assert S.apply(pulled.product(i, t, ea, eb)) == d.product(
+                            i, t, S.apply(ea), S.apply(eb)
+                        ), (name, i, t, a, b)
+        seen.add(name)
+    assert len(seen) == 9
+
+
+def test_pushforward_is_equivalent_along_its_own_transformation():
+    """psi_t carries d onto its pushforward at every order, and a psi_1
+    moved by the identity, never a derivation of a nonzero product, fails
+    at order 1."""
+    seen = set()
+    for rng, name, d in random_families(92):
+        m = d.base.dim
+        psit = EquivalenceTransformation(
+            (Mat.identity(m), random_matrix(rng, m), random_matrix(rng, m))
+        )
+        pushed = base_change_pushforward(d, psit, require_compatible=False)
+        assert pushed.order == 4
+        assert check_equivalence(d, pushed, psit, pushed.order).ok, name
+        moved = EquivalenceTransformation(
+            (Mat.identity(m), psit.map(1) + Mat.identity(m), psit.map(2))
+        )
+        bad = check_equivalence(d, pushed, moved, pushed.order)
+        assert not bad.ok and bad.witness[0] == 1, name
+        seen.add(name)
+    assert len(seen) == 9
+
+
+def test_order_two_pushforward_of_the_base_is_solved_trivial():
+    """At order 2, K_2 carries the cross term psi_1(x) o psi_1(y); the
+    solved witness must carry the pushforward back onto the base."""
+    rng = random.Random(93)
+    for name, entry in sorted(catalog().items()):
+        A = entry.build(**{p: rng.randint(1, 3) for p in entry.params})
+        one = Mat.identity(A.dim)
+        psit = EquivalenceTransformation((
+            one,
+            one.scale(rng.randint(1, 2)) + A.phi.scale(rng.randint(-2, 2)),
+            one.scale(rng.randint(-2, 2)) + A.phi.scale(rng.randint(-2, 2)),
+        ))
+        pushed = base_change_pushforward(zero_deformation(A), psit, require_compatible=False)
+        res = solve_triviality(pushed, 2)
+        assert res.trivial, name
+        assert check_equivalence(pushed, zero_deformation(A, 2), res.witness, 2).ok, name
