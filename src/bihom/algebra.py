@@ -12,13 +12,22 @@ structure-constant tables, maps are `Mat`.  Checks never raise on a
 broken structure; they return an `AxiomReport` listing each violated
 law with the basis indices and the residual vector, so callers can
 verify, report, or deliberately work with non-examples.
+
+Every check writes its identity once, as a residual on basis indices, and
+hands it to one enumerator, `_violations`, which yields a witness for each
+basis tuple with a nonzero residual in lexicographic order; a report lists
+its laws in the order the check names them.  The one-product check is the
+one-law case of the dialgebra check: with both products equal the five
+laws coincide, so it reads the single law `bihom_assoc` through the
+`left_left` shape of `law_residual` on `as_dialgebra()`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from bihom.scalars import Mat, ZERO, ONE, q
 from bihom.trees import DASHV, VDASH
@@ -261,45 +270,49 @@ def law_residual(A: BiHomDialgebra, law: str, x: Vec, y: Vec, z: Vec) -> Vec:
     return vec_sub(lhs, rhs)
 
 
+def _violations(
+    law: str, arity: int, dim: int, residual: Callable[..., Vec]
+) -> Iterator[Violation]:
+    """Violation(law, t, residual(*t)) for each basis index tuple t, in
+    lexicographic order, whose residual is nonzero."""
+    for t in product(range(dim), repeat=arity):
+        r = residual(*t)
+        if not is_zero_vec(r):
+            yield Violation(law, t, r)
+
+
+def _respects(f: Mat, ta: Table, tb: Table) -> Callable[[int, int], Vec]:
+    """(i, j) -> f(e_i o e_j) - f(e_i) o' f(e_j), o read from ta and o' from tb."""
+    return lambda i, j: vec_sub(f.apply(ta[i][j]), apply_table(tb, f.col(i), f.col(j)))
+
+
+def _leibniz(D: Mat, W: Mat, table: Table) -> Callable[[int, int], Vec]:
+    """(a, b) -> D(e_a o e_b) - W(e_a) o D(e_b) - D(e_a) o W(e_b)."""
+    return lambda a, b: vec_sub(
+        D.apply(table[a][b]),
+        vec_add(apply_table(table, W.col(a), D.col(b)), apply_table(table, D.col(a), W.col(b))),
+    )
+
+
+def _check_laws(A: BiHomDialgebra, laws: Mapping[str, str]) -> AxiomReport:
+    """Twist commutation, then each named law read through the shape of
+    `law_residual` it maps to, over all basis triples."""
+    e = [A.e(i) for i in range(A.dim)]
+    violations = list(_violations("twist_commute", 1, A.dim, (A.phi @ A.psi - A.psi @ A.phi).col))
+    for law, shape in laws.items():
+        violations += _violations(law, 3, A.dim, lambda i, j, k: law_residual(A, shape, e[i], e[j], e[k]))
+    return AxiomReport.from_violations(violations)
+
+
 def check_dialgebra(A: BiHomDialgebra) -> AxiomReport:
     """Twist commutation plus the five product laws over all basis triples."""
-    violations: list[Violation] = []
-    comm = A.phi @ A.psi - A.psi @ A.phi
-    for i in range(A.dim):
-        col = tuple(comm[k, i] for k in range(A.dim))
-        if not is_zero_vec(col):
-            violations.append(Violation("twist_commute", (i,), col))
-    for law in DIALGEBRA_LAWS:
-        for i in range(A.dim):
-            x = A.e(i)
-            for j in range(A.dim):
-                y = A.e(j)
-                for k in range(A.dim):
-                    r = law_residual(A, law, x, y, A.e(k))
-                    if not is_zero_vec(r):
-                        violations.append(Violation(law, (i, j, k), r))
-    return AxiomReport.from_violations(violations)
+    return _check_laws(A, {law: law for law in DIALGEBRA_LAWS})
 
 
 def check_bihom_associative(A: BiHomAssociativeAlgebra) -> AxiomReport:
-    violations: list[Violation] = []
-    comm = A.phi @ A.psi - A.psi @ A.phi
-    for i in range(A.dim):
-        col = tuple(comm[k, i] for k in range(A.dim))
-        if not is_zero_vec(col):
-            violations.append(Violation("twist_commute", (i,), col))
-    for i in range(A.dim):
-        x = A.e(i)
-        for j in range(A.dim):
-            y = A.e(j)
-            for k in range(A.dim):
-                z = A.e(k)
-                lhs = A.product(A.product(x, y), A.psi.apply(z))
-                rhs = A.product(A.phi.apply(x), A.product(y, z))
-                r = vec_sub(lhs, rhs)
-                if not is_zero_vec(r):
-                    violations.append(Violation("bihom_assoc", (i, j, k), r))
-    return AxiomReport.from_violations(violations)
+    """Twist commutation plus (x y) psi(z) = phi(x) (y z): the one law the
+    five collapse to when both products are the same."""
+    return _check_laws(A.as_dialgebra(), {"bihom_assoc": "left_left"})
 
 
 def is_multiplicative(A: BiHomDialgebra) -> AxiomReport:
@@ -307,14 +320,7 @@ def is_multiplicative(A: BiHomDialgebra) -> AxiomReport:
     violations: list[Violation] = []
     for mname, m in (("phi", A.phi), ("psi", A.psi)):
         for op in (DASHV, VDASH):
-            table = A.table(op)
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    lhs = m.apply(table[i][j])
-                    rhs = apply_table(table, m.apply(A.e(i)), m.apply(A.e(j)))
-                    r = vec_sub(lhs, rhs)
-                    if not is_zero_vec(r):
-                        violations.append(Violation(f"{mname}_{op}", (i, j), r))
+            violations += _violations(f"{mname}_{op}", 2, A.dim, _respects(m, A.table(op), A.table(op)))
     return AxiomReport.from_violations(violations)
 
 
@@ -329,20 +335,9 @@ def is_morphism(f: Mat, A: BiHomDialgebra, B: BiHomDialgebra) -> AxiomReport:
         raise ValueError("morphism shape mismatch")
     violations: list[Violation] = []
     for mname, mA, mB in (("phi", A.phi, B.phi), ("psi", A.psi, B.psi)):
-        comm = mB @ f - f @ mA
-        for i in range(A.dim):
-            col = tuple(comm[k, i] for k in range(B.dim))
-            if not is_zero_vec(col):
-                violations.append(Violation(f"{mname}_intertwine", (i,), col))
+        violations += _violations(f"{mname}_intertwine", 1, A.dim, (mB @ f - f @ mA).col)
     for op in (DASHV, VDASH):
-        tA, tB = A.table(op), B.table(op)
-        for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = f.apply(tA[i][j])
-                rhs = apply_table(tB, f.apply(A.e(i)), f.apply(A.e(j)))
-                r = vec_sub(lhs, rhs)
-                if not is_zero_vec(r):
-                    violations.append(Violation(op, (i, j), r))
+        violations += _violations(op, 2, A.dim, _respects(f, A.table(op), B.table(op)))
     return AxiomReport.from_violations(violations)
 
 
@@ -367,27 +362,13 @@ def from_differential_algebra(
                 raise ValueError(f"d does not commute with {mname}")
             if not (m @ m - m).is_zero():
                 raise ValueError(f"{mname} is not idempotent")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = d.apply(A.mul[i][j])
-                rhs = vec_add(
-                    A.product(d.apply(A.e(i)), A.e(j)),
-                    A.product(A.e(i), d.apply(A.e(j))),
-                )
-                if not is_zero_vec(vec_sub(lhs, rhs)):
-                    raise ValueError(f"Leibniz rule fails at basis pair ({i}, {j})")
-    dim = A.dim
-    dashv = tuple(
-        tuple(A.product(A.phi.apply(basis_vec(dim, i)), d.apply(basis_vec(dim, j)))
-              for j in range(dim))
-        for i in range(dim)
-    )
-    vdash = tuple(
-        tuple(A.product(d.apply(basis_vec(dim, i)), A.psi.apply(basis_vec(dim, j)))
-              for j in range(dim))
-        for i in range(dim)
-    )
-    return BiHomDialgebra(dim, dashv, vdash, A.phi, A.psi, basis=A.basis)
+        bad = next(_violations("leibniz", 2, A.dim, _leibniz(d, Mat.identity(A.dim), A.mul)), None)
+        if bad is not None:
+            raise ValueError(f"Leibniz rule fails at basis pair {bad.at}")
+    ix = range(A.dim)
+    dashv = tuple(tuple(A.product(A.phi.col(i), d.col(j)) for j in ix) for i in ix)
+    vdash = tuple(tuple(A.product(d.col(i), A.psi.col(j)) for j in ix) for i in ix)
+    return BiHomDialgebra(A.dim, dashv, vdash, A.phi, A.psi, basis=A.basis)
 
 
 # -- worked families -----------------------------------------------------------

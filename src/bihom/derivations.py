@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Sequence
 
 from bihom.algebra import (
@@ -37,12 +38,13 @@ from bihom.algebra import (
     BiHomDialgebra,
     Vec,
     Violation,
+    _leibniz,
+    _violations,
     apply_table,
     basis_vec,
     catalog,
     is_morphism,
     is_regular,
-    is_zero_vec,
     vec_sub,
 )
 from bihom.scalars import Mat, ONE, ZERO, Subspace, nullspace_rows, q, solve_rows
@@ -317,30 +319,12 @@ def quasi_partner(
 
 def derivation_report(A: BiHomDialgebra, D: Mat, deg: BiDegree) -> AxiomReport:
     """Which defining identities the map D satisfies at this bidegree."""
-    n = A.dim
     W = _twist(A, deg)
-    violations = []
+    violations: list[Violation] = []
     for law, M in (("commute_phi", A.phi), ("commute_psi", A.psi)):
-        diff = D @ M - M @ D
-        if not diff.is_zero():
-            j = next(
-                j for j in range(n) if any(diff[i, j] for i in range(n))
-            )
-            violations.append(Violation(law, (j,), diff.col(j)))
+        violations += islice(_violations(law, 1, A.dim, (D @ M - M @ D).col), 1)
     for op in ("dashv", "vdash"):
-        table = A.table(op)
-        for a in range(n):
-            for b in range(n):
-                ea, eb = basis_vec(n, a), basis_vec(n, b)
-                lhs = D.apply(apply_table(table, ea, eb))
-                rhs = apply_table(table, W.apply(ea), D.apply(eb))
-                rhs = tuple(
-                    r + s
-                    for r, s in zip(rhs, apply_table(table, D.apply(ea), W.apply(eb)))
-                )
-                res = vec_sub(lhs, rhs)
-                if not is_zero_vec(res):
-                    violations.append(Violation(f"leibniz_{op}", (a, b), res))
+        violations += _violations(f"leibniz_{op}", 2, A.dim, _leibniz(D, W, A.table(op)))
     return AxiomReport.from_violations(violations)
 
 
@@ -448,12 +432,7 @@ REFERENCE_SHAPES: dict[tuple[int, str], tuple[frozenset, ...]] = {
 
 def shape_pattern_contained(space: Subspace, pattern: frozenset, n: int) -> bool:
     """Every map in the space vanishes outside the pattern's support."""
-    for row in space.basis_rows():
-        for i in range(n):
-            for j in range(n):
-                if row[i * n + j] and (i, j) not in pattern:
-                    return False
-    return True
+    return all(divmod(c, n) in pattern for row in space.sparse_rows() for c, _ in row)
 
 
 def reference_family_dim3(a, b, c, d, f) -> tuple[Mat, Mat, Mat]:

@@ -170,9 +170,6 @@ class DeformationBlock:
 class DefinitionFile:
     blocks: tuple[object, ...]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.blocks)
-
     def block(self, name: str):
         for b in self.blocks:
             if b.name == name:
@@ -345,20 +342,18 @@ class _Parser:
                     e.line,
                     e.col,
                 )
-            prev = table.get(e.key())
-            if prev is not None:
-                if prev.terms != e.terms:
-                    raise DslError(
-                        "semantic",
-                        f"conflicting entry for {e.op}({', '.join(e.args)})",
-                        e.line,
-                        e.col,
-                    )
-                continue  # identical repeat, keep the first
-            table[e.key()] = e
-            entries.append(e)
+            if self.first_entry(table, e.key(), e):
+                entries.append(e)
         self.expect_punct("}")
         return AlgebraBlock(kind, name.text, dim, tuple(basis), tuple(params), tuple(entries))
+
+    def first_entry(self, table: dict, key: tuple, e: Entry) -> bool:
+        """Record e under key; False for an identical repeat, which is kept
+        once, and a located error for a repeat with a different right side."""
+        prev = table.setdefault(key, e)
+        if prev.terms != e.terms:
+            raise DslError("semantic", f"conflicting entry for {e.op}({', '.join(e.args)})", e.line, e.col)
+        return prev is e
 
     def _check_entry_names(self, e: Entry, basis: set[str], params: set[str]):
         for a in e.args:
@@ -409,19 +404,8 @@ class _Parser:
                     e.col,
                 )
             self._check_entry_names(e, basis, params)
-            key = (idx, e.op, e.args)
-            prev = table.get(key)
-            if prev is not None:
-                if prev.terms != e.terms:
-                    raise DslError(
-                        "semantic",
-                        f"conflicting entry for {e.op}({', '.join(e.args)})",
-                        e.line,
-                        e.col,
-                    )
-                continue
-            table[key] = e
-            terms.append((idx, e))
+            if self.first_entry(table, (idx, e.op, e.args), e):
+                terms.append((idx, e))
         self.expect_punct("}")
         return DeformationBlock("deformation", name.text, base.text, order, tuple(terms))
 

@@ -194,6 +194,39 @@ def test_deformation_term_order_bounds():
         parse("deformation D of Nope {\n  order 1;\n}")
 
 
+_DEFORMATION_BASE = (
+    "dialgebra B {\n  dim 2;\n  basis e1 e2;\n  phi(e2) = e1;\n  psi(e2) = e1;\n}\n\n"
+    "deformation D of B {\n  order 2;\n  term 1 dashv(e2, e2) = e1;\n"
+)
+
+
+def test_deformation_conflicting_repeat_is_located():
+    """A repeated deformation entry with a different right side fails at
+    the repeat, with the algebra block's message."""
+    with pytest.raises(DslError) as exc:
+        parse(_DEFORMATION_BASE + "  term 1 dashv(e2, e2) = e2;\n}\n")
+    e = exc.value
+    assert (e.kind, e.line, e.col) == ("semantic", 11, 10)
+    assert str(e) == "semantic error at line 11, column 10: conflicting entry for dashv(e2, e2)"
+
+
+def test_deformation_identical_repeat_is_kept_once():
+    df = parse(_DEFORMATION_BASE + "  term 1 dashv(e2, e2) = e1;\n}\n")
+    (idx, entry), = df.block("D").terms
+    assert idx == 1 and entry.render() == "dashv(e2, e2) = e1;"
+    assert entry.line == 10
+
+
+def test_deformation_entry_at_two_term_orders_is_accepted():
+    df = parse(_DEFORMATION_BASE + "  term 2 dashv(e2, e2) = e1;\n}\n")
+    assert [(i, e.render()) for i, e in df.block("D").terms] == [
+        (1, "dashv(e2, e2) = e1;"),
+        (2, "dashv(e2, e2) = e1;"),
+    ]
+    d = build_block(df, "D")
+    assert isinstance(d, TruncatedDeformation)
+
+
 def test_duplicate_block_names_rejected():
     text = "dialgebra X {\n  dim 1;\n  basis e1;\n}\n\ndialgebra X {\n  dim 1;\n  basis e1;\n}"
     with pytest.raises(DslError, match="duplicate block name"):
