@@ -756,7 +756,7 @@ def hoch_delta_squared_is_zero(
         raise ValueError(
             f"axioms fail, first witness: {rep.violations[0].describe(A.basis)}"
         )
-    if not is_multiplicative(A.as_dialgebra()):
+    if not is_multiplicative(A.as_dialgebra()).ok:
         raise ValueError("twist maps are not multiplicative for the product")
     rng = random.Random(seed)
     space = hoch_compatible_space(A, n)

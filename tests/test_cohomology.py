@@ -183,6 +183,15 @@ def test_hoch_delta_squared_needs_valid_axioms():
         hoch_delta_squared_is_zero(broken, 2, trials=1)
 
 
+def test_hoch_delta_squared_needs_multiplicative_twists():
+    """e e = e with phi = psi = 2: the one law holds, (e e) 2e = 2e (e e),
+    but phi(e e) = 2e is not phi(e) phi(e) = 4e."""
+    two = Mat.from_rows([[2]])
+    A = BiHomAssociativeAlgebra(1, table_from_entries(1, {(1, 1): {1: 1}}), two, two)
+    with pytest.raises(ValueError, match="not multiplicative"):
+        hoch_delta_squared_is_zero(A, 1, trials=1)
+
+
 def test_perturbed_product_breaks_the_complex():
     """Negative control: an axiom-violating product must leak through
     delta-squared for some compatible cochain."""
