@@ -135,6 +135,19 @@ class AxiomReport:
         return tuple(seen)
 
 
+def _checked_basis(dim: int, tables, maps, basis: Sequence[str] | None) -> tuple[str, ...]:
+    """The basis labels (e1, e2, ... by default), once they, the tables and the maps fit dim."""
+    basis = tuple(f"e{i+1}" for i in range(dim)) if basis is None else tuple(basis)
+    if len(basis) != dim:
+        raise ValueError("basis length mismatch")
+    for table in tables:
+        if len(table) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row) for row in table):
+            raise ValueError("product table shape mismatch")
+    if any(M.shape != (dim, dim) for M in maps):
+        raise ValueError("twist map shape mismatch")
+    return basis
+
+
 class BiHomDialgebra:
     """Two products and two twist maps on Q^dim; laws are not enforced here."""
 
@@ -150,19 +163,7 @@ class BiHomDialgebra:
         basis: Sequence[str] | None = None,
         name: str = "",
     ):
-        if basis is None:
-            basis = tuple(f"e{i+1}" for i in range(dim))
-        basis = tuple(basis)
-        if len(basis) != dim:
-            raise ValueError("basis length mismatch")
-        for table in (dashv, vdash):
-            if len(table) != dim or any(
-                len(row) != dim or any(len(cell) != dim for cell in row) for row in table
-            ):
-                raise ValueError("product table shape mismatch")
-        for m in (phi, psi):
-            if m.shape != (dim, dim):
-                raise ValueError("twist map shape mismatch")
+        basis = _checked_basis(dim, (dashv, vdash), (phi, psi), basis)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dashv", dashv)
@@ -211,18 +212,7 @@ class BiHomAssociativeAlgebra:
         basis: Sequence[str] | None = None,
         name: str = "",
     ):
-        if basis is None:
-            basis = tuple(f"e{i+1}" for i in range(dim))
-        basis = tuple(basis)
-        if len(basis) != dim:
-            raise ValueError("basis length mismatch")
-        if len(mul) != dim or any(
-            len(row) != dim or any(len(cell) != dim for cell in row) for row in mul
-        ):
-            raise ValueError("product table shape mismatch")
-        for m in (phi, psi):
-            if m.shape != (dim, dim):
-                raise ValueError("twist map shape mismatch")
+        basis = _checked_basis(dim, (mul,), (phi, psi), basis)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mul", mul)

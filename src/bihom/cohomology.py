@@ -28,10 +28,10 @@ The coboundary is written once, as block tables (`_coboundary_blocks`).
 Block i of delta f on a tree y reads f on face i of y through the
 product of leaf i of y, and depends on y in no other way, so delta^n is
 one table per (block, product) over the local coordinates of one tree,
-built once per degree.  The ambient rows of a tree are its blocks
-shifted to their faces and summed; `dialg_coboundary`/`hoch_coboundary`
-apply those rows to one cochain.  The term-by-term evaluation of the
-formula is kept in `tests/oracles.py` as the independent reference.
+built once per degree.  `dialg_coboundary`/`hoch_coboundary` apply the
+block tables face by face to a cochain's support, grouped by tree; only
+`*_coboundary_rows` assembles ambient rows.  The term-by-term evaluation
+of the formula is kept in `tests/oracles.py` as the independent reference.
 
 The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
@@ -60,6 +60,8 @@ from bihom.algebra import (
     BiHomDialgebra,
     Table,
     Vec,
+    apply_table,
+    basis_vec,
     check_bihom_associative,
     is_multiplicative,
     is_zero_vec,
@@ -77,15 +79,34 @@ def _args_rank(args: Sequence[int], dim: int) -> int:
     return r
 
 
+def _contract(entries, vecs: Sequence[Vec], dim: int) -> Vec:
+    """sum of prod_pos vecs[pos][args[pos]] * value over (args, value) entries."""
+    out = [ZERO] * dim
+    for args, val in entries:
+        coef = ONE
+        for pos, a in enumerate(args):
+            c = vecs[pos][a]
+            if not c:
+                break
+            coef *= c
+        else:
+            for k, v in enumerate(val):
+                if v:
+                    out[k] += coef * v
+    return tuple(out)
+
+
 class _Cochain:
     """Shared body of both cochain kinds: an immutable degree-n multilinear
     map, stored sparsely as {key: value vector} with zero values dropped.
 
     A `TreeCochain` is keyed by (tree index, args); a `HochschildCochain`
-    is the one-tree case and is keyed by args alone.
+    is the one-tree case and is keyed by args alone.  The support is also
+    kept grouped by tree: `groups[t]` lists tree t's (args, value) pairs
+    in `data`'s order, so evaluating on a tree reads only its entries.
     """
 
-    __slots__ = ("degree", "dim", "data")
+    __slots__ = ("degree", "dim", "data", "groups")
     _tree_keyed = False
 
     def __init__(self, degree: int, dim: int, data: Mapping | None = None):
@@ -110,9 +131,14 @@ class _Cochain:
                 raise ValueError("value length mismatch")
             if not is_zero_vec(v):
                 clean[key] = v
+        groups: tuple[list, ...] = tuple([] for _ in range(ntrees))
+        for key, v in clean.items():
+            t, args = key if tree_keyed else (0, key)
+            groups[t].append((args, v))
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "data", clean)
+        object.__setattr__(self, "groups", groups)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -120,6 +146,28 @@ class _Cochain:
     @classmethod
     def _ntrees(cls, degree: int) -> int:
         return len(trees(degree)) if cls._tree_keyed else 1
+
+    def _entries(self, t: int, args: Sequence, bad) -> list:
+        """Tree t's entries, once t, the argument count and every argument pass; bad(x) names a fault."""
+        if not 0 <= t < len(self.groups):
+            raise ValueError(f"tree index {t} out of range 0..{len(self.groups) - 1} for degree {self.degree}")
+        if len(args) != self.degree:
+            raise ValueError(f"argument count mismatch: {len(args)} arguments for degree {self.degree}")
+        for pos, x in enumerate(args):
+            if bad(x):
+                raise ValueError(f"argument {pos} {bad(x)}")
+        return self.groups[t]
+
+    def value(self, t: int, args: Sequence[int]) -> Vec:
+        """f(e_args) on tree t; the one-product cochain takes args alone."""
+        args = tuple(args)
+        self._entries(t, args, lambda a: not 0 <= a < self.dim and f"is {a}, out of range 0..{self.dim - 1}")
+        return self.data.get((t, args) if self._tree_keyed else args, zero_vec(self.dim))
+
+    def _eval(self, t: int, vecs: Sequence[Vec]) -> Vec:
+        """Multilinear extension on tree t, over that tree's entries only."""
+        bad = lambda v: len(v) != self.dim and f"has length {len(v)}, not {self.dim}"  # noqa: E731
+        return _contract(self._entries(t, vecs, bad), vecs, self.dim)
 
     @classmethod
     def zero(cls, degree: int, dim: int) -> _Cochain:
@@ -196,30 +244,13 @@ class TreeCochain(_Cochain):
     __slots__ = ()
     _tree_keyed = True
 
-    def value(self, t: int, args: tuple[int, ...]) -> Vec:
-        return self.data.get((t, tuple(args)), zero_vec(self.dim))
-
     def eval(self, tree: Tree | int, vecs: Sequence[Vec]) -> Vec:
-        """Multilinear extension; iterates over the cochain's support."""
-        t = tree_index(tree) if isinstance(tree, Tree) else tree
-        if len(vecs) != self.degree:
-            raise ValueError("argument count mismatch")
-        out = [ZERO] * self.dim
-        for (ti, args), val in self.data.items():
-            if ti != t:
-                continue
-            coef = ONE
-            for pos, a in enumerate(args):
-                c = vecs[pos][a]
-                if not c:
-                    coef = ZERO
-                    break
-                coef *= c
-            if coef:
-                for k, v in enumerate(val):
-                    if v:
-                        out[k] += coef * v
-        return tuple(out)
+        """Multilinear extension on one tree, given as a Tree or its index."""
+        if isinstance(tree, Tree):
+            if tree.n_internal != self.degree:
+                raise ValueError(f"tree has {tree.n_internal} internal nodes, degree is {self.degree}")
+            tree = tree_index(tree)
+        return self._eval(tree, vecs)
 
 
 class HochschildCochain(_Cochain):
@@ -228,25 +259,10 @@ class HochschildCochain(_Cochain):
     __slots__ = ()
 
     def value(self, args: tuple[int, ...]) -> Vec:
-        return self.data.get(tuple(args), zero_vec(self.dim))
+        return super().value(0, args)
 
     def eval(self, vecs: Sequence[Vec]) -> Vec:
-        if len(vecs) != self.degree:
-            raise ValueError("argument count mismatch")
-        out = [ZERO] * self.dim
-        for args, val in self.data.items():
-            coef = ONE
-            for pos, a in enumerate(args):
-                c = vecs[pos][a]
-                if not c:
-                    coef = ZERO
-                    break
-                coef *= c
-            if coef:
-                for k, v in enumerate(val):
-                    if v:
-                        out[k] += coef * v
-        return tuple(out)
+        return self._eval(0, vecs)
 
 
 def tree_cochain_dim(degree: int, dim: int) -> int:
@@ -257,32 +273,35 @@ def hochschild_cochain_dim(degree: int, dim: int) -> int:
     return dim**degree * dim
 
 
-# -- coboundaries as sparse rows over flattened coordinates --------------------
+# -- the coboundary as block tables, and its ambient rows -----------------------
 
 
-def _expand_product(
-    table: Table, u: Vec, m: int
-) -> list[tuple[int, tuple[Fraction, ...]]]:
-    """Coefficients of [u * e_j]_k as (j, column-of-k) pairs; on the
-    transposed table, those of [e_j * u]_k."""
-    out = []
-    for j in range(m):
-        col = [ZERO] * m
-        hit = False
-        for p, up in enumerate(u):
-            if up:
-                cell = table[p][j]
-                for k, c in enumerate(cell):
-                    if c:
-                        col[k] += up * c
-                        hit = True
-        if hit:
-            out.append((j, tuple(col)))
-    return out
+def _expand_product(table: Table, u: Vec, m: int) -> list[tuple[int, Vec]]:
+    """Nonzero columns [u * e_j] as (j, column) pairs; on the transposed
+    table, those of [e_j * u]."""
+    cols = [(j, [ZERO] * m) for j in range(m)]
+    for p, up in enumerate(u):
+        for j, col in cols if up else ():
+            for k, c in enumerate(table[p][j]):
+                if c:
+                    col[k] += up * c
+    return [(j, tuple(col)) for j, col in cols if any(col)]
 
 
 def _support(v: Vec) -> list[tuple[int, Fraction]]:
     return [(i, c) for i, c in enumerate(v) if c]
+
+
+def _expand(supports: Sequence[list], m: int, coef: Fraction) -> list[tuple[int, Fraction]]:
+    """(rank * m, coef * coefficient) of each argument tuple the supports expand to."""
+    terms = []
+    for combo in iproduct(*supports):
+        c, a = coef, 0
+        for ci, x in combo:
+            c *= x
+            a = a * m + ci
+        terms.append((a * m, c))
+    return terms
 
 
 def _coboundary_blocks(
@@ -305,7 +324,7 @@ def _coboundary_blocks(
     m = phi.rows
     P = phi.power(n - 1)
     Q = psi.power(n - 1)
-    basis = [tuple(ONE if s == j else ZERO for s in range(m)) for j in range(m)]
+    basis = [basis_vec(m, j) for j in range(m)]
     phi_sup = [_support(phi.col(j)) for j in range(m)]
     psi_sup = [_support(psi.col(j)) for j in range(m)]
     last_sign = -1 if (n + 1) % 2 else 1
@@ -347,15 +366,7 @@ def _coboundary_blocks(
                 vecs = [phi_sup[x] for x in b[: i - 1]]
                 vecs.append(cell)
                 vecs += [psi_sup[x] for x in b[i + 1 :]]
-                # distinct combos give distinct argument tuples
-                terms = []
-                for combo in iproduct(*vecs):
-                    coef = signs[i]
-                    a = 0
-                    for ci, c in combo:
-                        coef *= c
-                        a = a * m + ci
-                    terms.append((a * m, coef))
+                terms = _expand(vecs, m, signs[i])  # distinct combos give distinct tuples
                 if terms:
                     for k in range(m):
                         rows[r * m + k] = {a + k: c for a, c in terms}
@@ -364,32 +375,7 @@ def _coboundary_blocks(
     return tables
 
 
-def _assemble(
-    blocks: Mapping[tuple[int, str], Mapping[int, dict[int, Fraction]]],
-    layout: Sequence[tuple[Sequence[int], Sequence[str]]],
-    m: int,
-    n: int,
-) -> list[dict[int, Fraction]]:
-    """Ambient delta^n rows, output tree by output tree: each block shifted
-    by face * m^(n+1), the length of one input tree, and summed."""
-    size = m ** (n + 1)
-    rows: list[dict[int, Fraction]] = []
-    for faces, ors in layout:
-        tree_rows: list[dict[int, Fraction]] = [{} for _ in range(size * m)]
-        for i, (f, p) in enumerate(zip(faces, ors)):
-            off = f * size
-            for r, row in blocks[i, p].items():
-                target = tree_rows[r]
-                for c, v in row.items():
-                    key = c + off
-                    target[key] = target[key] + v if key in target else v
-        rows += [{key: v for key, v in row.items() if v} for row in tree_rows]
-    return rows
-
-
-def dialg_coboundary_rows(
-    A: BiHomDialgebra, n: int
-) -> list[dict[int, Fraction]]:
+def dialg_coboundary_rows(A: BiHomDialgebra, n: int) -> list[dict[int, Fraction]]:
     """delta^n as linear functionals: one sparse row per output coordinate.
 
     Row r for output coordinate (y, b, k) satisfies
@@ -398,18 +384,9 @@ def dialg_coboundary_rows(
     return _Complex(A, TreeCochain).delta_rows(n)
 
 
-def hoch_coboundary_rows(
-    A: BiHomAssociativeAlgebra, n: int
-) -> list[dict[int, Fraction]]:
+def hoch_coboundary_rows(A: BiHomAssociativeAlgebra, n: int) -> list[dict[int, Fraction]]:
     """Same row construction for the one-product complex."""
     return _Complex(A, HochschildCochain).delta_rows(n)
-
-
-def _apply_delta(rows: list[dict[int, Fraction]], f: _Cochain) -> _Cochain:
-    """delta f from the delta^n rows: one dot product per output coordinate."""
-    x = f.flatten()
-    coords = [sum((c * x[j] for j, c in row.items() if x[j]), ZERO) for row in rows]
-    return type(f).unflatten(f.degree + 1, f.dim, coords)
 
 
 def _check_kind(fn: str, X, f, structure: type, cochain: type[_Cochain]) -> None:
@@ -425,13 +402,13 @@ def _check_kind(fn: str, X, f, structure: type, cochain: type[_Cochain]) -> None
 def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
     """delta f in the tree complex; output degree is f.degree + 1."""
     _check_kind("dialg_coboundary", A, f, BiHomDialgebra, TreeCochain)
-    return _apply_delta(dialg_coboundary_rows(A, f.degree), f)
+    return _Complex(A, TreeCochain).apply_delta(f)
 
 
 def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> HochschildCochain:
     """delta f in the one-product complex; output degree is f.degree + 1."""
     _check_kind("hoch_coboundary", A, f, BiHomAssociativeAlgebra, HochschildCochain)
-    return _apply_delta(hoch_coboundary_rows(A, f.degree), f)
+    return _Complex(A, HochschildCochain).apply_delta(f)
 
 
 # -- twist compatibility --------------------------------------------------------
@@ -447,14 +424,7 @@ def _compat_rows(maps: Sequence[Mat], dim: int, degree: int) -> list[dict[int, F
         for r, b in enumerate(iproduct(range(m), repeat=degree)):
             base = r * m
             # f(M b): the argument tuples M b expands to, with coefficients
-            terms = []
-            for combo in iproduct(*[cols[x] for x in b]):
-                coef = ONE
-                a = 0
-                for ci, c in combo:
-                    coef *= c
-                    a = a * m + ci
-                terms.append((a * m, coef))
+            terms = _expand([cols[x] for x in b], m, ONE)
             for k in range(m):
                 # M f(b)_k - f(M b)_k
                 row = {base + j: c for j, c in lines[k]}
@@ -503,9 +473,50 @@ class _Complex:
         return (((0,) * (n + 2), ("mul",) * (n + 2)),)
 
     def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
-        self.cochain_dim(n)
+        """Ambient delta^n rows, output tree by output tree: each block
+        shifted by face * m^(n+1), the length of one input tree, and summed."""
+        size = self.cochain_dim(n) // self.cochain._ntrees(n)  # one input tree
         blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
-        return _assemble(blocks, self.layout(n), self.X.dim, n)
+        rows: list[dict[int, Fraction]] = []
+        for faces, ors in self.layout(n):
+            tree_rows: list[dict[int, Fraction]] = [{} for _ in range(size * self.X.dim)]
+            for i, (f, p) in enumerate(zip(faces, ors)):
+                off = f * size
+                for r, row in blocks[i, p].items():
+                    target = tree_rows[r]
+                    for c, v in row.items():
+                        key = c + off
+                        target[key] = target[key] + v if key in target else v
+            rows += [{key: v for key, v in row.items() if v} for row in tree_rows]
+        return rows
+
+    def apply_delta(self, f: _Cochain) -> _Cochain:
+        """delta f from the block tables, face by face: on output tree y,
+        block i taken with y's product i reads f's entries on face i of y.
+        Each block's image of one tree of f is computed once."""
+        n, m = f.degree, self.X.dim
+        blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
+        local = [
+            {_args_rank(args, m) * m + k: v for args, val in group for k, v in enumerate(val) if v}
+            for group in f.groups
+        ]
+        arg_tuples = list(iproduct(range(m), repeat=n + 1))
+        data: dict = {}
+        images: dict[tuple[int, str, int], list[tuple[int, Fraction]]] = {}
+        for y, (faces, ors) in enumerate(self.layout(n)):
+            acc: dict[int, Fraction] = {}
+            for i, (t, p) in enumerate(zip(faces, ors)):
+                if (i, p, t) not in images:
+                    x = local[t]
+                    dots = ((r, sum(c * x[j] for j, c in row.items() if j in x)) for r, row in blocks[i, p].items())
+                    images[i, p, t] = [(r, s) for r, s in dots if s] if x else []
+                for r, s in images[i, p, t]:
+                    acc[r] = acc[r] + s if r in acc else s
+            for r in sorted(acc):
+                b, k = divmod(r, m)
+                key = (y, arg_tuples[b]) if self.cochain._tree_keyed else arg_tuples[b]
+                data.setdefault(key, [ZERO] * m)[k] = acc[r]
+        return self.cochain(n + 1, m, data)
 
     def kernel(self, n: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """K_n: the canonical basis of one tree's compatible cochains, over

@@ -50,7 +50,7 @@ from bihom.algebra import (
 from bihom.cohomology import TreeCochain, dialg_coboundary
 from bihom.derivations import leibniz_rows
 from bihom.operad import circle, pi_element
-from bihom.scalars import Mat, solve_rows
+from bihom.scalars import ZERO, Mat, solve_rows
 from bihom.trees import DASHV, VDASH, trees
 
 # Tree indices of the two product slots in an arity-2 cochain.
@@ -67,11 +67,10 @@ def _compatible(base: BiHomDialgebra, f: TreeCochain) -> tuple[int, tuple[int, .
     """First (tree, args) where f fails to intertwine phi or psi, else None."""
     m = base.dim
     for M in (base.phi, base.psi):
+        cols = [M.col(a) for a in range(m)]
         for t in range(len(trees(f.degree))):
             for args in iproduct(range(m), repeat=f.degree):
-                lhs = M.apply(f.value(t, args))
-                rhs = f.eval(t, [M.apply(basis_vec(m, a)) for a in args])
-                if lhs != rhs:
+                if M.apply(f.value(t, args)) != f.eval(t, [cols[a] for a in args]):
                     return (t, args)
     return None
 
@@ -140,9 +139,7 @@ class TruncatedDeformation:
 
 
 def zero_deformation(base: BiHomDialgebra, order: int = 0) -> TruncatedDeformation:
-    return TruncatedDeformation(
-        base, [TreeCochain.zero(2, base.dim) for _ in range(order)]
-    )
+    return TruncatedDeformation(base, [TreeCochain.zero(2, base.dim) for _ in range(order)])
 
 
 # -- order-n residuals ------------------------------------------------------------
@@ -154,28 +151,34 @@ def deformation_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     Value on tree y at (a, b, c) is
     sum_{i+j=n} (e_a innerL_j e_b) outerL_i psi(e_c)
                - phi(e_a) outerR_i (e_b innerR_j e_c)
-    for the law attached to y.  Order 0 recovers the base residuals.
+    for the law attached to y, each outer product expanded over the
+    columns of its computed argument.  Order 0 recovers the base residuals.
     """
     if not 0 <= n <= defm.order:
         raise ValueError(f"order {n} out of range 0..{defm.order}")
-    base = defm.base
-    m = base.dim
+    base, m = defm.base, defm.base.dim
+    es = [basis_vec(m, a) for a in range(m)]
+    ps, qs = ([M.col(a) for a in range(m)] for M in (base.phi, base.psi))
+    # order-i products on basis columns: plain, psi(e_c) on the right, phi(e_a) on the left
+    plain, right, left = (
+        {(i, t): [[defm.product(i, t, x, y) for y in ys] for x in xs] for i in range(n + 1) for t in (0, 1)}
+        for xs, ys in ((es, es), (es, qs), (ps, es))
+    )
     data: dict[tuple[int, tuple[int, ...]], Vec] = {}
     for t, law in enumerate(LAW_FOR_TREE):
-        (outer_l, inner_l), (outer_r, inner_r) = DIALGEBRA_LAWS[law]
-        tl_out, tl_in = _OP_TREE[outer_l], _OP_TREE[inner_l]
-        tr_out, tr_in = _OP_TREE[outer_r], _OP_TREE[inner_r]
+        (ol, il), (or_, ir) = ((_OP_TREE[x], _OP_TREE[y]) for x, y in DIALGEBRA_LAWS[law])
         for a, b, c in iproduct(range(m), repeat=3):
-            ea, eb, ec = basis_vec(m, a), basis_vec(m, b), basis_vec(m, c)
-            pc, pa = base.psi.apply(ec), base.phi.apply(ea)
-            acc = zero_vec(m)
+            acc = [ZERO] * m
             for i in range(n + 1):
-                j = n - i
-                lhs = defm.product(i, tl_out, defm.product(j, tl_in, ea, eb), pc)
-                rhs = defm.product(i, tr_out, pa, defm.product(j, tr_in, eb, ec))
-                acc = vec_add(acc, vec_sub(lhs, rhs))
-            if not is_zero_vec(acc):
-                data[(t, (a, b, c))] = acc
+                for sign, u, outs in ((1, plain[n - i, il][a][b], [row[c] for row in right[i, ol]]),
+                                      (-1, plain[n - i, ir][b][c], left[i, or_][a])):
+                    for p, up in enumerate(u):
+                        if up:
+                            up *= sign
+                            for k, v in enumerate(outs[p]):
+                                acc[k] += up * v
+            if any(acc):
+                data[(t, (a, b, c))] = tuple(acc)
     return TreeCochain(3, m, data)
 
 
@@ -189,16 +192,13 @@ def operadic_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     return total
 
 
-def displayed_family_residuals(
-    defm: TruncatedDeformation, n: int
-) -> dict[str, TreeCochain]:
+def displayed_family_residuals(defm: TruncatedDeformation, n: int) -> dict[str, TreeCochain]:
     """The residual split per law, keyed by law name, for reporting."""
     full = deformation_residual(defm, n)
-    out = {}
-    for t, law in enumerate(LAW_FOR_TREE):
-        data = {k: v for k, v in full.data.items() if k[0] == t}
-        out[law] = TreeCochain(3, defm.base.dim, data)
-    return out
+    return {
+        law: TreeCochain(3, full.dim, {(t, args): v for args, v in full.groups[t]})
+        for t, law in enumerate(LAW_FOR_TREE)
+    }
 
 
 @dataclass(frozen=True)

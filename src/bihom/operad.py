@@ -8,8 +8,11 @@ block) and twists pass-through arguments by powers of phi and psi, left
 arguments getting phi and right arguments psi.
 
 Every composition is one rule, f(R0 y; T_1 g_1(R_1 y; ...), ...,
-T_k g_k(R_k y; ...)), evaluated by a single loop over trees and basis
-arguments; a slot of f may also take a pass-through basis argument.
+T_k g_k(R_k y; ...)), evaluated as a contraction: slot j contributes
+g_j's support entries on R_j y, each twisted once by T_j (a pass-through
+slot, the nonzero columns of its twist), the output's arguments run over
+the product of those entries only, and f is contracted over its entries
+on R0 y.  Trees with the same retractions share one contraction.
 `partial_composition` fills one slot with an untwisted factor and twists
 the pass-through arguments, `gamma_direct` twists each factor's output,
 and `dot` inserts two twisted factors into the products' element.
@@ -30,18 +33,14 @@ from __future__ import annotations
 
 from itertools import combinations, product as iproduct
 
-from bihom.algebra import BiHomDialgebra, Vec, is_zero_vec
-from bihom.cohomology import TreeCochain
-from bihom.scalars import ONE, ZERO
+from bihom.algebra import BiHomDialgebra, Vec, basis_vec, is_zero_vec
+from bihom.cohomology import TreeCochain, _contract
 from bihom.trees import orientations, r0, ri, tree_index, trees
 
 
 def identity_element(dim: int) -> TreeCochain:
     """Arity-1 identity: returns its argument on the unique tree."""
-    data = {}
-    for i in range(dim):
-        data[(0, (i,))] = tuple(ONE if k == i else ZERO for k in range(dim))
-    return TreeCochain(1, dim, data)
+    return TreeCochain(1, dim, {(0, (i,)): basis_vec(dim, i) for i in range(dim)})
 
 
 def pi_element(A: BiHomDialgebra) -> TreeCochain:
@@ -58,43 +57,43 @@ def pi_element(A: BiHomDialgebra) -> TreeCochain:
 
 
 def _compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeCochain:
-    """The one composition loop: f on the outer retraction R0 y, with
-    factor j's output twisted by T_j.
+    """f on the outer retraction R0 y, with factor j's output twisted by T_j.
 
-    `factors` holds one (g_j, T_j) per slot of f.  g_j is a cochain
-    evaluated on its inner retraction, or None for a pass-through basis
-    argument; T_j is a Mat, or None for no twist.
+    `factors` holds one (g_j, T_j) per slot of f: g_j a cochain read on
+    its inner retraction, or None for a pass-through basis argument, and
+    T_j a Mat, or None for no twist.
     """
     dim = A.dim
     if f.dim != dim or any(g is not None and g.dim != dim for g, _ in factors):
         raise ValueError("cochain dimension mismatch")
     parts = tuple(1 if g is None else g.degree for g, _ in factors)
     N = sum(parts)
-    starts = [sum(parts[:j]) for j in range(len(parts))]
-    basis = [tuple(ONE if s == k else ZERO for s in range(dim)) for k in range(dim)]
-    # a pass-through argument is a fixed column of its twist
-    passed = [
-        (basis if T is None else [T.apply(e) for e in basis]) if g is None else None
-        for g, T in factors
-    ]
+    es = [basis_vec(dim, k) for k in range(dim)]
+    slots: dict[tuple[int, int | None], list[tuple[tuple[int, ...], Vec]]] = {}
+    sums: dict[tuple, list[tuple[tuple[int, ...], Vec]]] = {}
     data = {}
     for yi, y in enumerate(trees(N)):
-        # retractions located once per tree, so eval gets indices, not trees to look up
         outer = tree_index(r0(y, parts))
-        inners = [
+        inners = tuple(
             None if g is None else tree_index(ri(y, parts, j + 1)) for j, (g, _) in enumerate(factors)
-        ]
-        for b in iproduct(range(dim), repeat=N):
-            args: list[Vec] = []
-            for j, (g, T) in enumerate(factors):
-                if g is None:
-                    args.append(passed[j][b[starts[j]]])
-                    continue
-                v = g.eval(inners[j], [basis[x] for x in b[starts[j] : starts[j] + parts[j]]])
-                args.append(v if T is None else T.apply(v))
-            val = f.eval(outer, args)
-            if not is_zero_vec(val):
-                data[(yi, b)] = val if sign == 1 else tuple(sign * v for v in val)
+        )
+        if (outer, inners) not in sums:
+            sums[outer, inners] = out = []
+            entries = f.groups[outer]
+            for j, t in enumerate(inners if entries else ()):
+                if (j, t) not in slots:
+                    # slot j's nonzero values in argument order, each twisted once
+                    g, T = factors[j]
+                    pairs = [((x,), e) for x, e in enumerate(es)] if g is None else sorted(g.groups[t])
+                    pairs = pairs if T is None else [(a, T.apply(v)) for a, v in pairs]
+                    slots[j, t] = [(a, v) for a, v in pairs if not is_zero_vec(v)]
+            for combo in iproduct(*(slots[j, t] for j, t in enumerate(inners))) if entries else ():
+                val = _contract(entries, [v for _, v in combo], dim)
+                if not is_zero_vec(val):
+                    b = sum((a for a, _ in combo), ())
+                    out.append((b, val if sign == 1 else tuple(sign * v for v in val)))
+        for b, val in sums[outer, inners]:
+            data[(yi, b)] = val
     return TreeCochain(N, dim, data)
 
 

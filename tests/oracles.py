@@ -4,7 +4,9 @@ Deliberately naive: textbook row reduction over Fraction lists, plus
 integer elimination modulo large primes, sharing no code with the
 package's Mat/Subspace implementation.  The coboundary is also written
 out here term by term through `TreeCochain.eval`, independent of the
-sparse delta rows that the library applies.  The cochain spaces are
+block tables that the library applies, and so is the operad's
+composition rule, evaluated on every tree and basis tuple where the
+library contracts over the factors' supports.  The cochain spaces are
 also built here the direct way, in ambient coordinates, as the reference
 for the library's compatible-coordinate route; that reference does use
 the package's sparse eliminator, so it checks the construction, not the
@@ -33,7 +35,7 @@ from bihom.cohomology import (
     hoch_coboundary_rows,
 )
 from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows
-from bihom.trees import face, orientations, tree_index, trees
+from bihom.trees import face, orientations, r0, ri, tree_index, trees
 
 # the ten smallest primes above 10**6
 PRIMES = (
@@ -293,6 +295,52 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
         if not is_zero_vec(val):
             data[b] = val
     return HochschildCochain(n + 1, m, data)
+
+
+# -- compositions, evaluated on every basis tuple -----------------------------
+
+
+def compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeCochain:
+    """The composition loop `bihom.operad._compose` replaced by a
+    contraction, kept as its reference: f on the outer retraction R0 y,
+    with factor j's output twisted by T_j, evaluated through `eval` on
+    every tree and every basis tuple.
+
+    `factors` holds one (g_j, T_j) per slot of f.  g_j is a cochain
+    evaluated on its inner retraction, or None for a pass-through basis
+    argument; T_j is a Mat, or None for no twist.
+    """
+    dim = A.dim
+    if f.dim != dim or any(g is not None and g.dim != dim for g, _ in factors):
+        raise ValueError("cochain dimension mismatch")
+    parts = tuple(1 if g is None else g.degree for g, _ in factors)
+    N = sum(parts)
+    starts = [sum(parts[:j]) for j in range(len(parts))]
+    basis = [tuple(ONE if s == k else ZERO for s in range(dim)) for k in range(dim)]
+    # a pass-through argument is a fixed column of its twist
+    passed = [
+        (basis if T is None else [T.apply(e) for e in basis]) if g is None else None
+        for g, T in factors
+    ]
+    data = {}
+    for yi, y in enumerate(trees(N)):
+        # retractions located once per tree, so eval gets indices, not trees to look up
+        outer = tree_index(r0(y, parts))
+        inners = [
+            None if g is None else tree_index(ri(y, parts, j + 1)) for j, (g, _) in enumerate(factors)
+        ]
+        for b in iproduct(range(dim), repeat=N):
+            args: list[Vec] = []
+            for j, (g, T) in enumerate(factors):
+                if g is None:
+                    args.append(passed[j][b[starts[j]]])
+                    continue
+                v = g.eval(inners[j], [basis[x] for x in b[starts[j] : starts[j] + parts[j]]])
+                args.append(v if T is None else T.apply(v))
+            val = f.eval(outer, args)
+            if not is_zero_vec(val):
+                data[(yi, b)] = val if sign == 1 else tuple(sign * v for v in val)
+    return TreeCochain(N, dim, data)
 
 
 # -- the cochain spaces, eliminated in ambient coordinates ---------------------

@@ -150,6 +150,52 @@ def test_eval_extends_value_multilinearly(cls):
         assert f.eval(1, [x, y]) == (0, 0)
 
 
+def test_eval_refuses_a_tree_index_out_of_range():
+    f = TreeCochain(2, 2, {(0, (0, 1)): (1, 1)})
+    x = (Fraction(1), Fraction(0))
+    for t in (7, 2, -1):
+        with pytest.raises(ValueError, match=f"^tree index {t} out of range 0..1 for degree 2$"):
+            f.eval(t, [x, x])
+    with pytest.raises(ValueError, match="^tree has 3 internal nodes, degree is 2$"):
+        f.eval(trees(3)[0], [x, x])
+
+
+@BOTH_KINDS
+def test_eval_refuses_argument_vectors_of_the_wrong_length(cls):
+    f = cls(2, 2, {keyed(cls, 0, (0, 1)): (1, 1)})
+    tree = (0,) if cls is TreeCochain else ()
+    x = (Fraction(1), Fraction(1))
+    for bad in ((Fraction(1),), (Fraction(1), Fraction(1), Fraction(1))):
+        with pytest.raises(ValueError, match=f"^argument 1 has length {len(bad)}, not 2$"):
+            f.eval(*tree, [x, bad])
+        with pytest.raises(ValueError, match=f"^argument 0 has length {len(bad)}, not 2$"):
+            f.eval(*tree, [bad, x])
+    with pytest.raises(ValueError, match="^argument count mismatch: 3 arguments for degree 2$"):
+        f.eval(*tree, [x, x, x])
+
+
+@BOTH_KINDS
+def test_value_refuses_an_args_tuple_of_the_wrong_arity(cls):
+    f = cls(2, 2, {keyed(cls, 0, (0, 1)): (1, 1)})
+    tree = (0,) if cls is TreeCochain else ()
+    for args in ((0,), (0, 1, 1), ()):
+        with pytest.raises(ValueError, match=f"^argument count mismatch: {len(args)} arguments for degree 2$"):
+            f.value(*tree, args)
+
+
+@BOTH_KINDS
+def test_value_refuses_an_argument_index_out_of_range(cls):
+    f = cls(2, 2, {keyed(cls, 0, (0, 1)): (1, 1)})
+    tree = (0,) if cls is TreeCochain else ()
+    with pytest.raises(ValueError, match="^argument 1 is 2, out of range 0..1$"):
+        f.value(*tree, (0, 2))
+    with pytest.raises(ValueError, match="^argument 0 is -1, out of range 0..1$"):
+        f.value(*tree, (-1, 0))
+    if cls is TreeCochain:
+        with pytest.raises(ValueError, match="^tree index 2 out of range 0..1 for degree 2$"):
+            f.value(2, (0, 1))
+
+
 def test_dialg_delta_squared_vanishes_across_catalog():
     """delta(delta f) = 0 on random compatible cochains, degrees 1 -> 3."""
     rng = random.Random(101)
@@ -405,9 +451,25 @@ def random_cochain(cls, rng, degree, dim, support=6):
     return cls(degree, dim, data)
 
 
+def assert_coboundary_matches_oracle(X, f, label):
+    """delta f from the library equals the term-by-term oracle entry for
+    entry and in key order; the ambient delta rows, applied to f's
+    coordinates, give the same coordinates."""
+    if isinstance(f, TreeCochain):
+        got, want = dialg_coboundary(X, f), oracles.dialg_coboundary(X, f)
+        rows = dialg_coboundary_rows(X, f.degree)
+    else:
+        got, want = hoch_coboundary(X, f), oracles.hoch_coboundary(X, f)
+        rows = hoch_coboundary_rows(X, f.degree)
+    assert got == want and list(got.data) == list(want.data), label
+    x = f.flatten()
+    assert tuple(sum((c * x[j] for j, c in row.items()), Fraction(0)) for row in rows) == want.flatten(), label
+
+
 def test_coboundary_rows_agree_with_direct_evaluation():
-    """delta f applied through the delta rows equals the term-by-term
-    oracle entry for entry, on arbitrary and on compatible cochains."""
+    """delta f applied from the block tables equals the term-by-term
+    oracle entry for entry, on arbitrary and on compatible cochains; so
+    do the ambient delta rows, applied to the flattened cochain."""
     rng = random.Random(71)
     for name, entry in catalog().items():
         for i, binding in enumerate(rand_bindings(entry, rng, count=2)):
@@ -421,9 +483,7 @@ def test_coboundary_rows_agree_with_direct_evaluation():
                 # the oracle is slow at degree 3 (it evaluates every term on
                 # every basis tuple), so there each binding checks one kind
                 for f in kinds if n < 3 else kinds[i : i + 1]:
-                    assert dialg_coboundary(A, f) == oracles.dialg_coboundary(A, f), (
-                        name, binding, n,
-                    )
+                    assert_coboundary_matches_oracle(A, f, (name, binding, n))
     for N in (nil2(), sheared()):
         for n in (1, 2, 3, 4):
             space = hoch_compatible_space(N, n)
@@ -431,7 +491,25 @@ def test_coboundary_rows_agree_with_direct_evaluation():
                 random_cochain(HochschildCochain, rng, n, 2),
                 random_compatible_cochain(space, rng, n, 2, tree_indexed=False),
             ):
-                assert hoch_coboundary(N, f) == oracles.hoch_coboundary(N, f), (N.name, n)
+                assert_coboundary_matches_oracle(N, f, (N.name, n))
+
+
+def test_coboundary_matches_the_oracle_on_one_tree_and_on_zero():
+    """A cochain supported on a single tree (each tree in turn) and the
+    zero cochain, in both complexes."""
+    rng = random.Random(72)
+    for A in (catalog()["Alg3_3"].build(b=1), catalog()["Alg2_4"].build(**{p: 1 for p in catalog()["Alg2_4"].params})):
+        for n in (1, 2, 3):
+            assert_coboundary_matches_oracle(A, TreeCochain.zero(n, A.dim), (A.name, n, "zero"))
+            for t in range(len(trees(n))):
+                f = TreeCochain(n, A.dim, {
+                    (t, tuple(rng.randrange(A.dim) for _ in range(n))): tuple(rng.randint(-3, 3) for _ in range(A.dim))
+                    for _ in range(4)
+                })
+                assert set(key[0] for key in f.data) <= {t}
+                assert_coboundary_matches_oracle(A, f, (A.name, n, t))
+    for n in (1, 2, 3, 4):
+        assert_coboundary_matches_oracle(nil2(), HochschildCochain.zero(n, 2), ("nil2", n, "zero"))
 
 
 def test_coboundary_refuses_a_cochain_of_another_dimension():

@@ -18,7 +18,7 @@ from bihom.algebra import (
     law_residual,
     table_from_entries,
 )
-from bihom.cohomology import dialg_compatible_space, random_compatible_cochain
+from bihom.cohomology import TreeCochain, dialg_compatible_space, random_compatible_cochain
 from bihom.deformation import LAW_FOR_TREE
 from bihom.operad import (
     bracket,
@@ -32,6 +32,9 @@ from bihom.operad import (
     partial_composition,
     pi_element,
 )
+from bihom.trees import trees
+
+import oracles
 
 
 def perturbed():
@@ -215,3 +218,85 @@ def test_compositions_refuse_a_cochain_of_another_dimension():
     ):
         with pytest.raises(ValueError, match="cochain dimension mismatch"):
             call()
+
+
+def random_tree_cochain(rng, degree, dim, support=6, tree=None):
+    """A cochain on `support` random keys, not required to commute with
+    the twists; on one tree only when `tree` is given."""
+    ntrees = len(trees(degree))
+    return TreeCochain(degree, dim, {
+        (rng.randrange(ntrees) if tree is None else tree, tuple(rng.randrange(dim) for _ in range(degree))):
+        tuple(rng.randint(-3, 3) for _ in range(dim))
+        for _ in range(support)
+    })
+
+
+def composition_cases(A, f1, f2, f3, g2):
+    """Each composition entry point on cochains of degrees 1-3; f1, f2
+    and f3 have those degrees and g2 is a second degree-2 cochain."""
+    return {
+        "partial_composition": [(A, f2, 1, f1), (A, f1, 1, f3)],
+        "gamma": [(A, f2, [g2, f1])],
+        "gamma_direct": [(A, f2, [g2, f1])],
+        "braces": [(A, f2, [f1, g2]), (A, f2, [])],
+        "circle": [(A, f3, f1)],
+        "bracket": [(A, f2, g2)],
+        "dot": [(A, f1, f2)],
+    }
+
+
+def assert_matches_reference(monkeypatch, cases, label):
+    """Every call's output equals the same call with `_compose` replaced
+    by the eval-based reference loop, in data and in key order."""
+    import bihom.operad
+
+    for name, calls in cases.items():
+        fn = getattr(bihom.operad, name)
+        for args in calls:
+            got = fn(*args)
+            with monkeypatch.context() as patched:
+                patched.setattr(bihom.operad, "_compose", oracles.compose)
+                want = fn(*args)
+            assert (got.degree, got.dim) == (want.degree, want.dim), (label, name)
+            assert list(got.data.items()) == list(want.data.items()), (label, name)
+
+
+def test_compositions_match_the_reference_on_catalog_cochains(monkeypatch):
+    """Compatible catalog cochains of degrees 1-3, at two bindings."""
+    rng = random.Random(88)
+    for name, entry in catalog().items():
+        for binding in ({p: 1 for p in entry.params}, {p: Fraction(rng.randint(1, 5), 2) for p in entry.params}):
+            A = entry.build(**binding)
+            f1, f2, f3 = (
+                random_compatible_cochain(dialg_compatible_space(A, n), rng, n, A.dim, tree_indexed=True)
+                for n in (1, 2, 3)
+            )
+            g2 = random_compatible_cochain(dialg_compatible_space(A, 2), rng, 2, A.dim, tree_indexed=True)
+            assert_matches_reference(monkeypatch, composition_cases(A, f1, f2, f3, g2), (name, binding))
+
+
+def test_compositions_match_the_reference_where_gamma_and_gamma_direct_differ(monkeypatch):
+    """Cochains that do not intertwine the twists: there gamma and
+    gamma_direct differ, and each must still match the reference."""
+    rng = random.Random(89)
+    A = catalog()["Alg3_3"].build(b=1)
+    f1, f2, f3, g2 = (random_tree_cochain(rng, n, 3) for n in (1, 2, 3, 2))
+    assert gamma(A, f2, [g2, f1]) != gamma_direct(A, f2, [g2, f1])
+    assert_matches_reference(monkeypatch, composition_cases(A, f1, f2, f3, g2), "twisted")
+
+
+def test_compositions_match_the_reference_on_special_elements(monkeypatch):
+    """The zero cochain, the identity, pi, and cochains on a single tree."""
+    rng = random.Random(90)
+    A = catalog()["Alg3_1"].build(**{p: 1 for p in catalog()["Alg3_1"].params})
+    m = A.dim
+    zero1, zero2, zero3 = (TreeCochain.zero(n, m) for n in (1, 2, 3))
+    ident, pi = identity_element(m), pi_element(A)
+    one2, one3 = random_tree_cochain(rng, 2, m, tree=1), random_tree_cochain(rng, 3, m, tree=3)
+    for label, (f1, f2, f3, g2) in {
+        "zero": (zero1, zero2, zero3, zero2),
+        "zero factors": (zero1, pi, zero3, zero2),
+        "identity and pi": (ident, pi, one3, pi),
+        "single tree": (ident, one2, one3, one2),
+    }.items():
+        assert_matches_reference(monkeypatch, composition_cases(A, f1, f2, f3, g2), label)
