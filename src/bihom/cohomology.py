@@ -131,7 +131,7 @@ class _Cochain:
                 raise ValueError("value length mismatch")
             if not is_zero_vec(v):
                 clean[key] = v
-        groups: tuple[list, ...] = tuple([] for _ in range(ntrees))
+        groups: list[list] = [[] for _ in range(ntrees)]  # not a tuple: CPython keeps freed short tuples
         for key, v in clean.items():
             t, args = key if tree_keyed else (0, key)
             groups[t].append((args, v))
