@@ -24,7 +24,7 @@ from bihom.algebra import (
     check_bihom_associative,
     check_dialgebra,
 )
-from bihom.cohomology import HochschildCochain, cohomology_spaces
+from bihom.cohomology import HochschildCochain, cohomology_report, hoch_coboundary, hoch_compatible_space
 from bihom.deformation import (
     LAW_FOR_TREE,
     TruncatedDeformation,
@@ -393,20 +393,17 @@ def cohomology_cmd(file, name, degree, which, as_json):
         X = BiHomAssociativeAlgebra(X.dim, X.dashv, X.phi, X.psi, basis=X.basis, name=X.name)
     if which == "dialg" and isinstance(X, BiHomAssociativeAlgebra):
         X = X.as_dialgebra()
-    comp, Z, B = cohomology_spaces(X, degree)
-    # the quotient only makes sense when the differential squares to
-    # zero; on axiom-violating input report it as undefined instead
-    contained = Z.contains_space(B)
-    hdim = Z.dim - B.dim if contained else None
+    # on axiom-violating input the report leaves the quotient undefined
+    rep = cohomology_report(X, degree)
     r = _Report("cohomology", file=file, name=name, complex=which, degree=degree)
-    r.add("compatible_dim", comp.dim, f"compatible dim = {comp.dim}")
-    r.add("cocycle_dim", Z.dim, f"cocycle dim = {Z.dim}")
-    r.add("coboundary_dim", B.dim, f"coboundary dim = {B.dim}")
-    r.add("coboundaries_contained", contained)
+    r.add("compatible_dim", rep.compatible_dim, f"compatible dim = {rep.compatible_dim}")
+    r.add("cocycle_dim", rep.cocycle_dim, f"cocycle dim = {rep.cocycle_dim}")
+    r.add("coboundary_dim", rep.coboundary_dim, f"coboundary dim = {rep.coboundary_dim}")
+    r.add("coboundaries_contained", rep.contained)
     r.add(
         "cohomology_dim",
-        hdim,
-        f"cohomology dim = {hdim if hdim is not None else 'undefined (coboundaries escape cocycles)'}",
+        rep.cohomology_dim,
+        f"cohomology dim = {rep.cohomology_dim if rep.contained else 'undefined (coboundaries escape cocycles)'}",
     )
     if (
         which == "hoch"
@@ -414,10 +411,11 @@ def cohomology_cmd(file, name, degree, which, as_json):
         and degree in _REFERENCE_COCYCLES
         and X.dim == 3
     ):
+        C = hoch_compatible_space(X, degree)
         for args, target in _REFERENCE_COCYCLES[degree]:
             zero_based = tuple(a - 1 for a in args)
             f = HochschildCochain(degree, X.dim, {zero_based: basis_vec(X.dim, target - 1)})
-            member = Z.contains(f.flatten())
+            member = C.contains(f.flatten()) and hoch_coboundary(X, f).is_zero()
             r.item(
                 "reference_cocycles",
                 {"args": list(args), "target": target, "in_kernel": member},

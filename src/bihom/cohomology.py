@@ -38,12 +38,13 @@ mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
 tree, repeated per tree, and its canonical basis G is the shifted copies
 of K_n's.  Each distinct block row is restricted to K_n once; combined
 through the face offsets these give delta^n . G, whose distinct rows are
-few, and Z^n = G . ker(delta^n . G).  That basis is already canonical:
-row c of G has a unit at its pivot and every other row of G is zero
-there, so G^T w takes the value w_c at that pivot and leads at the pivot
-of w's leading index; reduced echelon rows of ker(delta^n . G) thus map
-to reduced echelon rows.  B^n pushes K_(n-1) through the block tables of
-delta^(n-1).  Nothing is eliminated over all of a degree's coordinates;
+few.  With r_n its rank, the report takes dim Z^n = dim C^n - r_n and
+dim B^n = r_(n-1) and builds no basis of Z^n.  B^n is spanned by delta
+of the rows of G_(n-1) at the pivot columns of delta^(n-1) . G_(n-1), and
+lies in Z^n exactly when each of those images lies in C^n, tree by tree,
+and is killed by delta^n . G.  The canonical Z^n is G . ker(delta^n . G):
+G's rows have unit pivots no other row touches, so reduced rows lift to
+reduced rows.  Nothing is eliminated over all of a degree's coordinates;
 `tests/oracles.py` keeps that route as the reference.
 """
 
@@ -61,14 +62,13 @@ from bihom.algebra import (
     Table,
     Vec,
     apply_table,
-    basis_vec,
     check_bihom_associative,
     is_multiplicative,
     is_zero_vec,
     vec_add,
     zero_vec,
 )
-from bihom.scalars import Mat, ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q
+from bihom.scalars import Mat, ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q, rank_rows
 from bihom.trees import DASHV, VDASH, Tree, face_layout, tree_index, trees
 
 
@@ -320,58 +320,60 @@ def _coboundary_blocks(
     of y), shifted to face i of y.  Everything that depends only on a
     basis index or a product (twist column supports, product cells, the
     expansions of P e_j and Q e_j through each product) is tabulated once.
+    Only argument tuples that give a nonzero row are visited, in ascending order.
     """
     m = phi.rows
     P = phi.power(n - 1)
     Q = psi.power(n - 1)
-    basis = [basis_vec(m, j) for j in range(m)]
     phi_sup = [_support(phi.col(j)) for j in range(m)]
     psi_sup = [_support(psi.col(j)) for j in range(m)]
+    phi_live = [x for x in range(m) if phi_sup[x]]
+    psi_live = [x for x in range(m) if psi_sup[x]]
     last_sign = -1 if (n + 1) % 2 else 1
     signs = [q(-1 if i % 2 else 1) for i in range(n + 1)]
-    arg_tuples = list(iproduct(range(m), repeat=n + 1))
+    size = m**n
 
-    def outer(expansions, args_of):
-        # the first or last block: rows (b, k) of f(args_of(b)) multiplied in
+    def outer(expansions, first):
+        # the first or last block: rows (b, k) of f on the other n arguments
+        # (rank s) with argument x multiplied in
         rows: dict[int, dict[int, Fraction]] = {}
-        for r, b in enumerate(arg_tuples):
-            base = _args_rank(args_of(b), m) * m
-            for j, col in expansions(b):
+        live = [x for x in range(m) if expansions[x]]
+        pairs = iproduct(live, range(size)) if first else ((x, s) for s in range(size) for x in live)
+        for x, s in pairs:
+            r = x * size + s if first else s * m + x
+            for j, col in expansions[x]:
                 for k, c in col:
-                    rows.setdefault(r * m + k, {})[base + j] = c
+                    rows.setdefault(r * m + k, {})[s * m + j] = c
         return rows
 
     tables: dict[tuple[int, str], dict[int, dict[int, Fraction]]] = {}
     for name, table in products.items():
         cells = [[_support(cell) for cell in line] for line in table]
         left = [
-            [(j, _support(col)) for j, col in _expand_product(table, P.apply(e), m)]
-            for e in basis
+            [(j, _support(col)) for j, col in _expand_product(table, P.col(x), m)]
+            for x in range(m)
         ]
         transposed = list(zip(*table))
         right = [
             [
                 (j, [(k, last_sign * c) for k, c in _support(col)])
-                for j, col in _expand_product(transposed, Q.apply(e), m)
+                for j, col in _expand_product(transposed, Q.col(x), m)
             ]
-            for e in basis
+            for x in range(m)
         ]
-        tables[0, name] = outer(lambda b: left[b[0]], lambda b: b[1:])
+        live_cells = [(x, y, cell) for x, line in enumerate(cells) for y, cell in enumerate(line) if cell]
+        tables[0, name] = outer(left, True)
         for i in range(1, n + 1):
             rows = {}
-            for r, b in enumerate(arg_tuples):
-                cell = cells[b[i - 1]][b[i]]
-                if not cell:
-                    continue
-                vecs = [phi_sup[x] for x in b[: i - 1]]
-                vecs.append(cell)
-                vecs += [psi_sup[x] for x in b[i + 1 :]]
+            spans = iproduct(iproduct(phi_live, repeat=i - 1), live_cells, iproduct(psi_live, repeat=n - i))
+            for pre, (x, y, cell), suf in spans:
+                vecs = [phi_sup[z] for z in pre] + [cell] + [psi_sup[z] for z in suf]
                 terms = _expand(vecs, m, signs[i])  # distinct combos give distinct tuples
-                if terms:
-                    for k in range(m):
-                        rows[r * m + k] = {a + k: c for a, c in terms}
+                r = _args_rank(pre + (x, y) + suf, m)
+                for k in range(m):
+                    rows[r * m + k] = {a + k: c for a, c in terms}
             tables[i, name] = rows
-        tables[n + 1, name] = outer(lambda b: right[b[n]], lambda b: b[:-1])
+        tables[n + 1, name] = outer(right, False)
     return tables
 
 
@@ -520,10 +522,11 @@ class _Complex:
 
     def kernel(self, n: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """K_n: the canonical basis of one tree's compatible cochains, over
-        its m^(n+1) local coordinates.  No compatibility row mixes trees."""
+        its m^(n+1) local coordinates.  No compatibility row mixes trees,
+        and equal twists give their rows once."""
         if n not in self._kernel:
             X = self.X
-            rows = _compat_rows((X.phi, X.psi), X.dim, n)
+            rows = _compat_rows((X.phi,) if X.phi == X.psi else (X.phi, X.psi), X.dim, n)
             self._kernel[n] = nullspace_rows(rows, X.dim ** (n + 1)).sparse_rows()
         return self._kernel[n]
 
@@ -573,19 +576,12 @@ class _Complex:
             for row in K
         ])
 
-    def cocycles(self, n: int) -> Subspace:
-        """Z^n = G . ker(delta^n . G), G the canonical basis of C^n.
-
-        delta^n . G is solved over the coordinates t * dim K_n + a of row
-        a of K_n on tree t.  Output coordinates that read the same
-        restrictions give the same row on every tree, so each tree
-        combines one row per class of them, and only distinct rows are
-        kept.  G's value at the pivot of its row c is that row's
-        coefficient, so the canonical kernel lifts to canonical rows.
-        """
-        dim = self.cochain_dim(n)
-        K = self.kernel(n)
-        dK, size = len(K), self.X.dim ** (n + 1)
+    def delta_g(self, n: int) -> list[dict[int, Fraction]]:
+        """The distinct nonzero rows of delta^n . G, G the canonical basis of
+        C^n, over the coordinates t * dim K_n + a of row a of K_n on tree t.
+        Output coordinates that read the same restrictions give the same row
+        on every tree, so each tree combines one row per class of them."""
+        dK = len(self.kernel(n))
         ids, images = self.restricted(n)
         classes = dict.fromkeys(zip(*ids.values()))
         pos = {key: s for s, key in enumerate(ids)}
@@ -605,7 +601,13 @@ class _Complex:
                 key = tuple(sorted((c, v) for c, v in row.items() if v))
                 if key:
                     rows[key] = None
-        w = nullspace_rows([dict(row) for row in rows], self.cochain._ntrees(n) * dK)
+        return [dict(row) for row in rows]
+
+    def cocycles(self, n: int) -> Subspace:
+        """Z^n = G . ker(delta^n . G), lifted row by row; see the module notes."""
+        dim, K = self.cochain_dim(n), self.kernel(n)
+        dK, size = len(K), self.X.dim ** (n + 1)
+        w = nullspace_rows(self.delta_g(n), self.cochain._ntrees(n) * dK)
         lifted = []
         for wrow in w.sparse_rows():
             acc: dict[int, Fraction] = {}
@@ -617,37 +619,72 @@ class _Complex:
             lifted.append({j: v for j, v in acc.items() if v})
         return Subspace._from_rref(dim, lifted)
 
-    def coboundaries(self, n: int) -> Subspace:
-        """B^n = delta(C^(n-1)): the restricted block tables of delta^(n-1)
-        give each row of K_(n-1) pushed through each block; its image on a
-        tree of G_(n-1) is those pushes shifted to every output tree whose
-        block reads that tree."""
-        out_dim = self.cochain_dim(n)
+    def images(self, n: int) -> list[dict[int, Fraction]]:
+        """A basis of B^n: delta of the rows of G_(n-1) at the pivot columns
+        of delta^(n-1) . G_(n-1), which row operations keep independent and
+        spanning.  Row a of K_(n-1) on tree t is pushed through the restricted
+        block tables and shifted to every output tree whose block reads t."""
         if n == 1:
-            return Subspace(out_dim, [])
-        ids, images = self.restricted(n - 1)
-        dK = len(self.kernel(n - 1))
-        size = self.X.dim ** (n + 1)
-        pushed = {}
-        for key, col in ids.items():
-            per_row: list[dict[int, Fraction]] = [{} for _ in range(dK)]
-            for r, rid in enumerate(col):
-                for a, v in images[rid].items():
-                    per_row[a][r] = v
-            pushed[key] = per_row
-        reads: dict[int, list[tuple[int, list[dict[int, Fraction]]]]] = {}
-        for y, (faces, ors) in enumerate(self.layout(n - 1)):
-            for i, (f, p) in enumerate(zip(faces, ors)):
-                reads.setdefault(f, []).append((y * size, pushed[i, p]))
+            return []
         elim = _Eliminator()
-        for t in range(self.cochain._ntrees(n - 1)):
-            for a in range(dK):
-                img: dict[int, Fraction] = {}
-                for off, per_row in reads.get(t, ()):
-                    for r, v in per_row[a].items():
-                        img[off + r] = img[off + r] + v if off + r in img else v
-                elim.add(img)
-        return Subspace._from_rref(out_dim, elim.rref()[1])
+        elim.add_many(self.delta_g(n - 1))
+        ids, images = self.restricted(n - 1)
+        dK, size = len(self.kernel(n - 1)), self.X.dim ** (n + 1)
+        picked = [divmod(c, dK) for c in sorted(elim.pivots)]
+        wanted = {a for _, a in picked}
+        kept = [[(a, v) for a, v in img.items() if a in wanted] for img in images]
+        pushed = {key: {a: {} for a in wanted} for key in ids}
+        for key, col in ids.items():
+            for r, rid in enumerate(col):
+                for a, v in kept[rid]:
+                    pushed[key][a][r] = v
+        out: dict[tuple[int, int], dict[int, Fraction]] = {ta: {} for ta in picked}
+        for y, (faces, ors) in enumerate(self.layout(n - 1)):
+            for i, (t, p) in enumerate(zip(faces, ors)):
+                for a, per_row in pushed[i, p].items():
+                    img = out.get((t, a))
+                    for r, v in per_row.items() if img is not None else ():
+                        r += y * size
+                        img[r] = img[r] + v if r in img else v
+        return [{c: v for c, v in img.items() if v} for img in out.values()]
+
+    def coboundaries(self, n: int) -> Subspace:
+        """B^n, the canonical form of `images`; the zero space at n = 1."""
+        dim = self.cochain_dim(n)
+        elim = _Eliminator()
+        elim.add_many(self.images(n))
+        return Subspace._from_rref(dim, elim.rref()[1])
+
+    def report(self, n: int) -> CohomologyReport:
+        """Dimensions from ranks, r_k the rank of delta^k . G_k: dim C^n is
+        |Y_n| dim K_n, dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  B^n
+        lies in Z^n when each basis image lies in K_n's span on every tree
+        and its G-coordinates, read at K_n's pivots, are killed by delta^n . G."""
+        self.cochain_dim(n)  # refuses n < 1 before any kernel work
+        K, size, rows = self.kernel(n), self.X.dim ** (n + 1), self.delta_g(n)
+        span, at = Subspace._from_rref(size, map(dict, K)), {row[0][0]: a for a, row in enumerate(K)}
+        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                by_col.setdefault(c, []).append((i, v))
+
+        def killed(img: dict[int, Fraction]) -> bool:
+            local: dict[int, dict[int, Fraction]] = {}
+            for c, v in img.items():
+                local.setdefault(c // size, {})[c % size] = v
+            acc: dict[int, Fraction] = {}
+            for t, x in local.items():
+                if span.residual(x.items()):
+                    return False
+                for j, w in x.items():
+                    for i, v in by_col.get(t * len(K) + at[j], ()) if j in at else ():
+                        acc[i] = acc[i] + w * v if i in acc else w * v
+            return not any(acc.values())
+
+        B = self.images(n)
+        contained = all(map(killed, B))
+        dim_z = (dim_c := self.cochain._ntrees(n) * len(K)) - rank_rows(rows)
+        return CohomologyReport(n, dim_c, dim_z, len(B), dim_z - len(B) if contained else None, contained)
 
 
 def dialg_compatible_space(A: BiHomDialgebra, n: int) -> Subspace:
@@ -677,6 +714,14 @@ def hoch_coboundaries(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
     return _Complex(A, HochschildCochain).coboundaries(n)
 
 
+def _complex_of(X: BiHomDialgebra | BiHomAssociativeAlgebra) -> _Complex:
+    if isinstance(X, BiHomDialgebra):
+        return _Complex(X, TreeCochain)
+    if isinstance(X, BiHomAssociativeAlgebra):
+        return _Complex(X, HochschildCochain)
+    raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
+
+
 def cohomology_spaces(
     X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int
 ) -> tuple[Subspace, Subspace, Subspace]:
@@ -685,12 +730,7 @@ def cohomology_spaces(
     The complex is the tree complex for a dialgebra and the one-product
     complex for an algebra.  C^n and Z^n share one set of compatibility rows.
     """
-    if isinstance(X, BiHomDialgebra):
-        cx = _Complex(X, TreeCochain)
-    elif isinstance(X, BiHomAssociativeAlgebra):
-        cx = _Complex(X, HochschildCochain)
-    else:
-        raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
+    cx = _complex_of(X)
     return cx.compatible_space(n), cx.cocycles(n), cx.coboundaries(n)
 
 
@@ -700,7 +740,14 @@ class CohomologyReport:
     compatible_dim: int
     cocycle_dim: int
     coboundary_dim: int
-    cohomology_dim: int
+    cohomology_dim: int | None
+    contained: bool = True
+
+
+def cohomology_report(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> CohomologyReport:
+    """The dimensions of C^n, Z^n, B^n and Z^n / B^n, from ranks.  Where
+    B^n escapes Z^n, `contained` is False and cohomology_dim is None."""
+    return _complex_of(X).report(n)
 
 
 def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> CohomologyReport:
@@ -710,8 +757,9 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
     ArithmeticError if the coboundary space escapes the cocycle space,
     which would mean the complex is broken for this algebra.
     """
-    C, Z, B = cohomology_spaces(X, n)
-    if not Z.contains_space(B):
+    rep = cohomology_report(X, n)
+    if not rep.contained:
+        _, Z, B = cohomology_spaces(X, n)
         i, res = next((i, res) for i, r in enumerate(B.sparse_rows()) if (res := Z.residual(r)))
         coord = min(res)
         t, args, k = _decode(coord, n, X.dim)
@@ -721,13 +769,7 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
             f"has residual {res[coord]} at {where}args "
             f"({', '.join(X.basis[a] for a in args)}), output {X.basis[k]}"
         )
-    return CohomologyReport(
-        degree=n,
-        compatible_dim=C.dim,
-        cocycle_dim=Z.dim,
-        coboundary_dim=B.dim,
-        cohomology_dim=Z.dim - B.dim,
-    )
+    return rep
 
 
 def _decode(coord: int, n: int, m: int) -> tuple[int, tuple[int, ...], int]:

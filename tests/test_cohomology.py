@@ -10,6 +10,7 @@ import bihom.cohomology
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
+    assoc_readings,
     catalog,
     map_from_entries,
     table_from_entries,
@@ -18,6 +19,7 @@ from bihom.cohomology import (
     HochschildCochain,
     TreeCochain,
     cohomology,
+    cohomology_report,
     cohomology_spaces,
     dialg_coboundaries,
     dialg_coboundary,
@@ -254,6 +256,42 @@ def test_perturbed_product_breaks_the_complex():
             found = True
             break
     assert found
+
+
+def perturbed_assoc():
+    """Assoc3_A with e1 e1 = e2: the product that acceptance 5 perturbs."""
+    base = assoc_readings()["Assoc3_A"]
+    mul = {
+        (i + 1, j + 1): {k + 1: c for k, c in enumerate(base.mul[i][j]) if c}
+        for i in range(3)
+        for j in range(3)
+    }
+    mul[(1, 1)] = {2: 1}
+    return BiHomAssociativeAlgebra(3, table_from_entries(3, mul), base.phi, base.psi)
+
+
+def test_exact_containment_is_an_exact_delta_squared_check():
+    """The exact counterpart of the random check: the report's containment
+    flag says that delta^n . delta^(n-1) vanishes on all of C^(n-1), with
+    every image of C^(n-1) compatible.  It holds on the catalog in degrees
+    2-4; on the perturbed product it fails in degree 3, where delta-squared
+    is nonzero on a basis row of C^2 and on a random compatible cochain."""
+    for entry in catalog().values():
+        A = entry.build(**{p: 1 for p in entry.params})
+        assert all(cohomology_report(A, n).contained for n in (2, 3, 4)), A.name
+    P = perturbed_assoc()
+    assert not cohomology_report(P, 3).contained
+    space = hoch_compatible_space(P, 2)
+    squares = [
+        hoch_coboundary(P, hoch_coboundary(P, HochschildCochain.unflatten(2, 3, row)))
+        for row in space.basis_rows()
+    ]
+    assert not all(sq.is_zero() for sq in squares)
+    rng = random.Random(15)
+    assert any(
+        not hoch_coboundary(P, hoch_coboundary(P, random_compatible_cochain(space, rng, 2, 3, False))).is_zero()
+        for _ in range(20)
+    )
 
 
 def test_coboundary_preserves_compatibility():
@@ -543,15 +581,15 @@ def test_hoch_coboundary_refuses_the_other_kind():
 
 
 def test_spaces_agree_with_the_ambient_oracle():
-    """C^n, Z^n and B^n from compatible coordinates equal, row for row,
-    the spaces eliminated over every coordinate of every tree."""
+    """C^n, Z^n and B^n from compatible coordinates, B^n pushed from the
+    pivot columns, equal row for row the spaces eliminated over every
+    coordinate of every tree.  The rank report gives their dimensions,
+    and its containment flag is the oracle's B^n inside its Z^n."""
     rng = random.Random(83)
     cases = []
     for entry in catalog().values():
-        for binding in ({p: 1 for p in entry.params}, rand_bindings(entry, rng, count=1)[0]):
-            cases += [(entry.build(**binding), n) for n in (1, 2, 3)]
-    cases += [(catalog()[name].build(**{p: 1 for p in catalog()[name].params}), 4)
-              for name in ("Alg3_3", "Alg2_2")]
+        cases += [(entry.build(**{p: 1 for p in entry.params}), n) for n in (1, 2, 3, 4)]
+        cases += [(entry.build(**rand_bindings(entry, rng, count=1)[0]), n) for n in (1, 2, 3)]
     cases += [(nil2(), n) for n in range(1, 9)]
     for X in (sheared(), broken()):
         cases += [(Y, n) for Y in (X, X.as_dialgebra()) for n in (1, 2, 3, 4)]
@@ -563,6 +601,37 @@ def test_spaces_agree_with_the_ambient_oracle():
         got = cohomology_spaces(X, n)
         want = oracles.ambient_cohomology_spaces(X, n)
         assert [S.sparse_rows() for S in got] == [S.sparse_rows() for S in want], (X, n)
+        rep = cohomology_report(X, n)
+        C, Z, B = want
+        assert (rep.compatible_dim, rep.cocycle_dim, rep.coboundary_dim) == (C.dim, Z.dim, B.dim), (X, n)
+        assert rep.contained == Z.contains_space(B), (X, n)
+        assert rep.cohomology_dim == (Z.dim - B.dim if rep.contained else None), (X, n)
+
+
+def test_rank_of_delta_g_matches_a_modular_rank():
+    """r_n = dim C^n - dim Z^n is the rank of delta^n . G, G the canonical
+    basis of C^n; here that product is formed from the ambient delta rows
+    and ranked modulo a prime by the oracle.  It is also dim B^(n+1)."""
+    for entry in catalog().values():
+        A = entry.build(**{p: 1 for p in entry.params})
+        for n in (1, 2, 3):
+            G = dialg_compatible_space(A, n).sparse_rows()
+            at: dict[int, list] = {}
+            for g, row in enumerate(G):
+                for j, v in row:
+                    at.setdefault(j, []).append((g, v))
+            product = set()
+            for drow in dialg_coboundary_rows(A, n):
+                acc: dict[int, Fraction] = {}
+                for j, c in drow.items():
+                    for g, v in at.get(j, ()):
+                        acc[g] = acc.get(g, 0) + c * v
+                product.add(tuple(sorted((g, v) for g, v in acc.items() if v)))
+            dense = [[row.get(g, 0) for g in range(len(G))] for row in map(dict, sorted(product))]
+            rep = cohomology_report(A, n)
+            r = oracles.rank_mod(dense, oracles.PRIMES[n])
+            assert r == rep.compatible_dim - rep.cocycle_dim, (A.name, n)
+            assert r == cohomology_report(A, n + 1).coboundary_dim, (A.name, n)
 
 
 def test_cohomology_never_eliminates_in_ambient_coordinates(monkeypatch):
