@@ -251,6 +251,9 @@ DIALGEBRA_LAWS: dict[str, tuple[tuple[str, str], tuple[str, str]]] = {
     "right_right": ((VDASH, VDASH), (VDASH, VDASH)),
 }
 
+# Law carried by each tree of an arity-3 tree cochain, in trees(3) order.
+LAW_FOR_TREE = ("left_left", "left_right", "middle", "right_left", "right_right")
+
 
 def law_residual(A: BiHomDialgebra, law: str, x: Vec, y: Vec, z: Vec) -> Vec:
     """(x inner_l y) outer_l psi(z) - phi(x) outer_r (y inner_r z)."""

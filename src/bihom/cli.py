@@ -5,7 +5,9 @@ failure (axiom violation, invalid deformation, obstruction), 2 usage or
 parse error.  Each command fills one `_Report`: every call writes one
 JSON field together with the text lines that show it, and the report is
 rendered once, as text or with `--json` as JSON.  Both renderings are
-byte-deterministic and keep a fixed field order.
+byte-deterministic and keep a fixed field order.  Commands import the
+library modules they run inside their bodies, so each process loads only
+what its command needs; a new import goes there, not at the top.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 import click
 
 from bihom.algebra import (
+    LAW_FOR_TREE,
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
     basis_vec,
@@ -24,25 +27,6 @@ from bihom.algebra import (
     check_bihom_associative,
     check_dialgebra,
 )
-from bihom.cohomology import HochschildCochain, cohomology_report, hoch_coboundary, hoch_compatible_space
-from bihom.deformation import (
-    LAW_FOR_TREE,
-    TruncatedDeformation,
-    deformation_residual,
-    is_deformation_up_to,
-    solve_triviality,
-)
-from bihom.derivations import (
-    BiDegree,
-    GeneralizedSpec,
-    classify as classify_cells,
-    derivation_space,
-    generalized_derivation_space,
-    generalized_triple_space,
-    quasi_derivation_space,
-)
-from bihom.dsl import AlgebraBlock, DeformationBlock, DslError, build_block, parse_path
-from bihom.operad import circle, pi_element
 
 # Reference cocycle patterns quoted with the shipped 3-dim one-product
 # example (both readings).  1-based (args, target index); every target
@@ -74,6 +58,7 @@ def _fail_usage(message: str):
 
 
 def _load(path: str):
+    from bihom.dsl import DslError, parse_path
     try:
         return parse_path(path)
     except DslError as e:
@@ -94,6 +79,7 @@ def _pick(df, name: str):
 def _load_algebra(path: str, name: str):
     """The algebra built from block NAME of PATH; a deformation block is
     a usage error."""
+    from bihom.dsl import DeformationBlock, build_block
     df = _load(path)
     if isinstance(_pick(df, name), DeformationBlock):
         _fail_usage(f"block {name!r} is a deformation, not an algebra")
@@ -171,7 +157,9 @@ def main():
 
 def _verify_block(df, block) -> tuple[bool, str, list[dict]]:
     """ok, one-line summary, serialized violations."""
+    from bihom.dsl import DeformationBlock, build_block
     if isinstance(block, DeformationBlock):
+        from bihom.deformation import is_deformation_up_to
         try:
             D = build_block(df, block.name)
         except ValueError as e:
@@ -254,6 +242,8 @@ def verify(file, name, as_json):
 @_json_flag
 def derive(file, name, k, l, alpha, beta, gamma, quasi, triple, as_json):
     """Solve the twisted Leibniz system for the named algebra."""
+    from bihom.derivations import (BiDegree, GeneralizedSpec, derivation_space, generalized_derivation_space,
+                                   generalized_triple_space, quasi_derivation_space)
     A = _load_algebra(file, name)
     if isinstance(A, BiHomAssociativeAlgebra):
         A = A.as_dialgebra()
@@ -335,6 +325,7 @@ def _parse_binding(text: str, known) -> dict[str, Fraction]:
 @_json_flag
 def classify(bind, as_json):
     """Derivation-space dimensions for the built-in families at deg (1,1)."""
+    from bihom.derivations import BiDegree, classify as classify_cells
     cat = catalog()
     binding = _parse_binding(bind, sorted({p for fam in cat.values() for p in fam.params}))
     names = list(cat)
@@ -382,6 +373,7 @@ def classify(bind, as_json):
 @_json_flag
 def cohomology_cmd(file, name, degree, which, as_json):
     """Cocycle, coboundary and quotient dimensions in one degree."""
+    from bihom.cohomology import HochschildCochain, _complex_of
     X = _load_algebra(file, name)
     if degree < 1:
         _fail_usage("--degree must be at least 1")
@@ -394,7 +386,8 @@ def cohomology_cmd(file, name, degree, which, as_json):
     if which == "dialg" and isinstance(X, BiHomAssociativeAlgebra):
         X = X.as_dialgebra()
     # on axiom-violating input the report leaves the quotient undefined
-    rep = cohomology_report(X, degree)
+    cx = _complex_of(X)
+    rep = cx.report(degree)
     r = _Report("cohomology", file=file, name=name, complex=which, degree=degree)
     r.add("compatible_dim", rep.compatible_dim, f"compatible dim = {rep.compatible_dim}")
     r.add("cocycle_dim", rep.cocycle_dim, f"cocycle dim = {rep.cocycle_dim}")
@@ -411,11 +404,11 @@ def cohomology_cmd(file, name, degree, which, as_json):
         and degree in _REFERENCE_COCYCLES
         and X.dim == 3
     ):
-        C = hoch_compatible_space(X, degree)
+        _, in_z = cx.cocycle_test(degree)
         for args, target in _REFERENCE_COCYCLES[degree]:
             zero_based = tuple(a - 1 for a in args)
             f = HochschildCochain(degree, X.dim, {zero_based: basis_vec(X.dim, target - 1)})
-            member = C.contains(f.flatten()) and hoch_coboundary(X, f).is_zero()
+            member = in_z({c: v for c, v in enumerate(f.flatten()) if v})
             r.item(
                 "reference_cocycles",
                 {"args": list(args), "target": target, "in_kernel": member},
@@ -441,6 +434,7 @@ def cohomology_cmd(file, name, degree, which, as_json):
 @_json_flag
 def operad_check(file, name, as_json):
     """Brace square of the product element; zero iff the five laws hold."""
+    from bihom.operad import circle, pi_element
     A = _load_algebra(file, name)
     if isinstance(A, BiHomAssociativeAlgebra):
         A = A.as_dialgebra()
@@ -475,7 +469,8 @@ def operad_check(file, name, as_json):
 # -- deform ----------------------------------------------------------------------
 
 
-def _load_deformation(path: str, name: str) -> TruncatedDeformation:
+def _load_deformation(path: str, name: str):
+    from bihom.dsl import DeformationBlock, build_block
     df = _load(path)
     if not isinstance(_pick(df, name), DeformationBlock):
         _fail_usage(f"block {name!r} is not a deformation")
@@ -493,6 +488,7 @@ def _load_deformation(path: str, name: str) -> TruncatedDeformation:
 @_json_flag
 def deform(file, name, check_order, as_json):
     """Check the deformation equation order by order."""
+    from bihom.deformation import deformation_residual
     D = _load_deformation(file, name)
     if check_order < 0:
         _fail_usage("--check-order must be nonnegative")
@@ -536,6 +532,7 @@ def deform(file, name, check_order, as_json):
 @_json_flag
 def trivialize(file, name, order, as_json):
     """Solve for a formal change of variables undoing the deformation."""
+    from bihom.deformation import solve_triviality
     D = _load_deformation(file, name)
     if order < 0:
         _fail_usage("--order must be nonnegative")

@@ -54,7 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
@@ -461,6 +461,7 @@ class _Complex:
             self.products = {"mul": X.mul}
         self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
         self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
+        self._cocycle_test: dict[int, tuple[list[dict], Callable[[dict[int, Fraction]], bool]]] = {}
 
     def cochain_dim(self, n: int) -> int:
         """Length of a flattened degree-n cochain; there are no 0-cochains."""
@@ -655,12 +656,14 @@ class _Complex:
         elim.add_many(self.images(n))
         return Subspace._from_rref(dim, elim.rref()[1])
 
-    def report(self, n: int) -> CohomologyReport:
-        """Dimensions from ranks, r_k the rank of delta^k . G_k: dim C^n is
-        |Y_n| dim K_n, dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  B^n
-        lies in Z^n when each basis image lies in K_n's span on every tree
-        and its G-coordinates, read at K_n's pivots, are killed by delta^n . G."""
-        self.cochain_dim(n)  # refuses n < 1 before any kernel work
+    def cocycle_test(self, n: int) -> tuple[list[dict], Callable[[dict[int, Fraction]], bool]]:
+        """delta^n . G, and the membership test of Z^n built on it, once per
+        degree.  The test takes a degree-n cochain by its nonzero ambient
+        coordinates: it is a cocycle when it lies in K_n's span on every
+        tree and its G-coordinates, read at K_n's pivots, are killed by
+        delta^n . G."""
+        if n in self._cocycle_test:
+            return self._cocycle_test[n]
         K, size, rows = self.kernel(n), self.X.dim ** (n + 1), self.delta_g(n)
         span, at = Subspace._from_rref(size, map(dict, K)), {row[0][0]: a for a, row in enumerate(K)}
         by_col: dict[int, list[tuple[int, Fraction]]] = {}
@@ -681,9 +684,18 @@ class _Complex:
                         acc[i] = acc[i] + w * v if i in acc else w * v
             return not any(acc.values())
 
+        self._cocycle_test[n] = rows, killed
+        return rows, killed
+
+    def report(self, n: int) -> CohomologyReport:
+        """Dimensions from ranks, r_k the rank of delta^k . G_k: dim C^n is
+        |Y_n| dim K_n, dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  B^n
+        lies in Z^n when `cocycle_test` accepts each of its basis images."""
+        self.cochain_dim(n)  # refuses n < 1 before any kernel work
+        rows, killed = self.cocycle_test(n)
         B = self.images(n)
         contained = all(map(killed, B))
-        dim_z = (dim_c := self.cochain._ntrees(n) * len(K)) - rank_rows(rows)
+        dim_z = (dim_c := self.cochain._ntrees(n) * len(self.kernel(n))) - rank_rows(rows)
         return CohomologyReport(n, dim_c, dim_z, len(B), dim_z - len(B) if contained else None, contained)
 
 

@@ -38,6 +38,7 @@ from typing import Sequence
 from bihom.algebra import (
     BiHomDialgebra,
     DIALGEBRA_LAWS,
+    LAW_FOR_TREE,
     Vec,
     Violation,
     apply_table,
@@ -56,9 +57,6 @@ from bihom.trees import DASHV, VDASH, trees
 # Tree indices of the two product slots in an arity-2 cochain.
 TREE_DASHV = 0
 TREE_VDASH = 1
-
-# Law carried by each tree of an arity-3 cochain, in trees(3) order.
-LAW_FOR_TREE = ("left_left", "left_right", "middle", "right_left", "right_right")
 
 _OP_TREE = {DASHV: TREE_DASHV, VDASH: TREE_VDASH}
 

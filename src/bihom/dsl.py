@@ -38,8 +38,6 @@ from bihom.algebra import (
     map_from_entries,
     table_from_entries,
 )
-from bihom.cohomology import TreeCochain
-from bihom.deformation import TruncatedDeformation
 
 __all__ = [
     "DslError",
@@ -528,6 +526,8 @@ def build_block(df: DefinitionFile, name: str):
 def _build_deformation(
     b: DeformationBlock, base: BiHomDialgebra, params: dict[str, Fraction]
 ) -> TruncatedDeformation:
+    from bihom.cohomology import TreeCochain
+    from bihom.deformation import TruncatedDeformation
     index = {nm: i for i, nm in enumerate(base.basis)}
     data: list[dict] = [dict() for _ in range(b.order)]
     tree_for = {"dashv": 0, "vdash": 1}
