@@ -20,6 +20,10 @@ its laws in the order the check names them.  The one-product check is the
 one-law case of the dialgebra check: with both products equal the five
 laws coincide, so it reads the single law `bihom_assoc` through the
 `left_left` shape of `law_residual` on `as_dialgebra()`.
+
+The twisted Leibniz rule is written once too, as sparse rows over the
+entries of the unknown maps (`leibniz_rows`): the derivation and triviality
+solvers eliminate them, and `_leibniz` applies them to one given map.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from bihom.trees import DASHV, VDASH
 
 Vec = tuple[Fraction, ...]
 Table = tuple[tuple[Vec, ...], ...]
+Row = dict[int, Fraction]
 
 
 def zero_vec(dim: int) -> Vec:
@@ -279,12 +284,60 @@ def _respects(f: Mat, ta: Table, tb: Table) -> Callable[[int, int], Vec]:
     return lambda i, j: vec_sub(f.apply(ta[i][j]), apply_table(tb, f.col(i), f.col(j)))
 
 
+def leibniz_rows(
+    tables: Sequence[Table],
+    W: Mat,
+    blocks: tuple[int, int, int] = (0, 0, 0),
+    weights: tuple[Fraction, Fraction, Fraction] = (ONE, ONE, ONE),
+) -> list[Row]:
+    """alpha D_lhs(x o y) - beta (W x o D_right y) - gamma (D_left x o W y) = 0.
+
+    `blocks` is (lhs, left, right) and `weights` is (alpha, beta, gamma);
+    each D is an n x n block of the unknowns, stacked row-major.  One row
+    per product table o, basis pair (e_a, e_b) and output coordinate k,
+    in that order.
+    """
+    n = W.rows
+    lhs, left, right = (block * n * n for block in blocks)
+    alpha, beta, gamma = weights
+    e = [basis_vec(n, j) for j in range(n)]
+    rows: list[Row] = []
+    for table in tables:
+        # the weighted terms, tabulated once per product: alpha (e_a o e_b),
+        # beta (W e_a o e_q) and gamma (e_p o W e_b)
+        ab = [[_weighted(alpha, cell) for cell in line] for line in table]
+        wx = [[_weighted(beta, apply_table(table, W.col(a), v)) for v in e] for a in range(n)]
+        xw = [[_weighted(gamma, apply_table(table, v, W.col(b))) for b in range(n)] for v in e]
+        for a, b, k in product(range(n), repeat=3):
+            row: Row = {}
+            for p, c in enumerate(ab[a][b]):
+                if c:
+                    key = lhs + k * n + p
+                    row[key] = row.get(key, ZERO) + c
+            for qq in range(n):
+                c = wx[a][qq][k]
+                if c:
+                    key = right + qq * n + b
+                    row[key] = row.get(key, ZERO) - c
+            for p in range(n):
+                c = xw[p][b][k]
+                if c:
+                    key = left + p * n + a
+                    row[key] = row.get(key, ZERO) - c
+            rows.append({key: v for key, v in row.items() if v})
+    return rows
+
+
+def _weighted(w: Fraction, v: Vec) -> Vec:
+    return v if w == ONE else tuple(w * c for c in v)
+
+
 def _leibniz(D: Mat, W: Mat, table: Table) -> Callable[[int, int], Vec]:
-    """(a, b) -> D(e_a o e_b) - W(e_a) o D(e_b) - D(e_a) o W(e_b)."""
-    return lambda a, b: vec_sub(
-        D.apply(table[a][b]),
-        vec_add(apply_table(table, W.col(a), D.col(b)), apply_table(table, D.col(a), W.col(b))),
-    )
+    """(a, b) -> D(e_a o e_b) - W(e_a) o D(e_b) - D(e_a) o W(e_b): each
+    coordinate is a `leibniz_rows` row applied to the entries of D."""
+    n, d = D.rows, D.entries()
+    res = [sum((v * d[c] for c, v in row.items()), ZERO) for row in leibniz_rows((table,), W)]
+    return lambda a, b: tuple(res[(a * n + b) * n : (a * n + b + 1) * n])
 
 
 def _check_laws(A: BiHomDialgebra, laws: Mapping[str, str]) -> AxiomReport:

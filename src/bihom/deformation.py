@@ -44,12 +44,12 @@ from bihom.algebra import (
     apply_table,
     basis_vec,
     is_zero_vec,
+    leibniz_rows,
     vec_add,
     vec_sub,
     zero_vec,
 )
 from bihom.cohomology import TreeCochain, dialg_coboundary
-from bihom.derivations import leibniz_rows
 from bihom.operad import circle, pi_element
 from bihom.scalars import ZERO, Mat, solve_rows
 from bihom.trees import DASHV, VDASH, trees
@@ -432,7 +432,7 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
     one = [Mat.identity(m)]
     flat = zero_deformation(base)
     psis: list[Mat] = list(one)
-    lhs = leibniz_rows(base, one[0], (0, 0, 0))
+    lhs = leibniz_rows((base.dashv, base.vdash), one[0])
     for n in range(1, N + 1):
         K = _difference(_transport(defm, psis, one, n), _transport(flat, one, psis, n), m)
         rows = [{**row, m * m: -k} if k else row for row, k in zip(lhs, K.flatten())]

@@ -4,7 +4,8 @@ Every variant is a finite homogeneous linear system over the matrix
 entries of the unknown maps, assembled from two kinds of rows:
 
 * commutation rows, D phi = phi D and D psi = psi D;
-* twisted Leibniz rows, for each product o and basis pair (e_a, e_b):
+* twisted Leibniz rows (`bihom.algebra.leibniz_rows`), for each product
+  o and basis pair (e_a, e_b):
   alpha D(e_a o e_b) = beta (W e_a o D e_b) + gamma (D e_a o W e_b),
   with W = phi^k psi^l for the chosen bidegree (k, l).
 
@@ -16,7 +17,9 @@ with D' on the left side, and the triple variant for (D, D', D'') with
 D'' on the left, D' in the right slot and D in the left slot.  Unknowns
 are stacked row-major, D first, then D', then D'', so the canonical basis
 of the solution space is reproducible.  `quasi_partner` is the quasi
-system with D fixed, its block moved to the right-hand side.
+system with D fixed, its block moved to the right-hand side.  Systems
+stay in the sparse form the solver eliminates: a dense `system` matrix is
+built only when read, and a `projection` eliminates sparse rows once.
 
 The module also carries the dimension and zero-pattern tables from the
 reference classification of the catalog algebras.  Computed spaces are
@@ -30,12 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from typing import Mapping, Sequence
 
 from bihom.algebra import (
     AxiomReport,
     BiHomDialgebra,
+    Row,
     Vec,
     Violation,
     _leibniz,
@@ -45,11 +49,10 @@ from bihom.algebra import (
     catalog,
     is_morphism,
     is_regular,
+    leibniz_rows,
     vec_sub,
 )
-from bihom.scalars import Mat, ONE, ZERO, Subspace, nullspace_rows, q, solve_rows
-
-Row = dict[int, Fraction]
+from bihom.scalars import Mat, ONE, ZERO, Subspace, nullspace_rows, q, solve_rows, span_rows
 
 
 @dataclass(frozen=True)
@@ -86,17 +89,23 @@ class Derivation:
 class DerivationSpace:
     """Solution space of one variant at one bidegree.
 
-    `solutions` lives over the stacked unknown vector; `system` is the
-    assembled constraint matrix (rows in assembly order), kept so the
-    space can be re-checked or handed to an independent solver.
+    `solutions` lives over the stacked unknown vector.  `rows` is the
+    eliminated system in assembly order, each row its nonzero (column,
+    value) pairs by column, kept so the space can be re-checked or handed
+    to an independent solver; `system` is the same rows as a dense matrix.
     """
 
     variant: str
     bidegree: BiDegree
-    system: Mat
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     solutions: Subspace
     algebra_dim: int
     spec: GeneralizedSpec | None = None
+
+    @property
+    def system(self) -> Mat:
+        ncols = self.solutions.ambient_dim
+        return Mat.from_rows([[r.get(j, ZERO) for j in range(ncols)] for r in map(dict, self.rows)])
 
     @property
     def components(self) -> int:
@@ -111,11 +120,7 @@ class DerivationSpace:
         n = self.algebra_dim
         if len(coords) != self.components * n * n:
             raise ValueError("coordinate length mismatch")
-        out = []
-        for c in range(self.components):
-            block = coords[c * n * n : (c + 1) * n * n]
-            out.append(Mat(n, n, [q(x) for x in block]))
-        return tuple(out)
+        return tuple(Mat(n, n, coords[c * n * n : (c + 1) * n * n]) for c in range(self.components))
 
     def basis_matrices(self) -> tuple[tuple[Mat, ...], ...]:
         return tuple(self.matrices(row) for row in self.solutions.basis_rows())
@@ -126,16 +131,16 @@ class DerivationSpace:
         if not 0 <= component < self.components:
             raise ValueError(f"component {component} out of range")
         lo, hi = component * n * n, (component + 1) * n * n
-        return Subspace(n * n, [row[lo:hi] for row in self.solutions.basis_rows()])
+        return span_rows(
+            ({c - lo: v for c, v in row if lo <= c < hi} for row in self.solutions.sparse_rows()),
+            n * n,
+        )
 
     def contains(self, *mats: Mat) -> bool:
         """Membership of a stacked tuple of maps, one Mat per component."""
         if len(mats) != self.components:
             raise ValueError("need one matrix per component")
-        coords: list[Fraction] = []
-        for M in mats:
-            coords.extend(M.entries())
-        return self.solutions.contains(coords)
+        return self.solutions.contains([x for M in mats for x in M.entries()])
 
 
 # -- row assembly ---------------------------------------------------------------
@@ -164,83 +169,26 @@ def _system_rows(
     First D M - M D = 0 for every block and M = phi, psi, then the
     Leibniz rows, with unit weights unless a spec is given.
     """
-    components, lhs_block, left_block, right_block = _VARIANTS[variant]
+    components, *blocks = _VARIANTS[variant]
     weights = (ONE, ONE, ONE) if spec is None else (spec.alpha, spec.beta, spec.gamma)
     n = A.dim
     rows: list[Row] = []
-    for block in range(components):
+    for block, M in product(range(components), (A.phi, A.psi)):
         off = block * n * n
-        for M in (A.phi, A.psi):
-            for i in range(n):
-                for j in range(n):
-                    row: Row = {}
-                    for s in range(n):
-                        c = M[s, j]
-                        if c:
-                            key = off + i * n + s
-                            row[key] = row.get(key, ZERO) + c
-                        c = M[i, s]
-                        if c:
-                            key = off + s * n + j
-                            row[key] = row.get(key, ZERO) - c
-                    rows.append({k: v for k, v in row.items() if v})
-    rows += leibniz_rows(A, _twist(A, deg), (lhs_block, left_block, right_block), weights)
+        for i, j in product(range(n), repeat=2):
+            row: Row = {}
+            for s in range(n):
+                c = M[s, j]
+                if c:
+                    key = off + i * n + s
+                    row[key] = row.get(key, ZERO) + c
+                c = M[i, s]
+                if c:
+                    key = off + s * n + j
+                    row[key] = row.get(key, ZERO) - c
+            rows.append({k: v for k, v in row.items() if v})
+    rows += leibniz_rows((A.dashv, A.vdash), _twist(A, deg), tuple(blocks), weights)
     return rows, components * n * n
-
-
-def leibniz_rows(
-    A: BiHomDialgebra,
-    W: Mat,
-    blocks: tuple[int, int, int],
-    weights: tuple[Fraction, Fraction, Fraction] = (ONE, ONE, ONE),
-) -> list[Row]:
-    """alpha D_lhs(x o y) - beta (W x o D_right y) - gamma (D_left x o W y) = 0.
-
-    `blocks` is (lhs, left, right) and `weights` is (alpha, beta, gamma);
-    each D is an n x n block of the unknowns, stacked row-major.  One row
-    per product o, basis pair (e_a, e_b) and output coordinate k, in that
-    order.
-    """
-    lhs_block, left_block, right_block = blocks
-    alpha, beta, gamma = weights
-    n = A.dim
-    basis = [basis_vec(n, j) for j in range(n)]
-    rows: list[Row] = []
-    for op in ("dashv", "vdash"):
-        table = A.table(op)
-        # the weighted terms, tabulated once per product: alpha (e_a o e_b),
-        # beta (W e_a o e_q) and gamma (e_p o W e_b)
-        ab = [[_weighted(alpha, cell) for cell in line] for line in table]
-        wx = [[_weighted(beta, apply_table(table, W.col(a), e)) for e in basis] for a in range(n)]
-        xw = [[_weighted(gamma, apply_table(table, e, W.col(b))) for b in range(n)] for e in basis]
-        for a in range(n):
-            for b in range(n):
-                for k in range(n):
-                    row: Row = {}
-                    for p, c in enumerate(ab[a][b]):
-                        if c:
-                            key = lhs_block * n * n + k * n + p
-                            row[key] = row.get(key, ZERO) + c
-                    for qq in range(n):
-                        c = wx[a][qq][k]
-                        if c:
-                            key = right_block * n * n + qq * n + b
-                            row[key] = row.get(key, ZERO) - c
-                    for p in range(n):
-                        c = xw[p][b][k]
-                        if c:
-                            key = left_block * n * n + p * n + a
-                            row[key] = row.get(key, ZERO) - c
-                    rows.append({kk: v for kk, v in row.items() if v})
-    return rows
-
-
-def _weighted(w: Fraction, v: Vec) -> Vec:
-    return v if w == ONE else tuple(w * c for c in v)
-
-
-def _dense(rows: Sequence[Row], ncols: int) -> Mat:
-    return Mat.from_rows([[r.get(j, ZERO) for j in range(ncols)] for r in rows])
 
 
 def _space(
@@ -250,7 +198,7 @@ def _space(
     return DerivationSpace(
         variant=variant,
         bidegree=deg,
-        system=_dense(rows, ncols),
+        rows=tuple(tuple(sorted(r.items())) for r in rows),
         solutions=nullspace_rows(rows, ncols),
         algebra_dim=A.dim,
         spec=spec,
@@ -468,7 +416,6 @@ class ClassificationCell:
     reference: tuple[int, ...] | None
     agrees: bool | None
     shape_contained: tuple[bool, ...] | None
-    basis: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -494,30 +441,25 @@ class ClassificationReport:
         return out
 
 
-_VARIANT_SOLVERS = {
-    "plain": derivation_space,
-    "quasi": quasi_derivation_space,
-    "generalized_triple": generalized_triple_space,
-}
+_CLASSIFIED = ("plain", "quasi", "generalized_triple")
 
 
 def classify(
     names: Sequence[str],
     bindings: Sequence[Mapping[str, object]],
     degrees: Sequence[BiDegree],
-    variants: Sequence[str] = ("plain", "quasi", "generalized_triple"),
+    variants: Sequence[str] = _CLASSIFIED,
 ) -> ClassificationReport:
-    """Solve every requested cell and annotate with reference values.
-
-    Computed dimensions come from the exact solvers; reference numbers
-    are the printed table values, attached for comparison only.
+    """Solve every requested cell, names[i] bound by bindings[i], and annotate
+    with reference values.  Computed dimensions come from the exact solvers;
+    reference numbers are the printed table values, for comparison only.
     """
+    if len(names) != len(bindings):
+        raise ValueError(f"classify needs one binding per name: {len(names)} names, {len(bindings)} bindings")
     for variant in variants:
-        if variant not in _VARIANT_SOLVERS:
+        if variant not in _CLASSIFIED:
             why = "needs weights" if variant == "generalized" else "is unknown"
-            raise ValueError(
-                f"variant {variant!r} {why}; classify solves {', '.join(_VARIANT_SOLVERS)}"
-            )
+            raise ValueError(f"variant {variant!r} {why}; classify solves {', '.join(_CLASSIFIED)}")
     cat = catalog()
     cells = []
     for name, binding in zip(names, bindings):
@@ -527,7 +469,7 @@ def classify(
         bound = tuple(sorted((k, q(v)) for k, v in binding.items()))
         for deg in degrees:
             for variant in variants:
-                space = _VARIANT_SOLVERS[variant](A, deg)
+                space = _space(A, deg, variant)
                 projections = [space.projection(c) for c in range(space.components)]
                 computed = tuple(P.dim for P in projections)
                 reference = REFERENCE_DIMS.get(name, {}).get(variant)
@@ -548,7 +490,6 @@ def classify(
                         reference=reference,
                         agrees=None if reference is None else computed == reference,
                         shape_contained=contained,
-                        basis=space.solutions.basis_rows(),
                     )
                 )
     return ClassificationReport(cells=tuple(cells))

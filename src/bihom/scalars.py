@@ -16,7 +16,8 @@ unit pivots, rows ordered by pivot column, each row kept as its nonzero
 representations and reports built from them are deterministic; dense
 vectors are built only when a caller asks for them.  Kernels come out
 of one elimination already in that canonical form (see
-`nullspace_rows`), so they are never densified or eliminated twice.
+`nullspace_rows`), so they are never densified or eliminated twice;
+the span of sparse rows (`span_rows`) takes one elimination as well.
 """
 
 from __future__ import annotations
@@ -361,8 +362,7 @@ class Subspace:
     pivots, ordered by pivot column).  Each row is a tuple of its nonzero
     (column, value) pairs in column order, so its first pair is the pivot
     (column, 1).  Canonical form means two equal subspaces compare equal
-    structurally.  `basis_rows()` and `basis` are dense views, built on
-    each call.
+    structurally.  `basis_rows()` is a dense view, built on each call.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_by_pivot")
@@ -395,11 +395,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    @property
-    def basis(self) -> tuple[Mat, ...]:
-        """Canonical basis as column vectors."""
-        return tuple(Mat.column(r) for r in self.basis_rows())
 
     def basis_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         out = []
@@ -509,6 +504,13 @@ def nullspace_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Subspace:
             if c != rc:
                 kernel[last - c][pc] = -v
     return Subspace._from_rref(ncols, kernel.values())
+
+
+def span_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Subspace:
+    """`Subspace(ncols, vectors)` for sparse rows: one elimination, canonical form."""
+    elim = _Eliminator()
+    elim.add_many(_checked(rows, ncols))
+    return Subspace._from_rref(ncols, elim.rref()[1])
 
 
 def solve(M: Mat, b: Mat) -> Mat | None:

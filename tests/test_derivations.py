@@ -23,7 +23,7 @@ from bihom.derivations import (
     quasi_partner,
     reference_family_dim3,
 )
-from bihom.scalars import Mat
+from bihom.scalars import Mat, Subspace
 
 import oracles
 
@@ -396,3 +396,74 @@ def test_shape_containment_flags_at_unit_binding():
 def test_classify_refuses_a_variant_it_cannot_solve(variant):
     with pytest.raises(ValueError, match=f"variant '{variant}'"):
         classify(["Alg2_2"], [{"a": 1}], [BiDegree(1, 1)], variants=("plain", variant))
+
+
+def test_classify_refuses_names_and_bindings_of_different_lengths():
+    with pytest.raises(ValueError, match="2 names, 1 bindings"):
+        classify(["Alg2_2", "Alg2_1"], [{"a": 1}], [BiDegree(1, 1)])
+
+
+def _solve_every_variant(A, deg):
+    spec = GeneralizedSpec(2, Fraction(-1, 3), 5)
+    return (
+        derivation_space(A, deg),
+        generalized_derivation_space(A, deg, spec),
+        quasi_derivation_space(A, deg),
+        generalized_triple_space(A, deg),
+    )
+
+
+def test_solves_classify_and_projections_stay_sparse(monkeypatch):
+    """No solve, classification or projection builds a dense matrix or
+    eliminates dense vectors; only reading `system` densifies."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(Mat, "from_rows", staticmethod(refuse))
+    monkeypatch.setattr(Subspace, "__init__", refuse)
+    names = sorted(catalog())
+    bindings = [{p: 1 for p in catalog()[n].params} for n in names]
+    assert len(classify(names, bindings, [BiDegree(1, 1)]).cells) == 27
+    for name, binding in zip(names, bindings):
+        A = catalog()[name].build(**binding)
+        for space in _solve_every_variant(A, BiDegree(1, 1)):
+            assert all(space.projection(c).dim >= 0 for c in range(space.components))
+    with pytest.raises(AssertionError, match="dense route"):
+        space.system
+
+
+def test_projection_matches_the_dense_route():
+    """Each projection equals the span of the dense slices of the basis,
+    eliminated from scratch by `Subspace`."""
+    rng = random.Random(17)
+    cases = 0
+    for name, entry in sorted(catalog().items()):
+        for binding in [{p: 1 for p in entry.params}] + bindings_for(entry, rng, count=1):
+            A = entry.build(**binding)
+            nn = A.dim * A.dim
+            for deg in (BiDegree(0, 0), BiDegree(1, 1), BiDegree(0, 1), BiDegree(2, 0)):
+                for space in _solve_every_variant(A, deg):
+                    rows = space.solutions.basis_rows()
+                    for c in range(space.components):
+                        dense = Subspace(nn, [row[c * nn : (c + 1) * nn] for row in rows])
+                        assert space.projection(c) == dense, (name, binding, deg, space.variant, c)
+                        cases += 1
+    assert cases == 9 * 2 * 4 * 7
+
+
+def test_system_is_the_dense_form_of_the_sparse_rows():
+    A = catalog()["Alg3_1"].build(a=1, b=2, c=3, d=1, f=2)
+    for space in _solve_every_variant(A, BiDegree(1, 1)):
+        M = space.system
+        assert M.shape == (len(space.rows), space.solutions.ambient_dim)
+        for i, row in enumerate(space.rows):
+            assert [c for c, _ in row] == sorted(c for c, _ in row)
+            assert M.row(i) == tuple(dict(row).get(j, 0) for j in range(M.cols))
+        hash(space)  # the rows are tuples, so the frozen space stays hashable
+
+
+def test_leibniz_rows_are_written_once():
+    import bihom.algebra
+    import bihom.derivations
+
+    assert bihom.derivations.leibniz_rows is bihom.algebra.leibniz_rows
