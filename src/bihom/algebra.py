@@ -16,10 +16,16 @@ verify, report, or deliberately work with non-examples.
 Every check writes its identity once, as a residual on basis indices, and
 hands it to one enumerator, `_violations`, which yields a witness for each
 basis tuple with a nonzero residual in lexicographic order; a report lists
-its laws in the order the check names them.  The one-product check is the
-one-law case of the dialgebra check: with both products equal the five
-laws coincide, so it reads the single law `bihom_assoc` through the
-`left_left` shape of `law_residual` on `as_dialgebra()`.
+its laws in the order the check names them.  A check tabulates the
+structure once per call, sparsely: each product cell and each twist column
+as its nonzero (index, value) pairs, and for each outer product the
+twisted basis products e_p o psi(e_k) and phi(e_i) o e_q.  A law residual
+at (i, j, k) is then a short sum over the nonzero cells of the two inner
+products, equal entry for entry to `law_residual` on basis vectors, which
+stays as the dense reference form.  The one-product check is the one-law
+case of the dialgebra check: with both products equal the five laws
+coincide, so it reads the single law `bihom_assoc` as `left_left` on
+`as_dialgebra()`.
 
 The twisted Leibniz rule is written once too, as sparse rows over the
 entries of the unknown maps (`leibniz_rows`): the derivation and triviality
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from bihom.scalars import Mat, ZERO, ONE, q
@@ -39,6 +45,7 @@ from bihom.trees import DASHV, VDASH
 Vec = tuple[Fraction, ...]
 Table = tuple[tuple[Vec, ...], ...]
 Row = dict[int, Fraction]
+Sparse = list[tuple[int, Fraction]]
 
 
 def zero_vec(dim: int) -> Vec:
@@ -54,7 +61,7 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 def is_zero_vec(v: Vec) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def table_from_entries(dim: int, entries: Mapping[tuple[int, int], Mapping[int, object]]) -> Table:
@@ -153,6 +160,24 @@ def _checked_basis(dim: int, tables, maps, basis: Sequence[str] | None) -> tuple
     return basis
 
 
+def _exact_table(name: str, table: Table) -> Table:
+    """The table itself when every entry is a Fraction, else a copy with each
+    entry through `q`; an inexact entry raises TypeError naming its cell."""
+    if {type(c) for row in table for cell in row for c in cell} <= {Fraction}:
+        return table
+
+    def exact(c, i, j, k):
+        try:
+            return q(c)
+        except TypeError as exc:
+            raise TypeError(f"{name} table, cell ({i}, {j}, {k}): {exc}") from None
+
+    return tuple(
+        tuple(tuple(exact(c, i, j, k) for k, c in enumerate(cell)) for j, cell in enumerate(row))
+        for i, row in enumerate(table)
+    )
+
+
 class BiHomDialgebra:
     """Two products and two twist maps on Q^dim; laws are not enforced here."""
 
@@ -169,6 +194,7 @@ class BiHomDialgebra:
         name: str = "",
     ):
         basis = _checked_basis(dim, (dashv, vdash), (phi, psi), basis)
+        dashv, vdash = _exact_table("dashv", dashv), _exact_table("vdash", vdash)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dashv", dashv)
@@ -218,6 +244,7 @@ class BiHomAssociativeAlgebra:
         name: str = "",
     ):
         basis = _checked_basis(dim, (mul,), (phi, psi), basis)
+        mul = _exact_table("mul", mul)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mul", mul)
@@ -279,9 +306,55 @@ def _violations(
             yield Violation(law, t, r)
 
 
+def _sparse(v: Sequence[Fraction]) -> Sparse:
+    return [(k, c) for k, c in enumerate(v) if c]
+
+
+def _cells(table: Table) -> list[list[Sparse]]:
+    return [[_sparse(cell) for cell in row] for row in table]
+
+
+def _combine(n: int, terms: Iterable[tuple[Fraction, Sparse]]) -> list[Fraction]:
+    """Sum of c * v over (c, v) in terms, each v sparse, as a dense list of length n."""
+    acc = [ZERO] * n
+    for c, v in terms:
+        for k, x in v:
+            acc[k] += c * x
+    return acc
+
+
+def _law_residuals(A: BiHomDialgebra) -> dict[str, Callable[[int, int, int], Vec]]:
+    """law -> ((i, j, k) -> law_residual(A, law, e_i, e_j, e_k)), read from
+    sparse tables built once: the product cells, the twist columns, and per
+    outer product R[p][k] = e_p o psi(e_k) and L[i][q] = phi(e_i) o e_q."""
+    m = A.dim
+    cells = {op: _cells(A.table(op)) for op in (DASHV, VDASH)}
+    phi, psi = ([_sparse(M.col(a)) for a in range(m)] for M in (A.phi, A.psi))
+    right = {op: [[_sparse(_combine(m, ((d, c[p][s]) for s, d in psi[k]))) for k in range(m)] for p in range(m)]
+             for op, c in cells.items()}
+    left = {op: [[_sparse(_combine(m, ((d, c[s][qq]) for s, d in phi[i]))) for qq in range(m)] for i in range(m)]
+            for op, c in cells.items()}
+
+    def residual(law: str) -> Callable[[int, int, int], Vec]:
+        (outer_l, inner_l), (outer_r, inner_r) = DIALGEBRA_LAWS[law]
+        R, L, il, ir = right[outer_l], left[outer_r], cells[inner_l], cells[inner_r]
+        return lambda i, j, k: tuple(_combine(m, chain(
+            ((c, R[p][k]) for p, c in il[i][j]),
+            ((-c, L[i][qq]) for qq, c in ir[j][k]),
+        )))
+
+    return {law: residual(law) for law in DIALGEBRA_LAWS}
+
+
 def _respects(f: Mat, ta: Table, tb: Table) -> Callable[[int, int], Vec]:
-    """(i, j) -> f(e_i o e_j) - f(e_i) o' f(e_j), o read from ta and o' from tb."""
-    return lambda i, j: vec_sub(f.apply(ta[i][j]), apply_table(tb, f.col(i), f.col(j)))
+    """(i, j) -> f(e_i o e_j) - f(e_i) o' f(e_j), o read from ta and o' from
+    tb, summed over the nonzero cells of both tables and of f's columns."""
+    ca, cb = _cells(ta), _cells(tb)
+    fc = [_sparse(f.col(a)) for a in range(f.cols)]
+    return lambda i, j: tuple(_combine(f.rows, chain(
+        ((c, fc[k]) for k, c in ca[i][j]),
+        ((-a * b, cb[s][u]) for s, a in fc[i] for u, b in fc[j]),
+    )))
 
 
 def leibniz_rows(
@@ -341,12 +414,12 @@ def _leibniz(D: Mat, W: Mat, table: Table) -> Callable[[int, int], Vec]:
 
 
 def _check_laws(A: BiHomDialgebra, laws: Mapping[str, str]) -> AxiomReport:
-    """Twist commutation, then each named law read through the shape of
-    `law_residual` it maps to, over all basis triples."""
-    e = [A.e(i) for i in range(A.dim)]
+    """Twist commutation, then each named law read as the dialgebra law it
+    maps to, over all basis triples."""
+    residuals = _law_residuals(A)
     violations = list(_violations("twist_commute", 1, A.dim, (A.phi @ A.psi - A.psi @ A.phi).col))
     for law, shape in laws.items():
-        violations += _violations(law, 3, A.dim, lambda i, j, k: law_residual(A, shape, e[i], e[j], e[k]))
+        violations += _violations(law, 3, A.dim, residuals[shape])
     return AxiomReport.from_violations(violations)
 
 

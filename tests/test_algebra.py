@@ -220,3 +220,25 @@ def test_residual_describe_names_basis():
     rep = check_dialgebra(A)
     text = rep.violations[0].describe(A.basis)
     assert "e" in text and "residual" in text
+
+
+def test_table_entries_must_be_exact():
+    """A float or bool entry is refused with the table and the cell named;
+    ints and strings are read through `q`, Fraction tables are kept as given."""
+    from bihom.algebra import BiHomAssociativeAlgebra, zero_table
+
+    ident = Mat.identity(2)
+    half = (((0.5, 0), (0, 0)), ((0, 0), (0, 1)))
+    with pytest.raises(TypeError, match=r"dashv table, cell \(0, 0, 0\)"):
+        BiHomDialgebra(2, half, zero_table(2), ident, ident)
+    flag = (((0, 0), (0, 0)), ((0, True), (0, 0)))
+    with pytest.raises(TypeError, match=r"vdash table, cell \(1, 0, 1\)"):
+        BiHomDialgebra(2, zero_table(2), flag, ident, ident)
+    with pytest.raises(TypeError, match=r"mul table, cell \(0, 0, 0\)"):
+        BiHomAssociativeAlgebra(2, half, ident, ident)
+    ints = (((1, 0), (0, 0)), ((0, 0), ("1/2", 1)))
+    A = BiHomDialgebra(2, ints, ints, ident, ident)
+    assert A.dashv == table_from_entries(2, {(1, 1): {1: 1}, (2, 2): {1: Fraction(1, 2), 2: 1}})
+    assert all(type(c) is Fraction for row in A.vdash for cell in row for c in cell)
+    exact = zero_table(2)
+    assert BiHomDialgebra(2, exact, exact, ident, ident).dashv is exact
