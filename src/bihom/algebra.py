@@ -8,24 +8,30 @@ left and psi on the right, are checked by `check_dialgebra`; the
 one-product specialisation lives in `BiHomAssociativeAlgebra`.
 
 Everything is exact: vectors are tuples of Fraction, products are dense
-structure-constant tables, maps are `Mat`.  Checks never raise on a
-broken structure; they return an `AxiomReport` listing each violated
-law with the basis indices and the residual vector, so callers can
-verify, report, or deliberately work with non-examples.
+structure-constant tables, frozen as tuples all the way down, and maps
+are `Mat`.  Checks never raise on a broken structure; they return an
+`AxiomReport` listing each violated law with the basis indices and the
+residual vector, so callers can verify, report, or deliberately work with
+non-examples.
+
+Each structure builds its sparse structure-constant form once, at
+construction: `cells[op][i][j]` is the nonzero (k, c) pairs of e_i op e_j
+in ascending k, and `twist_cols` the nonzero pairs of each column of phi
+and of psi.  Every consumer reads that form: the checks here, the Leibniz
+rows, and the coboundary, compatibility and operad modules.
+`apply_table` and `law_residual` stay as the dense reference forms.
 
 Every check writes its identity once, as a residual on basis indices, and
 hands it to one enumerator, `_violations`, which yields a witness for each
 basis tuple with a nonzero residual in lexicographic order; a report lists
-its laws in the order the check names them.  A check tabulates the
-structure once per call, sparsely: each product cell and each twist column
-as its nonzero (index, value) pairs, and for each outer product the
-twisted basis products e_p o psi(e_k) and phi(e_i) o e_q.  A law residual
-at (i, j, k) is then a short sum over the nonzero cells of the two inner
-products, equal entry for entry to `law_residual` on basis vectors, which
-stays as the dense reference form.  The one-product check is the one-law
-case of the dialgebra check: with both products equal the five laws
-coincide, so it reads the single law `bihom_assoc` as `left_left` on
-`as_dialgebra()`.
+its laws in the order the check names them.  From the sparse form a law
+check tabulates, for each outer product, the twisted basis products
+e_p o psi(e_k) and phi(e_i) o e_q.  A law residual at (i, j, k) is then a
+short sum over the nonzero cells of the two inner products, equal entry
+for entry to `law_residual` on basis vectors.  The one-product check is
+the one-law case of the dialgebra check: with both products equal the
+five laws coincide, so it reads the single law `bihom_assoc` as
+`left_left` on `as_dialgebra()`.
 
 The twisted Leibniz rule is written once too, as sparse rows over the
 entries of the unknown maps (`leibniz_rows`): the derivation and triviality
@@ -37,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from bihom.scalars import Mat, ZERO, ONE, q
@@ -45,7 +52,8 @@ from bihom.trees import DASHV, VDASH
 Vec = tuple[Fraction, ...]
 Table = tuple[tuple[Vec, ...], ...]
 Row = dict[int, Fraction]
-Sparse = list[tuple[int, Fraction]]
+Sparse = tuple[tuple[int, Fraction], ...]
+Cells = tuple[tuple[Sparse, ...], ...]
 
 
 def zero_vec(dim: int) -> Vec:
@@ -160,10 +168,15 @@ def _checked_basis(dim: int, tables, maps, basis: Sequence[str] | None) -> tuple
     return basis
 
 
-def _exact_table(name: str, table: Table) -> Table:
-    """The table itself when every entry is a Fraction, else a copy with each
-    entry through `q`; an inexact entry raises TypeError naming its cell."""
-    if {type(c) for row in table for cell in row for c in cell} <= {Fraction}:
+def _frozen_table(name: str, table: Table) -> Table:
+    """The table itself when it is tuples all the way down with every entry
+    a Fraction, else a tuple copy with each entry through `q`, so no source
+    list stays behind the structure; an inexact entry raises TypeError
+    naming its cell."""
+    if type(table) is tuple and all(
+        type(row) is tuple and all(type(cell) is tuple and all(type(c) is Fraction for c in cell) for cell in row)
+        for row in table
+    ):
         return table
 
     def exact(c, i, j, k):
@@ -178,10 +191,29 @@ def _exact_table(name: str, table: Table) -> Table:
     )
 
 
+def _sparse(v: Sequence[Fraction]) -> Sparse:
+    return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def _freeze(X, dim: int, tables: Mapping[str, Table], phi: Mat, psi: Mat, basis, name: str) -> None:
+    """Set X's fields once: the dense tables, frozen, and the sparse form
+    every consumer reads, `cells[op][i][j]` the nonzero (k, c) of e_i op e_j
+    and `twist_cols` the nonzero (k, c) of each column of phi and of psi."""
+    basis = _checked_basis(dim, tables.values(), (phi, psi), basis)
+    tables = {op: _frozen_table(op, t) for op, t in tables.items()}
+    fields = {
+        "dim": dim, "basis": basis, **tables, "phi": phi, "psi": psi, "name": name,
+        "cells": MappingProxyType({op: tuple(tuple(map(_sparse, row)) for row in t) for op, t in tables.items()}),
+        "twist_cols": tuple(tuple(_sparse(M.col(a)) for a in range(dim)) for M in (phi, psi)),
+    }
+    for attr, value in fields.items():
+        object.__setattr__(X, attr, value)
+
+
 class BiHomDialgebra:
     """Two products and two twist maps on Q^dim; laws are not enforced here."""
 
-    __slots__ = ("dim", "basis", "dashv", "vdash", "phi", "psi", "name")
+    __slots__ = ("dim", "basis", "dashv", "vdash", "phi", "psi", "name", "cells", "twist_cols")
 
     def __init__(
         self,
@@ -193,15 +225,7 @@ class BiHomDialgebra:
         basis: Sequence[str] | None = None,
         name: str = "",
     ):
-        basis = _checked_basis(dim, (dashv, vdash), (phi, psi), basis)
-        dashv, vdash = _exact_table("dashv", dashv), _exact_table("vdash", vdash)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "dashv", dashv)
-        object.__setattr__(self, "vdash", vdash)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "name", name)
+        _freeze(self, dim, {DASHV: dashv, VDASH: vdash}, phi, psi, basis, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiHomDialgebra is immutable")
@@ -232,7 +256,7 @@ class BiHomDialgebra:
 class BiHomAssociativeAlgebra:
     """One product with the twisted associativity law (x y) psi(z) = phi(x) (y z)."""
 
-    __slots__ = ("dim", "basis", "mul", "phi", "psi", "name")
+    __slots__ = ("dim", "basis", "mul", "phi", "psi", "name", "cells", "twist_cols")
 
     def __init__(
         self,
@@ -243,14 +267,7 @@ class BiHomAssociativeAlgebra:
         basis: Sequence[str] | None = None,
         name: str = "",
     ):
-        basis = _checked_basis(dim, (mul,), (phi, psi), basis)
-        mul = _exact_table("mul", mul)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "name", name)
+        _freeze(self, dim, {"mul": mul}, phi, psi, basis, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiHomAssociativeAlgebra is immutable")
@@ -306,14 +323,6 @@ def _violations(
             yield Violation(law, t, r)
 
 
-def _sparse(v: Sequence[Fraction]) -> Sparse:
-    return [(k, c) for k, c in enumerate(v) if c]
-
-
-def _cells(table: Table) -> list[list[Sparse]]:
-    return [[_sparse(cell) for cell in row] for row in table]
-
-
 def _combine(n: int, terms: Iterable[tuple[Fraction, Sparse]]) -> list[Fraction]:
     """Sum of c * v over (c, v) in terms, each v sparse, as a dense list of length n."""
     acc = [ZERO] * n
@@ -325,11 +334,10 @@ def _combine(n: int, terms: Iterable[tuple[Fraction, Sparse]]) -> list[Fraction]
 
 def _law_residuals(A: BiHomDialgebra) -> dict[str, Callable[[int, int, int], Vec]]:
     """law -> ((i, j, k) -> law_residual(A, law, e_i, e_j, e_k)), read from
-    sparse tables built once: the product cells, the twist columns, and per
-    outer product R[p][k] = e_p o psi(e_k) and L[i][q] = phi(e_i) o e_q."""
-    m = A.dim
-    cells = {op: _cells(A.table(op)) for op in (DASHV, VDASH)}
-    phi, psi = ([_sparse(M.col(a)) for a in range(m)] for M in (A.phi, A.psi))
+    A's sparse form and, tabulated once per call, per outer product
+    R[p][k] = e_p o psi(e_k) and L[i][q] = phi(e_i) o e_q."""
+    m, cells = A.dim, A.cells
+    phi, psi = A.twist_cols
     right = {op: [[_sparse(_combine(m, ((d, c[p][s]) for s, d in psi[k]))) for k in range(m)] for p in range(m)]
              for op, c in cells.items()}
     left = {op: [[_sparse(_combine(m, ((d, c[s][qq]) for s, d in phi[i]))) for qq in range(m)] for i in range(m)]
@@ -346,10 +354,9 @@ def _law_residuals(A: BiHomDialgebra) -> dict[str, Callable[[int, int, int], Vec
     return {law: residual(law) for law in DIALGEBRA_LAWS}
 
 
-def _respects(f: Mat, ta: Table, tb: Table) -> Callable[[int, int], Vec]:
-    """(i, j) -> f(e_i o e_j) - f(e_i) o' f(e_j), o read from ta and o' from
-    tb, summed over the nonzero cells of both tables and of f's columns."""
-    ca, cb = _cells(ta), _cells(tb)
+def _respects(f: Mat, ca: Cells, cb: Cells) -> Callable[[int, int], Vec]:
+    """(i, j) -> f(e_i o e_j) - f(e_i) o' f(e_j), o read from the cells ca
+    and o' from cb, summed over their nonzero cells and f's columns."""
     fc = [_sparse(f.col(a)) for a in range(f.cols)]
     return lambda i, j: tuple(_combine(f.rows, chain(
         ((c, fc[k]) for k, c in ca[i][j]),
@@ -358,7 +365,7 @@ def _respects(f: Mat, ta: Table, tb: Table) -> Callable[[int, int], Vec]:
 
 
 def leibniz_rows(
-    tables: Sequence[Table],
+    products: Sequence[Cells],
     W: Mat,
     blocks: tuple[int, int, int] = (0, 0, 0),
     weights: tuple[Fraction, Fraction, Fraction] = (ONE, ONE, ONE),
@@ -367,49 +374,47 @@ def leibniz_rows(
 
     `blocks` is (lhs, left, right) and `weights` is (alpha, beta, gamma);
     each D is an n x n block of the unknowns, stacked row-major.  One row
-    per product table o, basis pair (e_a, e_b) and output coordinate k,
-    in that order.
+    per product o, given by its cells, basis pair (e_a, e_b) and output
+    coordinate k, in that order.
     """
     n = W.rows
     lhs, left, right = (block * n * n for block in blocks)
     alpha, beta, gamma = weights
-    e = [basis_vec(n, j) for j in range(n)]
+    wc = [_sparse(W.col(a)) for a in range(n)]
     rows: list[Row] = []
-    for table in tables:
-        # the weighted terms, tabulated once per product: alpha (e_a o e_b),
-        # beta (W e_a o e_q) and gamma (e_p o W e_b)
-        ab = [[_weighted(alpha, cell) for cell in line] for line in table]
-        wx = [[_weighted(beta, apply_table(table, W.col(a), v)) for v in e] for a in range(n)]
-        xw = [[_weighted(gamma, apply_table(table, v, W.col(b))) for b in range(n)] for v in e]
-        for a, b, k in product(range(n), repeat=3):
-            row: Row = {}
-            for p, c in enumerate(ab[a][b]):
-                if c:
-                    key = lhs + k * n + p
-                    row[key] = row.get(key, ZERO) + c
+    for cells in products:
+        # the weighted terms, tabulated once per product: beta (W e_a o e_q)
+        # and gamma (e_p o W e_b), sparse over the output coordinate
+        wx = [[_weighted(beta, _sparse(_combine(n, ((w, cells[s][qq]) for s, w in wc[a])))) for qq in range(n)]
+              for a in range(n)]
+        xw = [[_weighted(gamma, _sparse(_combine(n, ((w, cells[p][s]) for s, w in wc[b])))) for b in range(n)]
+              for p in range(n)]
+        for a, b in product(range(n), repeat=2):
+            out: list[Row] = [{} for _ in range(n)]
+            for p, c in _weighted(alpha, cells[a][b]):
+                for k, row in enumerate(out):
+                    row[lhs + k * n + p] = row.get(lhs + k * n + p, ZERO) + c
             for qq in range(n):
-                c = wx[a][qq][k]
-                if c:
-                    key = right + qq * n + b
-                    row[key] = row.get(key, ZERO) - c
+                for k, c in wx[a][qq]:
+                    out[k][right + qq * n + b] = out[k].get(right + qq * n + b, ZERO) - c
             for p in range(n):
-                c = xw[p][b][k]
-                if c:
-                    key = left + p * n + a
-                    row[key] = row.get(key, ZERO) - c
-            rows.append({key: v for key, v in row.items() if v})
+                for k, c in xw[p][b]:
+                    out[k][left + p * n + a] = out[k].get(left + p * n + a, ZERO) - c
+            rows += ({key: v for key, v in row.items() if v} for row in out)
     return rows
 
 
-def _weighted(w: Fraction, v: Vec) -> Vec:
-    return v if w == ONE else tuple(w * c for c in v)
+def _weighted(w: Fraction, v: Sparse) -> Sparse:
+    if w == ONE:
+        return v
+    return tuple((k, w * c) for k, c in v) if w else ()
 
 
-def _leibniz(D: Mat, W: Mat, table: Table) -> Callable[[int, int], Vec]:
+def _leibniz(D: Mat, W: Mat, cells: Cells) -> Callable[[int, int], Vec]:
     """(a, b) -> D(e_a o e_b) - W(e_a) o D(e_b) - D(e_a) o W(e_b): each
     coordinate is a `leibniz_rows` row applied to the entries of D."""
     n, d = D.rows, D.entries()
-    res = [sum((v * d[c] for c, v in row.items()), ZERO) for row in leibniz_rows((table,), W)]
+    res = [sum((v * d[c] for c, v in row.items()), ZERO) for row in leibniz_rows((cells,), W)]
     return lambda a, b: tuple(res[(a * n + b) * n : (a * n + b + 1) * n])
 
 
@@ -439,7 +444,7 @@ def is_multiplicative(A: BiHomDialgebra) -> AxiomReport:
     violations: list[Violation] = []
     for mname, m in (("phi", A.phi), ("psi", A.psi)):
         for op in (DASHV, VDASH):
-            violations += _violations(f"{mname}_{op}", 2, A.dim, _respects(m, A.table(op), A.table(op)))
+            violations += _violations(f"{mname}_{op}", 2, A.dim, _respects(m, A.cells[op], A.cells[op]))
     return AxiomReport.from_violations(violations)
 
 
@@ -456,7 +461,7 @@ def is_morphism(f: Mat, A: BiHomDialgebra, B: BiHomDialgebra) -> AxiomReport:
     for mname, mA, mB in (("phi", A.phi, B.phi), ("psi", A.psi, B.psi)):
         violations += _violations(f"{mname}_intertwine", 1, A.dim, (mB @ f - f @ mA).col)
     for op in (DASHV, VDASH):
-        violations += _violations(op, 2, A.dim, _respects(f, A.table(op), B.table(op)))
+        violations += _violations(op, 2, A.dim, _respects(f, A.cells[op], B.cells[op]))
     return AxiomReport.from_violations(violations)
 
 
@@ -481,7 +486,7 @@ def from_differential_algebra(
                 raise ValueError(f"d does not commute with {mname}")
             if not (m @ m - m).is_zero():
                 raise ValueError(f"{mname} is not idempotent")
-        bad = next(_violations("leibniz", 2, A.dim, _leibniz(d, Mat.identity(A.dim), A.mul)), None)
+        bad = next(_violations("leibniz", 2, A.dim, _leibniz(d, Mat.identity(A.dim), A.cells["mul"])), None)
         if bad is not None:
             raise ValueError(f"Leibniz rule fails at basis pair {bad.at}")
     ix = range(A.dim)

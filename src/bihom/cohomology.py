@@ -28,7 +28,11 @@ The coboundary is written once, as block tables (`_coboundary_blocks`).
 Block i of delta f on a tree y reads f on face i of y through the
 product of leaf i of y, and depends on y in no other way, so delta^n is
 one table per (block, product) over the local coordinates of one tree,
-built once per degree.  `dialg_coboundary`/`hoch_coboundary` apply the
+built once per degree.  The block tables and the compatibility rows read
+the structure's sparse form, built once when the structure is made
+(`cells` per product, `twist_cols` per twist, both frozen), never the
+dense tables; `apply_table` and `law_residual` in `bihom.algebra` are
+the dense references.  `dialg_coboundary`/`hoch_coboundary` apply the
 block tables face by face to a cochain's support, grouped by tree; only
 `*_coboundary_rows` assembles ambient rows.  The term-by-term evaluation
 of the formula is kept in `tests/oracles.py` as the independent reference.
@@ -59,17 +63,18 @@ from typing import Callable, Mapping, Sequence
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
-    Table,
+    Sparse,
     Vec,
-    apply_table,
+    _combine,
+    _sparse,
     check_bihom_associative,
     is_multiplicative,
     is_zero_vec,
     vec_add,
     zero_vec,
 )
-from bihom.scalars import Mat, ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q, rank_rows
-from bihom.trees import DASHV, VDASH, Tree, face_layout, tree_index, trees
+from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q, rank_rows
+from bihom.trees import Tree, face_layout, tree_index, trees
 
 
 def _args_rank(args: Sequence[int], dim: int) -> int:
@@ -276,22 +281,6 @@ def hochschild_cochain_dim(degree: int, dim: int) -> int:
 # -- the coboundary as block tables, and its ambient rows -----------------------
 
 
-def _expand_product(table: Table, u: Vec, m: int) -> list[tuple[int, Vec]]:
-    """Nonzero columns [u * e_j] as (j, column) pairs; on the transposed
-    table, those of [e_j * u]."""
-    cols = [(j, [ZERO] * m) for j in range(m)]
-    for p, up in enumerate(u):
-        for j, col in cols if up else ():
-            for k, c in enumerate(table[p][j]):
-                if c:
-                    col[k] += up * c
-    return [(j, tuple(col)) for j, col in cols if any(col)]
-
-
-def _support(v: Vec) -> list[tuple[int, Fraction]]:
-    return [(i, c) for i, c in enumerate(v) if c]
-
-
 def _expand(supports: Sequence[list], m: int, coef: Fraction) -> list[tuple[int, Fraction]]:
     """(rank * m, coef * coefficient) of each argument tuple the supports expand to."""
     terms = []
@@ -305,10 +294,7 @@ def _expand(supports: Sequence[list], m: int, coef: Fraction) -> list[tuple[int,
 
 
 def _coboundary_blocks(
-    phi: Mat,
-    psi: Mat,
-    products: Mapping[str, Table],
-    n: int,
+    X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int
 ) -> dict[tuple[int, str], dict[int, dict[int, Fraction]]]:
     """delta^n as tree-independent block tables.
 
@@ -317,16 +303,14 @@ def _coboundary_blocks(
     (arguments b row-major, then the output k), each over the local
     coordinates of the degree-n tree it reads (arguments, then output).
     The rows of a tree y are the sum over i of block (i, orientation i
-    of y), shifted to face i of y.  Everything that depends only on a
-    basis index or a product (twist column supports, product cells, the
-    expansions of P e_j and Q e_j through each product) is tabulated once.
-    Only argument tuples that give a nonzero row are visited, in ascending order.
+    of y), shifted to face i of y.  Products and twists are read from X's
+    sparse form; the expansions of P e_j and Q e_j through each product are
+    tabulated once.  Only argument tuples that give a nonzero row are
+    visited, in ascending order.
     """
-    m = phi.rows
-    P = phi.power(n - 1)
-    Q = psi.power(n - 1)
-    phi_sup = [_support(phi.col(j)) for j in range(m)]
-    psi_sup = [_support(psi.col(j)) for j in range(m)]
+    m = X.dim
+    P, Q = ([_sparse(M.col(x)) for x in range(m)] for M in (X.phi.power(n - 1), X.psi.power(n - 1)))
+    phi_sup, psi_sup = X.twist_cols
     phi_live = [x for x in range(m) if phi_sup[x]]
     psi_live = [x for x in range(m) if psi_sup[x]]
     last_sign = -1 if (n + 1) % 2 else 1
@@ -347,20 +331,13 @@ def _coboundary_blocks(
         return rows
 
     tables: dict[tuple[int, str], dict[int, dict[int, Fraction]]] = {}
-    for name, table in products.items():
-        cells = [[_support(cell) for cell in line] for line in table]
-        left = [
-            [(j, _support(col)) for j, col in _expand_product(table, P.col(x), m)]
-            for x in range(m)
-        ]
-        transposed = list(zip(*table))
-        right = [
-            [
-                (j, [(k, last_sign * c) for k, c in _support(col)])
-                for j, col in _expand_product(transposed, Q.col(x), m)
-            ]
-            for x in range(m)
-        ]
+    for name, cells in X.cells.items():
+        # the nonzero columns [P e_x o e_j] and, signed, [e_j o Q e_x], as (j, column)
+        left = [[(j, col) for j in range(m) if (col := _sparse(_combine(m, ((u, cells[p][j]) for p, u in P[x]))))]
+                for x in range(m)]
+        right = [[(j, [(k, last_sign * c) for k, c in col]) for j in range(m)
+                  if (col := _sparse(_combine(m, ((u, cells[j][p]) for p, u in Q[x]))))]
+                 for x in range(m)]
         live_cells = [(x, y, cell) for x, line in enumerate(cells) for y, cell in enumerate(line) if cell]
         tables[0, name] = outer(left, True)
         for i in range(1, n + 1):
@@ -416,13 +393,16 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
 # -- twist compatibility --------------------------------------------------------
 
 
-def _compat_rows(maps: Sequence[Mat], dim: int, degree: int) -> list[dict[int, Fraction]]:
-    """Rows of M f(b) = f(M b) for each twist M, over one tree's coordinates."""
-    m = dim
+def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int) -> list[dict[int, Fraction]]:
+    """Rows of M f(b) = f(M b) for each twist M, given by the nonzero
+    (k, c) of its columns, over one tree's coordinates."""
     rows: list[dict[int, Fraction]] = []
-    for M in maps:
-        cols = [_support(M.col(c)) for c in range(m)]
-        lines = [_support(M.row(k)) for k in range(m)]
+    for cols in twists:
+        m = len(cols)
+        lines: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+        for j, col in enumerate(cols):
+            for k, c in col:
+                lines[k].append((j, c))
         for r, b in enumerate(iproduct(range(m), repeat=degree)):
             base = r * m
             # f(M b): the argument tuples M b expands to, with coefficients
@@ -453,12 +433,11 @@ class _Complex:
     """
 
     def __init__(self, X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain]):
+        structure = BiHomDialgebra if cochain is TreeCochain else BiHomAssociativeAlgebra
+        if not isinstance(X, structure):
+            raise TypeError(f"the {cochain.__name__} complex needs a {structure.__name__}, got a {type(X).__name__}")
         self.X = X
         self.cochain = cochain
-        if cochain is TreeCochain:
-            self.products = {op: X.table(op) for op in (DASHV, VDASH)}
-        else:
-            self.products = {"mul": X.mul}
         self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
         self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
         self._cocycle_test: dict[int, tuple[list[dict], Callable[[dict[int, Fraction]], bool]]] = {}
@@ -479,7 +458,7 @@ class _Complex:
         """Ambient delta^n rows, output tree by output tree: each block
         shifted by face * m^(n+1), the length of one input tree, and summed."""
         size = self.cochain_dim(n) // self.cochain._ntrees(n)  # one input tree
-        blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
+        blocks = _coboundary_blocks(self.X, n)
         rows: list[dict[int, Fraction]] = []
         for faces, ors in self.layout(n):
             tree_rows: list[dict[int, Fraction]] = [{} for _ in range(size * self.X.dim)]
@@ -498,7 +477,7 @@ class _Complex:
         block i taken with y's product i reads f's entries on face i of y.
         Each block's image of one tree of f is computed once."""
         n, m = f.degree, self.X.dim
-        blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
+        blocks = _coboundary_blocks(self.X, n)
         local = [
             {_args_rank(args, m) * m + k: v for args, val in group for k, v in enumerate(val) if v}
             for group in f.groups
@@ -527,7 +506,7 @@ class _Complex:
         and equal twists give their rows once."""
         if n not in self._kernel:
             X = self.X
-            rows = _compat_rows((X.phi,) if X.phi == X.psi else (X.phi, X.psi), X.dim, n)
+            rows = _compat_rows(X.twist_cols[:1] if X.phi == X.psi else X.twist_cols, n)
             self._kernel[n] = nullspace_rows(rows, X.dim ** (n + 1)).sparse_rows()
         return self._kernel[n]
 
@@ -547,7 +526,7 @@ class _Complex:
             by_image: dict[tuple, int] = {(): 0}
             images: list[dict[int, Fraction]] = [{}]
             ids: dict[tuple[int, str], list[int]] = {}
-            blocks = _coboundary_blocks(self.X.phi, self.X.psi, self.products, n)
+            blocks = _coboundary_blocks(self.X, n)
             for key, table in blocks.items():
                 col = ids[key] = [0] * self.X.dim ** (n + 2)
                 for r, row in table.items():

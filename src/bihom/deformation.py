@@ -432,7 +432,7 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
     one = [Mat.identity(m)]
     flat = zero_deformation(base)
     psis: list[Mat] = list(one)
-    lhs = leibniz_rows((base.dashv, base.vdash), one[0])
+    lhs = leibniz_rows(tuple(base.cells.values()), one[0])
     for n in range(1, N + 1):
         K = _difference(_transport(defm, psis, one, n), _transport(flat, one, psis, n), m)
         rows = [{**row, m * m: -k} if k else row for row, k in zip(lhs, K.flatten())]

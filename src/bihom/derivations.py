@@ -7,7 +7,10 @@ entries of the unknown maps, assembled from two kinds of rows:
 * twisted Leibniz rows (`bihom.algebra.leibniz_rows`), for each product
   o and basis pair (e_a, e_b):
   alpha D(e_a o e_b) = beta (W e_a o D e_b) + gamma (D e_a o W e_b),
-  with W = phi^k psi^l for the chosen bidegree (k, l).
+  with W = phi^k psi^l for the chosen bidegree (k, l).  They read the
+  products from the structure's sparse form (`A.cells`), built once when
+  the structure is made, with its tables frozen; `apply_table` stays the
+  dense reference, used here only by `ad`.
 
 The variants differ only in which unknown sits in which slot and in the
 weights, so one assembler builds them all from a table: the plain variant
@@ -187,7 +190,7 @@ def _system_rows(
                     key = off + s * n + j
                     row[key] = row.get(key, ZERO) - c
             rows.append({k: v for k, v in row.items() if v})
-    rows += leibniz_rows((A.dashv, A.vdash), _twist(A, deg), tuple(blocks), weights)
+    rows += leibniz_rows(tuple(A.cells.values()), _twist(A, deg), tuple(blocks), weights)
     return rows, components * n * n
 
 
@@ -271,8 +274,8 @@ def derivation_report(A: BiHomDialgebra, D: Mat, deg: BiDegree) -> AxiomReport:
     violations: list[Violation] = []
     for law, M in (("commute_phi", A.phi), ("commute_psi", A.psi)):
         violations += islice(_violations(law, 1, A.dim, (D @ M - M @ D).col), 1)
-    for op in ("dashv", "vdash"):
-        violations += _violations(f"leibniz_{op}", 2, A.dim, _leibniz(D, W, A.table(op)))
+    for op, cells in A.cells.items():
+        violations += _violations(f"leibniz_{op}", 2, A.dim, _leibniz(D, W, cells))
     return AxiomReport.from_violations(violations)
 
 

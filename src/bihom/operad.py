@@ -47,12 +47,12 @@ def pi_element(A: BiHomDialgebra) -> TreeCochain:
     """The dialgebra's products as an arity-2 element, routed by tree shape."""
     data = {}
     for t, y in enumerate(trees(2)):
-        table = A.table(orientations(y)[1])
-        for i in range(A.dim):
-            for j in range(A.dim):
-                val = table[i][j]
-                if not is_zero_vec(val):
-                    data[(t, (i, j))] = val
+        op = orientations(y)[1]
+        table = A.table(op)
+        for i, line in enumerate(A.cells[op]):
+            for j, cell in enumerate(line):
+                if cell:
+                    data[(t, (i, j))] = table[i][j]
     return TreeCochain(2, A.dim, data)
 
 

@@ -361,7 +361,7 @@ def ambient_cohomology_spaces(X, n: int) -> tuple[Subspace, Subspace, Subspace]:
 
     def compat(k):
         size = m ** (k + 1)
-        one_tree = _compat_rows((X.phi, X.psi), m, k)
+        one_tree = _compat_rows(X.twist_cols, k)
         rows = [
             {c + t * size: v for c, v in row.items()}
             for t in range(cochain._ntrees(k))

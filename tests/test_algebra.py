@@ -242,3 +242,28 @@ def test_table_entries_must_be_exact():
     assert all(type(c) is Fraction for row in A.vdash for cell in row for c in cell)
     exact = zero_table(2)
     assert BiHomDialgebra(2, exact, exact, ident, ident).dashv is exact
+
+
+def test_tables_given_as_lists_are_frozen():
+    """A table passed as nested lists is copied into tuples, so assigning
+    into the source lists afterwards changes neither the structure's tables
+    nor its law checks."""
+    A0 = catalog()["Alg2_2"].build(a=1)
+    dashv, vdash = ([[list(cell) for cell in row] for row in t] for t in (A0.dashv, A0.vdash))
+    A = BiHomDialgebra(2, dashv, vdash, A0.phi, A0.psi)
+    assert check_dialgebra(A).ok
+    vdash[1][1][1] = Fraction(1)  # the right_right break of `_perturbed_alg2_2`
+    dashv[0] = [[Fraction(1), Fraction(0)]] * 2
+    assert check_dialgebra(A).ok
+    assert (A.dashv, A.vdash) == (A0.dashv, A0.vdash)
+    assert not check_dialgebra(BiHomDialgebra(2, dashv, vdash, A0.phi, A0.psi)).ok
+
+    T = _upper_triangular()
+    mul = [[list(cell) for cell in row] for row in T.mul]
+    B = type(T)(3, mul, T.phi, T.psi)
+    assert check_bihom_associative(B).ok and check_dialgebra(B.as_dialgebra()).ok
+    mul[0][0][1] = Fraction(1)
+    mul[2] = [[Fraction(1)] * 3] * 3
+    assert check_bihom_associative(B).ok and check_dialgebra(B.as_dialgebra()).ok
+    assert B.mul == T.mul
+    assert not check_bihom_associative(type(T)(3, mul, T.phi, T.psi)).ok

@@ -386,13 +386,19 @@ def test_degree_below_one_is_refused(n):
 
 def test_cohomology_spaces_match_the_space_functions():
     """The shared path gives the same canonical spaces as the per-complex
-    functions, and refuses anything that is not an algebra or dialgebra."""
-    for X, fns in (
+    functions, and refuses anything that is not an algebra or dialgebra;
+    each per-complex function refuses the other kind of structure."""
+    cases = (
         (catalog()["Alg3_3"].build(b=1), (dialg_compatible_space, dialg_cocycles, dialg_coboundaries)),
         (nil2(), (hoch_compatible_space, hoch_cocycles, hoch_coboundaries)),
-    ):
+    )
+    for X, fns in cases:
         for n in (1, 2, 3):
             assert cohomology_spaces(X, n) == tuple(fn(X, n) for fn in fns)
+    for (X, _), (Y, fns) in zip(cases, cases[::-1]):
+        for fn in fns:
+            with pytest.raises(TypeError, match=f"complex needs a {type(Y).__name__}, got a {type(X).__name__}$"):
+                fn(X, 2)
     with pytest.raises(TypeError, match="^expected an algebra or dialgebra, got Mat$"):
         cohomology_spaces(Mat.identity(2), 2)
 

@@ -1,8 +1,8 @@
 """The law checks against their dense routes.
 
 `check_dialgebra`, `check_bihom_associative`, `is_multiplicative` and
-`is_morphism` read every residual from sparse products tabulated once per
-call.  Each residual must equal two independent routes: `law_residual` on
+`is_morphism` read every residual from the structure's sparse form, built
+once at construction.  Each residual must equal two independent routes: `law_residual` on
 basis vectors (dense `apply_table` and `Mat.apply`), and the order-0
 coefficient of the zero deformation, `deformation_residual`, on the tree
 that carries the law.  `_respects` must equal f(e_i o e_j) - f(e_i) o' f(e_j)
@@ -108,7 +108,7 @@ def test_respects_matches_the_dense_route():
         for f, target in ((_random_map(3000 + n, A.dim), A), (_random_map(4000 + n, B.dim, A.dim), B)):
             for op_a, op_b in product((DASHV, VDASH), repeat=2):
                 ta, tb = A.table(op_a), target.table(op_b)
-                got = _respects(f, ta, tb)
+                got = _respects(f, A.cells[op_a], target.cells[op_b])
                 for i, j in product(range(A.dim), repeat=2):
                     want = vec_sub(f.apply(ta[i][j]), apply_table(tb, f.col(i), f.col(j)))
                     assert got(i, j) == want, (A.name, target.name, op_a, op_b, (i, j))
