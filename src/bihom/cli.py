@@ -404,7 +404,7 @@ def cohomology_cmd(file, name, degree, which, as_json):
         and degree in _REFERENCE_COCYCLES
         and X.dim == 3
     ):
-        _, in_z = cx.cocycle_test(degree)
+        in_z = cx.cocycle_test(degree)
         for args, target in _REFERENCE_COCYCLES[degree]:
             zero_based = tuple(a - 1 for a in args)
             f = HochschildCochain(degree, X.dim, {zero_based: basis_vec(X.dim, target - 1)})

@@ -41,15 +41,17 @@ The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
 tree, repeated per tree, and its canonical basis G is the shifted copies
 of K_n's.  Each distinct block row is restricted to K_n once; combined
-through the face offsets these give delta^n . G, whose distinct rows are
-few.  With r_n its rank, the report takes dim Z^n = dim C^n - r_n and
-dim B^n = r_(n-1) and builds no basis of Z^n.  B^n is spanned by delta
-of the rows of G_(n-1) at the pivot columns of delta^(n-1) . G_(n-1), and
-lies in Z^n exactly when each of those images lies in C^n, tree by tree,
-and is killed by delta^n . G.  The canonical Z^n is G . ker(delta^n . G):
-G's rows have unit pivots no other row touches, so reduced rows lift to
-reduced rows.  Nothing is eliminated over all of a degree's coordinates;
-`tests/oracles.py` keeps that route as the reference.
+through the face offsets these give delta^n . G, of rank r_n, so that
+dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  Its one-entry rows come
+first, found from the classes of restrictions without building a row;
+only rows touching a column none covers are built and eliminated.  B^n
+is spanned by delta of the rows of G_(n-1) at the pivot columns so found,
+and lies in Z^n exactly when each image lies in C^n, tree by tree, is
+zero on the covered columns and is killed by the other rows.  The
+canonical Z^n is G . ker(delta^n . G), from every row: G's rows have unit
+pivots no other row touches, so reduced rows lift to reduced rows.
+Nothing is eliminated over all of a degree's coordinates; `tests/oracles.py`
+keeps that route, and every row of delta^n . G, as the references.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from bihom.algebra import (
     vec_add,
     zero_vec,
 )
-from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q, rank_rows
+from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q, span_rows
 from bihom.trees import Tree, face_layout, tree_index, trees
 
 
@@ -440,7 +442,7 @@ class _Complex:
         self.cochain = cochain
         self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
         self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
-        self._cocycle_test: dict[int, tuple[list[dict], Callable[[dict[int, Fraction]], bool]]] = {}
+        self._singletons: dict[int, tuple[set[int], list[dict], _Eliminator]] = {}
 
     def cochain_dim(self, n: int) -> int:
         """Length of a flattened degree-n cochain; there are no 0-cochains."""
@@ -547,27 +549,27 @@ class _Complex:
 
     def compatible_space(self, n: int) -> Subspace:
         """C^n: the shifted copies of K_n, one per tree, already canonical."""
-        dim = self.cochain_dim(n)
-        size = self.X.dim ** (n + 1)
-        K = self.kernel(n)
+        dim, size, K = self.cochain_dim(n), self.X.dim ** (n + 1), self.kernel(n)
         return Subspace._from_rref(dim, [
-            {c + t * size: v for c, v in row}
-            for t in range(self.cochain._ntrees(n))
-            for row in K
-        ])
+            {c + t * size: v for c, v in row} for t in range(self.cochain._ntrees(n)) for row in K])
 
     def delta_g(self, n: int) -> list[dict[int, Fraction]]:
-        """The distinct nonzero rows of delta^n . G, G the canonical basis of
-        C^n, over the coordinates t * dim K_n + a of row a of K_n on tree t.
-        Output coordinates that read the same restrictions give the same row
-        on every tree, so each tree combines one row per class of them."""
+        """Every distinct nonzero row of delta^n . G; see `_tree_rows`."""
+        return self._tree_rows(n, self.layout(n))
+
+    def _tree_rows(self, n: int, layout: Sequence[tuple[Sequence[int], Sequence[str]]]) -> list[dict[int, Fraction]]:
+        """The distinct nonzero rows of delta^n . G on the output trees of
+        `layout`, G the canonical basis of C^n, over the coordinates
+        t * dim K_n + a of row a of K_n on tree t.  Output coordinates that
+        read the same restrictions give the same row on every tree, so each
+        tree combines one row per class of them."""
         dK = len(self.kernel(n))
         ids, images = self.restricted(n)
         classes = dict.fromkeys(zip(*ids.values()))
         pos = {key: s for s, key in enumerate(ids)}
         seen: set[tuple] = set()
         rows: dict[tuple[tuple[int, Fraction], ...], None] = {}
-        for faces, ors in self.layout(n):
+        for faces, ors in layout:
             sel = [(pos[i, p], f * dK) for i, (f, p) in enumerate(zip(faces, ors))]
             for cls in classes:
                 parts = tuple((off, cls[s]) for s, off in sel if cls[s])
@@ -582,6 +584,35 @@ class _Complex:
                 if key:
                     rows[key] = None
         return [dict(row) for row in rows]
+
+    def singletons(self, n: int) -> tuple[set[int], list[dict[int, Fraction]], _Eliminator]:
+        """The singleton pass over delta^n . G, once per degree.  A class whose
+        live restrictions all sit in one block gives, on every output tree, a
+        one-entry row at that block's face wherever its restriction has one
+        entry; those columns are covered, with no row built.  Returns them,
+        the rows touching any other column restricted to those columns, and
+        the rows' elimination, whose pivots join the covered columns."""
+        if n not in self._singletons:
+            dK, (ids, images), layout = len(self.kernel(n)), self.restricted(n), self.layout(n)
+            single, support = ({key: set() for key in ids} for _ in range(2))
+            for cls in dict.fromkeys(zip(*ids.values())):
+                live = [(key, images[rid]) for key, rid in zip(ids, cls) if rid]
+                one_block = len({i for (i, _), _ in live}) == 1
+                for key, img in live:
+                    support[key].update(img)
+                    if one_block and len(img) == 1:
+                        single[key].update(img)
+            reads = {(f * dK, key) for faces, ors in layout for f, key in zip(faces, enumerate(ors))}
+            covered = {off + a for off, key in reads for a in single[key]}
+            uncovered = {off + a for off, key in reads for a in support[key]} - covered
+            touching = [(faces, ors) for faces, ors in layout if uncovered and not uncovered.isdisjoint(
+                f * dK + a for f, key in zip(faces, enumerate(ors)) for a in support[key])]
+            rest = [r for row in self._tree_rows(n, touching)
+                    if (r := {c: v for c, v in row.items() if c in uncovered})]
+            elim = _Eliminator()
+            elim.add_many(rest)
+            self._singletons[n] = covered, rest, elim
+        return self._singletons[n]
 
     def cocycles(self, n: int) -> Subspace:
         """Z^n = G . ker(delta^n . G), lifted row by row; see the module notes."""
@@ -606,11 +637,10 @@ class _Complex:
         block tables and shifted to every output tree whose block reads t."""
         if n == 1:
             return []
-        elim = _Eliminator()
-        elim.add_many(self.delta_g(n - 1))
+        covered, _, elim = self.singletons(n - 1)
         ids, images = self.restricted(n - 1)
         dK, size = len(self.kernel(n - 1)), self.X.dim ** (n + 1)
-        picked = [divmod(c, dK) for c in sorted(elim.pivots)]
+        picked = [divmod(c, dK) for c in sorted(covered | elim.pivots.keys())]
         wanted = {a for _, a in picked}
         kept = [[(a, v) for a, v in img.items() if a in wanted] for img in images]
         pushed = {key: {a: {} for a in wanted} for key in ids}
@@ -630,20 +660,16 @@ class _Complex:
 
     def coboundaries(self, n: int) -> Subspace:
         """B^n, the canonical form of `images`; the zero space at n = 1."""
-        dim = self.cochain_dim(n)
-        elim = _Eliminator()
-        elim.add_many(self.images(n))
-        return Subspace._from_rref(dim, elim.rref()[1])
+        dim = self.cochain_dim(n)  # refuses n < 1 before any image
+        return span_rows(self.images(n), dim)
 
-    def cocycle_test(self, n: int) -> tuple[list[dict], Callable[[dict[int, Fraction]], bool]]:
-        """delta^n . G, and the membership test of Z^n built on it, once per
-        degree.  The test takes a degree-n cochain by its nonzero ambient
-        coordinates: it is a cocycle when it lies in K_n's span on every
-        tree and its G-coordinates, read at K_n's pivots, are killed by
-        delta^n . G."""
-        if n in self._cocycle_test:
-            return self._cocycle_test[n]
-        K, size, rows = self.kernel(n), self.X.dim ** (n + 1), self.delta_g(n)
+    def cocycle_test(self, n: int) -> Callable[[dict[int, Fraction]], bool]:
+        """The membership test of Z^n.  It takes a degree-n cochain by its
+        nonzero ambient coordinates: it is a cocycle when it lies in K_n's
+        span on every tree, and its G-coordinates, read at K_n's pivots, are
+        zero on the covered columns of `singletons` and killed by its rows."""
+        K, size = self.kernel(n), self.X.dim ** (n + 1)
+        covered, rows, _ = self.singletons(n)
         span, at = Subspace._from_rref(size, map(dict, K)), {row[0][0]: a for a, row in enumerate(K)}
         by_col: dict[int, list[tuple[int, Fraction]]] = {}
         for i, row in enumerate(rows):
@@ -659,22 +685,24 @@ class _Complex:
                 if span.residual(x.items()):
                     return False
                 for j, w in x.items():
-                    for i, v in by_col.get(t * len(K) + at[j], ()) if j in at else ():
+                    col = t * len(K) + at[j] if j in at else None
+                    if col in covered:
+                        return False
+                    for i, v in by_col.get(col, ()):
                         acc[i] = acc[i] + w * v if i in acc else w * v
             return not any(acc.values())
 
-        self._cocycle_test[n] = rows, killed
-        return rows, killed
+        return killed
 
     def report(self, n: int) -> CohomologyReport:
         """Dimensions from ranks, r_k the rank of delta^k . G_k: dim C^n is
         |Y_n| dim K_n, dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  B^n
         lies in Z^n when `cocycle_test` accepts each of its basis images."""
         self.cochain_dim(n)  # refuses n < 1 before any kernel work
-        rows, killed = self.cocycle_test(n)
+        killed, (covered, _, elim) = self.cocycle_test(n), self.singletons(n)
         B = self.images(n)
         contained = all(map(killed, B))
-        dim_z = (dim_c := self.cochain._ntrees(n) * len(self.kernel(n))) - rank_rows(rows)
+        dim_z = (dim_c := self.cochain._ntrees(n) * len(self.kernel(n))) - len(covered) - elim.rank
         return CohomologyReport(n, dim_c, dim_z, len(B), dim_z - len(B) if contained else None, contained)
 
 
@@ -741,12 +769,25 @@ def cohomology_report(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Co
     return _complex_of(X).report(n)
 
 
+class CoboundaryEscape(ArithmeticError):
+    """B^n escapes Z^n at (`tree`, basis indices `args`, `output`), `tree` None
+    in the one-product complex.  The class attribute `args` lets the instance's
+    own shadow the exception's, so the message keeps its slot."""
+
+    args: tuple[int, ...] = ()
+
+    def __init__(self, message: str, degree: int, tree: int | None, args: tuple[int, ...], output: int, residual: Fraction):
+        super().__init__(message)
+        self.degree, self.tree, self.args, self.output, self.residual = degree, tree, args, output, residual
+
+
 def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> CohomologyReport:
     """Z^n, B^n and their difference, inside the twist-compatible subcomplex.
 
     B^1 is taken to be zero (there are no 0-cochains).  Raises
-    ArithmeticError if the coboundary space escapes the cocycle space,
-    which would mean the complex is broken for this algebra.
+    `CoboundaryEscape`, an ArithmeticError, if the coboundary space escapes
+    the cocycle space, which would mean the complex is broken for this
+    algebra.
     """
     rep = cohomology_report(X, n)
     if not rep.contained:
@@ -754,12 +795,11 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
         i, res = next((i, res) for i, r in enumerate(B.sparse_rows()) if (res := Z.residual(r)))
         coord = min(res)
         t, args, k = _decode(coord, n, X.dim)
-        where = f"tree {t}, " if isinstance(X, BiHomDialgebra) else ""
-        raise ArithmeticError(
+        tree = t if isinstance(X, BiHomDialgebra) else None
+        raise CoboundaryEscape(
             f"coboundaries escape cocycles in degree {n}: coboundary basis row {i} "
-            f"has residual {res[coord]} at {where}args "
-            f"({', '.join(X.basis[a] for a in args)}), output {X.basis[k]}"
-        )
+            f"has residual {res[coord]} at {'' if tree is None else f'tree {t}, '}args "
+            f"({', '.join(X.basis[a] for a in args)}), output {X.basis[k]}", n, tree, args, k, res[coord])
     return rep
 
 

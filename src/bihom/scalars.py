@@ -6,10 +6,10 @@ this module is the arithmetic substrate for the whole package.  The
 scalar type is `fractions.Fraction`, which already maintains the
 invariants we need (positive denominator, reduced form).
 
-Elimination is fraction-free: rows are scaled to integers and combined
-by cross-multiplication with a gcd renormalisation after every step,
-which bounds intermediate growth on the moderately sized systems that
-arise here (tens of thousands of sparse rows, a few thousand unknowns).
+Elimination takes one-entry rows first, as unit pivots; the rest is
+fraction-free, scaled to integers and combined by cross-multiplication
+with a gcd renormalisation after every step, which bounds intermediate
+growth on the systems that arise here (tens of thousands of sparse rows).
 Subspaces are stored sparsely, in canonical reduced row echelon form:
 unit pivots, rows ordered by pivot column, each row kept as its nonzero
 (column, value) pairs.  Equal subspaces therefore have identical
@@ -236,14 +236,16 @@ class Mat:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-# -- sparse fraction-free elimination -----------------------------------------
+# -- sparse elimination, singleton pivots first --------------------------------
 #
-# Rows are dicts {column: int} after clearing denominators.  Forward
-# elimination keeps one pivot row per pivot column; an incoming row is
-# reduced against existing pivots by cross-multiplication (r := p_lead*r
-# - r_lead*p) followed by a gcd renormalisation, so entries stay integral
-# and bounded.  Back substitution then produces the reduced echelon form
-# with unit pivots over Fraction.
+# A row with one nonzero entry, as given or once the unit columns found so
+# far are stripped from it, is the unit pivot {c: 1}, never integerised: a
+# one-entry row in the row space is always a reduced echelon row, so pivots,
+# rank and reduced rows are unchanged (structured Gaussian elimination).
+# The other rows are dicts {column: int} after clearing denominators, each
+# reduced against the pivots by cross-multiplication (r := p_lead*r -
+# r_lead*p) and a gcd renormalisation, so entries stay integral and
+# bounded.  Back substitution then gives unit pivots over Fraction.
 
 
 def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
@@ -294,19 +296,42 @@ def _reduce_against(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> d
 
 
 class _Eliminator:
-    """Incremental sparse elimination; collects pivot rows by column."""
+    """Sparse elimination; collects rows, and pivot rows by column on first read."""
 
     def __init__(self) -> None:
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.units: set[int] = set()
+        self._rows: list[dict[int, Fraction]] = []
+        self._pivots: dict[int, dict[int, int]] | None = None
 
     def add(self, row: dict[int, Fraction]) -> None:
-        r = _reduce_against(_integerize(row), self.pivots)
-        if r:
-            self.pivots[min(r)] = r
+        self._pivots = None
+        if len(row) != 1:
+            self._rows.append(row)
+        elif any(row.values()):
+            self.units.update(row)
 
     def add_many(self, rows: Iterable[dict[int, Fraction]]) -> None:
         for row in rows:
             self.add(row)
+
+    @property
+    def pivots(self) -> dict[int, dict[int, int]]:
+        if self._pivots is None:
+            rows, found = self._rows, -1
+            while found != len(self.units):  # peel until no stripped row has one entry left
+                found, kept = len(self.units), []
+                for row in rows:
+                    row = {c: v for c, v in row.items() if v and c not in self.units}
+                    if len(row) == 1:
+                        self.units.update(row)
+                    elif row:
+                        kept.append(row)
+                rows = kept
+            self._pivots = {c: {c: 1} for c in self.units}
+            for row in rows:
+                if r := _reduce_against(_integerize(row), self._pivots):
+                    self._pivots[min(r)] = r
+        return self._pivots
 
     @property
     def rank(self) -> int:
@@ -315,17 +340,17 @@ class _Eliminator:
     def rref(self) -> tuple[tuple[int, ...], list[dict[int, Fraction]]]:
         """Pivot columns (ascending) and fully reduced unit-pivot rows.
 
-        Back-substitution runs from the last pivot up.  A finished row is
-        zero in every other pivot column, so a row is cleared by
-        subtracting once each finished row whose pivot column it holds,
-        scaled by the entry it held there on entry.
+        A unit pivot is its own reduced row.  Back-substitution runs from the
+        last pivot up.  A finished row is zero in every other pivot column,
+        so a row is cleared by subtracting once each finished row whose pivot
+        column it holds, scaled by the entry it held there on entry.
         """
-        cols = sorted(self.pivots)
+        pivots = self.pivots
+        cols = sorted(pivots)
         done: dict[int, dict[int, Fraction]] = {}
         for c in reversed(cols):
-            piv = self.pivots[c]
-            lead = piv[c]
-            row = {cc: Fraction(v, lead) for cc, v in piv.items()}
+            piv = pivots[c]
+            row = {c: ONE} if len(piv) == 1 else {cc: Fraction(v, piv[c]) for cc, v in piv.items()}
             for cc, f in [(cc, row[cc]) for cc in piv if cc in done]:
                 for k, v in done[cc].items():
                     nv = row.get(k, ZERO) - f * v

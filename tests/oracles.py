@@ -10,7 +10,9 @@ library contracts over the factors' supports.  The cochain spaces are
 also built here the direct way, in ambient coordinates, as the reference
 for the library's compatible-coordinate route; that reference does use
 the package's sparse eliminator, so it checks the construction, not the
-elimination.
+elimination.  So does the full delta^n . G route, kept as the reference
+for the singleton pass that reads ranks, image pivots and containment
+off the classes of restricted block rows.
 """
 
 from __future__ import annotations
@@ -387,3 +389,101 @@ def ambient_cohomology_spaces(X, n: int) -> tuple[Subspace, Subspace, Subspace]:
                 img[out_idx] = img.get(out_idx, ZERO) + c * gi
         elim.add(img)
     return C, Z, Subspace._from_rref(dim, elim.rref()[1])
+
+
+# -- rank, image pivots and containment from every row of delta . G ----------
+
+
+def delta_g_routes(cx, degrees):
+    """Per degree n of ascending `degrees`: the pivot columns of
+    delta^n . G and of delta^(n-1) . G, containment and B^n, from every row
+    of delta . G, G the canonical basis of the compatible space, on the
+    library's complex `cx` (its kernels and restricted block tables are
+    shared with the route under test).
+
+    The pivots come from eliminating all rows together.  B^n is spanned by
+    the coboundaries, evaluated through `apply_delta`, of the basis cochains
+    at the pivot columns of delta^(n-1) . G, and lies in Z^n when each image
+    lies in K_n's span on every tree and every row of delta^n . G kills its
+    G-coordinates.
+    """
+    rows: dict[int, list] = {}
+    pivots: dict[int, tuple[int, ...]] = {0: ()}  # no cochains below degree 1
+    for n in degrees:
+        for k in (n - 1, n):
+            if k not in pivots:
+                elim = _Eliminator()
+                rows[k] = cx.delta_g(k)
+                elim.add_many(rows[k])
+                pivots[k] = tuple(sorted(elim.pivots))
+        images = _basis_images(cx, n - 1, pivots[n - 1])
+        elim = _Eliminator()
+        elim.add_many(images)
+        B = Subspace._from_rref(cx.cochain_dim(n), elim.rref()[1])
+        yield pivots[n], pivots[n - 1], _all_killed(cx, n, rows[n], images), B
+
+
+def _basis_images(cx, k: int, picked) -> list[dict[int, Fraction]]:
+    """delta of the basis cochains of degree k at the columns `picked` of
+    delta^k . G, as sparse degree-(k+1) coordinates.  delta of a cochain on
+    input tree t lives on the output trees that read t, so cochains whose
+    readers are disjoint share one `apply_delta`."""
+    m, size, dK = cx.X.dim, cx.X.dim ** (k + 2), len(cx.kernel(k)) if k else 0
+    readers: dict[int, set[int]] = {}
+    for y, (faces, _) in enumerate(cx.layout(k) if k else ()):
+        for t in faces:
+            readers.setdefault(t, set()).add(y)
+    batches: list[tuple[set[int], list[tuple[int, int]]]] = []
+    for c in picked:
+        t, a = divmod(c, dK)
+        batch = next((b for b in batches if not b[0] & readers[t]), None)
+        if batch is None:
+            batches.append(batch := (set(), []))
+        batch[0].update(readers[t])
+        batch[1].append((t, a))
+    images = []
+    for _, members in batches:
+        data: dict = {}
+        for t, a in members:
+            for j, v in cx.kernel(k)[a]:
+                r, out = divmod(j, m)
+                args = []
+                for _ in range(k):
+                    r, x = divmod(r, m)
+                    args.append(x)
+                key = tuple(reversed(args))
+                data.setdefault((t, key) if cx.cochain is TreeCochain else key, [ZERO] * m)[out] = v
+        by_tree: dict[int, dict[int, Fraction]] = {}
+        for key, val in cx.apply_delta(cx.cochain(k, m, data)).data.items():
+            y, args = key if cx.cochain is TreeCochain else (0, key)
+            base = y * size + sum(x * m ** (k - i) for i, x in enumerate(args)) * m
+            by_tree.setdefault(y, {}).update((base + i, v) for i, v in enumerate(val) if v)
+        for t, _ in members:
+            images.append({c: v for y in readers[t] for c, v in by_tree.get(y, {}).items()})
+    return images
+
+
+def _all_killed(cx, n: int, rows, images) -> bool:
+    """Each image lies in K_n's span on every tree, and its G-coordinates,
+    read at K_n's pivots, are killed by every row."""
+    K, size = cx.kernel(n), cx.X.dim ** (n + 1)
+    span = Subspace._from_rref(size, map(dict, K))
+    at = {row[0][0]: a for a, row in enumerate(K)}
+    by_col: dict[int, list[tuple[int, Fraction]]] = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            by_col.setdefault(c, []).append((i, v))
+    for image in images:
+        local: dict[int, dict[int, Fraction]] = {}
+        for c, v in image.items():
+            local.setdefault(c // size, {})[c % size] = v
+        if any(span.residual(x.items()) for x in local.values()):
+            return False
+        acc: dict[int, Fraction] = {}
+        for t, x in local.items():
+            for j, w in x.items():
+                for i, v in by_col.get(t * len(K) + at[j], ()) if j in at else ():
+                    acc[i] = acc.get(i, ZERO) + w * v
+        if any(acc.values()):
+            return False
+    return True

@@ -16,8 +16,11 @@ from bihom.algebra import (
     table_from_entries,
 )
 from bihom.cohomology import (
+    CoboundaryEscape,
     HochschildCochain,
     TreeCochain,
+    _Complex,
+    _complex_of,
     cohomology,
     cohomology_report,
     cohomology_spaces,
@@ -36,10 +39,12 @@ from bihom.cohomology import (
     random_compatible_cochain,
     tree_cochain_dim,
 )
+from bihom.dsl import build_block, parse_path
 from bihom.scalars import Mat, Subspace, nullspace_rows
 from bihom.trees import trees
 
 import oracles
+from test_algebra import _perturbed_alg2_2
 
 
 def nil2():
@@ -638,6 +643,92 @@ def test_rank_of_delta_g_matches_a_modular_rank():
             r = oracles.rank_mod(dense, oracles.PRIMES[n])
             assert r == rep.compatible_dim - rep.cocycle_dim, (A.name, n)
             assert r == cohomology_report(A, n + 1).coboundary_dim, (A.name, n)
+
+
+def certificate_cases():
+    """(structure, degrees) for the singleton pass against every row of
+    delta . G: the catalog at four bindings, ten random-table dialgebras,
+    the perturbed Alg2_2, nil2 and both Ex43 readings in both complexes."""
+    rng = random.Random(91)
+    cases = []
+    for entry in catalog().values():
+        for binding in [{p: 1 for p in entry.params}] + rand_bindings(entry, rng):
+            cases.append((entry.build(**binding), range(1, 7)))
+    for k in range(10):
+        twist = Mat.identity(2) if k % 2 else Mat.from_rows([[1, 1], [0, 1]])
+        cases.append((BiHomDialgebra(2, random_table(rng), random_table(rng), twist, twist), range(1, 4)))
+    cases += [(_perturbed_alg2_2(), range(1, 6)), (nil2(), range(1, 9))]
+    for reading in ("Ex43_readingA", "Ex43_readingB"):
+        X = build_block(parse_path("corpus/ex43.dlg"), reading)
+        cases += [(X, range(1, 6)), (X.as_dialgebra(), range(1, 4))]
+    return cases
+
+
+def test_singleton_pass_matches_every_row_of_delta_g():
+    """r_n, dim B^n, the containment flag and the canonical B^n read off
+    the singleton pass equal those of the full delta^n . G route in
+    `tests/oracles.py`, and so do the pivot columns the pass picks."""
+    for X, degrees in certificate_cases():
+        cx = _complex_of(X)
+        for n, (pivots, picked, contained, B) in zip(degrees, oracles.delta_g_routes(cx, degrees)):
+            rep = cx.report(n)
+            covered, _, elim = cx.singletons(n)
+            assert tuple(sorted(covered | elim.pivots.keys())) == pivots, (X, n)
+            assert rep.compatible_dim - rep.cocycle_dim == len(elim.pivots) + len(covered) == len(pivots), (X, n)
+            assert rep.coboundary_dim == len(picked) == B.dim, (X, n)
+            assert rep.contained == contained, (X, n)
+            assert cx.coboundaries(n) == B, (X, n)
+
+
+def test_cocycle_test_agrees_with_the_canonical_cocycles():
+    """The membership test built on the singleton pass accepts a compatible
+    cochain exactly when the canonical Z^n, built from every row of
+    delta^n . G, holds it: each basis cochain of C^n, covered column or not,
+    and the sums of neighbouring pairs of them."""
+    rng = random.Random(17)
+    for X, degrees in certificate_cases()[::4]:
+        cx = _complex_of(X)
+        for n in [k for k in degrees if k <= 3]:
+            killed, Z = cx.cocycle_test(n), cx.cocycles(n)
+            rows = [dict(r) for r in cx.compatible_space(n).sparse_rows()]
+            pairs = [{c: row.get(c, 0) + other.get(c, 0) for c in row.keys() | other.keys()}
+                     for row, other in zip(rows, rows[1:] + rows[:1])]
+            for x in rng.sample(rows + pairs, min(60, len(rows + pairs))):
+                x = {c: v for c, v in x.items() if v}
+                assert killed(x) == (not Z.residual(sorted(x.items()))), (X, n)
+
+
+def test_report_builds_no_full_delta_g_on_the_catalog(monkeypatch):
+    """Guard: the report never builds delta^n . G whole.  On the catalog in
+    degrees 2-6 the one-entry rows found from the classes cover every
+    column a row reaches, so no row is left to eliminate; degree 1, which
+    the report in degree 2 reads, eliminates only rows touching the rest."""
+
+    def refuse(self, n):
+        raise AssertionError(f"delta_g({n}) built")
+
+    monkeypatch.setattr(_Complex, "delta_g", refuse)
+    for entry in catalog().values():
+        A = entry.build(**{p: 1 for p in entry.params})
+        cx = _complex_of(A)
+        for n in range(2, 7):
+            assert cohomology_report(A, n).contained, (A.name, n)
+            assert not cx.singletons(n)[1], (A.name, n)
+
+
+def test_escape_witness_carries_its_coordinate():
+    """The ArithmeticError that `cohomology` raises names the escaping
+    coordinate in fields as well as in its message."""
+    for X, tree in ((broken(), None), (broken().as_dialgebra(), 0)):
+        with pytest.raises(CoboundaryEscape) as info:
+            cohomology(X, 2)
+        e = info.value
+        assert isinstance(e, ArithmeticError)
+        assert (e.degree, e.tree, e.args, e.output, e.residual) == (2, tree, (0, 1), 0, 1)
+        assert str(e).endswith("has residual 1 at " + ("" if tree is None else "tree 0, ") + "args (e1, e2), output e1")
+        _, Z, B = cohomology_spaces(X, 2)
+        residual = Z.residual(B.sparse_rows()[0])
+        assert residual[min(residual)] == e.residual
 
 
 def test_cohomology_never_eliminates_in_ambient_coordinates(monkeypatch):

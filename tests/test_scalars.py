@@ -12,8 +12,10 @@ from bihom.scalars import (
     nullspace,
     nullspace_rows,
     rank,
+    rank_rows,
     solve,
     solve_rows,
+    span_rows,
 )
 
 import oracles
@@ -213,6 +215,64 @@ def test_eliminator_rref_matches_oracle_with_fill_in():
     expected, oracle_pivots = oracles.rref(dense)
     assert list(pivcols) == oracle_pivots
     assert [[r.get(j, 0) for j in range(6)] for r in rref] == expected[: len(oracle_pivots)]
+
+
+@st.composite
+def singleton_heavy_systems(draw, max_cols=8):
+    """Sparse rows, most of them one-entry: a one-entry row, maybe
+    zero-valued; a duplicate one-entry row; a one-entry row after a
+    multi-entry row with the same leading column; a chain of two-entry
+    rows that become one-entry only as the unit at its end is peeled; and
+    a general row, maybe with zero-valued entries."""
+    ncols = draw(st.integers(2, max_cols))
+    col = st.integers(0, ncols - 1)
+    rows: list[dict[int, Fraction]] = []
+    for kind in draw(st.lists(st.sampled_from(["unit", "duplicate", "late", "chain", "general"]), max_size=8)):
+        if kind == "unit":
+            rows.append({draw(col): draw(rationals)})
+        elif kind == "duplicate":
+            c = draw(col)
+            rows += [{c: draw(rationals)}, {c: draw(rationals)}]
+        elif kind == "late":
+            multi = draw(st.dictionaries(col, rationals, min_size=2, max_size=4))
+            rows += [multi, {min(multi): draw(rationals)}]
+        elif kind == "chain":
+            cs = draw(st.lists(col, min_size=2, max_size=4, unique=True))
+            rows += [{a: draw(rationals), b: draw(rationals)} for a, b in zip(cs, cs[1:])]
+            rows.append({cs[-1]: draw(rationals)})
+        else:
+            rows.append(draw(st.dictionaries(col, rationals, max_size=4)))
+    return rows, ncols
+
+
+@given(singleton_heavy_systems())
+@settings(max_examples=150, deadline=None)
+def test_singleton_pivots_match_the_oracle(system):
+    """Unit pivots first leave every answer as the textbook row reduction
+    gives it, with rows fed one by one or all at once."""
+    rows, ncols = system
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    reduced, pivots = oracles.rref(dense)
+    reduced = reduced[: len(pivots)]
+    one_by_one, at_once = _Eliminator(), _Eliminator()
+    for row in rows:
+        one_by_one.add(row)
+    at_once.add_many(iter(rows))
+    for elim in (one_by_one, at_once):
+        pivcols, rref = elim.rref()
+        assert list(pivcols) == sorted(elim.pivots) == pivots
+        assert elim.rank == len(pivots)
+        assert [[r.get(j, 0) for j in range(ncols)] for r in rref] == reduced
+    assert rank_rows(rows) == len(pivots)
+    assert [list(v) for v in span_rows(rows, ncols).basis_rows()] == reduced
+    kernel = [list(v) for v in nullspace_rows(rows, ncols).basis_rows()]
+    assert len(kernel) == ncols - len(pivots)
+    assert kernel == oracles.rref(kernel)[0]
+    assert all(sum(r.get(j, 0) * v[j] for j in range(ncols)) == 0 for r in rows for v in kernel)
+    # the last column as the right-hand side
+    want = oracles.solve_dense([d[:-1] for d in dense], [d[-1] for d in dense]) if rows else [0] * (ncols - 1)
+    got = solve_rows(rows, ncols - 1)
+    assert (None if got is None else list(got.col(0))) == want
 
 
 def test_out_of_range_columns_are_refused():
