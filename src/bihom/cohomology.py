@@ -44,14 +44,16 @@ of K_n's.  Each distinct block row is restricted to K_n once; combined
 through the face offsets these give delta^n . G, of rank r_n, so that
 dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  Its one-entry rows come
 first, found from the classes of restrictions without building a row;
-only rows touching a column none covers are built and eliminated.  B^n
-is spanned by delta of the rows of G_(n-1) at the pivot columns so found,
-and lies in Z^n exactly when each image lies in C^n, tree by tree, is
-zero on the covered columns and is killed by the other rows.  The
-canonical Z^n is G . ker(delta^n . G), from every row: G's rows have unit
-pivots no other row touches, so reduced rows lift to reduced rows.
-Nothing is eliminated over all of a degree's coordinates; `tests/oracles.py`
-keeps that route, and every row of delta^n . G, as the references.
+only rows touching a column none covers are built, restricted to those
+columns.  With a unit row per covered column they span delta^n . G, as
+a row differs from its restriction only on covered columns; r_n, Z^n,
+B^n and containment all read them.  B^n is spanned by delta of the rows
+of G_(n-1) at their pivot columns, and lies in Z^n exactly when each
+image lies in C^n, tree by tree, and is killed by the rows.  The
+canonical Z^n is G . ker of the rows: G's rows have unit pivots no other
+row touches, so reduced rows lift to reduced rows.  Nothing is
+eliminated over all of a degree's coordinates; `tests/oracles.py` keeps
+that route, and every row of delta^n . G, as the references.
 """
 
 from __future__ import annotations
@@ -442,7 +444,7 @@ class _Complex:
         self.cochain = cochain
         self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
         self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
-        self._singletons: dict[int, tuple[set[int], list[dict], _Eliminator]] = {}
+        self._singletons: dict[int, tuple[list[dict], _Eliminator]] = {}
 
     def cochain_dim(self, n: int) -> int:
         """Length of a flattened degree-n cochain; there are no 0-cochains."""
@@ -553,10 +555,6 @@ class _Complex:
         return Subspace._from_rref(dim, [
             {c + t * size: v for c, v in row} for t in range(self.cochain._ntrees(n)) for row in K])
 
-    def delta_g(self, n: int) -> list[dict[int, Fraction]]:
-        """Every distinct nonzero row of delta^n . G; see `_tree_rows`."""
-        return self._tree_rows(n, self.layout(n))
-
     def _tree_rows(self, n: int, layout: Sequence[tuple[Sequence[int], Sequence[str]]]) -> list[dict[int, Fraction]]:
         """The distinct nonzero rows of delta^n . G on the output trees of
         `layout`, G the canonical basis of C^n, over the coordinates
@@ -585,13 +583,14 @@ class _Complex:
                     rows[key] = None
         return [dict(row) for row in rows]
 
-    def singletons(self, n: int) -> tuple[set[int], list[dict[int, Fraction]], _Eliminator]:
+    def singletons(self, n: int) -> tuple[list[dict[int, Fraction]], _Eliminator]:
         """The singleton pass over delta^n . G, once per degree.  A class whose
         live restrictions all sit in one block gives, on every output tree, a
         one-entry row at that block's face wherever its restriction has one
-        entry; those columns are covered, with no row built.  Returns them,
-        the rows touching any other column restricted to those columns, and
-        the rows' elimination, whose pivots join the covered columns."""
+        entry; those columns are covered, with no row built.  Returns a unit
+        row per covered column, then the rows touching any other column
+        restricted to those columns, and the rows' elimination: the rows
+        span delta^n . G, and the pivots are its pivot columns."""
         if n not in self._singletons:
             dK, (ids, images), layout = len(self.kernel(n)), self.restricted(n), self.layout(n)
             single, support = ({key: set() for key in ids} for _ in range(2))
@@ -607,18 +606,20 @@ class _Complex:
             uncovered = {off + a for off, key in reads for a in support[key]} - covered
             touching = [(faces, ors) for faces, ors in layout if uncovered and not uncovered.isdisjoint(
                 f * dK + a for f, key in zip(faces, enumerate(ors)) for a in support[key])]
-            rest = [r for row in self._tree_rows(n, touching)
-                    if (r := {c: v for c, v in row.items() if c in uncovered})]
+            rows = [{c: ONE} for c in sorted(covered)]
+            rows += [r for row in self._tree_rows(n, touching)
+                     if (r := {c: v for c, v in row.items() if c in uncovered})]
             elim = _Eliminator()
-            elim.add_many(rest)
-            self._singletons[n] = covered, rest, elim
+            elim.add_many(rows)
+            self._singletons[n] = rows, elim
         return self._singletons[n]
 
     def cocycles(self, n: int) -> Subspace:
-        """Z^n = G . ker(delta^n . G), lifted row by row; see the module notes."""
+        """Z^n = G . ker(delta^n . G), from the rows of `singletons`, lifted
+        row by row; see the module notes."""
         dim, K = self.cochain_dim(n), self.kernel(n)
         dK, size = len(K), self.X.dim ** (n + 1)
-        w = nullspace_rows(self.delta_g(n), self.cochain._ntrees(n) * dK)
+        w = nullspace_rows(self.singletons(n)[0], self.cochain._ntrees(n) * dK)
         lifted = []
         for wrow in w.sparse_rows():
             acc: dict[int, Fraction] = {}
@@ -637,10 +638,9 @@ class _Complex:
         block tables and shifted to every output tree whose block reads t."""
         if n == 1:
             return []
-        covered, _, elim = self.singletons(n - 1)
         ids, images = self.restricted(n - 1)
         dK, size = len(self.kernel(n - 1)), self.X.dim ** (n + 1)
-        picked = [divmod(c, dK) for c in sorted(covered | elim.pivots.keys())]
+        picked = [divmod(c, dK) for c in sorted(self.singletons(n - 1)[1].pivots)]
         wanted = {a for _, a in picked}
         kept = [[(a, v) for a, v in img.items() if a in wanted] for img in images]
         pushed = {key: {a: {} for a in wanted} for key in ids}
@@ -667,9 +667,9 @@ class _Complex:
         """The membership test of Z^n.  It takes a degree-n cochain by its
         nonzero ambient coordinates: it is a cocycle when it lies in K_n's
         span on every tree, and its G-coordinates, read at K_n's pivots, are
-        zero on the covered columns of `singletons` and killed by its rows."""
+        killed by the rows of `singletons`."""
         K, size = self.kernel(n), self.X.dim ** (n + 1)
-        covered, rows, _ = self.singletons(n)
+        rows, _ = self.singletons(n)
         span, at = Subspace._from_rref(size, map(dict, K)), {row[0][0]: a for a, row in enumerate(K)}
         by_col: dict[int, list[tuple[int, Fraction]]] = {}
         for i, row in enumerate(rows):
@@ -686,8 +686,6 @@ class _Complex:
                     return False
                 for j, w in x.items():
                     col = t * len(K) + at[j] if j in at else None
-                    if col in covered:
-                        return False
                     for i, v in by_col.get(col, ()):
                         acc[i] = acc[i] + w * v if i in acc else w * v
             return not any(acc.values())
@@ -699,10 +697,9 @@ class _Complex:
         |Y_n| dim K_n, dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  B^n
         lies in Z^n when `cocycle_test` accepts each of its basis images."""
         self.cochain_dim(n)  # refuses n < 1 before any kernel work
-        killed, (covered, _, elim) = self.cocycle_test(n), self.singletons(n)
-        B = self.images(n)
+        killed, B = self.cocycle_test(n), self.images(n)
         contained = all(map(killed, B))
-        dim_z = (dim_c := self.cochain._ntrees(n) * len(self.kernel(n))) - len(covered) - elim.rank
+        dim_z = (dim_c := self.cochain._ntrees(n) * len(self.kernel(n))) - self.singletons(n)[1].rank
         return CohomologyReport(n, dim_c, dim_z, len(B), dim_z - len(B) if contained else None, contained)
 
 
@@ -789,9 +786,10 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
     the cocycle space, which would mean the complex is broken for this
     algebra.
     """
-    rep = cohomology_report(X, n)
+    cx = _complex_of(X)
+    rep = cx.report(n)
     if not rep.contained:
-        _, Z, B = cohomology_spaces(X, n)
+        Z, B = cx.cocycles(n), cx.coboundaries(n)
         i, res = next((i, res) for i, r in enumerate(B.sparse_rows()) if (res := Z.residual(r)))
         coord = min(res)
         t, args, k = _decode(coord, n, X.dim)

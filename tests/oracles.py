@@ -11,8 +11,8 @@ also built here the direct way, in ambient coordinates, as the reference
 for the library's compatible-coordinate route; that reference does use
 the package's sparse eliminator, so it checks the construction, not the
 elimination.  So does the full delta^n . G route, kept as the reference
-for the singleton pass that reads ranks, image pivots and containment
-off the classes of restricted block rows.
+for the singleton pass that reads ranks, image pivots, containment and
+the cocycles off the classes of restricted block rows.
 """
 
 from __future__ import annotations
@@ -396,16 +396,18 @@ def ambient_cohomology_spaces(X, n: int) -> tuple[Subspace, Subspace, Subspace]:
 
 def delta_g_routes(cx, degrees):
     """Per degree n of ascending `degrees`: the pivot columns of
-    delta^n . G and of delta^(n-1) . G, containment and B^n, from every row
-    of delta . G, G the canonical basis of the compatible space, on the
-    library's complex `cx` (its kernels and restricted block tables are
-    shared with the route under test).
+    delta^n . G and of delta^(n-1) . G, containment, B^n and, for n <= 4,
+    Z^n (None above), from every row of delta . G, G the canonical basis of
+    the compatible space, on the library's complex `cx` (its kernels and
+    restricted block tables are shared with the route under test).
 
-    The pivots come from eliminating all rows together.  B^n is spanned by
-    the coboundaries, evaluated through `apply_delta`, of the basis cochains
-    at the pivot columns of delta^(n-1) . G, and lies in Z^n when each image
-    lies in K_n's span on every tree and every row of delta^n . G kills its
-    G-coordinates.
+    The rows are built on every output tree.  The pivots come from
+    eliminating all rows together.  B^n is spanned by the coboundaries,
+    evaluated through `apply_delta`, of the basis cochains at the pivot
+    columns of delta^(n-1) . G, and lies in Z^n when each image lies in
+    K_n's span on every tree and every row of delta^n . G kills its
+    G-coordinates.  Z^n is the span of G . ker(delta^n . G), put in
+    canonical form by a fresh elimination.
     """
     rows: dict[int, list] = {}
     pivots: dict[int, tuple[int, ...]] = {0: ()}  # no cochains below degree 1
@@ -413,14 +415,30 @@ def delta_g_routes(cx, degrees):
         for k in (n - 1, n):
             if k not in pivots:
                 elim = _Eliminator()
-                rows[k] = cx.delta_g(k)
+                rows[k] = cx._tree_rows(k, cx.layout(k))
                 elim.add_many(rows[k])
                 pivots[k] = tuple(sorted(elim.pivots))
         images = _basis_images(cx, n - 1, pivots[n - 1])
         elim = _Eliminator()
         elim.add_many(images)
         B = Subspace._from_rref(cx.cochain_dim(n), elim.rref()[1])
-        yield pivots[n], pivots[n - 1], _all_killed(cx, n, rows[n], images), B
+        Z = _cocycles_of(cx, n, rows[n]) if n <= 4 else None
+        yield pivots[n], pivots[n - 1], _all_killed(cx, n, rows[n], images), B, Z
+
+
+def _cocycles_of(cx, n: int, rows) -> Subspace:
+    """The span of G . ker(rows), rows over G's coordinates."""
+    G = cx.compatible_space(n).sparse_rows()
+    lifted = []
+    for w in nullspace_rows(rows, len(G)).sparse_rows():
+        acc: dict[int, Fraction] = {}
+        for g, x in w:
+            for j, v in G[g]:
+                acc[j] = acc.get(j, ZERO) + x * v
+        lifted.append({j: v for j, v in acc.items() if v})
+    elim = _Eliminator()
+    elim.add_many(lifted)
+    return Subspace._from_rref(cx.cochain_dim(n), elim.rref()[1])
 
 
 def _basis_images(cx, k: int, picked) -> list[dict[int, Fraction]]:

@@ -665,31 +665,34 @@ def certificate_cases():
 
 
 def test_singleton_pass_matches_every_row_of_delta_g():
-    """r_n, dim B^n, the containment flag and the canonical B^n read off
-    the singleton pass equal those of the full delta^n . G route in
-    `tests/oracles.py`, and so do the pivot columns the pass picks."""
+    """r_n, dim B^n, the containment flag, the canonical B^n and, up to
+    degree 4, the canonical Z^n read off the singleton pass equal those of
+    the full delta^n . G route in `tests/oracles.py`, and so do the pivot
+    columns the pass picks."""
     for X, degrees in certificate_cases():
         cx = _complex_of(X)
-        for n, (pivots, picked, contained, B) in zip(degrees, oracles.delta_g_routes(cx, degrees)):
+        for n, (pivots, picked, contained, B, Z) in zip(degrees, oracles.delta_g_routes(cx, degrees)):
             rep = cx.report(n)
-            covered, _, elim = cx.singletons(n)
-            assert tuple(sorted(covered | elim.pivots.keys())) == pivots, (X, n)
-            assert rep.compatible_dim - rep.cocycle_dim == len(elim.pivots) + len(covered) == len(pivots), (X, n)
+            _, elim = cx.singletons(n)
+            assert tuple(sorted(elim.pivots)) == pivots, (X, n)
+            assert rep.compatible_dim - rep.cocycle_dim == len(elim.pivots) == len(pivots), (X, n)
             assert rep.coboundary_dim == len(picked) == B.dim, (X, n)
             assert rep.contained == contained, (X, n)
             assert cx.coboundaries(n) == B, (X, n)
+            assert Z is None or cx.cocycles(n) == Z, (X, n)
 
 
 def test_cocycle_test_agrees_with_the_canonical_cocycles():
     """The membership test built on the singleton pass accepts a compatible
-    cochain exactly when the canonical Z^n, built from every row of
+    cochain exactly when Z^n, built by the oracle from every row of
     delta^n . G, holds it: each basis cochain of C^n, covered column or not,
     and the sums of neighbouring pairs of them."""
     rng = random.Random(17)
     for X, degrees in certificate_cases()[::4]:
         cx = _complex_of(X)
-        for n in [k for k in degrees if k <= 3]:
-            killed, Z = cx.cocycle_test(n), cx.cocycles(n)
+        low = [k for k in degrees if k <= 3]
+        for n, (*_, Z) in zip(low, oracles.delta_g_routes(cx, low)):
+            killed = cx.cocycle_test(n)
             rows = [dict(r) for r in cx.compatible_space(n).sparse_rows()]
             pairs = [{c: row.get(c, 0) + other.get(c, 0) for c in row.keys() | other.keys()}
                      for row, other in zip(rows, rows[1:] + rows[:1])]
@@ -699,21 +702,29 @@ def test_cocycle_test_agrees_with_the_canonical_cocycles():
 
 
 def test_report_builds_no_full_delta_g_on_the_catalog(monkeypatch):
-    """Guard: the report never builds delta^n . G whole.  On the catalog in
-    degrees 2-6 the one-entry rows found from the classes cover every
-    column a row reaches, so no row is left to eliminate; degree 1, which
-    the report in degree 2 reads, eliminates only rows touching the rest."""
+    """Guard: neither the report nor the cocycles build delta^n . G on every
+    output tree.  On the catalog in degrees 2-6 the one-entry rows found
+    from the classes cover every column a row reaches, so every row the
+    pass returns is a unit row; degree 1, which the report in degree 2
+    reads, builds only rows on the trees touching the rest."""
+    built = _Complex._tree_rows
 
-    def refuse(self, n):
-        raise AssertionError(f"delta_g({n}) built")
+    def refusing(self, n, layout):
+        if n >= 2 and list(layout) == list(self.layout(n)):
+            raise AssertionError(f"delta^{n} . G built on every output tree")
+        return built(self, n, layout)
 
-    monkeypatch.setattr(_Complex, "delta_g", refuse)
+    monkeypatch.setattr(_Complex, "_tree_rows", refusing)
+    rng = random.Random(23)
     for entry in catalog().values():
-        A = entry.build(**{p: 1 for p in entry.params})
-        cx = _complex_of(A)
-        for n in range(2, 7):
-            assert cohomology_report(A, n).contained, (A.name, n)
-            assert not cx.singletons(n)[1], (A.name, n)
+        for binding in [{p: 1 for p in entry.params}] + rand_bindings(entry, rng, count=2):
+            A = entry.build(**binding)
+            cx = _complex_of(A)
+            for n in range(2, 7):
+                assert cohomology_report(A, n).contained, (A.name, n)
+                assert all(len(row) == 1 for row in cx.singletons(n)[0]), (A.name, n)
+            for n in range(2, 6):
+                assert cx.cocycles(n) == cohomology_spaces(A, n)[1], (A.name, n)
 
 
 def test_escape_witness_carries_its_coordinate():
