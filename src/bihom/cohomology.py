@@ -433,7 +433,8 @@ class _Complex:
     of Y_n; the one-product complex of an algebra is its one-tree case.
     The compatible block K_n of one tree and the block tables of delta^n
     restricted to it are built once per degree and shared by every space
-    asked of the complex.
+    asked of the complex.  The block tables are kept per degree for
+    `delta_rows` and `apply_delta`; `restricted` releases those it reads.
     """
 
     def __init__(self, X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain]):
@@ -442,6 +443,7 @@ class _Complex:
             raise TypeError(f"the {cochain.__name__} complex needs a {structure.__name__}, got a {type(X).__name__}")
         self.X = X
         self.cochain = cochain
+        self._blocks: dict[int, dict[tuple[int, str], dict[int, dict[int, Fraction]]]] = {}
         self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
         self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
         self._singletons: dict[int, tuple[list[dict], _Eliminator]] = {}
@@ -458,11 +460,17 @@ class _Complex:
             return face_layout(n + 1)
         return (((0,) * (n + 2), ("mul",) * (n + 2)),)
 
+    def blocks(self, n: int) -> dict[tuple[int, str], dict[int, dict[int, Fraction]]]:
+        """The block tables of delta^n, built once per degree."""
+        if n not in self._blocks:
+            self._blocks[n] = _coboundary_blocks(self.X, n)
+        return self._blocks[n]
+
     def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
         """Ambient delta^n rows, output tree by output tree: each block
         shifted by face * m^(n+1), the length of one input tree, and summed."""
         size = self.cochain_dim(n) // self.cochain._ntrees(n)  # one input tree
-        blocks = _coboundary_blocks(self.X, n)
+        blocks = self.blocks(n)
         rows: list[dict[int, Fraction]] = []
         for faces, ors in self.layout(n):
             tree_rows: list[dict[int, Fraction]] = [{} for _ in range(size * self.X.dim)]
@@ -481,7 +489,7 @@ class _Complex:
         block i taken with y's product i reads f's entries on face i of y.
         Each block's image of one tree of f is computed once."""
         n, m = f.degree, self.X.dim
-        blocks = _coboundary_blocks(self.X, n)
+        blocks = self.blocks(n)
         local = [
             {_args_rank(args, m) * m + k: v for args, val in group for k, v in enumerate(val) if v}
             for group in f.groups
@@ -530,8 +538,7 @@ class _Complex:
             by_image: dict[tuple, int] = {(): 0}
             images: list[dict[int, Fraction]] = [{}]
             ids: dict[tuple[int, str], list[int]] = {}
-            blocks = _coboundary_blocks(self.X, n)
-            for key, table in blocks.items():
+            for key, table in self.blocks(n).items():
                 col = ids[key] = [0] * self.X.dim ** (n + 2)
                 for r, row in table.items():
                     rk = tuple(row.items())
@@ -547,6 +554,7 @@ class _Complex:
                         by_row[rk] = rid
                     col[r] = by_row[rk]
             self._restricted[n] = ids, images
+            del self._blocks[n]
         return self._restricted[n]
 
     def compatible_space(self, n: int) -> Subspace:
@@ -841,9 +849,10 @@ def hoch_delta_squared_is_zero(
     if not is_multiplicative(A.as_dialgebra()).ok:
         raise ValueError("twist maps are not multiplicative for the product")
     rng = random.Random(seed)
-    space = hoch_compatible_space(A, n)
+    cx = _Complex(A, HochschildCochain)
+    space = cx.compatible_space(n)
     for _ in range(trials):
         f = random_compatible_cochain(space, rng, n, A.dim, tree_indexed=False)
-        if not hoch_coboundary(A, hoch_coboundary(A, f)).is_zero():
+        if not cx.apply_delta(cx.apply_delta(f)).is_zero():
             return False
     return True

@@ -8,9 +8,9 @@ term, on index 1 the |- term, matching `operad.pi_element`.
 
 Validity at order n means the order-n coefficient of every one of the
 five structure laws vanishes.  `deformation_residual` assembles those
-five coefficient maps into one arity-3 tree cochain, one tree per law;
-`operadic_residual` computes sum_{i+j=n} pi_i o pi_j through the operad
-module instead.  The two agree identically (the circle product's two
+five coefficient maps into one arity-3 tree cochain, one tree per law,
+from the products' nonzero coefficients only; `operadic_residual`
+computes sum_{i+j=n} pi_i o pi_j through the operad module instead.  The two agree identically (the circle product's two
 summands expand to exactly the left and right sides of the laws), and
 the test suite keeps both routes.
 
@@ -41,6 +41,7 @@ from bihom.algebra import (
     LAW_FOR_TREE,
     Vec,
     Violation,
+    _sparse,
     apply_table,
     basis_vec,
     is_zero_vec,
@@ -50,7 +51,7 @@ from bihom.algebra import (
     zero_vec,
 )
 from bihom.cohomology import TreeCochain, dialg_coboundary
-from bihom.operad import circle, pi_element
+from bihom.operad import _signed_sum, circle, pi_element
 from bihom.scalars import ZERO, Mat, solve_rows
 from bihom.trees import DASHV, VDASH, trees
 
@@ -157,9 +158,9 @@ def deformation_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     base, m = defm.base, defm.base.dim
     es = [basis_vec(m, a) for a in range(m)]
     ps, qs = ([M.col(a) for a in range(m)] for M in (base.phi, base.psi))
-    # order-i products on basis columns: plain, psi(e_c) on the right, phi(e_a) on the left
+    # order-i products on basis columns, sparse: plain, psi(e_c) on the right, phi(e_a) on the left
     plain, right, left = (
-        {(i, t): [[defm.product(i, t, x, y) for y in ys] for x in xs] for i in range(n + 1) for t in (0, 1)}
+        {(i, t): [[_sparse(defm.product(i, t, x, y)) for y in ys] for x in xs] for i in range(n + 1) for t in (0, 1)}
         for xs, ys in ((es, es), (es, qs), (ps, es))
     )
     data: dict[tuple[int, tuple[int, ...]], Vec] = {}
@@ -168,13 +169,13 @@ def deformation_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
         for a, b, c in iproduct(range(m), repeat=3):
             acc = [ZERO] * m
             for i in range(n + 1):
-                for sign, u, outs in ((1, plain[n - i, il][a][b], [row[c] for row in right[i, ol]]),
-                                      (-1, plain[n - i, ir][b][c], left[i, or_][a])):
-                    for p, up in enumerate(u):
-                        if up:
-                            up *= sign
-                            for k, v in enumerate(outs[p]):
-                                acc[k] += up * v
+                outl, outr = right[i, ol], left[i, or_][a]
+                for p, up in plain[n - i, il][a][b]:
+                    for k, v in outl[p][c]:
+                        acc[k] += up * v
+                for p, up in plain[n - i, ir][b][c]:
+                    for k, v in outr[p]:
+                        acc[k] -= up * v
             if any(acc):
                 data[(t, (a, b, c))] = tuple(acc)
     return TreeCochain(3, m, data)
@@ -184,10 +185,7 @@ def operadic_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     """sum_{i+j=n} pi_i o pi_j through the operad's circle product."""
     if not 0 <= n <= defm.order:
         raise ValueError(f"order {n} out of range 0..{defm.order}")
-    total = TreeCochain.zero(3, defm.base.dim)
-    for i in range(n + 1):
-        total = total + circle(defm.base, defm.term(i), defm.term(n - i))
-    return total
+    return _signed_sum(3, defm.base.dim, ((1, circle(defm.base, defm.term(i), defm.term(n - i))) for i in range(n + 1)))
 
 
 def displayed_family_residuals(defm: TruncatedDeformation, n: int) -> dict[str, TreeCochain]:

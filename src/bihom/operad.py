@@ -10,12 +10,16 @@ arguments getting phi and right arguments psi.
 Every composition is one rule, f(R0 y; T_1 g_1(R_1 y; ...), ...,
 T_k g_k(R_k y; ...)), evaluated as a contraction: slot j contributes
 g_j's support entries on R_j y, each twisted once by T_j (a pass-through
-slot, the nonzero columns of its twist), the output's arguments run over
-the product of those entries only, and f is contracted over its entries
-on R0 y.  Trees with the same retractions share one contraction.
-`partial_composition` fills one slot with an untwisted factor and twists
-the pass-through arguments, `gamma_direct` twists each factor's output,
-and `dot` inserts two twisted factors into the products' element.
+slot, the nonzero columns of its twist), and f's entries on R0 y are
+contracted slot by slot: each prefix of slot entries keeps only the f
+entries its running coefficient leaves nonzero.  The indices of R0 y and
+R_j y come from one table per shape (`trees.retraction_layout`), and trees
+with the same retractions share one contraction.  `partial_composition`
+fills one slot with an untwisted factor and twists the pass-through
+arguments, `gamma_direct` twists each factor's output, and `dot` inserts
+two twisted factors into the products' element.  `braces` and `bracket`
+add their signed terms into one dict (`_signed_sum`), in the key order
+of the chain of cochain additions it replaces.
 
 `gamma` composes by iterating partial compositions from the rightmost
 slot inward, so it differs from `gamma_direct` in where the twists act.
@@ -31,11 +35,12 @@ expands to the five structure laws, one per tree with four leaves.
 
 from __future__ import annotations
 
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
-from bihom.algebra import BiHomDialgebra, Vec, basis_vec, is_zero_vec
-from bihom.cohomology import TreeCochain, _contract
-from bihom.trees import orientations, r0, ri, tree_index, trees
+from bihom.algebra import BiHomDialgebra, Vec, _combine, _sparse, basis_vec, is_zero_vec
+from bihom.cohomology import TreeCochain
+from bihom.scalars import q
+from bihom.trees import orientations, retraction_layout, trees
 
 
 def identity_element(dim: int) -> TreeCochain:
@@ -67,34 +72,31 @@ def _compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeC
     if f.dim != dim or any(g is not None and g.dim != dim for g, _ in factors):
         raise ValueError("cochain dimension mismatch")
     parts = tuple(1 if g is None else g.degree for g, _ in factors)
-    N = sum(parts)
     es = [basis_vec(dim, k) for k in range(dim)]
     slots: dict[tuple[int, int | None], list[tuple[tuple[int, ...], Vec]]] = {}
     sums: dict[tuple, list[tuple[tuple[int, ...], Vec]]] = {}
     data = {}
-    for yi, y in enumerate(trees(N)):
-        outer = tree_index(r0(y, parts))
-        inners = tuple(
-            None if g is None else tree_index(ri(y, parts, j + 1)) for j, (g, _) in enumerate(factors)
-        )
-        if (outer, inners) not in sums:
-            sums[outer, inners] = out = []
-            entries = f.groups[outer]
-            for j, t in enumerate(inners if entries else ()):
+    for yi, key in enumerate(retraction_layout(parts, tuple(g is not None for g, _ in factors))):
+        if key not in sums:
+            sums[key] = out = []
+            outer, inners = key
+            # each prefix of slot entries keeps the entries of f its running coefficient leaves nonzero
+            live = [((), [(args, _sparse(val), q(sign)) for args, val in f.groups[outer]])]
+            for j, t in enumerate(inners if live[0][1] else ()):
                 if (j, t) not in slots:
                     # slot j's nonzero values in argument order, each twisted once
                     g, T = factors[j]
                     pairs = [((x,), e) for x, e in enumerate(es)] if g is None else sorted(g.groups[t])
                     pairs = pairs if T is None else [(a, T.apply(v)) for a, v in pairs]
                     slots[j, t] = [(a, v) for a, v in pairs if not is_zero_vec(v)]
-            for combo in iproduct(*(slots[j, t] for j, t in enumerate(inners))) if entries else ():
-                val = _contract(entries, [v for _, v in combo], dim)
-                if not is_zero_vec(val):
-                    b = sum((a for a, _ in combo), ())
-                    out.append((b, val if sign == 1 else tuple(sign * v for v in val)))
-        for b, val in sums[outer, inners]:
+                live = [(b + a, nxt) for b, cur in live for a, v in slots[j, t]
+                        if (nxt := [(args, val, c * x) for args, val, c in cur if (x := v[args[j]])])]
+            for b, cur in live:
+                if any(acc := _combine(dim, ((c, val) for _, val, c in cur))):
+                    out.append((b, tuple(acc)))
+        for b, val in sums[key]:
             data[(yi, b)] = val
-    return TreeCochain(N, dim, data)
+    return TreeCochain(sum(parts), dim, data)
 
 
 def partial_composition(A: BiHomDialgebra, f: TreeCochain, i: int, g: TreeCochain) -> TreeCochain:
@@ -150,19 +152,31 @@ def braces(A: BiHomDialgebra, f: TreeCochain, gs) -> TreeCochain:
     if k > m:
         raise ValueError("more factors than slots")
     arities = [g.degree for g in gs]
-    N = m + sum(arities) - k
-    total = TreeCochain.zero(N, f.dim)
-    for slots in combinations(range(1, m + 1), k):
-        e = 0
-        shift = 0
-        for j, s in enumerate(slots):
-            e += (arities[j] - 1) * ((s - 1) + shift)
-            shift += arities[j] - 1
-        term = f
-        for j in range(k - 1, -1, -1):
-            term = partial_composition(A, term, slots[j], gs[j])
-        total = total + term if e % 2 == 0 else total - term
-    return total
+
+    def terms():
+        for slots in combinations(range(1, m + 1), k):
+            e = sum((n - 1) * (s - 1 + sum(arities[:j]) - j) for j, (n, s) in enumerate(zip(arities, slots)))
+            term = f
+            for j in range(k - 1, -1, -1):
+                term = partial_composition(A, term, slots[j], gs[j])
+            yield (-1 if e % 2 else 1), term
+
+    return _signed_sum(m + sum(arities) - k, f.dim, terms())
+
+
+def _signed_sum(degree: int, dim: int, terms) -> TreeCochain:
+    """sum of sign * term over (sign, term) pairs in one dict, keys in the order
+    of the chain of + and -: a key that cancels leaves, and comes back last."""
+    acc: dict = {}
+    for sign, term in terms:
+        for key, val in term.data.items():
+            if key not in acc:
+                acc[key] = val if sign == 1 else tuple(-v for v in val)
+            elif any(v := tuple(a + b if sign == 1 else a - b for a, b in zip(acc[key], val))):
+                acc[key] = v
+            else:
+                del acc[key]
+    return TreeCochain(degree, dim, acc)
 
 
 def circle(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:
@@ -173,9 +187,8 @@ def circle(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:
 def bracket(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:
     """Graded commutator [f, g] = f o g - (-1)^((m-1)(n-1)) g o f."""
     m, n = f.degree, g.degree
-    fg = circle(A, f, g)
-    gf = circle(A, g, f)
-    return fg - gf if ((m - 1) * (n - 1)) % 2 == 0 else fg + gf
+    sign = 1 if ((m - 1) * (n - 1)) % 2 else -1
+    return _signed_sum(m + n - 1, f.dim, [(1, circle(A, f, g)), (sign, circle(A, g, f))])
 
 
 def brace_pi_single(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:

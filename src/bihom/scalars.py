@@ -205,12 +205,13 @@ class Mat:
             if inv is None:
                 raise ValueError("negative power of singular matrix")
             base, k = inv, -k
-        out = Mat.identity(self.rows)
+        out = None if k else Mat.identity(self.rows)
         while k:
             if k & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             k >>= 1
+            if k:  # square only while higher bits remain
+                base = base @ base
         return out
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -119,6 +119,15 @@ def face_layout(n: int) -> tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def retraction_layout(parts: tuple[int, ...], filled: tuple[bool, ...]) -> tuple[tuple[int, tuple[int | None, ...]], ...]:
+    """Per tree y of trees(sum(parts)): the index of R0 y, and of R_(j+1) y per slot j filled, else None."""
+    return tuple(
+        (tree_index(r0(y, parts)), tuple(tree_index(ri(y, parts, j + 1)) if f else None for j, f in enumerate(filled)))
+        for y in trees(sum(parts))
+    )
+
+
 def to_paren(t: Tree) -> str:
     """Serialise as nested parens with '.' leaves, e.g. '(.,(.,.))'."""
     if t.is_leaf:

@@ -6,7 +6,11 @@ package's Mat/Subspace implementation.  The coboundary is also written
 out here term by term through `TreeCochain.eval`, independent of the
 block tables that the library applies, and so is the operad's
 composition rule, evaluated on every tree and basis tuple where the
-library contracts over the factors' supports.  The cochain spaces are
+library contracts over the factors' supports.  The signed sums of the
+braces, the bracket and the operadic residual are kept as the chains of
+cochain additions and subtractions the library replaced by one
+accumulator, and the deformation residual is evaluated law by law and
+order by order through `apply_table` and `eval`.  The cochain spaces are
 also built here the direct way, in ambient coordinates, as the reference
 for the library's compatible-coordinate route; that reference does use
 the package's sparse eliminator, so it checks the construction, not the
@@ -19,10 +23,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import lcm
 
 from bihom.algebra import (
+    DIALGEBRA_LAWS,
+    LAW_FOR_TREE,
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
     Vec,
@@ -37,7 +43,8 @@ from bihom.cohomology import (
     hoch_coboundary_rows,
 )
 from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows
-from bihom.trees import face, orientations, r0, ri, tree_index, trees
+from bihom.operad import partial_composition
+from bihom.trees import DASHV, face, orientations, r0, ri, tree_index, trees
 
 # the ten smallest primes above 10**6
 PRIMES = (
@@ -343,6 +350,71 @@ def compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeCo
             if not is_zero_vec(val):
                 data[(yi, b)] = val if sign == 1 else tuple(sign * v for v in val)
     return TreeCochain(N, dim, data)
+
+
+# -- signed sums as chains of cochain additions, and the residual law by law ---
+
+
+def braces(A: BiHomDialgebra, f: TreeCochain, gs) -> TreeCochain:
+    """`bihom.operad.braces` as a chain: each slot choice's term added to
+    or subtracted from a running total, a new cochain at every step."""
+    gs = list(gs)
+    if not gs:
+        return f
+    k, arities = len(gs), [g.degree for g in gs]
+    total = TreeCochain.zero(f.degree + sum(arities) - k, f.dim)
+    for slots in combinations(range(1, f.degree + 1), k):
+        e = sum((arities[j] - 1) * ((s - 1) + sum(a - 1 for a in arities[:j])) for j, s in enumerate(slots))
+        term = f
+        for j in range(k - 1, -1, -1):
+            term = partial_composition(A, term, slots[j], gs[j])
+        total = total + term if e % 2 == 0 else total - term
+    return total
+
+
+def bracket(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:
+    """[f, g] = f o g - (-1)^((m-1)(n-1)) g o f, through the chain `braces`."""
+    fg, gf = braces(A, f, [g]), braces(A, g, [f])
+    return fg - gf if ((f.degree - 1) * (g.degree - 1)) % 2 == 0 else fg + gf
+
+
+def operadic_residual(defm, n: int) -> TreeCochain:
+    """sum_{i+j=n} pi_i o pi_j, one addition per order."""
+    total = TreeCochain.zero(3, defm.base.dim)
+    for i in range(n + 1):
+        total = total + braces(defm.base, defm.term(i), [defm.term(n - i)])
+    return total
+
+
+def deformation_residual(defm, n: int) -> TreeCochain:
+    """The order-n coefficient of the five laws, law by law and order by
+    order on basis vectors: on the tree of a law at (a, b, c), the sum over
+    i + j = n of (e_a inner_j e_b) outer_i psi(e_c) - phi(e_a) outer_i
+    (e_b inner_j e_c), the order-0 products through `apply_table` and the
+    order-i ones through pi_i's `eval` on tree 0 (-|) or 1 (|-)."""
+    A, m = defm.base, defm.base.dim
+    basis = [tuple(ONE if s == k else ZERO for s in range(m)) for k in range(m)]
+
+    def product(i: int, op: str, x: Vec, y: Vec) -> Vec:
+        if i == 0:
+            return apply_table(A.table(op), x, y)
+        if i > defm.order:
+            return (ZERO,) * m
+        return defm.terms[i - 1].eval(0 if op == DASHV else 1, [x, y])
+
+    data = {}
+    for t, law in enumerate(LAW_FOR_TREE):
+        (outer_l, inner_l), (outer_r, inner_r) = DIALGEBRA_LAWS[law]
+        for a, b, c in iproduct(range(m), repeat=3):
+            x, y, z = basis[a], basis[b], basis[c]
+            acc = [ZERO] * m
+            for i in range(n + 1):
+                lhs = product(i, outer_l, product(n - i, inner_l, x, y), A.psi.apply(z))
+                rhs = product(i, outer_r, A.phi.apply(x), product(n - i, inner_r, y, z))
+                acc = [s + u - v for s, u, v in zip(acc, lhs, rhs)]
+            if any(acc):
+                data[(t, (a, b, c))] = tuple(acc)
+    return TreeCochain(3, m, data)
 
 
 # -- the cochain spaces, eliminated in ambient coordinates ---------------------

@@ -345,3 +345,19 @@ def test_reports_replay_byte_for_byte(golden):
         for variant, want in variants.items():
             r = run(*want["argv"])
             assert (r.exit_code, r.stdout) == (want["exit"], want["stdout"]), (name, variant)
+
+
+def test_composition_commands_replay_the_pinned_fixtures():
+    """operad-check on every algebra block in corpus/, and deform and
+    trivialize on the corpus deformation at orders 0-2: exit code and
+    stdout, text and --json, against tests/fixtures/compositions, whose
+    commands.txt lines read "fixture-name exit-code cli-arguments"."""
+    pinned = "tests/fixtures/compositions"
+    with open(f"{pinned}/commands.txt", encoding="utf-8") as fh:
+        commands = [line.split() for line in fh if line.strip()]
+    assert len(commands) == 18
+    for name, code, *args in commands:
+        for ext, flag in (("txt", []), ("json", ["--json"])):
+            r = run(*args, *flag)
+            with open(f"{pinned}/{name}.{ext}", encoding="utf-8") as fh:
+                assert (r.exit_code, r.stdout) == (int(code), fh.read()), (name, ext)

@@ -225,6 +225,34 @@ def test_hoch_delta_squared_vanishes():
     assert hoch_delta_squared_is_zero(nil2(), 2, trials=10)
 
 
+def test_a_complex_builds_each_degree_block_tables_once(monkeypatch):
+    """delta^n's block tables are built once per complex and degree for
+    rows and evaluations: `hoch_delta_squared_is_zero` applies delta to all
+    its trials through one complex.  The restrictions release the tables
+    they read, so a report holds none."""
+    built = []
+    original = bihom.cohomology._coboundary_blocks
+
+    def counting(X, n):
+        built.append(n)
+        return original(X, n)
+
+    monkeypatch.setattr(bihom.cohomology, "_coboundary_blocks", counting)
+    assert hoch_delta_squared_is_zero(nil2(), 2, trials=6)
+    assert sorted(built) == [2, 3]
+    built.clear()
+    A = catalog()["Alg2_2"].build(a=1)
+    cx = _Complex(A, TreeCochain)
+    f = random_compatible_cochain(cx.compatible_space(2), random.Random(3), 2, A.dim, tree_indexed=True)
+    cx.report(2)
+    rows = cx.delta_rows(2)
+    for _ in range(3):
+        assert cx.apply_delta(f) == dialg_coboundary(A, f)
+    assert len(rows) == tree_cochain_dim(3, A.dim)
+    assert sorted(built) == [1, 2, 2, 2, 2, 2]  # the report's two degrees, the rows, one per dialg_coboundary call
+    assert list(cx._blocks) == [2]
+
+
 def test_hoch_delta_squared_needs_valid_axioms():
     broken = BiHomAssociativeAlgebra(
         3,

@@ -18,6 +18,7 @@ from bihom.cohomology import (
     dialg_coboundaries,
     dialg_cocycles,
     dialg_compatible_space,
+    random_compatible_cochain,
 )
 from bihom.deformation import (
     EquivalenceTransformation,
@@ -38,6 +39,8 @@ from bihom.deformation import (
 from bihom.dsl import build_block, parse
 from bihom.operad import pi_element
 from bihom.scalars import Mat
+
+import oracles
 
 
 def alg22():
@@ -85,6 +88,34 @@ def test_residual_routes_agree():
     for defm in (d1, broken):
         for n in range(defm.order + 1):
             assert deformation_residual(defm, n) == operadic_residual(defm, n)
+
+
+def test_residuals_match_the_references_in_data_and_key_order():
+    """deformation_residual against the law-by-law evaluation and
+    operadic_residual against its chain of additions, at orders 0-2, on
+    the catalog at two bindings, with compatible terms and with arbitrary
+    ones (sparse, so many products vanish)."""
+    rng = random.Random(93)
+    for name, entry in catalog().items():
+        for binding in ({p: 1 for p in entry.params}, {p: Fraction(rng.randint(1, 5), 2) for p in entry.params}):
+            A = entry.build(**binding)
+            C = dialg_compatible_space(A, 2)
+            compatible = [random_compatible_cochain(C, rng, 2, A.dim, tree_indexed=True) for _ in range(2)]
+            arbitrary = [
+                TreeCochain(2, A.dim, {
+                    (rng.randrange(2), (rng.randrange(A.dim), rng.randrange(A.dim))):
+                    tuple(rng.randint(-3, 3) for _ in range(A.dim))
+                    for _ in range(3)
+                })
+                for _ in range(2)
+            ]
+            for defm in (TruncatedDeformation(A, compatible), TruncatedDeformation(A, arbitrary, require_compatible=False)):
+                for n in range(3):
+                    for got, want in (
+                        (deformation_residual(defm, n), oracles.deformation_residual(defm, n)),
+                        (operadic_residual(defm, n), oracles.operadic_residual(defm, n)),
+                    ):
+                        assert list(got.data.items()) == list(want.data.items()), (name, binding, n)
 
 
 def test_order_zero_residual_detects_axioms():

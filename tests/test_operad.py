@@ -300,3 +300,52 @@ def test_compositions_match_the_reference_on_special_elements(monkeypatch):
         "single tree": (ident, one2, one3, one2),
     }.items():
         assert_matches_reference(monkeypatch, composition_cases(A, f1, f2, f3, g2), label)
+
+
+def assert_matches_chain(calls, label):
+    """Each (library, reference) pair of calls gives the same data in the same key order."""
+    for name, got, want in calls:
+        got, want = got(), want()
+        assert (got.degree, got.dim) == (want.degree, want.dim), (label, name)
+        assert list(got.data.items()) == list(want.data.items()), (label, name)
+
+
+def signed_sum_calls(A, f1, f2, f3, g2):
+    """braces, circle and bracket against the chains in `oracles`, with
+    one to three factors."""
+    calls = []
+    for f, gs in ((f2, [f1]), (f2, [g2]), (f3, [f1, g2]), (f2, [g2, f1]), (f3, [f2, f1, f1])):
+        calls.append(("braces", lambda f=f, gs=gs: braces(A, f, gs), lambda f=f, gs=gs: oracles.braces(A, f, gs)))
+    for f, g in ((f2, g2), (f3, f1), (f2, f3), (f1, f1)):
+        calls.append(("circle", lambda f=f, g=g: circle(A, f, g), lambda f=f, g=g: oracles.braces(A, f, [g])))
+        calls.append(("bracket", lambda f=f, g=g: bracket(A, f, g), lambda f=f, g=g: oracles.bracket(A, f, g)))
+    return calls
+
+
+def test_signed_sums_match_the_chain_reference_on_catalog_cochains():
+    """Compatible and arbitrary cochains of degrees 1-3, at two bindings."""
+    rng = random.Random(92)
+    for name, entry in catalog().items():
+        for binding in ({p: 1 for p in entry.params}, {p: Fraction(rng.randint(1, 5), 2) for p in entry.params}):
+            A = entry.build(**binding)
+            compatible = [
+                random_compatible_cochain(dialg_compatible_space(A, n), rng, n, A.dim, tree_indexed=True)
+                for n in (1, 2, 3, 2)
+            ]
+            arbitrary = [random_tree_cochain(rng, n, A.dim) for n in (1, 2, 3, 2)]
+            for label, cochains in (("compatible", compatible), ("arbitrary", arbitrary)):
+                assert_matches_chain(signed_sum_calls(A, *cochains), (name, binding, label))
+
+
+def test_signed_sum_keeps_the_chain_order_where_a_key_cancels_and_reappears():
+    """f o g with g = diag(1, -1) and f of degree 3: the term of slot i is
+    f(y; b) times g's entry at b_i, so at b = (0, 1, 0) the first two of
+    the three terms cancel and the third brings the key back, now after
+    the key at (1, 1, 1)."""
+    A = catalog()["Alg2_2"].build(a=1)
+    f = TreeCochain(3, 2, {(0, (0, 1, 0)): (1, 0), (0, (1, 1, 1)): (0, 1)})
+    g = TreeCochain(1, 2, {(0, (0,)): (1, 0), (0, (1,)): (0, -1)})
+    got = circle(A, f, g)
+    assert list(got.data.items()) == [((0, (1, 1, 1)), (0, -3)), ((0, (0, 1, 0)), (1, 0))]
+    assert list(got.data.items()) == list(oracles.braces(A, f, [g]).data.items())
+    assert list(bracket(A, f, g).data.items()) == list(oracles.bracket(A, f, g).data.items())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihom.algebra import catalog
 from bihom.scalars import (
     Mat,
     Subspace,
@@ -153,6 +154,36 @@ def test_matrix_inverse_and_power():
     assert M.power(3) == M @ M @ M
     assert M.power(-2) == inv @ inv
     assert Mat.from_rows([[1, 2], [2, 4]]).inverse() is None
+
+
+def test_power_is_the_repeated_product_on_every_catalog_twist():
+    """power(k) equals k factors for k = 0..6, and k factors of the inverse
+    for k = -3..-1 where there is one.  The catalog twists are all singular,
+    so each one plus the identity stands in for an invertible twist."""
+    twists = []
+    for entry in catalog().values():
+        A = entry.build(**{p: 1 for p in entry.params})
+        twists += [A.phi, A.psi, Mat.identity(A.dim) + A.phi, Mat.identity(A.dim) + A.psi]
+    invertible = 0
+    for M in twists:
+        prod = Mat.identity(M.rows)
+        for k in range(7):
+            assert M.power(k) == prod, k
+            prod = prod @ M
+        inv = M.inverse()
+        if inv is None:
+            with pytest.raises(ValueError, match="negative power of singular matrix"):
+                M.power(-1)
+            continue
+        invertible += 1
+        prod = Mat.identity(M.rows)
+        for k in range(1, 4):
+            prod = prod @ inv
+            assert M.power(-k) == prod, -k
+    assert invertible == len(twists) // 2
+    for k in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="power of non-square matrix"):
+            Mat(2, 3, range(6)).power(k)
 
 
 def test_det_matches_rank_deficiency():

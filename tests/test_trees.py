@@ -19,6 +19,7 @@ from bihom.trees import (
     keep_leaves,
     orientations,
     r0,
+    retraction_layout,
     ri,
     to_paren,
     tree_index,
@@ -94,6 +95,28 @@ def test_face_layout_lists_faces_and_orientations():
         )
     with pytest.raises(ValueError):
         face_layout(0)
+
+
+def test_retraction_layout_lists_outer_and_filled_inner_retractions():
+    """Every composition of N <= 6 into parts, with every mask of filled
+    slots, against the retractions taken on the Tree objects."""
+    for N in range(1, 7):
+        for cuts in product((False, True), repeat=N - 1):
+            parts, run = [], 1
+            for cut in cuts:
+                if cut:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            parts = tuple(parts + [run])
+            want = [
+                (tree_index(r0(y, parts)), [tree_index(ri(y, parts, j + 1)) for j in range(len(parts))])
+                for y in trees(N)
+            ]
+            for filled in product((False, True), repeat=len(parts)):
+                assert retraction_layout(parts, filled) == tuple(
+                    (outer, tuple(t if f else None for t, f in zip(inners, filled))) for outer, inners in want
+                ), (parts, filled)
 
 
 def test_face_reduces_leaf_count():
