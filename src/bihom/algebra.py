@@ -72,12 +72,25 @@ def is_zero_vec(v: Vec) -> bool:
     return not any(v)
 
 
+MAX_TABLE_CELLS = 10**6  # dim^3 cells of one dense product table, so dim <= 100
+
+
+def _table_refusal(dim: int) -> str | None:
+    """Why a product table of this dim is refused before anything is allocated, or None."""
+    if dim**3 <= MAX_TABLE_CELLS:
+        return None
+    cells = dim**3 if dim < 10**9 else f"{dim}^3"  # a very long dim is not cubed in print
+    return f"dim {dim} needs {cells} product table cells, over the limit of {MAX_TABLE_CELLS}"
+
+
 def table_from_entries(dim: int, entries: Mapping[tuple[int, int], Mapping[int, object]]) -> Table:
     """Dense product table from 1-based sparse entries.
 
     entries[(i, j)][k] = coefficient of e_k in e_i * e_j; everything
     unlisted is zero.
     """
+    if refusal := _table_refusal(dim):
+        raise ValueError(refusal)
     grid = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
     for (i, j), vec in entries.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
@@ -323,32 +336,36 @@ def _violations(
             yield Violation(law, t, r)
 
 
-def _combine(n: int, terms: Iterable[tuple[Fraction, Sparse]]) -> list[Fraction]:
-    """Sum of c * v over (c, v) in terms, each v sparse, as a dense list of length n."""
-    acc = [ZERO] * n
+def _combine(n: int, terms: Iterable[tuple[Fraction, Sparse]], zero=ZERO) -> list[Fraction]:
+    """Sum of c * v over (c, v) in terms, each v sparse, as a dense list of length n, from `zero`."""
+    acc = [zero] * n
     for c, v in terms:
         for k, x in v:
             acc[k] += c * x
     return acc
 
 
-def _law_residuals(A: BiHomDialgebra) -> dict[str, Callable[[int, int, int], Vec]]:
+def _law_residuals(A: BiHomDialgebra, orders=None) -> dict[str, Callable[[int, int, int], Vec]]:
     """law -> ((i, j, k) -> law_residual(A, law, e_i, e_j, e_k)), read from
-    A's sparse form and, tabulated once per call, per outer product
-    R[p][k] = e_p o psi(e_k) and L[i][q] = phi(e_i) o e_q."""
-    m, cells = A.dim, A.cells
-    phi, psi = A.twist_cols
-    right = {op: [[_sparse(_combine(m, ((d, c[p][s]) for s, d in psi[k]))) for k in range(m)] for p in range(m)]
-             for op, c in cells.items()}
-    left = {op: [[_sparse(_combine(m, ((d, c[s][qq]) for s, d in phi[i]))) for qq in range(m)] for i in range(m)]
-            for op, c in cells.items()}
+    A's sparse form.  With `orders`, the residual is summed over its (outer,
+    inner) pairs of products, each a map from product name to cells, in
+    place of (A.cells, A.cells).  Per outer product, R[p][k] = e_p o psi(e_k)
+    and L[i][q] = -(phi(e_i) o e_q) are tabulated once per call."""
+    m, (phi, psi) = A.dim, A.twist_cols
+    tables = [(
+        {op: [[_sparse(_combine(m, ((d, c[p][s]) for s, d in psi[k]))) for k in range(m)] for p in range(m)]
+         for op, c in outer.items()},
+        {op: [[_sparse(_combine(m, ((-d, c[s][qq]) for s, d in phi[i]))) for qq in range(m)] for i in range(m)]
+         for op, c in outer.items()},
+        inner,
+    ) for outer, inner in orders or [(A.cells, A.cells)]]
 
     def residual(law: str) -> Callable[[int, int, int], Vec]:
         (outer_l, inner_l), (outer_r, inner_r) = DIALGEBRA_LAWS[law]
-        R, L, il, ir = right[outer_l], left[outer_r], cells[inner_l], cells[inner_r]
+        parts = [(right[outer_l], left[outer_r], inner[inner_l], inner[inner_r]) for right, left, inner in tables]
         return lambda i, j, k: tuple(_combine(m, chain(
-            ((c, R[p][k]) for p, c in il[i][j]),
-            ((-c, L[i][qq]) for qq, c in ir[j][k]),
+            ((c, R[p][k]) for R, _, il, _ in parts for p, c in il[i][j]),
+            ((c, L[i][qq]) for _, L, _, ir in parts for qq, c in ir[j][k]),
         )))
 
     return {law: residual(law) for law in DIALGEBRA_LAWS}

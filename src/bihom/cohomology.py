@@ -113,6 +113,8 @@ class _Cochain:
     is the one-tree case and is keyed by args alone.  The support is also
     kept grouped by tree: `groups[t]` lists tree t's (args, value) pairs
     in `data`'s order, so evaluating on a tree reads only its entries.
+    The constructor checks every key and value; `_trusted` checks nothing,
+    and only builds what compositions, delta f and the residuals compute.
     """
 
     __slots__ = ("degree", "dim", "data", "groups")
@@ -138,11 +140,21 @@ class _Cochain:
             v = tuple(q(c) for c in val)
             if len(v) != dim:
                 raise ValueError("value length mismatch")
-            if not is_zero_vec(v):
-                clean[key] = v
-        groups: list[list] = [[] for _ in range(ntrees)]  # not a tuple: CPython keeps freed short tuples
+            clean[key] = v
+        self._fill(degree, dim, clean)
+
+    @classmethod
+    def _trusted(cls, degree: int, dim: int, data: dict) -> _Cochain:
+        """From well-formed tuple keys and tuples of Fractions, unchecked."""
+        self = object.__new__(cls)
+        self._fill(degree, dim, data)
+        return self
+
+    def _fill(self, degree: int, dim: int, data: dict) -> None:
+        clean = {key: v for key, v in data.items() if any(v)}
+        groups: list[list] = [[] for _ in range(self._ntrees(degree))]  # not a tuple: CPython keeps freed short tuples
         for key, v in clean.items():
-            t, args = key if tree_keyed else (0, key)
+            t, args = key if self._tree_keyed else (0, key)
             groups[t].append((args, v))
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "dim", dim)
@@ -510,7 +522,7 @@ class _Complex:
                 b, k = divmod(r, m)
                 key = (y, arg_tuples[b]) if self.cochain._tree_keyed else arg_tuples[b]
                 data.setdefault(key, [ZERO] * m)[k] = acc[r]
-        return self.cochain(n + 1, m, data)
+        return self.cochain._trusted(n + 1, m, {key: tuple(val) for key, val in data.items()})
 
     def kernel(self, n: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """K_n: the canonical basis of one tree's compatible cochains, over
@@ -569,27 +581,29 @@ class _Complex:
         t * dim K_n + a of row a of K_n on tree t.  Output coordinates that
         read the same restrictions give the same row on every tree, so each
         tree combines one row per class of them."""
-        dK = len(self.kernel(n))
-        ids, images = self.restricted(n)
+
+        def int_key(img: dict[int, Fraction]) -> tuple:  # normalised fractions are equal exactly when these are
+            return tuple(sorted((a, v.numerator, v.denominator) for a, v in img.items() if v))
+
+        dK, (ids, images) = len(self.kernel(n)), self.restricted(n)
+        images = list(images)  # then sums of them, numbered on by content
+        content = {int_key(img): rid for rid, img in enumerate(images)}
         classes = dict.fromkeys(zip(*ids.values()))
         pos = {key: s for s, key in enumerate(ids)}
-        seen: set[tuple] = set()
-        rows: dict[tuple[tuple[int, Fraction], ...], None] = {}
+        rows: dict[tuple[tuple[int, int], ...], None] = {}
         for faces, ors in layout:
             sel = [(pos[i, p], f * dK) for i, (f, p) in enumerate(zip(faces, ors))]
             for cls in classes:
-                parts = tuple((off, cls[s]) for s, off in sel if cls[s])
-                if parts in seen:
-                    continue
-                seen.add(parts)
-                row: dict[int, Fraction] = {}
-                for off, rid in parts:
-                    for a, v in images[rid].items():
-                        row[a + off] = row[a + off] + v if a + off in row else v
-                key = tuple(sorted((c, v) for c, v in row.items() if v))
-                if key:
-                    rows[key] = None
-        return [dict(row) for row in rows]
+                key: dict[int, int] = {}  # a row is one image per face, so equal rows have equal keys
+                for off, rid in sorted((off, cls[s]) for s, off in sel if cls[s]):
+                    if off in key:  # blocks reading one face add up
+                        x, y = images[key[off]], images[rid]
+                        img = {a: x.get(a, ZERO) + y.get(a, ZERO) for a in x.keys() | y.keys()}
+                        if (rid := content.setdefault(int_key(img), len(images))) == len(images):
+                            images.append({a: v for a, v in img.items() if v})
+                    key[off] = rid
+                rows[tuple((off, rid) for off, rid in key.items() if rid)] = None
+        return [dict(sorted((a + off, v) for off, rid in key for a, v in images[rid].items())) for key in rows if key]
 
     def singletons(self, n: int) -> tuple[list[dict[int, Fraction]], _Eliminator]:
         """The singleton pass over delta^n . G, once per degree.  A class whose

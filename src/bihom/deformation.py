@@ -8,11 +8,11 @@ term, on index 1 the |- term, matching `operad.pi_element`.
 
 Validity at order n means the order-n coefficient of every one of the
 five structure laws vanishes.  `deformation_residual` assembles those
-five coefficient maps into one arity-3 tree cochain, one tree per law,
-from the products' nonzero coefficients only; `operadic_residual`
-computes sum_{i+j=n} pi_i o pi_j through the operad module instead.  The two agree identically (the circle product's two
-summands expand to exactly the left and right sides of the laws), and
-the test suite keeps both routes.
+five maps into one arity-3 tree cochain, one tree per law: the law
+residuals of `bihom.algebra` summed over the order pairs, reading the
+terms' values, never `eval`.  `operadic_residual` computes sum_{i+j=n}
+pi_i o pi_j through the operad module instead; the two agree identically
+(the circle product's two summands expand to the two sides of the laws).
 
 Equivalences are truncated automorphism families psi_t = id + t psi_1 +
 ... acting by psi_t(x *_t y) = psi_t(x) *'_t psi_t(y).  Every transport
@@ -37,13 +37,12 @@ from typing import Sequence
 
 from bihom.algebra import (
     BiHomDialgebra,
-    DIALGEBRA_LAWS,
     LAW_FOR_TREE,
     Vec,
     Violation,
+    _law_residuals,
     _sparse,
     apply_table,
-    basis_vec,
     is_zero_vec,
     leibniz_rows,
     vec_add,
@@ -52,14 +51,12 @@ from bihom.algebra import (
 )
 from bihom.cohomology import TreeCochain, dialg_coboundary
 from bihom.operad import _signed_sum, circle, pi_element
-from bihom.scalars import ZERO, Mat, solve_rows
+from bihom.scalars import Mat, solve_rows
 from bihom.trees import DASHV, VDASH, trees
 
 # Tree indices of the two product slots in an arity-2 cochain.
 TREE_DASHV = 0
 TREE_VDASH = 1
-
-_OP_TREE = {DASHV: TREE_DASHV, VDASH: TREE_VDASH}
 
 
 def _compatible(base: BiHomDialgebra, f: TreeCochain) -> tuple[int, tuple[int, ...]] | None:
@@ -150,35 +147,18 @@ def deformation_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     Value on tree y at (a, b, c) is
     sum_{i+j=n} (e_a innerL_j e_b) outerL_i psi(e_c)
                - phi(e_a) outerR_i (e_b innerR_j e_c)
-    for the law attached to y, each outer product expanded over the
-    columns of its computed argument.  Order 0 recovers the base residuals.
+    for the law attached to y, the order-i products on basis pairs read
+    from the base's cells (i = 0) or pi_i's values.  Order 0 recovers the
+    base residuals.
     """
     if not 0 <= n <= defm.order:
         raise ValueError(f"order {n} out of range 0..{defm.order}")
     base, m = defm.base, defm.base.dim
-    es = [basis_vec(m, a) for a in range(m)]
-    ps, qs = ([M.col(a) for a in range(m)] for M in (base.phi, base.psi))
-    # order-i products on basis columns, sparse: plain, psi(e_c) on the right, phi(e_a) on the left
-    plain, right, left = (
-        {(i, t): [[_sparse(defm.product(i, t, x, y)) for y in ys] for x in xs] for i in range(n + 1) for t in (0, 1)}
-        for xs, ys in ((es, es), (es, qs), (ps, es))
-    )
-    data: dict[tuple[int, tuple[int, ...]], Vec] = {}
-    for t, law in enumerate(LAW_FOR_TREE):
-        (ol, il), (or_, ir) = ((_OP_TREE[x], _OP_TREE[y]) for x, y in DIALGEBRA_LAWS[law])
-        for a, b, c in iproduct(range(m), repeat=3):
-            acc = [ZERO] * m
-            for i in range(n + 1):
-                outl, outr = right[i, ol], left[i, or_][a]
-                for p, up in plain[n - i, il][a][b]:
-                    for k, v in outl[p][c]:
-                        acc[k] += up * v
-                for p, up in plain[n - i, ir][b][c]:
-                    for k, v in outr[p]:
-                        acc[k] -= up * v
-            if any(acc):
-                data[(t, (a, b, c))] = tuple(acc)
-    return TreeCochain(3, m, data)
+    cells = [base.cells] + [{op: [[_sparse(f.data.get((t, (a, b)), ())) for b in range(m)] for a in range(m)]
+                             for t, op in enumerate((DASHV, VDASH))} for f in defm.terms[:n]]
+    residuals = _law_residuals(base, [(cells[i], cells[n - i]) for i in range(n + 1)])
+    return TreeCochain._trusted(3, m, {
+        (t, abc): residuals[law](*abc) for t, law in enumerate(LAW_FOR_TREE) for abc in iproduct(range(m), repeat=3)})
 
 
 def operadic_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
@@ -257,7 +237,7 @@ def _transport(
 def _difference(p: dict, q: dict, m: int) -> TreeCochain:
     """p - q as an arity-2 cochain whose data runs in (tree, a, b) order."""
     zero = zero_vec(m)
-    return TreeCochain(
+    return TreeCochain._trusted(
         2, m, {k: vec_sub(p.get(k, zero), q.get(k, zero)) for k in sorted(p.keys() | q.keys())}
     )
 

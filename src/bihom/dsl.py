@@ -35,6 +35,7 @@ from fractions import Fraction
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
+    _table_refusal,
     map_from_entries,
     table_from_entries,
 )
@@ -290,6 +291,8 @@ class _Parser:
         self.expect_punct("{")
         self.expect_keyword("dim")
         dim, dim_tok = self.expect_int("dimension")
+        if refusal := _table_refusal(dim):
+            self.semantic(refusal, dim_tok)
         self.expect_punct(";")
         basis_kw = self.expect_keyword("basis")
         basis: list[str] = []

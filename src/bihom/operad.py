@@ -8,18 +8,18 @@ block) and twists pass-through arguments by powers of phi and psi, left
 arguments getting phi and right arguments psi.
 
 Every composition is one rule, f(R0 y; T_1 g_1(R_1 y; ...), ...,
-T_k g_k(R_k y; ...)), evaluated as a contraction: slot j contributes
-g_j's support entries on R_j y, each twisted once by T_j (a pass-through
-slot, the nonzero columns of its twist), and f's entries on R0 y are
-contracted slot by slot: each prefix of slot entries keeps only the f
-entries its running coefficient leaves nonzero.  The indices of R0 y and
-R_j y come from one table per shape (`trees.retraction_layout`), and trees
-with the same retractions share one contraction.  `partial_composition`
-fills one slot with an untwisted factor and twists the pass-through
-arguments, `gamma_direct` twists each factor's output, and `dot` inserts
-two twisted factors into the products' element.  `braces` and `bracket`
-add their signed terms into one dict (`_signed_sum`), in the key order
-of the chain of cochain additions it replaces.
+T_k g_k(R_k y; ...)), evaluated as a contraction on integers: f's entries
+on each tree, and slot j's entries on R_j y (twisted once by T_j, or T_j's
+columns for a pass-through slot), are scaled to integers over one
+denominator per operand; f's entries on R0 y are contracted slot by slot,
+each prefix of slot entries keeping the f entries its running coefficient
+leaves nonzero, and each output coordinate is one Fraction over the
+product of the denominators.  R0 y and R_j y come from one table per shape
+(`trees.retraction_layout`); trees with equal retractions share one
+contraction.  `partial_composition` twists the pass-through arguments,
+`gamma_direct` each factor's output, and `dot` inserts two twisted factors
+into the products' element.  `braces` and `bracket` add their signed terms
+into one dict (`_signed_sum`), in the key order of the chain of additions.
 
 `gamma` composes by iterating partial compositions from the rightmost
 slot inward, so it differs from `gamma_direct` in where the twists act.
@@ -35,17 +35,20 @@ expands to the five structure laws, one per tree with four leaves.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
-from bihom.algebra import BiHomDialgebra, Vec, _combine, _sparse, basis_vec, is_zero_vec
+from bihom.algebra import BiHomDialgebra, Vec, _combine, basis_vec
 from bihom.cohomology import TreeCochain
-from bihom.scalars import q
+from bihom.scalars import ZERO
 from bihom.trees import orientations, retraction_layout, trees
 
 
 def identity_element(dim: int) -> TreeCochain:
     """Arity-1 identity: returns its argument on the unique tree."""
-    return TreeCochain(1, dim, {(0, (i,)): basis_vec(dim, i) for i in range(dim)})
+    return TreeCochain._trusted(1, dim, {(0, (i,)): basis_vec(dim, i) for i in range(dim)})
 
 
 def pi_element(A: BiHomDialgebra) -> TreeCochain:
@@ -58,7 +61,14 @@ def pi_element(A: BiHomDialgebra) -> TreeCochain:
             for j, cell in enumerate(line):
                 if cell:
                     data[(t, (i, j))] = table[i][j]
-    return TreeCochain(2, A.dim, data)
+    return TreeCochain._trusted(2, A.dim, data)
+
+
+def _over_lcm(pairs):
+    """(D, [(key, v * D)]): D the lcm of the values' denominators, each v * D a tuple of ints."""
+    pairs = [(a, [c.as_integer_ratio() for c in v]) for a, v in pairs]
+    D = lcm(*{d for _, v in pairs for _, d in v})
+    return D, [(a, tuple(x * (D // d) for x, d in v)) for a, v in pairs]
 
 
 def _compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeCochain:
@@ -72,31 +82,37 @@ def _compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeC
     if f.dim != dim or any(g is not None and g.dim != dim for g, _ in factors):
         raise ValueError("cochain dimension mismatch")
     parts = tuple(1 if g is None else g.degree for g, _ in factors)
-    es = [basis_vec(dim, k) for k in range(dim)]
-    slots: dict[tuple[int, int | None], list[tuple[tuple[int, ...], Vec]]] = {}
+    fs = [(D, [(args, [(k, x) for k, x in enumerate(v) if x]) for args, v in vals]) for D, vals in map(_over_lcm, f.groups)]
+    twists = [None if T is None else _over_lcm((k, T.row(k)) for k in range(dim)) for _, T in factors]
+    slots: dict[tuple[int, int | None], tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]] = {}
     sums: dict[tuple, list[tuple[tuple[int, ...], Vec]]] = {}
     data = {}
     for yi, key in enumerate(retraction_layout(parts, tuple(g is not None for g, _ in factors))):
         if key not in sums:
             sums[key] = out = []
             outer, inners = key
+            D, entries = fs[outer]
             # each prefix of slot entries keeps the entries of f its running coefficient leaves nonzero
-            live = [((), [(args, _sparse(val), q(sign)) for args, val in f.groups[outer]])]
-            for j, t in enumerate(inners if live[0][1] else ()):
+            live = [((), [(args, val, sign) for args, val in entries])]
+            for j, t in enumerate(inners if entries else ()):
                 if (j, t) not in slots:
-                    # slot j's nonzero values in argument order, each twisted once
-                    g, T = factors[j]
-                    pairs = [((x,), e) for x, e in enumerate(es)] if g is None else sorted(g.groups[t])
-                    pairs = pairs if T is None else [(a, T.apply(v)) for a, v in pairs]
-                    slots[j, t] = [(a, v) for a, v in pairs if not is_zero_vec(v)]
-                live = [(b + a, nxt) for b, cur in live for a, v in slots[j, t]
+                    # slot j's nonzero values in argument order over one denominator, each twisted once
+                    g = factors[j][0]
+                    d, pairs = _over_lcm([((x,), basis_vec(dim, x)) for x in range(dim)] if g is None else sorted(g.groups[t]))
+                    if twists[j]:
+                        dT, rows = twists[j]
+                        d, pairs = d * dT, [(a, tuple(sum(map(mul, r, v)) for _, r in rows)) for a, v in pairs]
+                    slots[j, t] = d, [(a, v) for a, v in pairs if any(v)]
+                d, pairs = slots[j, t]
+                D *= d
+                live = [(b + a, nxt) for b, cur in live for a, v in pairs
                         if (nxt := [(args, val, c * x) for args, val, c in cur if (x := v[args[j]])])]
             for b, cur in live:
-                if any(acc := _combine(dim, ((c, val) for _, val, c in cur))):
-                    out.append((b, tuple(acc)))
+                if any(acc := _combine(dim, ((c, val) for _, val, c in cur), 0)):
+                    out.append((b, tuple(Fraction(s, D) if s else ZERO for s in acc)))
         for b, val in sums[key]:
             data[(yi, b)] = val
-    return TreeCochain(sum(parts), dim, data)
+    return TreeCochain._trusted(sum(parts), dim, data)
 
 
 def partial_composition(A: BiHomDialgebra, f: TreeCochain, i: int, g: TreeCochain) -> TreeCochain:
@@ -176,7 +192,7 @@ def _signed_sum(degree: int, dim: int, terms) -> TreeCochain:
                 acc[key] = v
             else:
                 del acc[key]
-    return TreeCochain(degree, dim, acc)
+    return TreeCochain._trusted(degree, dim, acc)
 
 
 def circle(A: BiHomDialgebra, f: TreeCochain, g: TreeCochain) -> TreeCochain:

@@ -88,6 +88,19 @@ def test_non_utf8_file_exits_2_with_location(tmp_path, data, where):
     assert r.stderr == f"error: {path}: lexical error at {where}\n"
 
 
+def test_oversized_dimension_exits_2_at_the_dim_token(tmp_path):
+    """A well-formed block of dim 5000 with one entry is refused at its dim
+    token, before any table is built: 5000^3 cells is over the limit."""
+    names = " ".join(f"b{i}" for i in range(5000))
+    path = tmp_path / "big.dlg"
+    path.write_text(f"dialgebra Big {{\n  dim 5000;\n  basis {names};\n  dashv(b0, b0) = b0;\n"
+                    "  phi(b0) = b0;\n  psi(b0) = b0;\n}\n", encoding="utf-8")
+    r = run("verify", str(path), "--name", "Big")
+    assert r.exit_code == 2
+    assert r.stderr == (f"error: {path}: semantic error at line 2, column 7: dim 5000 needs "
+                        "125000000000 product table cells, over the limit of 1000000\n")
+
+
 def test_derive_prints_dimension_and_basis():
     r = run("derive", "corpus/alg3_3.dlg", "--name", "Alg3_3", "--k", "1", "--l", "1")
     assert r.exit_code == 0
@@ -349,13 +362,14 @@ def test_reports_replay_byte_for_byte(golden):
 
 def test_composition_commands_replay_the_pinned_fixtures():
     """operad-check on every algebra block in corpus/, and deform and
-    trivialize on the corpus deformation at orders 0-2: exit code and
-    stdout, text and --json, against tests/fixtures/compositions, whose
-    commands.txt lines read "fixture-name exit-code cli-arguments"."""
+    trivialize on the corpus deformation at orders 0-2, then all three at
+    order 2 on deform_rational.dlg (non-integral binding and terms): exit
+    code and stdout, text and --json, against tests/fixtures/compositions,
+    whose commands.txt lines read "fixture-name exit-code cli-arguments"."""
     pinned = "tests/fixtures/compositions"
     with open(f"{pinned}/commands.txt", encoding="utf-8") as fh:
         commands = [line.split() for line in fh if line.strip()]
-    assert len(commands) == 18
+    assert len(commands) == 21
     for name, code, *args in commands:
         for ext, flag in (("txt", []), ("json", ["--json"])):
             r = run(*args, *flag)

@@ -8,8 +8,10 @@ import pytest
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
+    _table_refusal,
     assoc_readings,
     catalog,
+    table_from_entries,
 )
 from bihom.deformation import TruncatedDeformation
 from bihom.dsl import DslError, build_all, build_block, parse, parse_path, print_definition
@@ -30,6 +32,18 @@ def test_corpus_round_trips_byte_stable():
         df = parse(text)
         assert print_definition(df) == text, path
         assert parse(print_definition(df)) == df, path
+
+
+def test_oversized_tables_are_refused_before_allocation():
+    """The library gets the CLI's text as a ValueError; a dim too long to
+    cube in print is named by its power.  Nothing here is allocated."""
+    with pytest.raises(ValueError, match=r"^dim 5000 needs 125000000000 product table cells, over the limit of 1000000$"):
+        table_from_entries(5000, {(1, 1): {1: 1}})
+    with pytest.raises(ValueError, match=r"needs 1(0){1999}\^3 product table cells"):
+        table_from_entries(10**1999, {})
+    with pytest.raises(DslError, match=r"line 1, column 21: dim 101 needs 1030301 product table cells"):
+        parse("dialgebra Big { dim 101; basis " + " ".join(f"b{i}" for i in range(101)) + "; }")
+    assert _table_refusal(100) is None  # the largest dim admitted, checked without building its table
 
 
 def test_print_is_idempotent_on_noncanonical_input():
