@@ -22,26 +22,36 @@ below degree 1.
 Everything is exact and coordinatised: a degree-n cochain over a
 dim-m algebra flattens to a vector of length |Y_n| * m^n * m (tree
 index outer, then the argument multi-index row-major, then the output
-coordinate; |Y_n| is 1 in the one-product complex).
+coordinate; |Y_n| is 1 in the one-product complex).  Inside a complex
+the currency is the integer: the structure's sparse form (`cells` per
+product, `twist_cols` per twist, built once with the structure) is
+scaled once by D, the lcm of every denominator in it, and a `Fraction`
+appears only at the output: delta f, the ambient delta rows and the
+canonical bases of C^n, Z^n and B^n.
 
 The coboundary is written once, as block tables (`_coboundary_blocks`).
 Block i of delta f on a tree y reads f on face i of y through the
 product of leaf i of y, and depends on y in no other way, so delta^n is
 one table per (block, product) over the local coordinates of one tree,
-built once per degree.  The block tables and the compatibility rows read
-the structure's sparse form, built once when the structure is made
-(`cells` per product, `twist_cols` per twist, both frozen), never the
-dense tables; `apply_table` and `law_residual` in `bihom.algebra` are
-the dense references.  `dialg_coboundary`/`hoch_coboundary` apply the
-block tables face by face to a cochain's support, grouped by tree; only
-`*_coboundary_rows` assembles ambient rows.  The term-by-term evaluation
-of the formula is kept in `tests/oracles.py` as the independent reference.
+built once per degree.  An entry is a product of n scaled cells and
+twist columns, so every table is integral over one denominator D^n, as
+the compatibility rows are over D^degree.  No table is read densely;
+`apply_table` and `law_residual` in `bihom.algebra` are the dense
+references.  `dialg_coboundary`/`hoch_coboundary` apply the block tables
+face by face to a cochain's support, grouped by tree, on integers over
+one denominator for the cochain, dividing once per output coordinate;
+only `*_coboundary_rows` assembles ambient rows.  The term-by-term
+evaluation of the formula is kept in `tests/oracles.py` as the
+independent reference.
 
 The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
 tree, repeated per tree, and its canonical basis G is the shifted copies
-of K_n's.  Each distinct block row is restricted to K_n once; combined
-through the face offsets these give delta^n . G, of rank r_n, so that
+of K_n's.  Each distinct block row is restricted to K_n once, on
+integers: K_n is scaled by the lcm of its denominators, so every
+restriction of a degree carries one common factor, which ranks, pivots,
+kernels, spans and containment do not see.  Combined through the face
+offsets these give delta^n . G, of rank r_n, so that
 dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  Its one-entry rows come
 first, found from the classes of restrictions without building a row;
 only rows touching a column none covers are built, restricted to those
@@ -62,7 +72,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
@@ -77,7 +87,7 @@ from bihom.algebra import (
     vec_add,
     zero_vec,
 )
-from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows, q, span_rows
+from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, _over_lcm, nullspace_rows, q, span_rows
 from bihom.trees import Tree, face_layout, tree_index, trees
 
 
@@ -297,7 +307,7 @@ def hochschild_cochain_dim(degree: int, dim: int) -> int:
 # -- the coboundary as block tables, and its ambient rows -----------------------
 
 
-def _expand(supports: Sequence[list], m: int, coef: Fraction) -> list[tuple[int, Fraction]]:
+def _expand(supports: Sequence[list], m: int, coef):
     """(rank * m, coef * coefficient) of each argument tuple the supports expand to."""
     terms = []
     for combo in iproduct(*supports):
@@ -309,50 +319,57 @@ def _expand(supports: Sequence[list], m: int, coef: Fraction) -> list[tuple[int,
     return terms
 
 
-def _coboundary_blocks(
-    X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int
-) -> dict[tuple[int, str], dict[int, dict[int, Fraction]]]:
-    """delta^n as tree-independent block tables.
+def _scaled(vectors: Sequence[Sparse]) -> tuple[int, Iterator[tuple[tuple[int, int], ...]]]:
+    """(D, the vectors times D, one by one): sparse vectors on integers, D the lcm of their denominators."""
+    D, [(_, flat)] = _over_lcm([((), [c for v in vectors for _, c in v])])
+    values = iter(flat)
+    return D, (tuple([(k, next(values)) for k, _ in v]) for v in vectors)
+
+
+def _coboundary_blocks(cx: _Complex, n: int) -> dict[tuple[int, str], dict[int, tuple]]:
+    """delta^n times D^n as tree-independent block tables, on integers.
 
     Entry (i, p) is block i of the coboundary taken with product p: its
-    nonzero rows, keyed by local output coordinate of a degree-(n+1) tree
-    (arguments b row-major, then the output k), each over the local
-    coordinates of the degree-n tree it reads (arguments, then output).
-    The rows of a tree y are the sum over i of block (i, orientation i
-    of y), shifted to face i of y.  Products and twists are read from X's
-    sparse form; the expansions of P e_j and Q e_j through each product are
-    tabulated once.  Only argument tuples that give a nonzero row are
+    nonzero rows as (column, value) pairs, keyed by local output coordinate
+    of a degree-(n+1) tree (arguments b row-major, then the output k), each
+    over the local coordinates of the degree-n tree it reads (arguments,
+    then output).  The rows of a tree y are the sum over i of block (i,
+    orientation i of y), shifted to face i of y.  An entry is a product of
+    n of the complex's scaled cells and twist columns; the expansions of
+    P e_j and Q e_j (P = (D phi)^(n-1), Q likewise) through each product
+    are tabulated once.  Only argument tuples that give a nonzero row are
     visited, in ascending order.
     """
-    m = X.dim
-    P, Q = ([_sparse(M.col(x)) for x in range(m)] for M in (X.phi.power(n - 1), X.psi.power(n - 1)))
-    phi_sup, psi_sup = X.twist_cols
+    m, (phi_sup, psi_sup) = cx.X.dim, cx.twists
+    P, Q = ([((x, 1),) for x in range(m)] for _ in range(2))
+    for _ in range(n - 1):
+        P, Q = ([_sparse(_combine(m, ((c, M[j]) for j, c in v), 0)) for v in V] for V, M in ((P, phi_sup), (Q, psi_sup)))
     phi_live = [x for x in range(m) if phi_sup[x]]
     psi_live = [x for x in range(m) if psi_sup[x]]
     last_sign = -1 if (n + 1) % 2 else 1
-    signs = [q(-1 if i % 2 else 1) for i in range(n + 1)]
+    signs = [-1 if i % 2 else 1 for i in range(n + 1)]
     size = m**n
 
     def outer(expansions, first):
         # the first or last block: rows (b, k) of f on the other n arguments
         # (rank s) with argument x multiplied in
-        rows: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, list[tuple[int, int]]] = {}
         live = [x for x in range(m) if expansions[x]]
         pairs = iproduct(live, range(size)) if first else ((x, s) for s in range(size) for x in live)
         for x, s in pairs:
             r = x * size + s if first else s * m + x
             for j, col in expansions[x]:
                 for k, c in col:
-                    rows.setdefault(r * m + k, {})[s * m + j] = c
-        return rows
+                    rows.setdefault(r * m + k, []).append((s * m + j, c))  # (x, s, j) gives each entry once
+        return {r: tuple(row) for r, row in rows.items()}
 
-    tables: dict[tuple[int, str], dict[int, dict[int, Fraction]]] = {}
-    for name, cells in X.cells.items():
+    tables: dict[tuple[int, str], dict[int, tuple]] = {}
+    for name, cells in cx.cells.items():
         # the nonzero columns [P e_x o e_j] and, signed, [e_j o Q e_x], as (j, column)
-        left = [[(j, col) for j in range(m) if (col := _sparse(_combine(m, ((u, cells[p][j]) for p, u in P[x]))))]
+        left = [[(j, col) for j in range(m) if (col := _sparse(_combine(m, ((u, cells[p][j]) for p, u in P[x]), 0)))]
                 for x in range(m)]
         right = [[(j, [(k, last_sign * c) for k, c in col]) for j in range(m)
-                  if (col := _sparse(_combine(m, ((u, cells[j][p]) for p, u in Q[x]))))]
+                  if (col := _sparse(_combine(m, ((u, cells[j][p]) for p, u in Q[x]), 0)))]
                  for x in range(m)]
         live_cells = [(x, y, cell) for x, line in enumerate(cells) for y, cell in enumerate(line) if cell]
         tables[0, name] = outer(left, True)
@@ -364,7 +381,7 @@ def _coboundary_blocks(
                 terms = _expand(vecs, m, signs[i])  # distinct combos give distinct tuples
                 r = _args_rank(pre + (x, y) + suf, m)
                 for k in range(m):
-                    rows[r * m + k] = {a + k: c for a, c in terms}
+                    rows[r * m + k] = tuple((a + k, c) for a, c in terms)
             tables[i, name] = rows
         tables[n + 1, name] = outer(right, False)
     return tables
@@ -409,25 +426,28 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
 # -- twist compatibility --------------------------------------------------------
 
 
-def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int) -> list[dict[int, Fraction]]:
-    """Rows of M f(b) = f(M b) for each twist M, given by the nonzero
-    (k, c) of its columns, over one tree's coordinates."""
+def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int, D: int = 1) -> list[dict[int, Fraction]]:
+    """Rows of D^degree (M f(b) - f(M b)) over one tree's coordinates for each twist M,
+    given by the nonzero (k, c) of the columns of D M: integer rows when D M is integral."""
     rows: list[dict[int, Fraction]] = []
     for cols in twists:
         m = len(cols)
         lines: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
         for j, col in enumerate(cols):
             for k, c in col:
-                lines[k].append((j, c))
+                lines[k].append((j, D ** (degree - 1) * c))
         for r, b in enumerate(iproduct(range(m), repeat=degree)):
             base = r * m
             # f(M b): the argument tuples M b expands to, with coefficients
-            terms = _expand([cols[x] for x in b], m, ONE)
+            terms = _expand([cols[x] for x in b], m, 1)
+            if not terms:  # M b = 0: the rows are the nonzero lines of M f(b) as they stand
+                rows += [{base + j: c for j, c in line} for line in lines if line]
+                continue
             for k in range(m):
                 # M f(b)_k - f(M b)_k
                 row = {base + j: c for j, c in lines[k]}
                 for a, coef in terms:
-                    row[a + k] = row.get(a + k, ZERO) - coef
+                    row[a + k] = row.get(a + k, 0) - coef
                 row = {key: v for key, v in row.items() if v}
                 if row:
                     rows.append(row)
@@ -447,7 +467,7 @@ class _Complex:
     restricted to it are built once per degree and shared by every space
     asked of the complex.  The block tables are kept per degree for
     `delta_rows` and `apply_delta`; `restricted` releases those it reads.
-    """
+    K_n and the tables read `cells` and `twists`, the structure's sparse form times D."""
 
     def __init__(self, X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain]):
         structure = BiHomDialgebra if cochain is TreeCochain else BiHomAssociativeAlgebra
@@ -455,7 +475,11 @@ class _Complex:
             raise TypeError(f"the {cochain.__name__} complex needs a {structure.__name__}, got a {type(X).__name__}")
         self.X = X
         self.cochain = cochain
-        self._blocks: dict[int, dict[tuple[int, str], dict[int, dict[int, Fraction]]]] = {}
+        m, (phi, psi) = X.dim, X.twist_cols
+        self.D, ints = _scaled([c for t in X.cells.values() for r in t for c in r] + [*phi, *psi])
+        self.cells = {op: [[next(ints) for _ in range(m)] for _ in range(m)] for op in X.cells}
+        self.twists = [[next(ints) for _ in range(m)] for _ in range(2)]
+        self._blocks: dict[int, dict[tuple[int, str], dict[int, tuple]]] = {}
         self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
         self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
         self._singletons: dict[int, tuple[list[dict], _Eliminator]] = {}
@@ -472,56 +496,57 @@ class _Complex:
             return face_layout(n + 1)
         return (((0,) * (n + 2), ("mul",) * (n + 2)),)
 
-    def blocks(self, n: int) -> dict[tuple[int, str], dict[int, dict[int, Fraction]]]:
-        """The block tables of delta^n, built once per degree."""
+    def blocks(self, n: int) -> dict[tuple[int, str], dict[int, tuple]]:
+        """The block tables of delta^n times D^n, built once per degree."""
         if n not in self._blocks:
-            self._blocks[n] = _coboundary_blocks(self.X, n)
+            self._blocks[n] = _coboundary_blocks(self, n)
         return self._blocks[n]
 
     def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
         """Ambient delta^n rows, output tree by output tree: each block
-        shifted by face * m^(n+1), the length of one input tree, and summed."""
+        shifted by face * m^(n+1), the length of one input tree, and summed
+        on integers; each entry is divided by D^n once."""
         size = self.cochain_dim(n) // self.cochain._ntrees(n)  # one input tree
-        blocks = self.blocks(n)
+        blocks, den = self.blocks(n), self.D**n
         rows: list[dict[int, Fraction]] = []
         for faces, ors in self.layout(n):
-            tree_rows: list[dict[int, Fraction]] = [{} for _ in range(size * self.X.dim)]
+            tree_rows: list[dict[int, int]] = [{} for _ in range(size * self.X.dim)]
             for i, (f, p) in enumerate(zip(faces, ors)):
                 off = f * size
                 for r, row in blocks[i, p].items():
                     target = tree_rows[r]
-                    for c, v in row.items():
+                    for c, v in row:
                         key = c + off
                         target[key] = target[key] + v if key in target else v
-            rows += [{key: v for key, v in row.items() if v} for row in tree_rows]
+            rows += [{key: Fraction(v, den) for key, v in row.items() if v} for row in tree_rows]
         return rows
 
     def apply_delta(self, f: _Cochain) -> _Cochain:
         """delta f from the block tables, face by face: on output tree y,
         block i taken with y's product i reads f's entries on face i of y.
-        Each block's image of one tree of f is computed once."""
-        n, m = f.degree, self.X.dim
-        blocks = self.blocks(n)
-        local = [
-            {_args_rank(args, m) * m + k: v for args, val in group for k, v in enumerate(val) if v}
-            for group in f.groups
-        ]
-        arg_tuples = list(iproduct(range(m), repeat=n + 1))
+        Each block's image of one tree of f is computed once, on integers
+        over d D^n, d the lcm of f's denominators, then divided once."""
+        n, m, blocks = f.degree, self.X.dim, self.blocks(f.degree)
+        d, scaled = _over_lcm(((t, args), val) for t, group in enumerate(f.groups) for args, val in group)
+        local: list[dict[int, int]] = [{} for _ in f.groups]
+        for (t, args), val in scaled:
+            local[t].update((_args_rank(args, m) * m + k, v) for k, v in enumerate(val) if v)
+        arg_tuples, den = list(iproduct(range(m), repeat=n + 1)), d * self.D**n
         data: dict = {}
-        images: dict[tuple[int, str, int], list[tuple[int, Fraction]]] = {}
+        images: dict[tuple[int, str, int], list[tuple[int, int]]] = {}
         for y, (faces, ors) in enumerate(self.layout(n)):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int] = {}
             for i, (t, p) in enumerate(zip(faces, ors)):
                 if (i, p, t) not in images:
                     x = local[t]
-                    dots = ((r, sum(c * x[j] for j, c in row.items() if j in x)) for r, row in blocks[i, p].items())
+                    dots = ((r, sum(c * x[j] for j, c in row if j in x)) for r, row in blocks[i, p].items())
                     images[i, p, t] = [(r, s) for r, s in dots if s] if x else []
                 for r, s in images[i, p, t]:
                     acc[r] = acc[r] + s if r in acc else s
             for r in sorted(acc):
                 b, k = divmod(r, m)
                 key = (y, arg_tuples[b]) if self.cochain._tree_keyed else arg_tuples[b]
-                data.setdefault(key, [ZERO] * m)[k] = acc[r]
+                data.setdefault(key, [ZERO] * m)[k] = Fraction(acc[r], den) if acc[r] else ZERO
         return self.cochain._trusted(n + 1, m, {key: tuple(val) for key, val in data.items()})
 
     def kernel(self, n: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -530,41 +555,40 @@ class _Complex:
         and equal twists give their rows once."""
         if n not in self._kernel:
             X = self.X
-            rows = _compat_rows(X.twist_cols[:1] if X.phi == X.psi else X.twist_cols, n)
+            rows = _compat_rows(self.twists[:1] if X.phi == X.psi else self.twists, n, self.D)
             self._kernel[n] = nullspace_rows(rows, X.dim ** (n + 1)).sparse_rows()
         return self._kernel[n]
 
     def restricted(self, n: int) -> tuple[dict[tuple[int, str], list[int]], list[dict]]:
-        """The block tables of delta^n composed with K_n.
+        """The block tables of delta^n composed with K_n, on integers.
 
         Returns, per (block, product), the id of each local output row's
-        restriction, and the distinct restrictions by id: a restriction
-        maps row a of K_n to the row's value on it.  Id 0 is the zero row.
+        restriction, and the distinct restrictions by id, interned by
+        content: a restriction maps row a of K_n to the row's value on it,
+        times D^n d, d the lcm of K_n's denominators.  Id 0 is the zero row.
         """
         if n not in self._restricted:
-            by_col: dict[int, list[tuple[int, Fraction]]] = {}
-            for a, krow in enumerate(self.kernel(n)):
+            by_col: dict[int, list[tuple[int, int]]] = {}
+            for a, krow in enumerate(_scaled(self.kernel(n))[1]):
                 for j, v in krow:
                     by_col.setdefault(j, []).append((a, v))
             by_row: dict[tuple, int] = {}
             by_image: dict[tuple, int] = {(): 0}
-            images: list[dict[int, Fraction]] = [{}]
+            images: list[dict[int, int]] = [{}]
             ids: dict[tuple[int, str], list[int]] = {}
             for key, table in self.blocks(n).items():
                 col = ids[key] = [0] * self.X.dim ** (n + 2)
                 for r, row in table.items():
-                    rk = tuple(row.items())
-                    if rk not in by_row:
-                        img: dict[int, Fraction] = {}
-                        for j, x in row.items():
+                    if (rid := by_row.get(row)) is None:
+                        img: dict[int, int] = {}
+                        for j, x in row:
                             for a, v in by_col.get(j, ()):
                                 img[a] = img[a] + x * v if a in img else x * v
                         img = {a: v for a, v in img.items() if v}
-                        rid = by_image.setdefault(tuple(sorted(img.items())), len(images))
+                        rid = by_row[row] = by_image.setdefault(tuple(sorted(img.items())), len(images))
                         if rid == len(images):
                             images.append(img)
-                        by_row[rk] = rid
-                    col[r] = by_row[rk]
+                    col[r] = rid
             self._restricted[n] = ids, images
             del self._blocks[n]
         return self._restricted[n]
@@ -575,19 +599,16 @@ class _Complex:
         return Subspace._from_rref(dim, [
             {c + t * size: v for c, v in row} for t in range(self.cochain._ntrees(n)) for row in K])
 
-    def _tree_rows(self, n: int, layout: Sequence[tuple[Sequence[int], Sequence[str]]]) -> list[dict[int, Fraction]]:
+    def _tree_rows(self, n: int, layout: Sequence[tuple[Sequence[int], Sequence[str]]]) -> list[dict[int, int]]:
         """The distinct nonzero rows of delta^n . G on the output trees of
         `layout`, G the canonical basis of C^n, over the coordinates
-        t * dim K_n + a of row a of K_n on tree t.  Output coordinates that
-        read the same restrictions give the same row on every tree, so each
-        tree combines one row per class of them."""
-
-        def int_key(img: dict[int, Fraction]) -> tuple:  # normalised fractions are equal exactly when these are
-            return tuple(sorted((a, v.numerator, v.denominator) for a, v in img.items() if v))
-
+        t * dim K_n + a of row a of K_n on tree t, on integers as the
+        restrictions are.  Output coordinates that read the same restrictions
+        give the same row on every tree, so each tree combines one row per
+        class of them."""
         dK, (ids, images) = len(self.kernel(n)), self.restricted(n)
         images = list(images)  # then sums of them, numbered on by content
-        content = {int_key(img): rid for rid, img in enumerate(images)}
+        content = {tuple(sorted(img.items())): rid for rid, img in enumerate(images)}
         classes = dict.fromkeys(zip(*ids.values()))
         pos = {key: s for s, key in enumerate(ids)}
         rows: dict[tuple[tuple[int, int], ...], None] = {}
@@ -598,21 +619,21 @@ class _Complex:
                 for off, rid in sorted((off, cls[s]) for s, off in sel if cls[s]):
                     if off in key:  # blocks reading one face add up
                         x, y = images[key[off]], images[rid]
-                        img = {a: x.get(a, ZERO) + y.get(a, ZERO) for a in x.keys() | y.keys()}
-                        if (rid := content.setdefault(int_key(img), len(images))) == len(images):
-                            images.append({a: v for a, v in img.items() if v})
+                        img = {a: v for a in x.keys() | y.keys() if (v := x.get(a, 0) + y.get(a, 0))}
+                        if (rid := content.setdefault(tuple(sorted(img.items())), len(images))) == len(images):
+                            images.append(img)
                     key[off] = rid
                 rows[tuple((off, rid) for off, rid in key.items() if rid)] = None
         return [dict(sorted((a + off, v) for off, rid in key for a, v in images[rid].items())) for key in rows if key]
 
-    def singletons(self, n: int) -> tuple[list[dict[int, Fraction]], _Eliminator]:
+    def singletons(self, n: int) -> tuple[list[dict[int, int]], _Eliminator]:
         """The singleton pass over delta^n . G, once per degree.  A class whose
         live restrictions all sit in one block gives, on every output tree, a
         one-entry row at that block's face wherever its restriction has one
         entry; those columns are covered, with no row built.  Returns a unit
         row per covered column, then the rows touching any other column
-        restricted to those columns, and the rows' elimination: the rows
-        span delta^n . G, and the pivots are its pivot columns."""
+        restricted to those columns, and the rows' elimination: the rows,
+        on integers, span delta^n . G, and the pivots are its pivot columns."""
         if n not in self._singletons:
             dK, (ids, images), layout = len(self.kernel(n)), self.restricted(n), self.layout(n)
             single, support = ({key: set() for key in ids} for _ in range(2))
@@ -628,7 +649,7 @@ class _Complex:
             uncovered = {off + a for off, key in reads for a in support[key]} - covered
             touching = [(faces, ors) for faces, ors in layout if uncovered and not uncovered.isdisjoint(
                 f * dK + a for f, key in zip(faces, enumerate(ors)) for a in support[key])]
-            rows = [{c: ONE} for c in sorted(covered)]
+            rows = [{c: 1} for c in sorted(covered)]
             rows += [r for row in self._tree_rows(n, touching)
                      if (r := {c: v for c, v in row.items() if c in uncovered})]
             elim = _Eliminator()
@@ -653,11 +674,12 @@ class _Complex:
             lifted.append({j: v for j, v in acc.items() if v})
         return Subspace._from_rref(dim, lifted)
 
-    def images(self, n: int) -> list[dict[int, Fraction]]:
+    def images(self, n: int) -> list[dict[int, int]]:
         """A basis of B^n: delta of the rows of G_(n-1) at the pivot columns
         of delta^(n-1) . G_(n-1), which row operations keep independent and
         spanning.  Row a of K_(n-1) on tree t is pushed through the restricted
-        block tables and shifted to every output tree whose block reads t."""
+        block tables, as integers, and shifted to every output tree whose
+        block reads t."""
         if n == 1:
             return []
         ids, images = self.restricted(n - 1)
@@ -670,7 +692,7 @@ class _Complex:
             for r, rid in enumerate(col):
                 for a, v in kept[rid]:
                     pushed[key][a][r] = v
-        out: dict[tuple[int, int], dict[int, Fraction]] = {ta: {} for ta in picked}
+        out: dict[tuple[int, int], dict[int, int]] = {ta: {} for ta in picked}
         for y, (faces, ors) in enumerate(self.layout(n - 1)):
             for i, (t, p) in enumerate(zip(faces, ors)):
                 for a, per_row in pushed[i, p].items():
@@ -685,31 +707,34 @@ class _Complex:
         dim = self.cochain_dim(n)  # refuses n < 1 before any image
         return span_rows(self.images(n), dim)
 
-    def cocycle_test(self, n: int) -> Callable[[dict[int, Fraction]], bool]:
+    def cocycle_test(self, n: int) -> Callable[[dict], bool]:
         """The membership test of Z^n.  It takes a degree-n cochain by its
-        nonzero ambient coordinates: it is a cocycle when it lies in K_n's
-        span on every tree, and its G-coordinates, read at K_n's pivots, are
-        killed by the rows of `singletons`."""
-        K, size = self.kernel(n), self.X.dim ** (n + 1)
+        nonzero ambient coordinates, at any common scale: it is a cocycle
+        when it lies in K_n's span on every tree, and its G-coordinates, read
+        at K_n's pivots, are killed by the rows of `singletons`."""
+        (d, K), size = _scaled(self.kernel(n)), self.X.dim ** (n + 1)
+        K = list(K)
         rows, _ = self.singletons(n)
-        span, at = Subspace._from_rref(size, map(dict, K)), {row[0][0]: a for a, row in enumerate(K)}
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+        at = {row[0][0]: a for a, row in enumerate(K)}
+        by_col: dict[int, list[tuple[int, int]]] = {}
         for i, row in enumerate(rows):
             for c, v in row.items():
                 by_col.setdefault(c, []).append((i, v))
 
-        def killed(img: dict[int, Fraction]) -> bool:
-            local: dict[int, dict[int, Fraction]] = {}
+        def killed(img: dict) -> bool:
+            local: dict[int, dict] = {}
             for c, v in img.items():
                 local.setdefault(c // size, {})[c % size] = v
-            acc: dict[int, Fraction] = {}
+            acc: dict = {}
             for t, x in local.items():
-                if span.residual(x.items()):
-                    return False
+                res = {j: d * w for j, w in x.items()}  # d x less x's pivot entries times the rows of d K_n
                 for j, w in x.items():
-                    col = t * len(K) + at[j] if j in at else None
-                    for i, v in by_col.get(col, ()):
+                    for c, v in K[at[j]] if j in at else ():
+                        res[c] = res.get(c, 0) - w * v
+                    for i, v in by_col.get(t * len(K) + at[j], ()) if j in at else ():
                         acc[i] = acc[i] + w * v if i in acc else w * v
+                if any(res.values()):
+                    return False
             return not any(acc.values())
 
         return killed

@@ -29,6 +29,7 @@ and printing is idempotent byte for byte.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -91,12 +92,15 @@ def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     line, col = 1, 1
     pos = 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # digits int() reads; 0: no limit
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise DslError("lexical", f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         chunk = m.group()
+        if kind == "rational" and limit and (longest := max(map(len, chunk.lstrip("-").split("/")))) > limit:
+            raise DslError("lexical", f"number of {longest} digits, over the interpreter's limit of {limit}", line, col)
         if kind not in ("ws", "comment"):
             toks.append(_Tok(kind, chunk, line, col))
         nl = chunk.count("\n")

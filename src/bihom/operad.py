@@ -37,12 +37,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 from bihom.algebra import BiHomDialgebra, Vec, _combine, basis_vec
 from bihom.cohomology import TreeCochain
-from bihom.scalars import ZERO
+from bihom.scalars import ZERO, _over_lcm
 from bihom.trees import orientations, retraction_layout, trees
 
 
@@ -62,13 +61,6 @@ def pi_element(A: BiHomDialgebra) -> TreeCochain:
                 if cell:
                     data[(t, (i, j))] = table[i][j]
     return TreeCochain._trusted(2, A.dim, data)
-
-
-def _over_lcm(pairs):
-    """(D, [(key, v * D)]): D the lcm of the values' denominators, each v * D a tuple of ints."""
-    pairs = [(a, [c.as_integer_ratio() for c in v]) for a, v in pairs]
-    D = lcm(*{d for _, v in pairs for _, d in v})
-    return D, [(a, tuple(x * (D // d) for x, d in v)) for a, v in pairs]
 
 
 def _compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeCochain:

@@ -23,7 +23,7 @@ the span of sparse rows (`span_rows`) takes one elimination as well.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -40,6 +40,13 @@ def q(x) -> Fraction:
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _over_lcm(pairs):
+    """(D, [(key, v * D)]): D the lcm of the values' denominators, each v * D a tuple of ints."""
+    pairs = [(a, [c.as_integer_ratio() for c in v]) for a, v in pairs]
+    D = lcm(*{d for _, v in pairs for _, d in v})
+    return D, [(a, tuple(x * (D // d) for x, d in v)) for a, v in pairs]
 
 
 class Mat:

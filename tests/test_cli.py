@@ -2,10 +2,13 @@
 
 import glob
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+
+import bihom.dsl
 
 from bihom.algebra import BiHomAssociativeAlgebra
 from bihom.cli import main
@@ -99,6 +102,24 @@ def test_oversized_dimension_exits_2_at_the_dim_token(tmp_path):
     assert r.exit_code == 2
     assert r.stderr == (f"error: {path}: semantic error at line 2, column 7: dim 5000 needs "
                         "125000000000 product table cells, over the limit of 1000000\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit")
+def test_an_over_long_number_exits_2_with_location(tmp_path, monkeypatch):
+    """A dim of 5000 nines is refused by the lexer at its token, exit 2,
+    and no number token is converted on the way."""
+
+    def refuse(*args):
+        raise AssertionError("a number token was converted")
+
+    monkeypatch.setattr(bihom.dsl, "int", refuse, raising=False)
+    monkeypatch.setattr(bihom.dsl, "Fraction", refuse)
+    path = tmp_path / "long.dlg"
+    path.write_text(f"dialgebra Long {{\n  dim {'9' * 5000};\n  basis e;\n}}\n", encoding="utf-8")
+    r = run("verify", str(path))
+    assert r.exit_code == 2
+    assert r.stderr == (f"error: {path}: lexical error at line 2, column 7: number of 5000 digits, "
+                        f"over the interpreter's limit of {sys.get_int_max_str_digits()}\n")
 
 
 def test_derive_prints_dimension_and_basis():

@@ -1,9 +1,12 @@
 """Definition-file parsing, printing, and realization."""
 
 import glob
+import sys
 from fractions import Fraction
 
 import pytest
+
+import bihom.dsl
 
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
@@ -94,6 +97,33 @@ def test_lexical_error_fixture():
     e = exc.value
     assert (e.kind, e.line, e.col) == ("lexical", 4, 22)
     assert str(e) == "lexical error at line 4, column 22: unexpected character '@'"
+
+
+def _refuse_conversion(*args):
+    raise AssertionError("a number token was converted")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit")
+@pytest.mark.parametrize("token", ["9" * 5000, "-1/" + "7" * 4301], ids=["dim", "denominator"])
+def test_an_over_long_number_is_a_located_lexical_error(monkeypatch, token):
+    """A number token longer than the interpreter's integer digit limit is
+    refused by the lexer, with its place, before int() or Fraction() reads it."""
+    monkeypatch.setattr(bihom.dsl, "int", _refuse_conversion, raising=False)
+    monkeypatch.setattr(bihom.dsl, "Fraction", _refuse_conversion)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DslError) as exc:
+        parse(f"dialgebra X {{\n  dim {token};\n  basis e;\n}}\n")
+    e = exc.value
+    digits = max(len(part) for part in token.lstrip("-").split("/"))
+    assert (e.kind, e.line, e.col) == ("lexical", 2, 7)
+    assert e.detail == f"number of {digits} digits, over the interpreter's limit of {limit}"
+
+
+def test_a_number_at_the_digit_limit_still_reads():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    text = f"dialgebra X {{\n  dim 1;\n  basis e;\n  param a = -{'7' * limit}/{'3' * limit};\n" \
+           "  dashv(e, e) = a*e;\n  phi(e) = e;\n  psi(e) = e;\n}\n"
+    assert build_block(parse(text), "X").dashv[0][0] == (Fraction(-7, 3),)
 
 
 def test_unknown_basis_fixture():

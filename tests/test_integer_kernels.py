@@ -1,11 +1,15 @@
-"""The composition and residual kernels on hard rationals, and the route
-that builds computed cochains without re-checking them.
+"""The composition and residual kernels and the cochain complex on hard
+rationals, and the route that builds computed cochains without re-checking
+them.
 
 `operad._compose` accumulates on integers over one denominator per operand
 and divides once per output coordinate; `deformation_residual` reads the
-products from the terms' values.  Both must give exactly the values, the
-key order and the `Fraction` type of the references in `tests/oracles.py`,
-whatever the denominators and however large the numerators.
+products from the terms' values.  The cochain complex scales the structure
+once by the lcm of its denominators and builds delta's block tables, the
+compatibility rows and the restrictions on integers.  All must give exactly
+the values, the key order and the `Fraction` type of the references in
+`tests/oracles.py`, whatever the denominators and however large the
+numerators.
 """
 
 import random
@@ -14,8 +18,20 @@ from fractions import Fraction
 import pytest
 
 import bihom.operad
-from bihom.algebra import catalog
-from bihom.cohomology import HochschildCochain, TreeCochain, _Cochain, dialg_coboundary
+from bihom.algebra import BiHomAssociativeAlgebra, BiHomDialgebra, catalog, map_from_entries, table_from_entries
+from bihom.cohomology import (
+    HochschildCochain,
+    TreeCochain,
+    _Cochain,
+    _Complex,
+    _complex_of,
+    cohomology_report,
+    cohomology_spaces,
+    dialg_coboundary,
+    dialg_coboundary_rows,
+    hoch_coboundary,
+    hoch_coboundary_rows,
+)
 from bihom.deformation import TruncatedDeformation, deformation_residual, operadic_residual
 from bihom.operad import bracket, braces, circle, dot, gamma, gamma_direct, partial_composition, pi_element
 from bihom.trees import trees
@@ -135,3 +151,101 @@ def test_computed_cochains_skip_the_public_constructor(monkeypatch):
 def test_the_public_constructors_still_refuse(cochain, data, error):
     with pytest.raises(error):
         cochain(2, 2, data)
+
+
+# -- the cochain complex on hard rationals --------------------------------------
+
+# product entries over 3 and 7, twist entries over 9, numerators of 2^70 and more
+PRODUCT_VALUES = (Fraction(BIG + 1, 3), Fraction(-(BIG + 5), 7), Fraction(2**71 + 3, 7), Fraction(-4, 3))
+TWIST_VALUES = (Fraction(BIG + 7, 9), Fraction(-(2**71), 9), Fraction(5, 9))
+
+
+def hard_table(rng, dim):
+    return table_from_entries(dim, {(i, j): {rng.randrange(1, dim + 1): rng.choice(PRODUCT_VALUES)}
+                                    for i in range(1, dim + 1) for j in range(1, dim + 1) if rng.random() < 0.5})
+
+
+def hard_structures():
+    """The catalog families with parameters of 2^70 and more over 3, 7 and 9,
+    where only the 3-dimensional families' b reaches a twist; then random
+    tables over 3 and 7 under twists over 9, as a dialgebra and as a
+    one-product algebra, in dimensions 2 and 3, whose spaces are neither
+    zero nor everything."""
+    rng = random.Random(1)
+    for name, entry in catalog().items():
+        yield name, entry.build(**{p: Fraction((-1) ** i * (BIG + 11 * i + 1), (3, 7, 9)[i % 3])
+                                   for i, p in enumerate(entry.params)})
+    for dim in (2, 3):
+        phi = map_from_entries(dim, {2: {1: TWIST_VALUES[0]}})
+        psi = map_from_entries(dim, {2: {1: TWIST_VALUES[1]}, **({3: {3: TWIST_VALUES[2]}} if dim == 3 else {})})
+        yield f"random{dim}", BiHomDialgebra(dim, hard_table(rng, dim), hard_table(rng, dim), phi, psi)
+        yield f"random{dim}/mul", BiHomAssociativeAlgebra(dim, hard_table(rng, dim), phi, psi)
+
+
+def hard_cochain_of(rng, X, degree):
+    if isinstance(X, BiHomDialgebra):
+        return hard_cochain(rng, degree, X.dim)
+    return HochschildCochain(degree, X.dim, {
+        tuple(rng.randrange(X.dim) for _ in range(degree)): tuple(rng.choice(VALUES) for _ in range(X.dim))
+        for _ in range(5)})
+
+
+def fractions_only(rows):
+    return all(type(v) is Fraction for row in rows for _, v in (row.items() if isinstance(row, dict) else row))
+
+
+def test_the_complex_matches_the_ambient_oracle_on_hard_rationals():
+    """C, Z, B and the report against the spaces eliminated over every
+    coordinate, delta f against its term-by-term evaluation, and the delta
+    rows applied to f against the same, for n <= 3."""
+    rng = random.Random(2025)
+    for name, X in hard_structures():
+        dialg = isinstance(X, BiHomDialgebra)
+        delta, delta_rows, ref = ((dialg_coboundary, dialg_coboundary_rows, oracles.dialg_coboundary) if dialg
+                                  else (hoch_coboundary, hoch_coboundary_rows, oracles.hoch_coboundary))
+        for n in (1, 2, 3):
+            got, want = cohomology_spaces(X, n), oracles.ambient_cohomology_spaces(X, n)
+            assert [S.sparse_rows() for S in got] == [S.sparse_rows() for S in want], (name, n)
+            assert all(fractions_only(S.sparse_rows()) for S in got), (name, n)
+            rep, (C, Z, B) = cohomology_report(X, n), want
+            assert (rep.compatible_dim, rep.cocycle_dim, rep.coboundary_dim) == (C.dim, Z.dim, B.dim), (name, n)
+            assert rep.contained == Z.contains_space(B), (name, n)
+            f = hard_cochain_of(rng, X, n)
+            df, expected = delta(X, f), ref(X, f)
+            assert list(df.data.items()) == list(expected.data.items()), (name, n)
+            assert all(type(v) is Fraction for val in df.data.values() for v in val), (name, n)
+            rows, flat = delta_rows(X, n), f.flatten()
+            assert [sum((v * flat[c] for c, v in row.items()), Fraction(0)) for row in rows] == list(expected.flatten()), (name, n)
+            assert fractions_only(rows), (name, n)
+
+
+def test_the_singleton_pass_matches_every_row_of_delta_g_on_hard_rationals():
+    """Ranks, pivots, containment, B and Z from the integer restrictions
+    equal those of every row of delta . G, for n <= 5."""
+    for name, X in hard_structures():
+        cx, degrees = _complex_of(X), range(1, 6)
+        for n, (pivots, picked, contained, B, Z) in zip(degrees, oracles.delta_g_routes(cx, degrees)):
+            rep = cx.report(n)
+            assert tuple(sorted(cx.singletons(n)[1].pivots)) == pivots, (name, n)
+            assert rep.compatible_dim - rep.cocycle_dim == len(pivots), (name, n)
+            assert rep.coboundary_dim == len(picked) == B.dim and rep.contained == contained, (name, n)
+            assert cx.coboundaries(n) == B and fractions_only(cx.coboundaries(n).sparse_rows()), (name, n)
+            assert Z is None or cx.cocycles(n) == Z and fractions_only(cx.cocycles(n).sparse_rows()), (name, n)
+
+
+def _unhashable(self):
+    raise AssertionError("a Fraction was hashed")
+
+
+def test_restrictions_are_interned_by_integer_content(monkeypatch):
+    """With `Fraction.__hash__` refusing, `_Complex.restricted` still builds
+    the kernels, the block tables and the restrictions of a catalog algebra
+    at a rational binding, and gives what it gives unpatched."""
+    A = catalog()["Alg3_1"].build(a=Fraction(7, 5), b=Fraction(-5, 9), c=Fraction(BIG + 1, 3), d=2, f=Fraction(1, 2))
+    want = [_Complex(A, TreeCochain).restricted(n) for n in (1, 2, 3)]
+    cx = _Complex(A, TreeCochain)
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__hash__", _unhashable)
+        got = [cx.restricted(n) for n in (1, 2, 3)]
+    assert got == want
+    assert len(want[2][1]) > 1
