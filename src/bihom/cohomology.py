@@ -47,11 +47,14 @@ independent reference.
 The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
 tree, repeated per tree, and its canonical basis G is the shifted copies
-of K_n's.  Each distinct block row is restricted to K_n once, on
-integers: K_n is scaled by the lcm of its denominators, so every
-restriction of a degree carries one common factor, which ranks, pivots,
-kernels, spans and containment do not see.  Combined through the face
-offsets these give delta^n . G, of rank r_n, so that
+of K_n's.  The compatibility rows expand f(M b) slot by slot, each
+argument extending its prefix's expansion by one twist column, and a b
+whose prefix M kills gives its one-entry rows with no expansion.  K_n is
+held with its integer form, K_n times the lcm of its denominators, built
+once per degree, and each distinct block row is restricted to that form
+once, so every restriction of a degree carries one common factor, which
+ranks, pivots, kernels, spans and containment do not see.  Combined
+through the face offsets these give delta^n . G, of rank r_n, so that
 dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  Its one-entry rows come
 first, found from the classes of restrictions without building a row;
 only rows touching a column none covers are built, restricted to those
@@ -60,8 +63,8 @@ a row differs from its restriction only on covered columns; r_n, Z^n,
 B^n and containment all read them.  B^n is spanned by delta of the rows
 of G_(n-1) at their pivot columns, and lies in Z^n exactly when each
 image lies in C^n, tree by tree, and is killed by the rows.  The
-canonical Z^n is G . ker of the rows: G's rows have unit pivots no other
-row touches, so reduced rows lift to reduced rows.  Nothing is
+canonical Z^n is G . ker of the rows: G's rows have unit pivots no
+other row touches, so reduced rows lift to reduced rows.  Nothing is
 eliminated over all of a degree's coordinates; `tests/oracles.py` keeps
 that route, and every row of delta^n . G, as the references.
 """
@@ -426,31 +429,35 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
 # -- twist compatibility --------------------------------------------------------
 
 
-def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int, D: int = 1) -> list[dict[int, Fraction]]:
+def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int, D: int = 1) -> list[dict[int, int]]:
     """Rows of D^degree (M f(b) - f(M b)) over one tree's coordinates for each twist M,
-    given by the nonzero (k, c) of the columns of D M: integer rows when D M is integral."""
-    rows: list[dict[int, Fraction]] = []
+    given by the nonzero (k, c) of the columns of D M: integer rows when D M is integral.
+    f(M b) is expanded slot by slot: a prefix of b extends its parent's expansion by
+    one column of M, and every b past a prefix M kills has the nonzero lines of M f(b)
+    as its rows, with no expansion at all."""
+    rows: list[dict[int, int]] = []
     for cols in twists:
         m = len(cols)
-        lines: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-        for j, col in enumerate(cols):
-            for k, c in col:
-                lines[k].append((j, D ** (degree - 1) * c))
-        for r, b in enumerate(iproduct(range(m), repeat=degree)):
-            base = r * m
-            # f(M b): the argument tuples M b expands to, with coefficients
-            terms = _expand([cols[x] for x in b], m, 1)
-            if not terms:  # M b = 0: the rows are the nonzero lines of M f(b) as they stand
-                rows += [{base + j: c for j, c in line} for line in lines if line]
-                continue
-            for k in range(m):
-                # M f(b)_k - f(M b)_k
-                row = {base + j: c for j, c in lines[k]}
-                for a, coef in terms:
-                    row[a + k] = row.get(a + k, 0) - coef
-                row = {key: v for key, v in row.items() if v}
-                if row:
-                    rows.append(row)
+        lines = [[(j, D ** (degree - 1) * c) for j, col in enumerate(cols) for i, c in col if i == k] for k in range(m)]
+        killed = [line for line in lines if line]
+
+        def walk(r: int, depth: int, terms: list[tuple[int, int]]) -> None:
+            # terms: M p expanded, p the prefix of rank r, as (argument rank, coefficient)
+            if not terms:
+                span = m ** (degree - depth)
+                rows.extend([{b * m + j: c for j, c in line} for b in range(r * span, (r + 1) * span) for line in killed])
+            elif depth < degree:
+                for x, col in enumerate(cols):
+                    walk(r * m + x, depth + 1, [(a * m + i, c * v) for a, c in terms for i, v in col])
+            else:
+                for k, line in enumerate(lines):  # M f(b)_k - f(M b)_k
+                    row = {r * m + j: c for j, c in line}
+                    for a, c in terms:
+                        row[a * m + k] = row.get(a * m + k, 0) - c
+                    if row := {key: v for key, v in row.items() if v}:
+                        rows.append(row)
+
+        walk(0, 0, [(0, 1)])
     return rows
 
 
@@ -480,7 +487,7 @@ class _Complex:
         self.cells = {op: [[next(ints) for _ in range(m)] for _ in range(m)] for op in X.cells}
         self.twists = [[next(ints) for _ in range(m)] for _ in range(2)]
         self._blocks: dict[int, dict[tuple[int, str], dict[int, tuple]]] = {}
-        self._kernel: dict[int, tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
+        self._kernel: dict[int, list] = {}  # degree -> [K_n, its integer form once read]
         self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
         self._singletons: dict[int, tuple[list[dict], _Eliminator]] = {}
 
@@ -549,15 +556,18 @@ class _Complex:
                 data.setdefault(key, [ZERO] * m)[k] = Fraction(acc[r], den) if acc[r] else ZERO
         return self.cochain._trusted(n + 1, m, {key: tuple(val) for key, val in data.items()})
 
-    def kernel(self, n: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def kernel(self, n: int, scaled: bool = False) -> tuple:
         """K_n: the canonical basis of one tree's compatible cochains, over
         its m^(n+1) local coordinates.  No compatibility row mixes trees,
-        and equal twists give their rows once."""
+        and equal twists give their rows once.  With `scaled`, K_n's integer
+        form (d, d K_n) instead, d the lcm of its denominators, built once."""
         if n not in self._kernel:
-            X = self.X
-            rows = _compat_rows(self.twists[:1] if X.phi == X.psi else self.twists, n, self.D)
-            self._kernel[n] = nullspace_rows(rows, X.dim ** (n + 1)).sparse_rows()
-        return self._kernel[n]
+            rows = _compat_rows(self.twists[:1] if self.X.phi == self.X.psi else self.twists, n, self.D)
+            self._kernel[n] = [nullspace_rows(rows, self.X.dim ** (n + 1)).sparse_rows(), None]
+        if scaled and (entry := self._kernel[n])[1] is None:
+            d, ints = _scaled(entry[0])
+            entry[1] = d, list(ints)
+        return self._kernel[n][scaled]
 
     def restricted(self, n: int) -> tuple[dict[tuple[int, str], list[int]], list[dict]]:
         """The block tables of delta^n composed with K_n, on integers.
@@ -569,7 +579,7 @@ class _Complex:
         """
         if n not in self._restricted:
             by_col: dict[int, list[tuple[int, int]]] = {}
-            for a, krow in enumerate(_scaled(self.kernel(n))[1]):
+            for a, krow in enumerate(self.kernel(n, scaled=True)[1]):
                 for j, v in krow:
                     by_col.setdefault(j, []).append((a, v))
             by_row: dict[tuple, int] = {}
@@ -712,8 +722,7 @@ class _Complex:
         nonzero ambient coordinates, at any common scale: it is a cocycle
         when it lies in K_n's span on every tree, and its G-coordinates, read
         at K_n's pivots, are killed by the rows of `singletons`."""
-        (d, K), size = _scaled(self.kernel(n)), self.X.dim ** (n + 1)
-        K = list(K)
+        (d, K), size = self.kernel(n, scaled=True), self.X.dim ** (n + 1)
         rows, _ = self.singletons(n)
         at = {row[0][0]: a for a, row in enumerate(K)}
         by_col: dict[int, list[tuple[int, int]]] = {}
@@ -785,9 +794,7 @@ def _complex_of(X: BiHomDialgebra | BiHomAssociativeAlgebra) -> _Complex:
     raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
 
 
-def cohomology_spaces(
-    X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int
-) -> tuple[Subspace, Subspace, Subspace]:
+def cohomology_spaces(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> tuple[Subspace, Subspace, Subspace]:
     """(C^n, Z^n, B^n): compatible cochains, cocycles and coboundaries.
 
     The complex is the tree complex for a dialgebra and the one-product
@@ -852,11 +859,7 @@ def _decode(coord: int, n: int, m: int) -> tuple[int, tuple[int, ...], int]:
     """(tree, args, output) of a flattened degree-n cochain coordinate."""
     rest, k = divmod(coord, m)
     t, r = divmod(rest, m**n)
-    args = []
-    for _ in range(n):
-        r, a = divmod(r, m)
-        args.append(a)
-    return t, tuple(reversed(args)), k
+    return t, tuple(r // m**i % m for i in reversed(range(n))), k
 
 
 def random_compatible_cochain(
@@ -872,9 +875,7 @@ def random_compatible_cochain(
     return (TreeCochain if tree_indexed else HochschildCochain).unflatten(degree, dim, coords)
 
 
-def hoch_delta_squared_is_zero(
-    A: BiHomAssociativeAlgebra, n: int, trials: int, seed: int = 0
-) -> bool:
+def hoch_delta_squared_is_zero(A: BiHomAssociativeAlgebra, n: int, trials: int, seed: int = 0) -> bool:
     """delta(delta f) == 0 for `trials` random compatible degree-n cochains.
 
     The vanishing is a theorem only when the one-product axioms hold and
@@ -882,9 +883,7 @@ def hoch_delta_squared_is_zero(
     """
     rep = check_bihom_associative(A)
     if not rep.ok:
-        raise ValueError(
-            f"axioms fail, first witness: {rep.violations[0].describe(A.basis)}"
-        )
+        raise ValueError(f"axioms fail, first witness: {rep.violations[0].describe(A.basis)}")
     if not is_multiplicative(A.as_dialgebra()).ok:
         raise ValueError("twist maps are not multiplicative for the product")
     rng = random.Random(seed)

@@ -18,6 +18,10 @@ vectors are built only when a caller asks for them.  Kernels come out
 of one elimination already in that canonical form (see
 `nullspace_rows`), so they are never densified or eliminated twice;
 the span of sparse rows (`span_rows`) takes one elimination as well.
+A one-entry row is read as its pivot column alone: it is never scaled,
+reduced or back-substituted, and a free column that no longer pivot row
+touches gives the kernel's unit vector at that column directly.  Rows
+already on integers skip the clearing of denominators.
 """
 
 from __future__ import annotations
@@ -257,21 +261,15 @@ class Mat:
 
 
 def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
-    if not row:
-        return {}
-    denlcm = 1
-    for v in row.values():
-        d = v.denominator
-        denlcm = denlcm * d // gcd(denlcm, d)
-    ints = {c: v.numerator * (denlcm // v.denominator) for c, v in row.items() if v}
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    lead = min(ints)
-    sign = -1 if ints[lead] < 0 else 1
-    return {c: sign * v // g for c, v in ints.items()}
+    """A row with no zero entry on integers, over its content, leading entry
+    positive; only a row that holds a Fraction has denominators to clear."""
+    if any(type(v) is Fraction for v in row.values()):
+        den = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def _reduce_against(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -345,20 +343,20 @@ class _Eliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def rref(self) -> tuple[tuple[int, ...], list[dict[int, Fraction]]]:
-        """Pivot columns (ascending) and fully reduced unit-pivot rows.
+    def reduced(self) -> dict[int, dict[int, Fraction]]:
+        """The fully reduced unit-pivot rows of the pivots past the units, by column.
 
-        A unit pivot is its own reduced row.  Back-substitution runs from the
-        last pivot up.  A finished row is zero in every other pivot column,
-        so a row is cleared by subtracting once each finished row whose pivot
-        column it holds, scaled by the entry it held there on entry.
+        A unit pivot is its own reduced row, and no other pivot row holds its
+        column, so only these rows are back-substituted, from the last pivot
+        up.  A finished row is zero in every other pivot column, so a row is
+        cleared by subtracting once each finished row whose pivot column it
+        holds, scaled by the entry it held there on entry.
         """
         pivots = self.pivots
-        cols = sorted(pivots)
         done: dict[int, dict[int, Fraction]] = {}
-        for c in reversed(cols):
+        for c in sorted(pivots.keys() - self.units, reverse=True):
             piv = pivots[c]
-            row = {c: ONE} if len(piv) == 1 else {cc: Fraction(v, piv[c]) for cc, v in piv.items()}
+            row = {cc: Fraction(v, piv[c]) for cc, v in piv.items()}
             for cc, f in [(cc, row[cc]) for cc in piv if cc in done]:
                 for k, v in done[cc].items():
                     nv = row.get(k, ZERO) - f * v
@@ -367,7 +365,12 @@ class _Eliminator:
                     else:
                         del row[k]
             done[c] = row
-        return tuple(cols), [done[c] for c in cols]
+        return done
+
+    def rref(self) -> tuple[tuple[int, ...], list[dict[int, Fraction]]]:
+        """Pivot columns (ascending) and fully reduced unit-pivot rows."""
+        cols, done = sorted(self.pivots), self.reduced()
+        return tuple(cols), [done[c] if c in done else {c: ONE} for c in cols]
 
 
 def _checked(rows: Iterable[dict[int, Fraction]], limit: int) -> Iterable[dict[int, Fraction]]:
@@ -409,8 +412,8 @@ class Subspace:
             elim.add({j: q(x) for j, x in enumerate(v) if x})
         self._fill(ambient_dim, elim.rref()[1])
 
-    def _fill(self, ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> None:
-        rows = tuple(tuple(sorted(r.items())) for r in rows)
+    def _fill(self, ambient_dim: int, rows: Iterable[dict[int, Fraction] | tuple]) -> None:
+        rows = tuple(r if type(r) is tuple else tuple(sorted(r.items())) for r in rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_by_pivot", {r[0][0]: r for r in rows})
@@ -419,8 +422,9 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @staticmethod
-    def _from_rref(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> Subspace:
-        """Wrap unit-pivot reduced rows, in pivot order, with no elimination."""
+    def _from_rref(ambient_dim: int, rows: Iterable[dict[int, Fraction] | tuple]) -> Subspace:
+        """Wrap unit-pivot reduced rows, in pivot order, with no elimination;
+        a row is a dict or a tuple of (column, value) pairs in column order."""
         s = Subspace.__new__(Subspace)
         s._fill(ambient_dim, rows)
         return s
@@ -522,21 +526,29 @@ def nullspace_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Subspace:
     pivot columns right of f: its leading entry is the unit at f, and no
     other kernel vector touches f.  That basis already is the canonical
     reduced echelon form of the kernel; it is read off the reduced rows in
-    one transposing pass.
+    one transposing pass.  A one-entry row only names a pivot column, so it
+    is recorded as one, never reversed; only the other pivot rows are
+    back-substituted, and a free column none of them touches is the unit
+    vector ((f, 1),) as it stands.
     """
-    last = ncols - 1
-    elim = _Eliminator()
+    last, elim = ncols - 1, _Eliminator()
+    units = elim.units
     for row in _checked(rows, ncols):
-        elim.add({last - c: v for c, v in row.items()})
-    pivcols, rref = elim.rref()
-    pivots = {last - c for c in pivcols}
-    kernel = {f: {f: ONE} for f in range(ncols) if f not in pivots}
-    for rc, row in zip(pivcols, rref):
+        if len(row) == 1:
+            c, = row
+            if row[c]:
+                units.add(last - c)
+        else:
+            elim.add({last - c: v for c, v in row.items()})
+    kernel: dict[int, dict[int, Fraction]] = {}
+    for rc, row in elim.reduced().items():
         pc = last - rc
         for c, v in row.items():
             if c != rc:
-                kernel[last - c][pc] = -v
-    return Subspace._from_rref(ncols, kernel.values())
+                kernel.setdefault(last - c, {last - c: ONE})[pc] = -v
+    pivots = {last - c for c in elim.pivots}
+    return Subspace._from_rref(ncols, [
+        tuple(sorted(kernel[f].items())) if f in kernel else ((f, ONE),) for f in range(ncols) if f not in pivots])
 
 
 def span_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Subspace:

@@ -10,7 +10,9 @@ library contracts over the factors' supports.  The signed sums of the
 braces, the bracket and the operadic residual are kept as the chains of
 cochain additions and subtractions the library replaced by one
 accumulator, and the deformation residual is evaluated law by law and
-order by order through `apply_table` and `eval`.  The cochain spaces are
+order by order through `apply_table` and `eval`.  The twist
+compatibility rows are written from their definition, M f(b) - f(M b),
+one argument tuple at a time through `Mat.apply`.  The cochain spaces are
 also built here the direct way, in ambient coordinates, as the reference
 for the library's compatible-coordinate route; that reference does use
 the package's sparse eliminator, so it checks the construction, not the
@@ -38,7 +40,6 @@ from bihom.algebra import (
 from bihom.cohomology import (
     HochschildCochain,
     TreeCochain,
-    _compat_rows,
     dialg_coboundary_rows,
     hoch_coboundary_rows,
 )
@@ -420,6 +421,43 @@ def deformation_residual(defm, n: int) -> TreeCochain:
 # -- the cochain spaces, eliminated in ambient coordinates ---------------------
 
 
+def compat_rows(X, n: int) -> list[dict[int, Fraction]]:
+    """The rows of M f(b) - f(M b) = 0 over one tree's m^(n+1) coordinates
+    (arguments row-major, then the output), for M = phi, then M = psi.
+
+    Per argument tuple b and output k: f(b)_j enters (M f(b))_k with
+    (M e_j)_k, and M b = (M e_(b_1)) x ... x (M e_(b_n)), so f(a)_k enters
+    f(M b)_k with prod_i (M e_(b_i))_(a_i), for every tuple a."""
+    m = X.dim
+    unit = [tuple(ONE if i == j else ZERO for i in range(m)) for j in range(m)]
+    rows = []
+    for M in (X.phi, X.psi):
+        columns = [M.apply(e) for e in unit]
+        for b in iproduct(range(m), repeat=n):
+            # M b, one argument at a time, expanded over the tuples a it reaches
+            factors = [M.apply(unit[x]) for x in b]
+            Mb = {}
+            for a in iproduct(*[[y for y in range(m) if v[y]] for v in factors]):
+                coef = ONE
+                for v, y in zip(factors, a):
+                    coef *= v[y]
+                Mb[_rank(a, m)] = coef
+            for k in range(m):
+                row = {_rank(b, m) * m + j: columns[j][k] for j in range(m) if columns[j][k]}
+                for r, coef in Mb.items():
+                    row[r * m + k] = row.get(r * m + k, ZERO) - coef
+                if row := {c: v for c, v in row.items() if v}:
+                    rows.append(row)
+    return rows
+
+
+def _rank(args, m: int) -> int:
+    r = 0
+    for a in args:
+        r = r * m + a
+    return r
+
+
 def ambient_cohomology_spaces(X, n: int) -> tuple[Subspace, Subspace, Subspace]:
     """(C^n, Z^n, B^n) the direct way, over every coordinate of every tree.
 
@@ -435,7 +473,7 @@ def ambient_cohomology_spaces(X, n: int) -> tuple[Subspace, Subspace, Subspace]:
 
     def compat(k):
         size = m ** (k + 1)
-        one_tree = _compat_rows(X.twist_cols, k)
+        one_tree = compat_rows(X, k)
         rows = [
             {c + t * size: v for c, v in row.items()}
             for t in range(cochain._ntrees(k))

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import bihom.cohomology
 import bihom.operad
 from bihom.algebra import BiHomAssociativeAlgebra, BiHomDialgebra, catalog, map_from_entries, table_from_entries
 from bihom.cohomology import (
@@ -34,6 +35,7 @@ from bihom.cohomology import (
 )
 from bihom.deformation import TruncatedDeformation, deformation_residual, operadic_residual
 from bihom.operad import bracket, braces, circle, dot, gamma, gamma_direct, partial_composition, pi_element
+from bihom.scalars import nullspace_rows
 from bihom.trees import trees
 
 import oracles
@@ -249,3 +251,42 @@ def test_restrictions_are_interned_by_integer_content(monkeypatch):
         got = [cx.restricted(n) for n in (1, 2, 3)]
     assert got == want
     assert len(want[2][1]) > 1
+
+
+def nil2(c):
+    twist = map_from_entries(2, {2: {1: 1}})
+    return BiHomAssociativeAlgebra(2, table_from_entries(2, {(2, 2): {1: c}}), twist, twist, name="nil2")
+
+
+def test_the_compatible_kernel_matches_its_definition():
+    """K_n, from the compatibility rows expanded slot by slot, equals the
+    kernel of the rows written from the definition in `tests/oracles.py`,
+    row for row, and its dimension is their modular-checked nullity: the
+    nine families at all-1 and at hard bindings for n <= 3, nil2 for n <= 6."""
+    ones = [(name, entry.build(**{p: 1 for p in entry.params})) for name, entry in catalog().items()]
+    cases = [(name, X, n) for name, X in ones + list(hard_structures()) for n in (1, 2, 3)]
+    cases += [(f"nil2 {c}", nil2(c), n) for c in (1, Fraction(2, 3)) for n in range(1, 7)]
+    for name, X, n in cases:
+        K, size, rows = _complex_of(X).kernel(n), X.dim ** (n + 1), oracles.compat_rows(X, n)
+        assert K == nullspace_rows(rows, size).sparse_rows() and fractions_only(K), (name, n)
+        assert len(K) == oracles.checked_nullity([[r.get(j, 0) for j in range(size)] for r in rows], size), (name, n)
+
+
+def test_each_kernel_is_scaled_once_per_degree(monkeypatch):
+    """A nil2 report at degree 10 reads K_9 and K_10 on integers; each is
+    scaled at most once, however many phases read it.  The structure's own
+    scaling, when the complex is built, is not counted."""
+    calls = []
+
+    def counting(vectors):
+        calls.append(vectors := list(vectors))
+        return scaled(vectors)
+
+    scaled = bihom.cohomology._scaled
+    monkeypatch.setattr(bihom.cohomology, "_scaled", counting)
+    cx = _Complex(nil2(1), HochschildCochain)
+    cx.report(10)
+    monkeypatch.undo()
+    for n in (9, 10):
+        K = list(cx.kernel(n))
+        assert sum(vectors == K for vectors in calls) <= 1, n

@@ -317,3 +317,82 @@ def test_out_of_range_columns_are_refused():
         solve_rows([{0: 1, 3: 1}], 2)
     with pytest.raises(ValueError, match=r"row 0: column -2 outside"):
         solve_rows([{-2: 1}], 2)
+
+
+# -- unit-dominated systems ------------------------------------------------------
+
+UNIT_VALUES = (1, -1, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4))
+
+
+def unit_dominated_system(rng, ncols, nrows):
+    """Seeded sparse rows over ncols unknowns, most of them one-entry: a
+    one-entry row, sometimes zero-valued; a two-entry row; a general row,
+    sometimes with explicit zero entries."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.7:
+            rows.append({rng.randrange(ncols): 0 if rng.random() < 0.05 else rng.choice(UNIT_VALUES)})
+        elif kind < 0.85:
+            a, b = rng.sample(range(ncols), 2)
+            rows.append({a: rng.choice(UNIT_VALUES), b: rng.choice(UNIT_VALUES)})
+        else:
+            cols = rng.sample(range(ncols), rng.randint(2, min(5, ncols)))
+            rows.append({c: 0 if rng.random() < 0.2 else rng.choice(UNIT_VALUES) for c in cols})
+    return rows
+
+
+UNIT_EDGE_CASES = [
+    ("zero-valued one-entry rows", [{2: 0}, {0: Fraction(0)}, {1: 1, 2: 1}], 4),
+    ("repeated unit columns", [{1: 3}, {1: Fraction(-1, 2)}, {1: 1}, {0: 2, 1: 1, 3: 1}], 4),
+    ("explicit zero entries", [{0: 1, 1: 0, 2: 0}, {1: 0, 3: 2}, {2: 1, 3: 0, 4: Fraction(2, 3)}], 5),
+    ("one entry once units are stripped", [{0: 1, 1: 2}, {1: 2, 2: 5, 3: 1}, {1: 5}, {2: Fraction(1, 2)}], 5),
+    ("all units", [{c: Fraction(c + 1, 2)} for c in (4, 0, 2, 5)], 6),
+    ("no rows", [], 5),
+    ("no columns", [], 0),
+]
+
+
+def dense_kernel(dense, ncols):
+    """The kernel's standard basis from the oracle's reduced echelon form."""
+    reduced, pivots = oracles.rref(dense)
+    out = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return out
+
+
+def unit_dominated_cases():
+    rng = random.Random(5)
+    yield from UNIT_EDGE_CASES
+    for i in range(60):
+        ncols = rng.randint(2, 14)
+        yield f"random {i}", unit_dominated_system(rng, ncols, rng.randint(0, 2 * ncols)), ncols
+
+
+@pytest.mark.parametrize("label, rows, ncols", list(unit_dominated_cases()))
+def test_unit_dominated_systems_match_the_dense_route(label, rows, ncols):
+    """Kernel, span and rank of rows that are mostly one-entry equal the
+    dense route, row for row and as Fractions."""
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    kernel, span = nullspace_rows(rows, ncols), span_rows(rows, ncols)
+    assert kernel._rows == Subspace(ncols, dense_kernel(dense, ncols))._rows, label
+    assert span._rows == Subspace(ncols, dense)._rows, label
+    assert rank_rows(rows) == oracles.rank(dense) == span.dim == ncols - kernel.dim, label
+    assert all(type(v) is Fraction for S in (kernel, span) for row in S._rows for _, v in row), label
+    assert [list(v) for v in span.basis_rows()] == oracles.rref(dense)[0][: span.dim], label
+
+
+def test_one_entry_rows_out_of_range_are_refused():
+    for rows, ncols, message in [
+        ([{0: 1}, {7: 2}], 3, r"row 1: column 7 outside \[0, 3\)"),
+        ([{1: 1, 2: 1}, {-1: 0}], 3, r"row 1: column -1 outside \[0, 3\)"),
+        ([{0: 1}], 0, r"row 0: column 0 outside \[0, 0\)"),
+    ]:
+        for solver in (nullspace_rows, span_rows):
+            with pytest.raises(ValueError, match=message):
+                solver(rows, ncols)
