@@ -533,6 +533,7 @@ def deform(file, name, check_order, as_json):
 def trivialize(file, name, order, as_json):
     """Solve for a formal change of variables undoing the deformation."""
     from bihom.deformation import solve_triviality
+    from bihom.trees import PRODUCT_FOR_TREE
     D = _load_deformation(file, name)
     if order < 0:
         _fail_usage("--order must be nonnegative")
@@ -558,7 +559,7 @@ def trivialize(file, name, order, as_json):
     )
     r.add("obstruction", [])
     for (t, args), val in sorted(res.obstruction.data.items()):
-        op = "dashv" if t == 0 else "vdash"
+        op = PRODUCT_FOR_TREE[t]
         r.item(
             "obstruction",
             {"product": op, "args": [basis[a] for a in args], "value": [str(c) for c in val]},

@@ -695,6 +695,8 @@ class _Complex:
         ids, images = self.restricted(n - 1)
         dK, size = len(self.kernel(n - 1)), self.X.dim ** (n + 1)
         picked = [divmod(c, dK) for c in sorted(self.singletons(n - 1)[1].pivots)]
+        if not picked:
+            return []
         wanted = {a for _, a in picked}
         kept = [[(a, v) for a, v in img.items() if a in wanted] for img in images]
         pushed = {key: {a: {} for a in wanted} for key in ids}

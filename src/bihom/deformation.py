@@ -3,16 +3,16 @@
 A deformation is a polynomial family x -|_t y = sum_i t^i (x -|_i y),
 x |-_t y = sum_i t^i (x |-_i y) with the order-0 terms equal to the
 base products and the twist maps left alone.  Each higher term is an
-arity-2 tree cochain: its value on the tree with index 0 is the -|
-term, on index 1 the |- term, matching `operad.pi_element`.
+arity-2 tree cochain whose tree t carries the term of the product
+`trees.PRODUCT_FOR_TREE[t]`, as in `operad.pi_element`.
 
 Validity at order n means the order-n coefficient of every one of the
 five structure laws vanishes.  `deformation_residual` assembles those
 five maps into one arity-3 tree cochain, one tree per law: the law
-residuals of `bihom.algebra` summed over the order pairs, reading the
-terms' values, never `eval`.  `operadic_residual` computes sum_{i+j=n}
-pi_i o pi_j through the operad module instead; the two agree identically
-(the circle product's two summands expand to the two sides of the laws).
+residuals of `bihom.algebra` summed over the order pairs.
+`operadic_residual` computes sum_{i+j=n} pi_i o pi_j through the operad
+module instead; the two agree identically (the circle product's two
+summands expand to the two sides of the laws).
 
 Equivalences are truncated automorphism families psi_t = id + t psi_1 +
 ... acting by psi_t(x *_t y) = psi_t(x) *'_t psi_t(y).  Every transport
@@ -27,6 +27,11 @@ term of outer_t(inner_t(e_a) *_t inner_t(e_b)) (`_transport`):
   linear system whose right side is their difference; when the system
   is infeasible that difference is the obstruction, returned as an
   arity-2 cochain.
+
+The residual and every transport read the products one way, from the
+sparse order tables of `_order_cells`.  The dense `product` is the tests'
+reference; only `_compatible`, the check on terms a caller passes in,
+evaluates cochains through `TreeCochain.eval`.
 """
 
 from __future__ import annotations
@@ -40,23 +45,18 @@ from bihom.algebra import (
     LAW_FOR_TREE,
     Vec,
     Violation,
+    _combine,
     _law_residuals,
     _sparse,
     apply_table,
-    is_zero_vec,
     leibniz_rows,
-    vec_add,
     vec_sub,
     zero_vec,
 )
 from bihom.cohomology import TreeCochain, dialg_coboundary
 from bihom.operad import _signed_sum, circle, pi_element
 from bihom.scalars import Mat, solve_rows
-from bihom.trees import DASHV, VDASH, trees
-
-# Tree indices of the two product slots in an arity-2 cochain.
-TREE_DASHV = 0
-TREE_VDASH = 1
+from bihom.trees import DASHV, PRODUCT_FOR_TREE, VDASH, trees
 
 
 def _compatible(base: BiHomDialgebra, f: TreeCochain) -> tuple[int, tuple[int, ...]] | None:
@@ -113,10 +113,13 @@ class TruncatedDeformation:
         return self.terms[i - 1]
 
     def product(self, i: int, tree: int, x: Vec, y: Vec) -> Vec:
-        """Order-i term of the product selected by tree index (0: -|, 1: |-)."""
+        """Order-i term of the product carried by the tree index, read densely."""
+        if i < 0:
+            raise ValueError(f"order {i} out of range 0..")
+        if tree not in range(len(PRODUCT_FOR_TREE)):
+            raise ValueError(f"tree {tree} out of range 0..{len(PRODUCT_FOR_TREE) - 1}")
         if i == 0:
-            op = DASHV if tree == TREE_DASHV else VDASH
-            return apply_table(self.base.table(op), x, y)
+            return apply_table(self.base.table(PRODUCT_FOR_TREE[tree]), x, y)
         if i > self.order:
             return zero_vec(self.base.dim)
         return self.terms[i - 1].eval(tree, [x, y])
@@ -141,6 +144,14 @@ def zero_deformation(base: BiHomDialgebra, order: int = 0) -> TruncatedDeformati
 # -- order-n residuals ------------------------------------------------------------
 
 
+def _order_cells(defm: TruncatedDeformation, n: int) -> list:
+    """{product: cells} for orders 0..min(n, order), in the `cells` form of
+    `bihom.algebra`: the base's at order 0, pi_i's values per tree at order i."""
+    m = defm.base.dim
+    return [defm.base.cells] + [{op: [[_sparse(f.data.get((t, (a, b)), ())) for b in range(m)] for a in range(m)]
+                                 for t, op in enumerate(PRODUCT_FOR_TREE)} for f in defm.terms[:n]]
+
+
 def deformation_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     """Order-n coefficient of all five laws, one tree per law.
 
@@ -153,9 +164,7 @@ def deformation_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     """
     if not 0 <= n <= defm.order:
         raise ValueError(f"order {n} out of range 0..{defm.order}")
-    base, m = defm.base, defm.base.dim
-    cells = [base.cells] + [{op: [[_sparse(f.data.get((t, (a, b)), ())) for b in range(m)] for a in range(m)]
-                             for t, op in enumerate((DASHV, VDASH))} for f in defm.terms[:n]]
+    base, m, cells = defm.base, defm.base.dim, _order_cells(defm, n)
     residuals = _law_residuals(base, [(cells[i], cells[n - i]) for i in range(n + 1)])
     return TreeCochain._trusted(3, m, {
         (t, abc): residuals[law](*abc) for t, law in enumerate(LAW_FOR_TREE) for abc in iproduct(range(m), repeat=3)})
@@ -215,22 +224,17 @@ def _transport(
     sum_{i+j+k+l=n} outer_i(inner_j e_a *_l inner_k e_b), for both
     products and every basis pair, keyed (tree, (a, b)) with zeros left
     out.  A series lists the maps by order and is zero past its end."""
-    m = defm.base.dim
+    m, cells = defm.base.dim, _order_cells(defm, n)
+    outs, ins = ([[_sparse(M.col(a)) for a in range(m)] for M in series[: n + 1]] for series in (outer, inner))
+    orders = [(i, l, j, k) for i, l, j in iproduct(range(len(outs)), range(len(cells)), range(len(ins)))
+              for k in (n - i - l - j,) if 0 <= k < len(ins)]
     data = {}
-    for t in (TREE_DASHV, TREE_VDASH):
-        for a in range(m):
-            for b in range(m):
-                acc = zero_vec(m)
-                for i, out in enumerate(outer[: n + 1]):
-                    s = zero_vec(m)
-                    for l in range(min(n - i, defm.order) + 1):
-                        for j, inn in enumerate(inner[: n - i - l + 1]):
-                            k = n - i - l - j
-                            if k < len(inner):
-                                s = vec_add(s, defm.product(l, t, inn.col(a), inner[k].col(b)))
-                    acc = vec_add(acc, out.apply(s))
-                if not is_zero_vec(acc):
-                    data[(t, (a, b))] = acc
+    for t, op in enumerate(PRODUCT_FOR_TREE):
+        for a, b in iproduct(range(m), repeat=2):
+            acc = _combine(m, ((u * v * c, outs[i][s]) for i, l, j, k in orders for p, u in ins[j][a]
+                               for q, v in ins[k][b] for s, c in cells[l][op][p][q]))
+            if any(acc):
+                data[(t, (a, b))] = tuple(acc)
     return data
 
 
@@ -254,12 +258,10 @@ def base_change_pullback(defm: TruncatedDeformation, S: Mat) -> TruncatedDeforma
         raise ValueError("base change matrix is singular")
     cells = _transport(defm, [inv], [S], 0)
     zero = zero_vec(m)
-    dashv, vdash = (
-        tuple(tuple(cells.get((t, (a, b)), zero) for b in range(m)) for a in range(m))
-        for t in (TREE_DASHV, TREE_VDASH)
-    )
+    tables = {op: tuple(tuple(cells.get((t, (a, b)), zero) for b in range(m)) for a in range(m))
+              for t, op in enumerate(PRODUCT_FOR_TREE)}
     new_base = BiHomDialgebra(
-        m, dashv, vdash, inv @ base.phi @ S, inv @ base.psi @ S,
+        m, tables[DASHV], tables[VDASH], inv @ base.phi @ S, inv @ base.psi @ S,
         basis=base.basis, name=f"{base.name}:pullback",
     )
     terms = [TreeCochain(2, m, _transport(defm, [inv], [S], i)) for i in range(1, defm.order + 1)]
@@ -292,6 +294,8 @@ class EquivalenceTransformation:
         return self.maps[0].shape[0]
 
     def map(self, i: int) -> Mat:
+        if i < 0:
+            raise ValueError(f"order {i} out of range 0..")
         if i <= self.order:
             return self.maps[i]
         return Mat.zeros(self.dim, self.dim)
@@ -377,7 +381,7 @@ def check_equivalence(
         )
         if not diff.is_zero():
             (t, ab), val = next(iter(diff.data.items()))
-            return EquivalenceCheck(False, (n, ("dashv", "vdash")[t], ab, val), diagnostics)
+            return EquivalenceCheck(False, (n, PRODUCT_FOR_TREE[t], ab, val), diagnostics)
     return EquivalenceCheck(True, None, diagnostics)
 
 

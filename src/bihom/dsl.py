@@ -40,6 +40,7 @@ from bihom.algebra import (
     map_from_entries,
     table_from_entries,
 )
+from bihom.trees import PRODUCT_FOR_TREE
 
 __all__ = [
     "DslError",
@@ -537,14 +538,13 @@ def _build_deformation(
     from bihom.deformation import TruncatedDeformation
     index = {nm: i for i, nm in enumerate(base.basis)}
     data: list[dict] = [dict() for _ in range(b.order)]
-    tree_for = {"dashv": 0, "vdash": 1}
     for idx, e in b.terms:
         vals = _resolve(e.terms, params, index)
         vec = tuple(
             vals.get(k + 1, Fraction(0)) for k in range(base.dim)
         )
         i, j = (index[a] for a in e.args)
-        data[idx - 1][(tree_for[e.op], (i, j))] = vec
+        data[idx - 1][(PRODUCT_FOR_TREE.index(e.op), (i, j))] = vec
     terms = tuple(TreeCochain(2, base.dim, d) for d in data)
     return TruncatedDeformation(base, terms)
 

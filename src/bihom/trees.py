@@ -24,6 +24,7 @@ from functools import lru_cache
 
 DASHV = "dashv"  # x -| y
 VDASH = "vdash"  # x |- y
+PRODUCT_FOR_TREE = (DASHV, VDASH)  # product carried by each tree of an arity-2 cochain, in trees(2) order
 
 
 class Tree:

@@ -10,15 +10,17 @@ library contracts over the factors' supports.  The signed sums of the
 braces, the bracket and the operadic residual are kept as the chains of
 cochain additions and subtractions the library replaced by one
 accumulator, and the deformation residual is evaluated law by law and
-order by order through `apply_table` and `eval`.  The twist
-compatibility rows are written from their definition, M f(b) - f(M b),
-one argument tuple at a time through `Mat.apply`.  The cochain spaces are
-also built here the direct way, in ambient coordinates, as the reference
-for the library's compatible-coordinate route; that reference does use
-the package's sparse eliminator, so it checks the construction, not the
-elimination.  So does the full delta^n . G route, kept as the reference
-for the singleton pass that reads ranks, image pivots, containment and
-the cocycles off the classes of restricted block rows.
+order by order through `apply_table` and `eval`; so is the transport
+coefficient, one `TruncatedDeformation.product` per order quadruple.
+The twist compatibility rows are written from their definition,
+M f(b) - f(M b), one argument tuple at a time through `Mat.apply`.  The
+cochain spaces are also built here the direct way, in ambient
+coordinates, as the reference for the library's compatible-coordinate
+route; that reference does use the package's sparse eliminator, so it
+checks the construction, not the elimination.  So does the full
+delta^n . G route, kept as the reference for the singleton pass that
+reads ranks, image pivots, containment and the cocycles off the classes
+of restricted block rows.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from bihom.algebra import (
     Vec,
     apply_table,
     is_zero_vec,
+    vec_add,
+    zero_vec,
 )
 from bihom.cohomology import (
     HochschildCochain,
@@ -416,6 +420,30 @@ def deformation_residual(defm, n: int) -> TreeCochain:
             if any(acc):
                 data[(t, (a, b, c))] = tuple(acc)
     return TreeCochain(3, m, data)
+
+
+def transport(defm, outer, inner, n: int) -> dict:
+    """sum_{i+j+k+l=n} outer_i(inner_j e_a *_l inner_k e_b) for both
+    products and every basis pair, keyed (tree, (a, b)) with zeros left
+    out: one dense `defm.product` per product, basis pair and order
+    quadruple, each series zero past its end."""
+    m = defm.base.dim
+    data = {}
+    for t in (0, 1):
+        for a in range(m):
+            for b in range(m):
+                acc = zero_vec(m)
+                for i, out in enumerate(outer[: n + 1]):
+                    s = zero_vec(m)
+                    for l in range(min(n - i, defm.order) + 1):
+                        for j, inn in enumerate(inner[: n - i - l + 1]):
+                            k = n - i - l - j
+                            if k < len(inner):
+                                s = vec_add(s, defm.product(l, t, inn.col(a), inner[k].col(b)))
+                    acc = vec_add(acc, out.apply(s))
+                if not is_zero_vec(acc):
+                    data[(t, (a, b))] = acc
+    return data
 
 
 # -- the cochain spaces, eliminated in ambient coordinates ---------------------

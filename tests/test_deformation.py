@@ -482,3 +482,127 @@ def test_order_two_pushforward_of_the_base_is_solved_trivial():
         res = solve_triviality(pushed, 2)
         assert res.trivial, name
         assert check_equivalence(pushed, zero_deformation(A, 2), res.witness, 2).ok, name
+
+
+# -- transports read the order tables ---------------------------------------------
+
+
+def random_rational_cases(seed):
+    """Every catalog family at a binding with denominators 3 and 7, with an
+    order 0-3 deformation whose rational terms need not intertwine the
+    twists, a series of 1-4 rational maps and its psi_t (psi_0 = id)."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 3, 7)))
+
+    for name, entry in sorted(catalog().items()):
+        A = entry.build(**{p: Fraction(rng.randint(1, 9), rng.choice((3, 7))) for p in entry.params})
+        m = A.dim
+        for order in range(4):
+            terms = [
+                TreeCochain(2, m, {
+                    (rng.randrange(2), (rng.randrange(m), rng.randrange(m))): tuple(q() for _ in range(m))
+                    for _ in range(rng.randint(0, 4))
+                })
+                for _ in range(order)
+            ]
+            maps = [Mat(m, m, [q() if rng.random() < 0.6 else Fraction(0) for _ in range(m * m)])
+                    for _ in range(rng.randint(1, 4))]
+            psit = EquivalenceTransformation((Mat.identity(m), *maps[1:]))
+            yield name, TruncatedDeformation(A, terms, require_compatible=False), maps, psit
+
+
+def outcome(call):
+    try:
+        return "answered", call()
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+def test_transport_matches_the_dense_reference(monkeypatch):
+    """`_transport` against the quadruple loop over `product`, item for item
+    with the key order and `Fraction` values; pushforward, pullback,
+    equivalence and triviality against the same calls on that loop."""
+    from bihom import deformation
+
+    def deformation_items(d):
+        return d.base.cells, [list(f.data.items()) for f in d.terms]
+
+    def triviality(d, N):
+        res = solve_triviality(d, N)
+        return res, None if res.obstruction is None else list(res.obstruction.data.items())
+
+    seen = set()
+    for name, d, maps, psit in random_rational_cases(23):
+        m = d.base.dim
+        for n in range(5):
+            for outer, inner in ((maps, maps[::-1]), (psit.maps, psit.inverse_maps(n)), (maps[:1], maps)):
+                got = deformation._transport(d, outer, inner, n)
+                assert list(got.items()) == list(oracles.transport(d, outer, inner, n).items()), (name, n)
+                assert all(type(c) is Fraction for v in got.values() for c in v), (name, n)
+        S = maps[0] + Mat.identity(m)
+        N = d.order + psit.order
+
+        def calls():
+            pushed = base_change_pushforward(d, psit, require_compatible=False)
+            moved = EquivalenceTransformation((Mat.identity(m), *maps[:1]))
+            return (
+                deformation_items(pushed),
+                outcome(lambda: deformation_items(base_change_pullback(d, S))),
+                outcome(lambda: deformation_items(base_change_pushforward(d, psit))),
+                check_equivalence(d, pushed, psit, N),
+                check_equivalence(d, pushed, moved, N),
+                triviality(d, min(N, 4)),
+                triviality(pushed, min(N, 4)),
+            )
+
+        got = calls()
+        with monkeypatch.context() as mp:
+            mp.setattr(deformation, "_transport", oracles.transport)
+            want = calls()
+        assert got == want, name
+        seen.add(name)
+    assert len(seen) == 9
+
+
+def test_deformation_kernels_never_read_the_dense_products(monkeypatch):
+    """Once the deformations are built, triviality, equivalence and the
+    unchecked pushforward answer with `product`, `apply_table` and
+    `TreeCochain.eval` all refusing to run."""
+    from bihom import deformation
+
+    d1 = corpus_d1()
+    cases = [(name, d, psit) for name, d, _, psit in random_rational_cases(29)]
+    cases.append(("corpus D1", d1, EquivalenceTransformation((Mat.identity(2), random_matrix(random.Random(1), 2)))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a deformation kernel read the dense products")
+
+    monkeypatch.setattr(TruncatedDeformation, "product", refuse)
+    monkeypatch.setattr(deformation, "apply_table", refuse)
+    monkeypatch.setattr(TreeCochain, "eval", refuse)
+    for name, d, psit in cases:
+        pushed = base_change_pushforward(d, psit, require_compatible=False)
+        assert pushed.order == d.order + psit.order, name
+        assert check_equivalence(d, pushed, psit, pushed.order).ok, name
+        solve_triviality(d, 2)
+    assert solve_triviality(d1, 2).trivial
+
+
+def test_deformation_indices_are_range_checked():
+    """A negative order or a tree other than 0 and 1 is refused, not read
+    from the end of a sequence; orders past the deformation read zero."""
+    d1 = corpus_d1()
+    e2 = basis_vec(2, 1)
+    for i in (-1, -3):
+        with pytest.raises(ValueError, match=f"order {i} out of range"):
+            d1.product(i, 0, e2, e2)
+    for i, tree in ((0, 7), (1, 5), (4, 2), (0, -1)):
+        with pytest.raises(ValueError, match=f"tree {tree} out of range"):
+            d1.product(i, tree, e2, e2)
+    assert d1.product(4, 1, e2, e2) == (0, 0)
+    psit = EquivalenceTransformation((Mat.identity(2), Mat.identity(2)))
+    with pytest.raises(ValueError, match="order -1 out of range"):
+        psit.map(-1)
+    assert psit.map(5) == Mat.zeros(2, 2)

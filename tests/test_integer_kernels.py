@@ -258,6 +258,20 @@ def nil2(c):
     return BiHomAssociativeAlgebra(2, table_from_entries(2, {(2, 2): {1: c}}), twist, twist, name="nil2")
 
 
+def test_images_skip_the_block_walk_when_no_pivot_is_picked(monkeypatch):
+    """On nil2, r_(n-1) = 0 at odd n, so B^n has no image and `images(n)`
+    returns [] without walking the block tables of the faces; at even n it
+    walks them and finds the one image."""
+    cx = _Complex(nil2(Fraction(2, 3)), HochschildCochain)
+    want = [cx.images(n) for n in range(3, 8)]  # builds and keeps every kernel and restriction read
+    walks = []
+    layout = _Complex.layout
+    monkeypatch.setattr(_Complex, "layout", lambda self, n: walks.append(n) or layout(self, n))
+    assert [cx.images(n) for n in range(3, 8)] == want
+    assert [len(b) for b in want] == [0, 1, 0, 1, 0]
+    assert walks == [3, 5]
+
+
 def test_the_compatible_kernel_matches_its_definition():
     """K_n, from the compatibility rows expanded slot by slot, equals the
     kernel of the rows written from the definition in `tests/oracles.py`,

@@ -11,6 +11,7 @@ import pytest
 from bihom.trees import (
     DASHV,
     LEAF,
+    PRODUCT_FOR_TREE,
     VDASH,
     face,
     face_layout,
@@ -223,3 +224,9 @@ def test_pre_operadic_identities_small_grid():
                         assert ri(outer, nv, i) == r0(mid, block)
                         for j in range(1, nv[i - 1] + 1):
                             assert ri(y, mv, pn[i - 1] + j) == ri(mid, block, j)
+
+
+def test_product_for_tree_is_the_second_leaf_orientation():
+    """Tree t of an arity-2 cochain carries the product its middle leaf
+    takes, the rule `operad.pi_element` reads."""
+    assert PRODUCT_FOR_TREE == tuple(orientations(y)[1] for y in trees(2)) == (DASHV, VDASH)
