@@ -24,18 +24,22 @@ rows, and the coboundary, compatibility and operad modules.
 Every check writes its identity once, as a residual on basis indices, and
 hands it to one enumerator, `_violations`, which yields a witness for each
 basis tuple with a nonzero residual in lexicographic order; a report lists
-its laws in the order the check names them.  From the sparse form a law
-check tabulates, for each outer product, the twisted basis products
-e_p o psi(e_k) and phi(e_i) o e_q.  A law residual at (i, j, k) is then a
-short sum over the nonzero cells of the two inner products, equal entry
-for entry to `law_residual` on basis vectors.  The one-product check is
-the one-law case of the dialgebra check: with both products equal the
-five laws coincide, so it reads the single law `bihom_assoc` as
+its laws in the order the check names them.  Twists meet products in one
+table, `_twisted_products`: (L e_a) o (R e_b) for maps L and R given by
+their sparse columns, read by the law checks, the Leibniz rows and, on
+integers, the coboundary block tables.  A law check takes e_p o psi(e_k)
+and phi(e_i) o e_q from it per outer product, so a law residual at
+(i, j, k) is a short sum over the nonzero cells of the two inner products,
+equal entry for entry to `law_residual` on basis vectors.  The one-product
+check is the one-law case of the dialgebra check: with both products equal
+the five laws coincide, so it reads the single law `bihom_assoc` as
 `left_left` on `as_dialgebra()`.
 
 The twisted Leibniz rule is written once too, as sparse rows over the
 entries of the unknown maps (`leibniz_rows`): the derivation and triviality
-solvers eliminate them, and `_leibniz` applies them to one given map.
+solvers eliminate them, and `_leibniz` applies them to one given map.  So
+are the twist rows M f(b) - f(M b) of a cochain f (`_compat_rows`): the
+complex's compatibility rows and, at degree 1, the commutation rows.
 """
 
 from __future__ import annotations
@@ -345,6 +349,17 @@ def _combine(n: int, terms: Iterable[tuple[Fraction, Sparse]], zero=ZERO) -> lis
     return acc
 
 
+def _twisted_products(cells: Cells, left=None, right=None, zero=ZERO) -> Cells:
+    """[a][b] -> the nonzero (k, c) of (L e_a) o (R e_b), summed from `zero`: o
+    given by its cells, L and R by their sparse columns, None for the identity."""
+    m, ix = len(cells), range(len(cells))
+    if right is not None:  # e_a o R e_b, then L e_a o R e_b = sum_s l_s (e_s o R e_b)
+        cells = [[_sparse(_combine(m, ((r, cells[a][u]) for u, r in right[b]), zero)) for b in ix] for a in ix]
+    if left is not None:
+        cells = [[_sparse(_combine(m, ((l, cells[s][b]) for s, l in left[a]), zero)) for b in ix] for a in ix]
+    return cells
+
+
 def _law_residuals(A: BiHomDialgebra, orders=None) -> dict[str, Callable[[int, int, int], Vec]]:
     """law -> ((i, j, k) -> law_residual(A, law, e_i, e_j, e_k)), read from
     A's sparse form.  With `orders`, the residual is summed over its (outer,
@@ -352,11 +367,10 @@ def _law_residuals(A: BiHomDialgebra, orders=None) -> dict[str, Callable[[int, i
     place of (A.cells, A.cells).  Per outer product, R[p][k] = e_p o psi(e_k)
     and L[i][q] = -(phi(e_i) o e_q) are tabulated once per call."""
     m, (phi, psi) = A.dim, A.twist_cols
+    neg_phi = [tuple((s, -d) for s, d in col) for col in phi]
     tables = [(
-        {op: [[_sparse(_combine(m, ((d, c[p][s]) for s, d in psi[k]))) for k in range(m)] for p in range(m)]
-         for op, c in outer.items()},
-        {op: [[_sparse(_combine(m, ((-d, c[s][qq]) for s, d in phi[i]))) for qq in range(m)] for i in range(m)]
-         for op, c in outer.items()},
+        {op: _twisted_products(c, None, psi) for op, c in outer.items()},
+        {op: _twisted_products(c, neg_phi) for op, c in outer.items()},
         inner,
     ) for outer, inner in orders or [(A.cells, A.cells)]]
 
@@ -400,12 +414,9 @@ def leibniz_rows(
     wc = [_sparse(W.col(a)) for a in range(n)]
     rows: list[Row] = []
     for cells in products:
-        # the weighted terms, tabulated once per product: beta (W e_a o e_q)
-        # and gamma (e_p o W e_b), sparse over the output coordinate
-        wx = [[_weighted(beta, _sparse(_combine(n, ((w, cells[s][qq]) for s, w in wc[a])))) for qq in range(n)]
-              for a in range(n)]
-        xw = [[_weighted(gamma, _sparse(_combine(n, ((w, cells[p][s]) for s, w in wc[b])))) for b in range(n)]
-              for p in range(n)]
+        # the weighted terms beta (W e_a o e_q) and gamma (e_p o W e_b), once per product
+        wx = [[_weighted(beta, v) for v in line] for line in _twisted_products(cells, wc)]
+        xw = [[_weighted(gamma, v) for v in line] for line in _twisted_products(cells, None, wc)]
         for a, b in product(range(n), repeat=2):
             out: list[Row] = [{} for _ in range(n)]
             for p, c in _weighted(alpha, cells[a][b]):
@@ -433,6 +444,38 @@ def _leibniz(D: Mat, W: Mat, cells: Cells) -> Callable[[int, int], Vec]:
     n, d = D.rows, D.entries()
     res = [sum((v * d[c] for c, v in row.items()), ZERO) for row in leibniz_rows((cells,), W)]
     return lambda a, b: tuple(res[(a * n + b) * n : (a * n + b + 1) * n])
+
+
+def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int, D: int = 1) -> list[dict[int, int]]:
+    """Rows of D^degree (M f(b) - f(M b)) over one tree's coordinates for each twist M,
+    given by the nonzero (k, c) of the columns of D M: integer rows when D M is integral.
+    f(M b) is expanded slot by slot: a prefix of b extends its parent's expansion by
+    one column of M, and every b past a prefix M kills has the nonzero lines of M f(b)
+    as its rows, with no expansion at all."""
+    rows: list[dict[int, int]] = []
+    for cols in twists:
+        m = len(cols)
+        lines = [[(j, D ** (degree - 1) * c) for j, col in enumerate(cols) for i, c in col if i == k] for k in range(m)]
+        killed = [line for line in lines if line]
+
+        def walk(r: int, depth: int, terms: list[tuple[int, int]]) -> None:
+            # terms: M p expanded, p the prefix of rank r, as (argument rank, coefficient)
+            if not terms:
+                span = m ** (degree - depth)
+                rows.extend([{b * m + j: c for j, c in line} for b in range(r * span, (r + 1) * span) for line in killed])
+            elif depth < degree:
+                for x, col in enumerate(cols):
+                    walk(r * m + x, depth + 1, [(a * m + i, c * v) for a, c in terms for i, v in col])
+            else:
+                for k, line in enumerate(lines):  # M f(b)_k - f(M b)_k
+                    row = {r * m + j: c for j, c in line}
+                    for a, c in terms:
+                        row[a * m + k] = row.get(a * m + k, 0) - c
+                    if row := {key: v for key, v in row.items() if v}:
+                        rows.append(row)
+
+        walk(0, 0, [(0, 1)])
+    return rows
 
 
 def _check_laws(A: BiHomDialgebra, laws: Mapping[str, str]) -> AxiomReport:

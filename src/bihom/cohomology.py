@@ -33,9 +33,9 @@ The coboundary is written once, as block tables (`_coboundary_blocks`).
 Block i of delta f on a tree y reads f on face i of y through the
 product of leaf i of y, and depends on y in no other way, so delta^n is
 one table per (block, product) over the local coordinates of one tree,
-built once per degree.  An entry is a product of n scaled cells and
-twist columns, so every table is integral over one denominator D^n, as
-the compatibility rows are over D^degree.  No table is read densely;
+built once per degree from `_twisted_products`.  An entry is a product of
+n scaled cells and twist columns, so every table is integral over D^n,
+as the compatibility rows are over D^degree.  No table is read densely;
 `apply_table` and `law_residual` in `bihom.algebra` are the dense
 references.  `dialg_coboundary`/`hoch_coboundary` apply the block tables
 face by face to a cochain's support, grouped by tree, on integers over
@@ -47,9 +47,9 @@ independent reference.
 The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
 tree, repeated per tree, and its canonical basis G is the shifted copies
-of K_n's.  The compatibility rows expand f(M b) slot by slot, each
-argument extending its prefix's expansion by one twist column, and a b
-whose prefix M kills gives its one-entry rows with no expansion.  K_n is
+of K_n's.  Its rows, the twist rows of `bihom.algebra`, expand f(M b)
+slot by slot, each argument extending its prefix's expansion by one
+twist column; a b whose prefix M kills gives one-entry rows.  K_n is
 held with its integer form, K_n times the lcm of its denominators, built
 once per degree, and each distinct block row is restricted to that form
 once, so every restriction of a degree carries one common factor, which
@@ -83,7 +83,9 @@ from bihom.algebra import (
     Sparse,
     Vec,
     _combine,
+    _compat_rows,
     _sparse,
+    _twisted_products,
     check_bihom_associative,
     is_multiplicative,
     is_zero_vec,
@@ -208,6 +210,8 @@ class _Cochain:
         return cls(degree, dim, {})
 
     def __add__(self, other: _Cochain) -> _Cochain:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
         if self.degree != other.degree or self.dim != other.dim:
             raise ValueError("cochain shape mismatch")
         data = dict(self.data)
@@ -369,11 +373,9 @@ def _coboundary_blocks(cx: _Complex, n: int) -> dict[tuple[int, str], dict[int, 
     tables: dict[tuple[int, str], dict[int, tuple]] = {}
     for name, cells in cx.cells.items():
         # the nonzero columns [P e_x o e_j] and, signed, [e_j o Q e_x], as (j, column)
-        left = [[(j, col) for j in range(m) if (col := _sparse(_combine(m, ((u, cells[p][j]) for p, u in P[x]), 0)))]
-                for x in range(m)]
-        right = [[(j, [(k, last_sign * c) for k, c in col]) for j in range(m)
-                  if (col := _sparse(_combine(m, ((u, cells[j][p]) for p, u in Q[x]), 0)))]
-                 for x in range(m)]
+        pe, eq = _twisted_products(cells, P, None, 0), _twisted_products(cells, None, Q, 0)
+        left = [[(j, col) for j, col in enumerate(pe[x]) if col] for x in range(m)]
+        right = [[(j, [(k, last_sign * c) for k, c in eq[j][x]]) for j in range(m) if eq[j][x]] for x in range(m)]
         live_cells = [(x, y, cell) for x, line in enumerate(cells) for y, cell in enumerate(line) if cell]
         tables[0, name] = outer(left, True)
         for i in range(1, n + 1):
@@ -424,41 +426,6 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
     """delta f in the one-product complex; output degree is f.degree + 1."""
     _check_kind("hoch_coboundary", A, f, BiHomAssociativeAlgebra, HochschildCochain)
     return _Complex(A, HochschildCochain).apply_delta(f)
-
-
-# -- twist compatibility --------------------------------------------------------
-
-
-def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int, D: int = 1) -> list[dict[int, int]]:
-    """Rows of D^degree (M f(b) - f(M b)) over one tree's coordinates for each twist M,
-    given by the nonzero (k, c) of the columns of D M: integer rows when D M is integral.
-    f(M b) is expanded slot by slot: a prefix of b extends its parent's expansion by
-    one column of M, and every b past a prefix M kills has the nonzero lines of M f(b)
-    as its rows, with no expansion at all."""
-    rows: list[dict[int, int]] = []
-    for cols in twists:
-        m = len(cols)
-        lines = [[(j, D ** (degree - 1) * c) for j, col in enumerate(cols) for i, c in col if i == k] for k in range(m)]
-        killed = [line for line in lines if line]
-
-        def walk(r: int, depth: int, terms: list[tuple[int, int]]) -> None:
-            # terms: M p expanded, p the prefix of rank r, as (argument rank, coefficient)
-            if not terms:
-                span = m ** (degree - depth)
-                rows.extend([{b * m + j: c for j, c in line} for b in range(r * span, (r + 1) * span) for line in killed])
-            elif depth < degree:
-                for x, col in enumerate(cols):
-                    walk(r * m + x, depth + 1, [(a * m + i, c * v) for a, c in terms for i, v in col])
-            else:
-                for k, line in enumerate(lines):  # M f(b)_k - f(M b)_k
-                    row = {r * m + j: c for j, c in line}
-                    for a, c in terms:
-                        row[a * m + k] = row.get(a * m + k, 0) - c
-                    if row := {key: v for key, v in row.items() if v}:
-                        rows.append(row)
-
-        walk(0, 0, [(0, 1)])
-    return rows
 
 
 # -- one complex: compatible cochains, cocycles, coboundaries, cohomology -------

@@ -59,6 +59,13 @@ from bihom.scalars import Mat, solve_rows
 from bihom.trees import DASHV, PRODUCT_FOR_TREE, VDASH, trees
 
 
+def _checked_order(n: int) -> int:
+    """n itself once it is an order, 0 or more; a negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"order {n} out of range 0..")
+    return n
+
+
 def _compatible(base: BiHomDialgebra, f: TreeCochain) -> tuple[int, tuple[int, ...]] | None:
     """First (tree, args) where f fails to intertwine phi or psi, else None."""
     m = base.dim
@@ -114,8 +121,7 @@ class TruncatedDeformation:
 
     def product(self, i: int, tree: int, x: Vec, y: Vec) -> Vec:
         """Order-i term of the product carried by the tree index, read densely."""
-        if i < 0:
-            raise ValueError(f"order {i} out of range 0..")
+        _checked_order(i)
         if tree not in range(len(PRODUCT_FOR_TREE)):
             raise ValueError(f"tree {tree} out of range 0..{len(PRODUCT_FOR_TREE) - 1}")
         if i == 0:
@@ -138,7 +144,7 @@ class TruncatedDeformation:
 
 
 def zero_deformation(base: BiHomDialgebra, order: int = 0) -> TruncatedDeformation:
-    return TruncatedDeformation(base, [TreeCochain.zero(2, base.dim) for _ in range(order)])
+    return TruncatedDeformation(base, [TreeCochain.zero(2, base.dim) for _ in range(_checked_order(order))])
 
 
 # -- order-n residuals ------------------------------------------------------------
@@ -195,7 +201,7 @@ class DeformationCheck:
 
 def is_deformation_up_to(defm: TruncatedDeformation, N: int) -> DeformationCheck:
     """Residuals vanish for every order 1..N; first failure wins."""
-    for n in range(1, N + 1):
+    for n in range(1, _checked_order(N) + 1):
         res = deformation_residual(defm, n)
         if not res.is_zero():
             (t, args), val = min(res.data.items())
@@ -294,9 +300,7 @@ class EquivalenceTransformation:
         return self.maps[0].shape[0]
 
     def map(self, i: int) -> Mat:
-        if i < 0:
-            raise ValueError(f"order {i} out of range 0..")
-        if i <= self.order:
+        if _checked_order(i) <= self.order:
             return self.maps[i]
         return Mat.zeros(self.dim, self.dim)
 
@@ -304,7 +308,7 @@ class EquivalenceTransformation:
         """chi_0..chi_upto with sum_{i+j=n} psi_i chi_j = [n == 0] id."""
         m = self.dim
         chis = [Mat.identity(m)]
-        for n in range(1, upto + 1):
+        for n in range(1, _checked_order(upto) + 1):
             acc = Mat.zeros(m, m)
             for i in range(1, n + 1):
                 acc = acc + self.map(i) @ chis[n - i]
@@ -367,6 +371,7 @@ def check_equivalence(
     m = defm1.base.dim
     if defm2.base.dim != m or psit.dim != m:
         raise ValueError("dimension mismatch")
+    _checked_order(N)
     diagnostics = []
     for i in range(1, psit.order + 1):
         for name, M in (("phi", defm1.base.phi), ("psi", defm1.base.psi)):
@@ -415,7 +420,7 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
     flat = zero_deformation(base)
     psis: list[Mat] = list(one)
     lhs = leibniz_rows(tuple(base.cells.values()), one[0])
-    for n in range(1, N + 1):
+    for n in range(1, _checked_order(N) + 1):
         K = _difference(_transport(defm, psis, one, n), _transport(flat, one, psis, n), m)
         rows = [{**row, m * m: -k} if k else row for row, k in zip(lhs, K.flatten())]
         sol = solve_rows(rows, m * m)

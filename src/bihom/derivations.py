@@ -3,7 +3,8 @@
 Every variant is a finite homogeneous linear system over the matrix
 entries of the unknown maps, assembled from two kinds of rows:
 
-* commutation rows, D phi = phi D and D psi = psi D;
+* commutation rows, D phi = phi D and D psi = psi D, the twist rows of
+  `bihom.algebra` for a degree-1 cochain;
 * twisted Leibniz rows (`bihom.algebra.leibniz_rows`), for each product
   o and basis pair (e_a, e_b):
   alpha D(e_a o e_b) = beta (W e_a o D e_b) + gamma (D e_a o W e_b),
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from typing import Mapping, Sequence
 
 from bihom.algebra import (
@@ -45,6 +46,7 @@ from bihom.algebra import (
     Row,
     Vec,
     Violation,
+    _compat_rows,
     _leibniz,
     _violations,
     apply_table,
@@ -169,27 +171,15 @@ def _system_rows(
 ) -> tuple[list[Row], int]:
     """The variant's rows and its number of unknowns.
 
-    First D M - M D = 0 for every block and M = phi, psi, then the
+    First M D - D M = 0 for every block and M = phi, psi, then the
     Leibniz rows, with unit weights unless a spec is given.
     """
     components, *blocks = _VARIANTS[variant]
     weights = (ONE, ONE, ONE) if spec is None else (spec.alpha, spec.beta, spec.gamma)
     n = A.dim
-    rows: list[Row] = []
-    for block, M in product(range(components), (A.phi, A.psi)):
-        off = block * n * n
-        for i, j in product(range(n), repeat=2):
-            row: Row = {}
-            for s in range(n):
-                c = M[s, j]
-                if c:
-                    key = off + i * n + s
-                    row[key] = row.get(key, ZERO) + c
-                c = M[i, s]
-                if c:
-                    key = off + s * n + j
-                    row[key] = row.get(key, ZERO) - c
-            rows.append({k: v for k, v in row.items() if v})
+    compat = _compat_rows(A.twist_cols, 1)  # coordinate b n + k is D[k][b], at k n + b in a block
+    rows: list[Row] = [{block * n * n + c % n * n + c // n: v for c, v in row.items()}
+                       for block in range(components) for row in compat]
     rows += leibniz_rows(tuple(A.cells.values()), _twist(A, deg), tuple(blocks), weights)
     return rows, components * n * n
 

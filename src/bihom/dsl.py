@@ -207,34 +207,39 @@ class _Parser:
     def semantic(self, message: str, tok: _Tok):
         raise DslError("semantic", message, tok.line, tok.col)
 
+    def expected(self, what: str):
+        """Fail at the next token, naming what was expected and what was found."""
+        t = self.peek()
+        self.fail(f"expected {what}, found {'end of input' if t.kind == 'eof' else repr(t.text)}")
+
     def expect_punct(self, ch: str) -> _Tok:
         t = self.peek()
         if t.kind != "punct" or t.text != ch:
-            self.fail(f"expected {ch!r}, found {t.text!r}" if t.kind != "eof" else f"expected {ch!r}, found end of input")
+            self.expected(repr(ch))
         return self.next()
 
     def expect_name(self, what: str = "name") -> _Tok:
         t = self.peek()
         if t.kind != "name":
-            self.fail(f"expected {what}, found {t.text!r}" if t.kind != "eof" else f"expected {what}, found end of input")
+            self.expected(what)
         return self.next()
 
     def expect_keyword(self, word: str) -> _Tok:
         t = self.peek()
         if t.kind != "name" or t.text != word:
-            self.fail(f"expected {word!r}, found {t.text!r}" if t.kind != "eof" else f"expected {word!r}, found end of input")
+            self.expected(repr(word))
         return self.next()
 
     def expect_int(self, what: str) -> tuple[int, _Tok]:
         t = self.peek()
         if t.kind != "rational" or "/" in t.text:
-            self.fail(f"expected {what}, found {t.text!r}" if t.kind != "eof" else f"expected {what}, found end of input")
+            self.expected(what)
         return int(t.text), self.next()
 
     def expect_rational(self) -> Fraction:
         t = self.peek()
         if t.kind != "rational":
-            self.fail(f"expected rational, found {t.text!r}" if t.kind != "eof" else "expected rational, found end of input")
+            self.expected("rational")
         self.next()
         return Fraction(t.text)
 

@@ -13,7 +13,9 @@ accumulator, and the deformation residual is evaluated law by law and
 order by order through `apply_table` and `eval`; so is the transport
 coefficient, one `TruncatedDeformation.product` per order quadruple.
 The twist compatibility rows are written from their definition,
-M f(b) - f(M b), one argument tuple at a time through `Mat.apply`.  The
+M f(b) - f(M b), one argument tuple at a time through `Mat.apply`, and
+their degree-1 case the way the derivation solvers once wrote it, as
+D M - M D entry by entry.  The
 cochain spaces are also built here the direct way, in ambient
 coordinates, as the reference for the library's compatible-coordinate
 route; that reference does use the package's sparse eliminator, so it
@@ -476,6 +478,29 @@ def compat_rows(X, n: int) -> list[dict[int, Fraction]]:
                     row[r * m + k] = row.get(r * m + k, ZERO) - coef
                 if row := {c: v for c, v in row.items() if v}:
                     rows.append(row)
+    return rows
+
+
+def commutation_rows(A, components: int) -> list[dict[int, Fraction]]:
+    """D M - M D = 0 for M = phi, psi and each of `components` n x n unknown
+    maps stacked row-major, entry (i, j) by entry through `Mat.__getitem__`:
+    one row per block, twist and entry, in that order, empty rows kept."""
+    n = A.dim
+    rows = []
+    for block, M in iproduct(range(components), (A.phi, A.psi)):
+        off = block * n * n
+        for i, j in iproduct(range(n), repeat=2):
+            row = {}
+            for s in range(n):
+                c = M[s, j]
+                if c:
+                    key = off + i * n + s
+                    row[key] = row.get(key, ZERO) + c
+                c = M[i, s]
+                if c:
+                    key = off + s * n + j
+                    row[key] = row.get(key, ZERO) - c
+            rows.append({k: v for k, v in row.items() if v})
     return rows
 
 

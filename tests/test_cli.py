@@ -386,13 +386,15 @@ def test_composition_commands_replay_the_pinned_fixtures():
     trivialize on the corpus deformation at orders 0-2, then all three at
     order 2 on deform_rational.dlg (non-integral binding and terms), then
     trivialize obstructed on trivialize_stuck.dlg and trivialize at order
-    4 on deform_rational.dlg, two orders past its terms: exit code and
-    stdout, text and --json, against tests/fixtures/compositions, whose
+    4 on deform_rational.dlg, two orders past its terms, then derive in
+    all four variants on alg3_1_rational.dlg and on Ex43 reading A, whose
+    phi and psi differ, and verify on both files: exit code and stdout,
+    text and --json, against tests/fixtures/compositions, whose
     commands.txt lines read "fixture-name exit-code cli-arguments"."""
     pinned = "tests/fixtures/compositions"
     with open(f"{pinned}/commands.txt", encoding="utf-8") as fh:
         commands = [line.split() for line in fh if line.strip()]
-    assert len(commands) == 23
+    assert len(commands) == 30
     for name, code, *args in commands:
         for ext, flag in (("txt", []), ("json", ["--json"])):
             r = run(*args, *flag)

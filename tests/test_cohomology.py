@@ -144,6 +144,19 @@ def test_cochain_validation(cls):
     assert cls(1, 2, {keyed(cls, 0, (0,)): (1, 0)}) != other(1, 2, {keyed(other, 0, (0,)): (1, 0)})
 
 
+def test_the_two_cochain_kinds_do_not_add():
+    """A sum or difference of a tree cochain and a one-product cochain is a
+    TypeError naming both kinds, not an error from inside the addition."""
+    f = TreeCochain(1, 2, {(0, (0,)): (1, 0)})
+    g = HochschildCochain(1, 2, {(0,): (0, 1)})
+    for x, y in ((f, g), (g, f)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError, match=f"^cannot add a {type(y).__name__} to a {type(x).__name__}$"):
+                op(x, y)
+    with pytest.raises(ValueError, match="cochain shape mismatch"):
+        f - TreeCochain.zero(1, 3)
+
+
 @BOTH_KINDS
 def test_eval_extends_value_multilinearly(cls):
     f = cls(2, 2, {keyed(cls, 0, (0, 1)): (1, 1), keyed(cls, 0, (1, 1)): (2, 0)})

@@ -606,3 +606,26 @@ def test_deformation_indices_are_range_checked():
     with pytest.raises(ValueError, match="order -1 out of range"):
         psit.map(-1)
     assert psit.map(5) == Mat.zeros(2, 2)
+
+
+def test_negative_orders_are_refused():
+    """Every entry point that takes an order refuses a negative one, as the
+    residual does, instead of answering over an empty range of orders."""
+    d1 = corpus_d1()
+    psit = EquivalenceTransformation((Mat.identity(2), Mat.identity(2)))
+    calls = [
+        (-1, lambda: solve_triviality(d1, -1)),
+        (-3, lambda: is_deformation_up_to(d1, -3)),
+        (-1, lambda: check_equivalence(d1, d1, identity_transformation(2), N=-1)),
+        (-2, lambda: zero_deformation(d1.base, -2)),
+        (-1, lambda: psit.inverse_maps(-1)),
+        (-3, lambda: psit.truncated_inverse(-3)),
+    ]
+    for n, call in calls:
+        with pytest.raises(ValueError, match=rf"^order {n} out of range 0\.\.$"):
+            call()
+    assert solve_triviality(d1, 0).trivial
+    assert is_deformation_up_to(d1, 0).ok
+    assert check_equivalence(d1, d1, identity_transformation(2), N=0).ok
+    assert zero_deformation(d1.base, 0).order == 0
+    assert psit.inverse_maps(0) == [Mat.identity(2)]

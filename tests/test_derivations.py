@@ -467,3 +467,60 @@ def test_leibniz_rows_are_written_once():
     import bihom.derivations
 
     assert bihom.derivations.leibniz_rows is bihom.algebra.leibniz_rows
+
+
+def _canonical_sign(row):
+    """A nonzero row as its sorted items, negated when its first value is negative."""
+    items = sorted(row.items())
+    return tuple((c, -v) for c, v in items) if items[0][1] < 0 else tuple(items)
+
+
+def test_commutation_rows_are_the_degree_one_twist_rows():
+    """The commutation rows come from the twist rows of a degree-1 cochain;
+    against the entry-by-entry D M - M D reference, with the same Leibniz
+    rows after them, the nonzero rows agree as a multiset up to sign and
+    every solution space is the same."""
+    from bihom.algebra import leibniz_rows
+    from bihom.derivations import _VARIANTS
+    from bihom.scalars import nullspace_rows
+
+    rng = random.Random(2402)
+    spec = GeneralizedSpec(2, -1, Fraction(3, 2))
+    solvers = {
+        "plain": derivation_space,
+        "generalized": lambda A, deg: generalized_derivation_space(A, deg, spec),
+        "quasi": quasi_derivation_space,
+        "generalized_triple": generalized_triple_space,
+    }
+    cases = 0
+    for name, entry in sorted(catalog().items()):
+        for binding in [{p: 1 for p in entry.params}] + bindings_for(entry, rng, count=2):
+            A = entry.build(**binding)
+            for deg in (BiDegree(0, 0), BiDegree(1, 1), BiDegree(2, 1)):
+                for variant, solve in solvers.items():
+                    space = solve(A, deg)
+                    components, *blocks = _VARIANTS[variant]
+                    weights = (spec.alpha, spec.beta, spec.gamma) if variant == "generalized" else (1, 1, 1)
+                    reference = oracles.commutation_rows(A, components) + leibniz_rows(
+                        tuple(A.cells.values()), A.twist_power(deg.k, deg.l), tuple(blocks), tuple(map(Fraction, weights)))
+                    got = sorted(_canonical_sign(dict(r)) for r in space.rows if r)
+                    assert got == sorted(_canonical_sign(r) for r in reference if r), (name, binding, deg, variant)
+                    assert space.solutions == nullspace_rows(reference, components * A.dim**2), (name, deg, variant)
+                    cases += 1
+    assert cases == 9 * 3 * 3 * 4
+
+
+def test_solvers_read_no_dense_twist_entry(monkeypatch):
+    """The four solvers assemble every row from the sparse form: with
+    `Mat.__getitem__` refusing, each still answers, and as before."""
+    spec = GeneralizedSpec(1, 2, -1)
+    solvers = (derivation_space, quasi_derivation_space, generalized_triple_space,
+               lambda A, deg: generalized_derivation_space(A, deg, spec))
+    structures = [entry.build(**{p: 2 for p in entry.params}) for _, entry in sorted(catalog().items())]
+    want = [solve(A, BiDegree(1, 1)).solutions for A in structures for solve in solvers]
+
+    def refuse(self, ij):
+        raise AssertionError("dense twist entry read")
+
+    monkeypatch.setattr(Mat, "__getitem__", refuse)
+    assert [solve(A, BiDegree(1, 1)).solutions for A in structures for solve in solvers] == want

@@ -295,3 +295,23 @@ def test_comments_and_whitespace_are_ignored():
     )
     A = build_block(parse(text), "X")
     assert A.dashv[0][0] == (1,)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dialgebra A", "line 1, column 12: expected '{', found end of input"),
+    ("dialgebra A ;", "line 1, column 13: expected '{', found ';'"),
+    ("dialgebra", "line 1, column 10: expected block name, found end of input"),
+    ("dialgebra 3", "line 1, column 11: expected block name, found '3'"),
+    ("dialgebra A {", "line 1, column 14: expected 'dim', found end of input"),
+    ("dialgebra A { basis", "line 1, column 15: expected 'dim', found 'basis'"),
+    ("dialgebra A { dim", "line 1, column 18: expected dimension, found end of input"),
+    ("dialgebra A { dim 1/2", "line 1, column 19: expected dimension, found '1/2'"),
+    ("dialgebra A { dim 1; basis e1; param a =", "line 1, column 41: expected rational, found end of input"),
+    ("dialgebra A { dim 1; basis e1; param a = x", "line 1, column 42: expected rational, found 'x'"),
+])
+def test_expected_token_messages_name_what_was_found(text, message):
+    """A punctuation mark, a name, a keyword, an integer and a rational, each
+    missing at the end of input and each met by another token."""
+    with pytest.raises(DslError) as exc:
+        parse(text)
+    assert str(exc.value) == f"syntax error at {message}"

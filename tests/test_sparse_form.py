@@ -12,16 +12,19 @@ cohomology report give the same answers.
 import importlib
 import pkgutil
 import random
+from fractions import Fraction
 from itertools import product
 
 import bihom
 from bihom.algebra import (
     BiHomDialgebra,
+    _twisted_products,
+    apply_table,
     assoc_readings,
     catalog,
     from_differential_algebra,
 )
-from bihom.cohomology import HochschildCochain, TreeCochain, cohomology_report, dialg_coboundary, hoch_coboundary
+from bihom.cohomology import HochschildCochain, TreeCochain, _Complex, cohomology_report, dialg_coboundary, hoch_coboundary
 from bihom.deformation import base_change_pullback, zero_deformation
 from bihom.derivations import (
     BiDegree,
@@ -68,6 +71,59 @@ def test_sparse_form_matches_the_dense_tables():
             assert cols == tuple(_support(M.col(a)) for a in range(A.dim)), A.name
         kinds.add(type(A).__name__)
     assert kinds == {"BiHomDialgebra", "BiHomAssociativeAlgebra"}
+
+
+def _random_map(rng, m):
+    """An m x m map with rational entries over denominators 3 and 7, about half of them zero."""
+    return Mat(m, m, [Fraction(rng.randint(-4, 4), rng.choice((3, 7))) if rng.random() < 0.5 else 0
+                      for _ in range(m * m)])
+
+
+def test_twisted_products_equal_the_dense_products():
+    """`_twisted_products` gives (L e_a) o (R e_b) as `apply_table` does,
+    twisted on the left, on the right and on both sides, on Fractions, and
+    on integers from 0 when the cells and columns are integers."""
+    rng = random.Random(2424)
+    cases = 0
+    for entry in catalog().values():
+        for binding in _bindings(entry, rng)[:3]:
+            A = entry.build(**binding)
+            m, one = A.dim, Mat.identity(A.dim)
+            L, R = _random_map(rng, m), _random_map(rng, m)
+            lc, rc = ([_support(M.col(a)) for a in range(m)] for M in (L, R))
+            for op, cells in A.cells.items():
+                for left, right, Ld, Rd in ((lc, None, L, one), (None, rc, one, R), (lc, rc, L, R)):
+                    got = _twisted_products(cells, left, right)
+                    for a, b in product(range(m), repeat=2):
+                        assert got[a][b] == _support(apply_table(A.table(op), Ld.col(a), Rd.col(b))), (A.name, op)
+                        cases += 1
+            # the complex's integer form: cells and twist columns times the lcm of their denominators
+            cx = _Complex(A, TreeCochain)
+            (phi, psi), ints = cx.twists, cx.cells
+            for op, cells in ints.items():
+                table = [[[0] * m for _ in range(m)] for _ in range(m)]
+                for a, b in product(range(m), repeat=2):
+                    for k, c in cells[a][b]:
+                        table[a][b][k] = c
+                dense = [[[0] * m for _ in range(m)] for _ in (phi, psi)]
+                for M, cols in zip(dense, (phi, psi)):
+                    for a, col in enumerate(cols):
+                        for k, c in col:
+                            M[a][k] = c
+                got = _twisted_products(cells, phi, psi, 0)
+                for a, b in product(range(m), repeat=2):
+                    assert all(type(c) is int for _, c in got[a][b])
+                    assert got[a][b] == _support(apply_table(table, dense[0][a], dense[1][b])), (A.name, op)
+                    cases += 1
+    assert cases == 3 * 2 * 4 * (4 * 2**2 + 5 * 3**2)  # bindings, products, four tables, families by m^2
+
+
+def test_twist_rows_are_written_once():
+    import bihom.algebra
+    import bihom.cohomology
+    import bihom.derivations
+
+    assert bihom.cohomology._compat_rows is bihom.derivations._compat_rows is bihom.algebra._compat_rows
 
 
 def _random_cochain(cls, rng, degree, dim):
