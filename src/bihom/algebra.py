@@ -50,7 +50,7 @@ from itertools import chain, product
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from bihom.scalars import Mat, ZERO, ONE, q
+from bihom.scalars import Mat, ZERO, ONE, _scaled, q
 from bihom.trees import DASHV, VDASH
 
 Vec = tuple[Fraction, ...]
@@ -260,7 +260,7 @@ class BiHomDialgebra:
 
     def twist_power(self, k: int, l: int) -> Mat:
         """phi^k psi^l as one matrix; the two maps are used commuting."""
-        return self.phi.power(k) @ self.psi.power(l)
+        return self.phi.power(k) @ self.psi.power(l) if k and l else self.psi.power(l) if l else self.phi.power(k)
 
     def e(self, i: int) -> Vec:
         return basis_vec(self.dim, i)
@@ -360,27 +360,31 @@ def _twisted_products(cells: Cells, left=None, right=None, zero=ZERO) -> Cells:
     return cells
 
 
-def _law_residuals(A: BiHomDialgebra, orders=None) -> dict[str, Callable[[int, int, int], Vec]]:
+def _law_residuals(A: BiHomDialgebra, orders: Sequence = (), n: int = 0) -> dict[str, Callable[[int, int, int], Vec]]:
     """law -> ((i, j, k) -> law_residual(A, law, e_i, e_j, e_k)), read from
-    A's sparse form.  With `orders`, the residual is summed over its (outer,
-    inner) pairs of products, each a map from product name to cells, in
-    place of (A.cells, A.cells).  Per outer product, R[p][k] = e_p o psi(e_k)
-    and L[i][q] = -(phi(e_i) o e_q) are tabulated once per call."""
-    m, (phi, psi) = A.dim, A.twist_cols
-    neg_phi = [tuple((s, -d) for s, d in col) for col in phi]
+    A's sparse form; with `orders`, cells per order, the order-n residual over
+    outer order i and inner n - i.  All cells and twist columns are scaled by
+    one D, R[p][k] = e_p o psi(e_k) and L[i][q] = -(phi(e_i) o e_q) tabulated
+    once per order and outer product on integers, and each output coordinate
+    is one Fraction over D^3, a term being three scaled entries."""
+    m, orders = A.dim, orders or [A.cells]
+    D, ints = _scaled([c for cells in orders for t in cells.values() for r in t for c in r] + [*chain(*A.twist_cols)])
+    den, orders = D**3, [{op: [[next(ints) for _ in range(m)] for _ in range(m)] for op in cells} for cells in orders]
+    phi, psi = ([next(ints) for _ in range(m)] for _ in range(2))
+    zero, neg_phi = zero_vec(m), [tuple((s, -d) for s, d in col) for col in phi]
     tables = [(
-        {op: _twisted_products(c, None, psi) for op, c in outer.items()},
-        {op: _twisted_products(c, neg_phi) for op, c in outer.items()},
-        inner,
-    ) for outer, inner in orders or [(A.cells, A.cells)]]
+        {op: _twisted_products(orders[i][op], None, psi, 0) for op in orders[i]},
+        {op: _twisted_products(orders[i][op], neg_phi, None, 0) for op in orders[i]},
+        orders[n - i],
+    ) for i in range(n + 1)]
 
     def residual(law: str) -> Callable[[int, int, int], Vec]:
         (outer_l, inner_l), (outer_r, inner_r) = DIALGEBRA_LAWS[law]
         parts = [(right[outer_l], left[outer_r], inner[inner_l], inner[inner_r]) for right, left, inner in tables]
-        return lambda i, j, k: tuple(_combine(m, chain(
+        return lambda i, j, k: tuple(Fraction(s, den) if s else ZERO for s in acc) if any(acc := _combine(m, chain(
             ((c, R[p][k]) for R, _, il, _ in parts for p, c in il[i][j]),
             ((c, L[i][qq]) for _, L, _, ir in parts for qq, c in ir[j][k]),
-        )))
+        ), 0)) else zero
 
     return {law: residual(law) for law in DIALGEBRA_LAWS}
 

@@ -75,12 +75,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
-    Sparse,
     Vec,
     _combine,
     _compat_rows,
@@ -92,7 +91,7 @@ from bihom.algebra import (
     vec_add,
     zero_vec,
 )
-from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, _over_lcm, nullspace_rows, q, span_rows
+from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, _over_lcm, _scaled, nullspace_rows, q, span_rows
 from bihom.trees import Tree, face_layout, tree_index, trees
 
 
@@ -323,14 +322,7 @@ def _expand(supports: Sequence[list], m: int, coef):
             c *= x
             a = a * m + ci
         terms.append((a * m, c))
-    return terms
-
-
-def _scaled(vectors: Sequence[Sparse]) -> tuple[int, Iterator[tuple[tuple[int, int], ...]]]:
-    """(D, the vectors times D, one by one): sparse vectors on integers, D the lcm of their denominators."""
-    D, [(_, flat)] = _over_lcm([((), [c for v in vectors for _, c in v])])
-    values = iter(flat)
-    return D, (tuple([(k, next(values)) for k, _ in v]) for v in vectors)
+    return tuple(terms)
 
 
 def _coboundary_blocks(cx: _Complex, n: int) -> dict[tuple[int, str], dict[int, tuple]]:
@@ -373,7 +365,7 @@ def _coboundary_blocks(cx: _Complex, n: int) -> dict[tuple[int, str], dict[int, 
     tables: dict[tuple[int, str], dict[int, tuple]] = {}
     for name, cells in cx.cells.items():
         # the nonzero columns [P e_x o e_j] and, signed, [e_j o Q e_x], as (j, column)
-        pe, eq = _twisted_products(cells, P, None, 0), _twisted_products(cells, None, Q, 0)
+        pe, eq = (_twisted_products(cells, *M, 0) if n > 1 else cells for M in ((P, None), (None, Q)))
         left = [[(j, col) for j, col in enumerate(pe[x]) if col] for x in range(m)]
         right = [[(j, [(k, last_sign * c) for k, c in eq[j][x]]) for j in range(m) if eq[j][x]] for x in range(m)]
         live_cells = [(x, y, cell) for x, line in enumerate(cells) for y, cell in enumerate(line) if cell]
@@ -383,10 +375,7 @@ def _coboundary_blocks(cx: _Complex, n: int) -> dict[tuple[int, str], dict[int, 
             spans = iproduct(iproduct(phi_live, repeat=i - 1), live_cells, iproduct(psi_live, repeat=n - i))
             for pre, (x, y, cell), suf in spans:
                 vecs = [phi_sup[z] for z in pre] + [cell] + [psi_sup[z] for z in suf]
-                terms = _expand(vecs, m, signs[i])  # distinct combos give distinct tuples
-                r = _args_rank(pre + (x, y) + suf, m)
-                for k in range(m):
-                    rows[r * m + k] = tuple((a + k, c) for a, c in terms)
+                rows[_args_rank(pre + (x, y) + suf, m)] = _expand(vecs, m, signs[i])  # distinct combos give distinct tuples
             tables[i, name] = rows
         tables[n + 1, name] = outer(right, False)
     return tables
@@ -486,12 +475,13 @@ class _Complex:
         for faces, ors in self.layout(n):
             tree_rows: list[dict[int, int]] = [{} for _ in range(size * self.X.dim)]
             for i, (f, p) in enumerate(zip(faces, ors)):
-                off = f * size
+                w = self.X.dim if 0 < i <= n else 1
                 for r, row in blocks[i, p].items():
-                    target = tree_rows[r]
-                    for c, v in row:
-                        key = c + off
-                        target[key] = target[key] + v if key in target else v
+                    for k in range(w):
+                        target = tree_rows[r * w + k]
+                        for c, v in row:
+                            key = c + f * size + k
+                            target[key] = target[key] + v if key in target else v
             rows += [{key: Fraction(v, den) for key, v in row.items() if v} for row in tree_rows]
         return rows
 
@@ -502,9 +492,11 @@ class _Complex:
         over d D^n, d the lcm of f's denominators, then divided once."""
         n, m, blocks = f.degree, self.X.dim, self.blocks(f.degree)
         d, scaled = _over_lcm(((t, args), val) for t, group in enumerate(f.groups) for args, val in group)
-        local: list[dict[int, int]] = [{} for _ in f.groups]
+        local, cols = [{} for _ in f.groups], [{} for _ in f.groups]  # per tree: f's coordinates, f(e_args) at rank(args) m
         for (t, args), val in scaled:
-            local[t].update((_args_rank(args, m) * m + k, v) for k, v in enumerate(val) if v)
+            a = _args_rank(args, m) * m
+            local[t].update((a + k, v) for k, v in enumerate(val) if v)
+            cols[t][a] = _sparse(val)
         arg_tuples, den = list(iproduct(range(m), repeat=n + 1)), d * self.D**n
         data: dict = {}
         images: dict[tuple[int, str, int], list[tuple[int, int]]] = {}
@@ -512,8 +504,10 @@ class _Complex:
             acc: dict[int, int] = {}
             for i, (t, p) in enumerate(zip(faces, ors)):
                 if (i, p, t) not in images:
-                    x = local[t]
-                    dots = ((r, sum(c * x[j] for j, c in row if j in x)) for r, row in blocks[i, p].items())
+                    x, xs = local[t], cols[t]
+                    dots = (((r * m + k, s) for r, row in blocks[i, p].items() for k, s in enumerate(
+                        _combine(m, ((c, xs[j]) for j, c in row if j in xs), 0))) if 0 < i <= n else
+                        ((r, sum(c * x[j] for j, c in row if j in x)) for r, row in blocks[i, p].items()))
                     images[i, p, t] = [(r, s) for r, s in dots if s] if x else []
                 for r, s in images[i, p, t]:
                     acc[r] = acc[r] + s if r in acc else s
@@ -549,23 +543,27 @@ class _Complex:
             for a, krow in enumerate(self.kernel(n, scaled=True)[1]):
                 for j, v in krow:
                     by_col.setdefault(j, []).append((a, v))
-            by_row: dict[tuple, int] = {}
+            by_row: tuple[dict, dict] = ({}, {})  # outer and contraction rows -> their restrictions' ids
             by_image: dict[tuple, int] = {(): 0}
             images: list[dict[int, int]] = [{}]
             ids: dict[tuple[int, str], list[int]] = {}
             for key, table in self.blocks(n).items():
                 col = ids[key] = [0] * self.X.dim ** (n + 2)
+                w = self.X.dim if 0 < key[0] <= n else 1
                 for r, row in table.items():
-                    if (rid := by_row.get(row)) is None:
-                        img: dict[int, int] = {}
-                        for j, x in row:
-                            for a, v in by_col.get(j, ()):
-                                img[a] = img[a] + x * v if a in img else x * v
-                        img = {a: v for a, v in img.items() if v}
-                        rid = by_row[row] = by_image.setdefault(tuple(sorted(img.items())), len(images))
-                        if rid == len(images):
-                            images.append(img)
-                    col[r] = rid
+                    if (rids := by_row[w > 1].get(row)) is None:
+                        rids = []
+                        for k in range(w):
+                            img: dict[int, int] = {}
+                            for j, x in row:
+                                for a, v in by_col.get(j + k, ()):
+                                    img[a] = img[a] + x * v if a in img else x * v
+                            img = {a: v for a, v in img.items() if v}
+                            rids.append(rid := by_image.setdefault(tuple(sorted(img.items())), len(images)))
+                            if rid == len(images):
+                                images.append(img)
+                        rids = by_row[w > 1][row] = tuple(rids)
+                    col[r * w : r * w + w] = rids
             self._restricted[n] = ids, images
             del self._blocks[n]
         return self._restricted[n]

@@ -54,7 +54,7 @@ from bihom.algebra import (
     zero_vec,
 )
 from bihom.cohomology import TreeCochain, dialg_coboundary
-from bihom.operad import _signed_sum, circle, pi_element
+from bihom.operad import circle_square, pi_element
 from bihom.scalars import Mat, solve_rows
 from bihom.trees import DASHV, PRODUCT_FOR_TREE, VDASH, trees
 
@@ -171,7 +171,7 @@ def deformation_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     if not 0 <= n <= defm.order:
         raise ValueError(f"order {n} out of range 0..{defm.order}")
     base, m, cells = defm.base, defm.base.dim, _order_cells(defm, n)
-    residuals = _law_residuals(base, [(cells[i], cells[n - i]) for i in range(n + 1)])
+    residuals = _law_residuals(base, cells, n)
     return TreeCochain._trusted(3, m, {
         (t, abc): residuals[law](*abc) for t, law in enumerate(LAW_FOR_TREE) for abc in iproduct(range(m), repeat=3)})
 
@@ -180,7 +180,7 @@ def operadic_residual(defm: TruncatedDeformation, n: int) -> TreeCochain:
     """sum_{i+j=n} pi_i o pi_j through the operad's circle product."""
     if not 0 <= n <= defm.order:
         raise ValueError(f"order {n} out of range 0..{defm.order}")
-    return _signed_sum(3, defm.base.dim, ((1, circle(defm.base, defm.term(i), defm.term(n - i))) for i in range(n + 1)))
+    return circle_square(defm.base, defm.terms, n)
 
 
 def displayed_family_residuals(defm: TruncatedDeformation, n: int) -> dict[str, TreeCochain]:

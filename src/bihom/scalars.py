@@ -50,7 +50,14 @@ def _over_lcm(pairs):
     """(D, [(key, v * D)]): D the lcm of the values' denominators, each v * D a tuple of ints."""
     pairs = [(a, [c.as_integer_ratio() for c in v]) for a, v in pairs]
     D = lcm(*{d for _, v in pairs for _, d in v})
-    return D, [(a, tuple(x * (D // d) for x, d in v)) for a, v in pairs]
+    return D, [(a, tuple([x * (D // d) for x, d in v])) for a, v in pairs]
+
+
+def _scaled(vectors):
+    """(D, the vectors times D, one by one): sparse vectors on integers, D the lcm of their denominators."""
+    D, [(_, flat)] = _over_lcm([((), [c for v in vectors for _, c in v])])
+    values = iter(flat)
+    return D, (tuple([(k, next(values)) for k, _ in v]) for v in vectors)
 
 
 class Mat:

@@ -49,8 +49,8 @@ from bihom.cohomology import (
     dialg_coboundary_rows,
     hoch_coboundary_rows,
 )
-from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, nullspace_rows
-from bihom.operad import partial_composition
+from bihom.scalars import ONE, ZERO, Mat, Subspace, _Eliminator, nullspace_rows
+from bihom.operad import _scale, partial_composition
 from bihom.trees import DASHV, face, orientations, r0, ri, tree_index, trees
 
 # the ten smallest primes above 10**6
@@ -357,6 +357,23 @@ def compose(A: BiHomDialgebra, f: TreeCochain, factors, sign: int = 1) -> TreeCo
             if not is_zero_vec(val):
                 data[(yi, b)] = val if sign == 1 else tuple(sign * v for v in val)
     return TreeCochain(N, dim, data)
+
+
+def compose_form(call, f, factors, sign: int = 1):
+    """`compose` in the integer form that `bihom.operad._compose` takes and
+    returns, so a test can put it in `_compose`'s place: each form (degree,
+    one denominator per tree, data on ints) and each scaled twist (d, rows
+    of d T) is turned back into Fractions, `compose` evaluates the rule, and
+    its answer is scaled again by the operad's own boundary, `_scale`."""
+    def cochain(form):
+        degree, dens, data = form
+        return TreeCochain(degree, call.A.dim, {key: tuple(Fraction(x, dens[key[0]]) for x in v) for key, v in data.items()})
+
+    def twist(T):
+        return None if T is None else Mat.from_rows([[Fraction(x, T[0]) for x in row] for _, row in T[1]])
+
+    out = compose(call.A, cochain(f), [(None if g is None else cochain(g), twist(T)) for g, T in factors], sign)
+    return _scale(out.degree, out.data)
 
 
 # -- signed sums as chains of cochain additions, and the residual law by law ---

@@ -388,13 +388,16 @@ def test_composition_commands_replay_the_pinned_fixtures():
     trivialize obstructed on trivialize_stuck.dlg and trivialize at order
     4 on deform_rational.dlg, two orders past its terms, then derive in
     all four variants on alg3_1_rational.dlg and on Ex43 reading A, whose
-    phi and psi differ, and verify on both files: exit code and stdout,
-    text and --json, against tests/fixtures/compositions, whose
+    phi and psi differ, and verify on both files, then deform (failing at
+    order 2, with a residual over 81 whose numerator passes 2^140),
+    trivialize and operad-check on deform_bigint.dlg, whose binding and
+    terms have denominators 7 and 9 and numerators past 2^70: exit code
+    and stdout, text and --json, against tests/fixtures/compositions, whose
     commands.txt lines read "fixture-name exit-code cli-arguments"."""
     pinned = "tests/fixtures/compositions"
     with open(f"{pinned}/commands.txt", encoding="utf-8") as fh:
         commands = [line.split() for line in fh if line.strip()]
-    assert len(commands) == 30
+    assert len(commands) == 33
     for name, code, *args in commands:
         for ext, flag in (("txt", []), ("json", ["--json"])):
             r = run(*args, *flag)

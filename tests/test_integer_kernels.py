@@ -2,9 +2,11 @@
 rationals, and the route that builds computed cochains without re-checking
 them.
 
-`operad._compose` accumulates on integers over one denominator per operand
-and divides once per output coordinate; `deformation_residual` reads the
-products from the terms' values.  The cochain complex scales the structure
+Each operad entry point scales its inputs once to an integer form, one
+denominator per tree, composes and sums on integers (`operad._compose`,
+`operad._signed_sum`) and builds one cochain at the end;
+`deformation_residual` reads the products from the terms' values over one
+denominator.  The cochain complex scales the structure
 once by the lcm of its denominators and builds delta's block tables, the
 compatibility rows and the restrictions on integers.  All must give exactly
 the values, the key order and the `Fraction` type of the references in
@@ -81,11 +83,12 @@ def calls(A, f1, f2, f3, g2):
 
 def assert_exact(monkeypatch, cases, label):
     """Library output against the reference, with every composition in the
-    reference run through the eval-based loop `oracles.compose`."""
+    reference run through the eval-based loop `oracles.compose`, put in
+    `_compose`'s place by the integer-form shim `oracles.compose_form`."""
     for name, got, want in cases:
         got = got()
         with monkeypatch.context() as patched:
-            patched.setattr(bihom.operad, "_compose", oracles.compose)
+            patched.setattr(bihom.operad, "_compose", oracles.compose_form)
             want = want()
         assert (got.degree, got.dim) == (want.degree, want.dim), (label, name)
         assert list(got.data.items()) == list(want.data.items()), (label, name)
@@ -112,6 +115,39 @@ def test_a_slot_whose_contributions_cancel_drops_its_key(monkeypatch):
     assert got.data[(0, (1, 0))] == (Fraction(5, 99), Fraction(-13, 54))
     assert_exact(monkeypatch, [("partial_composition", lambda: got, lambda: partial_composition(A, f, 1, g))],
                  "cancel")
+
+
+def test_each_call_builds_one_cochain_and_scales_each_input_once(monkeypatch):
+    """Inside bracket, braces, gamma and operadic_residual no intermediate
+    goes through Fractions: one TreeCochain is built per call, and
+    `_over_lcm` runs once per distinct input, each cochain (and pi for the
+    residual) and each twist read, here phi and psi."""
+    rng = random.Random(11)
+    A = catalog()["Alg3_1"].build(a=Fraction(1, 3), b=1, c=Fraction(BIG + 1, 7), d=Fraction(4, 9), f=2)
+    f, g = hard_cochain(rng, 2, A.dim), hard_cochain(rng, 2, A.dim)
+    defm = TruncatedDeformation(A, [f, g], require_compatible=False)
+    counts = dict.fromkeys(("_trusted", "_over_lcm"), 0)
+    trusted, over_lcm = TreeCochain._trusted.__func__, bihom.operad._over_lcm
+
+    def counting_trusted(cls, *args):
+        counts["_trusted"] += 1
+        return trusted(cls, *args)
+
+    def counting_over_lcm(pairs):
+        counts["_over_lcm"] += 1
+        return over_lcm(pairs)
+
+    monkeypatch.setattr(TreeCochain, "_trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(bihom.operad, "_over_lcm", counting_over_lcm)
+    for name, call, inputs in (
+        ("bracket", lambda: bracket(A, f, g), 4),  # f, g, phi, psi
+        ("braces", lambda: braces(A, f, [g, f]), 4),
+        ("gamma", lambda: gamma(A, f, [g, f]), 4),
+        ("operadic_residual", lambda: operadic_residual(defm, 2), 5),  # pi, pi_1, pi_2, phi, psi
+    ):
+        counts.update(_trusted=0, _over_lcm=0)
+        assert not call().is_zero(), name
+        assert counts == {"_trusted": 1, "_over_lcm": inputs}, name
 
 
 def _refuse(*args, **kwargs):
@@ -190,6 +226,45 @@ def hard_cochain_of(rng, X, degree):
     return HochschildCochain(degree, X.dim, {
         tuple(rng.randrange(X.dim) for _ in range(degree)): tuple(rng.choice(VALUES) for _ in range(X.dim))
         for _ in range(5)})
+
+
+def test_compositions_and_residuals_match_the_references_on_hard_structures(monkeypatch):
+    """bracket, braces with two factors, and both residuals at order 2, on
+    the dialgebras whose products and twists have numerators of 2^70 and
+    more over 3, 7 and 9: the catalog families and the random tables."""
+    rng = random.Random(2026)
+    for name, X in hard_structures():
+        if isinstance(X, BiHomDialgebra):
+            f1, f2, f3, g2 = (hard_cochain(rng, n, X.dim) for n in (1, 2, 3, 2))
+            defm = TruncatedDeformation(X, [f2, g2], require_compatible=False)
+            assert_exact(monkeypatch, [
+                ("bracket", lambda: bracket(X, f2, g2), lambda: oracles.bracket(X, f2, g2)),
+                ("bracket", lambda: bracket(X, f3, f1), lambda: oracles.bracket(X, f3, f1)),
+                ("braces", lambda: braces(X, f3, [g2, f1]), lambda: oracles.braces(X, f3, [g2, f1])),
+                ("deformation_residual", lambda: deformation_residual(defm, 2), lambda: oracles.deformation_residual(defm, 2)),
+                ("operadic_residual", lambda: operadic_residual(defm, 2), lambda: oracles.operadic_residual(defm, 2)),
+            ], name)
+
+
+def test_delta_reads_the_contraction_blocks_by_argument_on_random_tables():
+    """On the random tables, as dialgebras and as one-product algebras:
+    `apply_delta` gives delta f and delta delta f as the term-by-term
+    oracle does for n <= 3, and `delta_rows` is, column by column, delta of
+    each unit cochain for n <= 2."""
+    rng = random.Random(2027)
+    for name, X in hard_structures():
+        if name.startswith("random"):
+            cx, ref = _complex_of(X), oracles.dialg_coboundary if isinstance(X, BiHomDialgebra) else oracles.hoch_coboundary
+            for n in (1, 2, 3):
+                f = hard_cochain_of(rng, X, n)
+                df = cx.apply_delta(f)
+                assert list(df.data.items()) == list(ref(X, f).data.items()), (name, n)
+                assert list(cx.apply_delta(df).data.items()) == list(ref(X, df).data.items()), (name, n)
+                if n <= 2:
+                    rows, size = cx.delta_rows(n), cx.cochain_dim(n)
+                    for c in range(size):
+                        unit = cx.cochain.unflatten(n, X.dim, [int(i == c) for i in range(size)])
+                        assert [row.get(c, 0) for row in rows] == list(ref(X, unit).flatten()), (name, n, c)
 
 
 def fractions_only(rows):

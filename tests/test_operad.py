@@ -12,13 +12,14 @@ from fractions import Fraction
 import pytest
 
 from bihom.algebra import (
+    BiHomAssociativeAlgebra,
     BiHomDialgebra,
     catalog,
     check_dialgebra,
     law_residual,
     table_from_entries,
 )
-from bihom.cohomology import TreeCochain, dialg_compatible_space, random_compatible_cochain
+from bihom.cohomology import HochschildCochain, TreeCochain, dialg_compatible_space, random_compatible_cochain
 from bihom.deformation import LAW_FOR_TREE
 from bihom.operad import (
     bracket,
@@ -245,9 +246,49 @@ def composition_cases(A, f1, f2, f3, g2):
     }
 
 
+KIND = "expects a TreeCochain on a BiHomDialgebra, got a"
+
+
+def test_compositions_refuse_a_one_product_cochain_of_degree_two():
+    """circle, bracket, braces and brace_pi_single on a degree-2
+    HochschildCochain raise TypeError at the boundary, not IndexError."""
+    A, f = catalog()["Alg2_2"].build(a=1), TreeCochain(2, 2, {(0, (0, 1)): (1, 0)})
+    h = HochschildCochain(2, 2, {(0, 1): (1, 0)})
+    for name, call in (("circle", lambda: circle(A, h, h)), ("bracket", lambda: bracket(A, f, h)),
+                       ("braces", lambda: braces(A, f, [h])), ("brace_pi_single", lambda: brace_pi_single(A, h))):
+        with pytest.raises(TypeError, match=f"^{name} {KIND} HochschildCochain on a BiHomDialgebra$"):
+            call()
+
+
+def test_dot_and_gamma_direct_refuse_a_one_product_cochain_of_degree_one():
+    """A degree-1 HochschildCochain was accepted and read as a tree cochain."""
+    A, f = catalog()["Alg2_2"].build(a=1), TreeCochain(2, 2, {(0, (0, 1)): (1, 0)})
+    h = HochschildCochain(1, 2, {(0,): (1, 0)})
+    for name, call in (("dot", lambda: dot(A, h, f)), ("gamma_direct", lambda: gamma_direct(A, f, [h, h]))):
+        with pytest.raises(TypeError, match=f"^{name} {KIND} HochschildCochain on a BiHomDialgebra$"):
+            call()
+
+
+def test_circle_refuses_a_one_product_algebra():
+    A = catalog()["Alg2_2"].build(a=1)
+    B, f = BiHomAssociativeAlgebra(2, A.dashv, A.phi, A.psi), TreeCochain(2, 2, {(0, (0, 1)): (1, 0)})
+    with pytest.raises(TypeError, match=f"^circle {KIND} TreeCochain on a BiHomAssociativeAlgebra$"):
+        circle(B, f, f)
+
+
+def test_braces_with_no_factors_checks_the_cochain_dimension():
+    """braces(A, f, []) returns f itself, after the same check as any other call."""
+    A = catalog()["Alg2_2"].build(a=1)
+    with pytest.raises(ValueError, match="cochain dimension mismatch"):
+        braces(A, identity_element(3), [])
+    f = pi_element(A)
+    assert braces(A, f, []) is f
+
+
 def assert_matches_reference(monkeypatch, cases, label):
     """Every call's output equals the same call with `_compose` replaced
-    by the eval-based reference loop, in data and in key order."""
+    by the eval-based reference loop (through `oracles.compose_form`, which
+    takes and returns `_compose`'s integer form), in data and in key order."""
     import bihom.operad
 
     for name, calls in cases.items():
@@ -255,7 +296,7 @@ def assert_matches_reference(monkeypatch, cases, label):
         for args in calls:
             got = fn(*args)
             with monkeypatch.context() as patched:
-                patched.setattr(bihom.operad, "_compose", oracles.compose)
+                patched.setattr(bihom.operad, "_compose", oracles.compose_form)
                 want = fn(*args)
             assert (got.degree, got.dim) == (want.degree, want.dim), (label, name)
             assert list(got.data.items()) == list(want.data.items()), (label, name)
