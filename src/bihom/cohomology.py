@@ -49,24 +49,24 @@ mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
 tree, repeated per tree, and its canonical basis G is the shifted copies
 of K_n's.  Its rows, the twist rows of `bihom.algebra`, expand f(M b)
 slot by slot, each argument extending its prefix's expansion by one
-twist column; a b whose prefix M kills gives one-entry rows.  K_n is
-held with its integer form, K_n times the lcm of its denominators, built
-once per degree, and each distinct block row is restricted to that form
-once, so every restriction of a degree carries one common factor, which
-ranks, pivots, kernels, spans and containment do not see.  Combined
-through the face offsets these give delta^n . G, of rank r_n, so that
-dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  Its one-entry rows come
-first, found from the classes of restrictions without building a row;
-only rows touching a column none covers are built, restricted to those
-columns.  With a unit row per covered column they span delta^n . G, as
-a row differs from its restriction only on covered columns; r_n, Z^n,
-B^n and containment all read them.  B^n is spanned by delta of the rows
-of G_(n-1) at their pivot columns, and lies in Z^n exactly when each
-image lies in C^n, tree by tree, and is killed by the rows.  The
-canonical Z^n is G . ker of the rows: G's rows have unit pivots no
-other row touches, so reduced rows lift to reduced rows.  Nothing is
-eliminated over all of a degree's coordinates; `tests/oracles.py` keeps
-that route, and every row of delta^n . G, as the references.
+twist column; a b whose prefix M kills gives one-entry rows.  Once per
+degree, `restricted` restricts each distinct block row to K_n times the
+lcm of its denominators, a factor no rank, pivot, kernel, span or
+containment sees, and sorts the local output rows into classes that read
+one restriction under every (block, product).  On an output tree, a
+class's restrictions, offset by face, give a row of delta^n . G, of rank
+r_n: dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  Its one-entry rows
+come first, found from the classes without building a row; only rows
+touching a column none covers are built, restricted to those columns.
+With a unit row per covered column they span delta^n . G, as a row
+differs from its restriction only on covered columns; r_n, Z^n, B^n and
+containment all read them.  B^n is spanned by delta of the rows of
+G_(n-1) at their pivot columns, and lies in Z^n exactly when each image
+lies in C^n, tree by tree, and is killed by the rows.  The canonical Z^n
+is G . ker of the rows: G's rows have unit pivots no other row touches,
+so reduced rows lift to reduced rows.  Nothing is eliminated over all of
+a degree's coordinates; `tests/oracles.py` keeps that route, and every
+row of delta^n . G, as the references.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
@@ -420,17 +420,26 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
 # -- one complex: compatible cochains, cocycles, coboundaries, cohomology -------
 
 
+class _Restrictions(NamedTuple):
+    """One degree's block tables of delta^n on K_n, by row class; see `_Complex.restricted`."""
+    keys: tuple  # (block, product) of each table, in table order
+    row_class: list  # the class of each local output row
+    classes: list  # per class, its restriction id under each key
+    images: list  # the distinct restrictions by id, id 0 the zero row
+    content: dict  # sorted items of each restriction -> its id
+    kernel: tuple  # K_n's integer form (d, d K_n)
+
+
 class _Complex:
     """The cochain complex of one structure, degree by degree, in
     compatible coordinates.
 
     The tree complex of a dialgebra indexes degree-n cochains by the trees
     of Y_n; the one-product complex of an algebra is its one-tree case.
-    The compatible block K_n of one tree and the block tables of delta^n
-    restricted to it are built once per degree and shared by every space
-    asked of the complex.  The block tables are kept per degree for
-    `delta_rows` and `apply_delta`; `restricted` releases those it reads.
-    K_n and the tables read `cells` and `twists`, the structure's sparse form times D."""
+    K_n and the restrictions of delta^n's block tables to it are built once
+    per degree and shared by every space asked of the complex.  The tables
+    are kept for `delta_rows` and `apply_delta`; `restricted` releases those
+    it reads.  All read `cells` and `twists`, the structure's sparse form times D."""
 
     def __init__(self, X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain]):
         structure = BiHomDialgebra if cochain is TreeCochain else BiHomAssociativeAlgebra
@@ -443,8 +452,8 @@ class _Complex:
         self.cells = {op: [[next(ints) for _ in range(m)] for _ in range(m)] for op in X.cells}
         self.twists = [[next(ints) for _ in range(m)] for _ in range(2)]
         self._blocks: dict[int, dict[tuple[int, str], dict[int, tuple]]] = {}
-        self._kernel: dict[int, list] = {}  # degree -> [K_n, its integer form once read]
-        self._restricted: dict[int, tuple[dict[tuple[int, str], list[int]], list[dict]]] = {}
+        self._kernel: dict[int, list] = {}
+        self._restricted: dict[int, _Restrictions] = {}
         self._singletons: dict[int, tuple[list[dict], _Eliminator]] = {}
 
     def cochain_dim(self, n: int) -> int:
@@ -517,36 +526,30 @@ class _Complex:
                 data.setdefault(key, [ZERO] * m)[k] = Fraction(acc[r], den) if acc[r] else ZERO
         return self.cochain._trusted(n + 1, m, {key: tuple(val) for key, val in data.items()})
 
-    def kernel(self, n: int, scaled: bool = False) -> tuple:
-        """K_n: the canonical basis of one tree's compatible cochains, over
-        its m^(n+1) local coordinates.  No compatibility row mixes trees,
-        and equal twists give their rows once.  With `scaled`, K_n's integer
-        form (d, d K_n) instead, d the lcm of its denominators, built once."""
+    def kernel(self, n: int) -> list:
+        """K_n, the canonical basis of one tree's compatible cochains over its
+        m^(n+1) coordinates, once per degree; equal twists give rows once."""
         if n not in self._kernel:
             rows = _compat_rows(self.twists[:1] if self.X.phi == self.X.psi else self.twists, n, self.D)
-            self._kernel[n] = [nullspace_rows(rows, self.X.dim ** (n + 1)).sparse_rows(), None]
-        if scaled and (entry := self._kernel[n])[1] is None:
-            d, ints = _scaled(entry[0])
-            entry[1] = d, list(ints)
-        return self._kernel[n][scaled]
+            self._kernel[n] = nullspace_rows(rows, self.X.dim ** (n + 1)).sparse_rows()
+        return self._kernel[n]
 
-    def restricted(self, n: int) -> tuple[dict[tuple[int, str], list[int]], list[dict]]:
-        """The block tables of delta^n composed with K_n, on integers.
-
-        Returns, per (block, product), the id of each local output row's
-        restriction, and the distinct restrictions by id, interned by
-        content: a restriction maps row a of K_n to the row's value on it,
-        times D^n d, d the lcm of K_n's denominators.  Id 0 is the zero row.
-        """
+    def restricted(self, n: int) -> _Restrictions:
+        """The block tables of delta^n composed with K_n, on integers, as one
+        record per degree: a restriction maps row a of K_n to a block row's
+        value on it, times D^n d, d the lcm of K_n's denominators, and rows
+        reading the same restriction under every key form a class.  The
+        per-key id columns and the block tables read are released."""
         if n not in self._restricted:
+            d, ints = _scaled(self.kernel(n))
             by_col: dict[int, list[tuple[int, int]]] = {}
-            for a, krow in enumerate(self.kernel(n, scaled=True)[1]):
+            for a, krow in enumerate(K := list(ints)):
                 for j, v in krow:
                     by_col.setdefault(j, []).append((a, v))
             by_row: tuple[dict, dict] = ({}, {})  # outer and contraction rows -> their restrictions' ids
             by_image: dict[tuple, int] = {(): 0}
             images: list[dict[int, int]] = [{}]
-            ids: dict[tuple[int, str], list[int]] = {}
+            ids: dict[tuple[int, str], list[int]] = {}  # per key, each local output row's id, while building
             for key, table in self.blocks(n).items():
                 col = ids[key] = [0] * self.X.dim ** (n + 2)
                 w = self.X.dim if 0 < key[0] <= n else 1
@@ -564,7 +567,9 @@ class _Complex:
                                 images.append(img)
                         rids = by_row[w > 1][row] = tuple(rids)
                     col[r * w : r * w + w] = rids
-            self._restricted[n] = ids, images
+            index: dict[tuple[int, ...], int] = {}
+            row_class = [index.setdefault(cls, len(index)) for cls in zip(*ids.values())]
+            self._restricted[n] = _Restrictions(tuple(ids), row_class, list(index), images, by_image, (d, K))
             del self._blocks[n]
         return self._restricted[n]
 
@@ -578,18 +583,14 @@ class _Complex:
         """The distinct nonzero rows of delta^n . G on the output trees of
         `layout`, G the canonical basis of C^n, over the coordinates
         t * dim K_n + a of row a of K_n on tree t, on integers as the
-        restrictions are.  Output coordinates that read the same restrictions
-        give the same row on every tree, so each tree combines one row per
-        class of them."""
-        dK, (ids, images) = len(self.kernel(n)), self.restricted(n)
-        images = list(images)  # then sums of them, numbered on by content
-        content = {tuple(sorted(img.items())): rid for rid, img in enumerate(images)}
-        classes = dict.fromkeys(zip(*ids.values()))
-        pos = {key: s for s, key in enumerate(ids)}
+        restrictions are: each tree combines one row per class."""
+        dK, rec = len(self.kernel(n)), self.restricted(n)
+        images, content = list(rec.images), dict(rec.content)  # then sums of them, numbered on by content
+        pos = {key: s for s, key in enumerate(rec.keys)}
         rows: dict[tuple[tuple[int, int], ...], None] = {}
         for faces, ors in layout:
             sel = [(pos[i, p], f * dK) for i, (f, p) in enumerate(zip(faces, ors))]
-            for cls in classes:
+            for cls in rec.classes:
                 key: dict[int, int] = {}  # a row is one image per face, so equal rows have equal keys
                 for off, rid in sorted((off, cls[s]) for s, off in sel if cls[s]):
                     if off in key:  # blocks reading one face add up
@@ -603,17 +604,17 @@ class _Complex:
 
     def singletons(self, n: int) -> tuple[list[dict[int, int]], _Eliminator]:
         """The singleton pass over delta^n . G, once per degree.  A class whose
-        live restrictions all sit in one block gives, on every output tree, a
+        live restrictions sit in one block gives, on every output tree, a
         one-entry row at that block's face wherever its restriction has one
-        entry; those columns are covered, with no row built.  Returns a unit
-        row per covered column, then the rows touching any other column
-        restricted to those columns, and the rows' elimination: the rows,
-        on integers, span delta^n . G, and the pivots are its pivot columns."""
+        entry, covering that column with no row built.  Returns a unit row per
+        covered column, then the rows touching any other column restricted to
+        those, and their elimination: on integers, they span delta^n . G and
+        the pivots are its pivot columns."""
         if n not in self._singletons:
-            dK, (ids, images), layout = len(self.kernel(n)), self.restricted(n), self.layout(n)
-            single, support = ({key: set() for key in ids} for _ in range(2))
-            for cls in dict.fromkeys(zip(*ids.values())):
-                live = [(key, images[rid]) for key, rid in zip(ids, cls) if rid]
+            dK, rec, layout = len(self.kernel(n)), self.restricted(n), self.layout(n)
+            single, support = ({key: set() for key in rec.keys} for _ in range(2))
+            for cls in rec.classes:
+                live = [(key, rec.images[rid]) for key, rid in zip(rec.keys, cls) if rid]
                 one_block = len({i for (i, _), _ in live}) == 1
                 for key, img in live:
                     support[key].update(img)
@@ -652,23 +653,21 @@ class _Complex:
     def images(self, n: int) -> list[dict[int, int]]:
         """A basis of B^n: delta of the rows of G_(n-1) at the pivot columns
         of delta^(n-1) . G_(n-1), which row operations keep independent and
-        spanning.  Row a of K_(n-1) on tree t is pushed through the restricted
-        block tables, as integers, and shifted to every output tree whose
-        block reads t."""
+        spanning.  Row a of K_(n-1) on tree t is pushed through the row
+        classes, as integers, to every output tree whose block reads t."""
         if n == 1:
             return []
-        ids, images = self.restricted(n - 1)
-        dK, size = len(self.kernel(n - 1)), self.X.dim ** (n + 1)
+        dK, rec, size = len(self.kernel(n - 1)), self.restricted(n - 1), self.X.dim ** (n + 1)
         picked = [divmod(c, dK) for c in sorted(self.singletons(n - 1)[1].pivots)]
         if not picked:
             return []
         wanted = {a for _, a in picked}
-        kept = [[(a, v) for a, v in img.items() if a in wanted] for img in images]
-        pushed = {key: {a: {} for a in wanted} for key in ids}
-        for key, col in ids.items():
-            for r, rid in enumerate(col):
-                for a, v in kept[rid]:
-                    pushed[key][a][r] = v
+        kept = [[(a, v) for a, v in img.items() if a in wanted] for img in rec.images]
+        pushed = {key: {a: {} for a in wanted} for key in rec.keys}
+        sinks = [[(pushed[key][a], v) for key, rid in zip(rec.keys, cls) for a, v in kept[rid]] for cls in rec.classes]
+        for r, c in enumerate(rec.row_class):
+            for sink, v in sinks[c]:
+                sink[r] = v
         out: dict[tuple[int, int], dict[int, int]] = {ta: {} for ta in picked}
         for y, (faces, ors) in enumerate(self.layout(n - 1)):
             for i, (t, p) in enumerate(zip(faces, ors)):
@@ -689,7 +688,7 @@ class _Complex:
         nonzero ambient coordinates, at any common scale: it is a cocycle
         when it lies in K_n's span on every tree, and its G-coordinates, read
         at K_n's pivots, are killed by the rows of `singletons`."""
-        (d, K), size = self.kernel(n, scaled=True), self.X.dim ** (n + 1)
+        (d, K), size = self.restricted(n).kernel, self.X.dim ** (n + 1)
         rows, _ = self.singletons(n)
         at = {row[0][0]: a for a, row in enumerate(K)}
         by_col: dict[int, list[tuple[int, int]]] = {}

@@ -95,9 +95,9 @@ class DerivationSpace:
     """Solution space of one variant at one bidegree.
 
     `solutions` lives over the stacked unknown vector.  `rows` is the
-    eliminated system in assembly order, each row its nonzero (column,
-    value) pairs by column, kept so the space can be re-checked or handed
-    to an independent solver; `system` is the same rows as a dense matrix.
+    eliminated system's nonempty rows in assembly order, each its nonzero
+    (column, value) pairs by column, kept so the space can be re-checked or
+    handed to an independent solver; `system` is them as a dense matrix.
     """
 
     variant: str
@@ -110,7 +110,8 @@ class DerivationSpace:
     @property
     def system(self) -> Mat:
         ncols = self.solutions.ambient_dim
-        return Mat.from_rows([[r.get(j, ZERO) for j in range(ncols)] for r in map(dict, self.rows)])
+        dense = [[r.get(j, ZERO) for j in range(ncols)] for r in map(dict, self.rows)]
+        return Mat.from_rows(dense) if dense else Mat.zeros(0, ncols)
 
     @property
     def components(self) -> int:
@@ -191,7 +192,7 @@ def _space(
     return DerivationSpace(
         variant=variant,
         bidegree=deg,
-        rows=tuple(tuple(sorted(r.items())) for r in rows),
+        rows=tuple(tuple(sorted(r.items())) for r in rows if r),
         solutions=nullspace_rows(rows, ncols),
         algebra_dim=A.dim,
         spec=spec,

@@ -49,7 +49,7 @@ from operator import add, mul
 from bihom.algebra import BiHomDialgebra, _combine, basis_vec
 from bihom.cohomology import TreeCochain, _check_kind
 from bihom.scalars import ZERO, _over_lcm
-from bihom.trees import orientations, retraction_layout, trees
+from bihom.trees import PRODUCT_FOR_TREE, retraction_layout, trees
 
 
 def identity_element(dim: int) -> TreeCochain:
@@ -58,8 +58,8 @@ def identity_element(dim: int) -> TreeCochain:
 
 
 def _pi_data(A: BiHomDialgebra) -> dict:
-    """e_i op e_j at (t, (i, j)) for each nonzero cell, op the product tree t's leaf orientation selects."""
-    return {(t, (i, j)): A.table(op)[i][j] for t, op in enumerate(orientations(y)[1] for y in trees(2))
+    """e_i op e_j at (t, (i, j)) for each nonzero cell, op the product tree t carries."""
+    return {(t, (i, j)): A.table(op)[i][j] for t, op in enumerate(PRODUCT_FOR_TREE)
             for i, line in enumerate(A.cells[op]) for j, cell in enumerate(line) if cell}
 
 

@@ -195,23 +195,16 @@ class Mat:
         return det
 
     def inverse(self) -> Mat | None:
-        """Exact inverse, or None when singular."""
+        """Exact inverse, or None when singular: the reduced rows of [M | I]
+        are [I | M^-1] exactly when no pivot falls past column n - 1."""
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        a = [list(self.row(i)) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return None
-            a[col], a[piv] = a[piv], a[col]
-            inv = ONE / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Mat(n, n, [a[i][n + j] for i in range(n) for j in range(n)])
+        n, elim = self.rows, _Eliminator()
+        elim.add_many({**{j: v for j, v in enumerate(self.row(i)) if v}, n + i: ONE} for i in range(n))
+        cols, rows = elim.rref()
+        if cols and cols[-1] >= n:
+            return None
+        return Mat(n, n, [row.get(n + j, ZERO) for row in rows for j in range(n)])
 
     def power(self, k: int) -> Mat:
         """Matrix power; negative k uses the exact inverse."""

@@ -462,6 +462,29 @@ def test_system_is_the_dense_form_of_the_sparse_rows():
         hash(space)  # the rows are tuples, so the frozen space stays hashable
 
 
+def test_rows_and_system_leave_out_the_rows_whose_entries_all_cancel():
+    """On Alg3_1 at all-2/3 bindings, bidegree (1,1), 30 of the plain
+    system's 66 assembled rows and 30 of the triple system's 90 cancel to
+    nothing.  `rows` and the dense `system` leave them out, and the
+    solutions are those of every assembled row; where every row cancels,
+    `system` is still 0 x (number of unknowns)."""
+    from bihom.derivations import _system_rows
+    from bihom.scalars import nullspace_rows
+
+    entry = catalog()["Alg3_1"]
+    A = entry.build(**{p: Fraction(2, 3) for p in entry.params})
+    for variant, solve, assembled in (("plain", derivation_space, 66), ("generalized_triple", generalized_triple_space, 90)):
+        space = solve(A, BiDegree(1, 1))
+        rows, ncols = _system_rows(A, BiDegree(1, 1), variant)
+        assert len(rows) == assembled and sum(not r for r in rows) == 30, variant
+        assert len(space.rows) == assembled - 30 and all(space.rows), variant
+        assert space.system.shape == (len(space.rows), ncols), variant
+        assert space.solutions == nullspace_rows(rows, ncols), variant
+    untwisted_zero = BiHomDialgebra(2, zero_table(2), zero_table(2), Mat.identity(2), Mat.identity(2))
+    space = derivation_space(untwisted_zero, BiDegree(1, 1))  # every row cancels
+    assert space.rows == () and space.system.shape == (0, 4) and space.dim == 4
+
+
 def test_leibniz_rows_are_written_once():
     import bihom.algebra
     import bihom.derivations

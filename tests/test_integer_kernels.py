@@ -16,6 +16,8 @@ numerators.
 
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from bihom.cohomology import (
     hoch_coboundary_rows,
 )
 from bihom.deformation import TruncatedDeformation, deformation_residual, operadic_residual
+from bihom.dsl import build_block, parse_path
 from bihom.operad import bracket, braces, circle, dot, gamma, gamma_direct, partial_composition, pi_element
 from bihom.scalars import nullspace_rows
 from bihom.trees import trees
@@ -325,12 +328,75 @@ def test_restrictions_are_interned_by_integer_content(monkeypatch):
         patched.setattr(Fraction, "__hash__", _unhashable)
         got = [cx.restricted(n) for n in (1, 2, 3)]
     assert got == want
-    assert len(want[2][1]) > 1
+    assert len(want[2].images) > 1  # more than one distinct restriction
 
 
 def nil2(c):
     twist = map_from_entries(2, {2: {1: 1}})
     return BiHomAssociativeAlgebra(2, table_from_entries(2, {(2, 2): {1: c}}), twist, twist, name="nil2")
+
+
+def witness(name):
+    """Witness D or Y of tests/fixtures/deep_degrees: complexes whose
+    singleton pass leaves columns uncovered."""
+    return build_block(parse_path(Path(__file__).parent / "fixtures" / "deep_degrees" / f"witness_{name.lower()}.dlg"), name)
+
+
+def _restriction(row, by_col, k, scale):
+    """A block row, its columns shifted by k, on each row a of K, given by
+    column as by_col[j] = [(a, K[a][j]), ...]: {a: scale (row . K[a])}."""
+    img = {}
+    for j, x in row:
+        for a, v in by_col.get(j + k, ()):
+            img[a] = img.get(a, 0) + scale * x * v
+    return {a: v for a, v in img.items() if v}
+
+
+def _id_columns(obj, size, depth=4):
+    """The lists and tuples of `size` ints reachable from obj's containers."""
+    if depth < 0 or not isinstance(obj, (list, tuple, dict)):
+        return []
+    found = [obj] if isinstance(obj, (list, tuple)) and len(obj) == size and all(type(x) is int for x in obj) else []
+    for x in obj.values() if isinstance(obj, dict) else obj:
+        found += _id_columns(x, size, depth - 1)
+    return found
+
+
+def test_the_class_record_expands_to_every_block_rows_restriction():
+    """For every (block, product) key s and local output row r,
+    images[classes[row_class[r]][s]] is that block row's restriction to
+    K_n, computed here from `_coboundary_blocks` and K_n in Fractions, and
+    the record's K_n is d K_n; the only list of m^(n+2) ids the complex
+    reaches is the row classes, so no per-key id column outlives
+    `restricted`.  On the nine families at two bindings, hard-rational
+    Alg3_1, nil2, the witnesses D and Y, and Ex43 reading A in both
+    complexes, for n <= 4."""
+    rng = random.Random(31)
+    cases = [X for _, X in structures(rng)]
+    cases += [catalog()["Alg3_1"].build(a=Fraction(7, 5), b=Fraction(-5, 9), c=Fraction(BIG + 1, 3), d=2, f=Fraction(1, 2)),
+              nil2(Fraction(2, 3)), witness("D"), witness("Y")]
+    ex43 = build_block(parse_path(Path(__file__).parent.parent / "corpus" / "ex43.dlg"), "Ex43_readingA")
+    cases += [ex43, ex43.as_dialgebra()]  # K_n has denominators 2 and 4 here
+    for X in cases:
+        cx, m = _complex_of(X), X.dim
+        for n in range(1, 5):
+            blocks, K = bihom.cohomology._coboundary_blocks(cx, n), cx.kernel(n)
+            d = lcm(*(v.denominator for krow in K for _, v in krow))  # the tables are D^n delta^n, restrictions D^n d
+            by_col = {}
+            for a, krow in enumerate(K):
+                for j, v in krow:
+                    by_col.setdefault(j, []).append((a, v))
+            rec = cx.restricted(n)
+            assert rec.keys == tuple(blocks) and len(rec.row_class) == m ** (n + 2), (X.name, n)
+            assert rec.kernel == (d, [tuple((j, d * v) for j, v in krow) for krow in K]), (X.name, n)
+            for s, (key, table) in enumerate(blocks.items()):
+                w = m if 0 < key[0] <= n else 1  # a contraction row stands for m rows, one per output k
+                for r in range(m ** (n + 2)):
+                    want = _restriction(table.get(r // w, ()), by_col, r % w, d)
+                    assert rec.images[rec.classes[rec.row_class[r]][s]] == want, (X.name, n, key, r)
+            assert all(len(cls) == len(rec.keys) for cls in rec.classes), (X.name, n)
+            reachable = _id_columns(vars(cx), m ** (n + 2))
+            assert len(reachable) == 1 and reachable[0] is rec.row_class, (X.name, n)
 
 
 def test_images_skip_the_block_walk_when_no_pivot_is_picked(monkeypatch):
