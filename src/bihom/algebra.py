@@ -18,7 +18,8 @@ Each structure builds its sparse structure-constant form once, at
 construction: `cells[op][i][j]` is the nonzero (k, c) pairs of e_i op e_j
 in ascending k, and `twist_cols` the nonzero pairs of each column of phi
 and of psi.  Every consumer reads that form: the checks here, the Leibniz
-rows, and the coboundary, compatibility and operad modules.
+rows, and the coboundary, compatibility and operad modules; forms read again
+and again are built on first use into the structure's memo (`_derived`).
 `apply_table` and `law_residual` stay as the dense reference forms.
 
 Every check writes its identity once, as a residual on basis indices, and
@@ -213,24 +214,29 @@ def _sparse(v: Sequence[Fraction]) -> Sparse:
 
 
 def _freeze(X, dim: int, tables: Mapping[str, Table], phi: Mat, psi: Mat, basis, name: str) -> None:
-    """Set X's fields once: the dense tables, frozen, and the sparse form
-    every consumer reads, `cells[op][i][j]` the nonzero (k, c) of e_i op e_j
-    and `twist_cols` the nonzero (k, c) of each column of phi and of psi."""
+    """Set X's fields once: the dense tables, frozen, the sparse form every
+    consumer reads (`cells[op][i][j]` the nonzero (k, c) of e_i op e_j, and
+    `twist_cols` those of each column of phi and of psi) and an empty memo."""
     basis = _checked_basis(dim, tables.values(), (phi, psi), basis)
     tables = {op: _frozen_table(op, t) for op, t in tables.items()}
     fields = {
         "dim": dim, "basis": basis, **tables, "phi": phi, "psi": psi, "name": name,
         "cells": MappingProxyType({op: tuple(tuple(map(_sparse, row)) for row in t) for op, t in tables.items()}),
-        "twist_cols": tuple(tuple(_sparse(M.col(a)) for a in range(dim)) for M in (phi, psi)),
+        "twist_cols": tuple(tuple(_sparse(M.col(a)) for a in range(dim)) for M in (phi, psi)), "_memo": {},
     }
     for attr, value in fields.items():
         object.__setattr__(X, attr, value)
 
 
+def _derived(X, key: str, build: Callable):
+    """X's derived form `key`: build(X) on first use, then kept in X's memo."""
+    return X._memo[key] if key in X._memo else X._memo.setdefault(key, build(X))
+
+
 class BiHomDialgebra:
     """Two products and two twist maps on Q^dim; laws are not enforced here."""
 
-    __slots__ = ("dim", "basis", "dashv", "vdash", "phi", "psi", "name", "cells", "twist_cols")
+    __slots__ = ("dim", "basis", "dashv", "vdash", "phi", "psi", "name", "cells", "twist_cols", "_memo")
 
     def __init__(
         self,
@@ -273,7 +279,7 @@ class BiHomDialgebra:
 class BiHomAssociativeAlgebra:
     """One product with the twisted associativity law (x y) psi(z) = phi(x) (y z)."""
 
-    __slots__ = ("dim", "basis", "mul", "phi", "psi", "name", "cells", "twist_cols")
+    __slots__ = ("dim", "basis", "mul", "phi", "psi", "name", "cells", "twist_cols", "_memo")
 
     def __init__(
         self,
@@ -360,6 +366,15 @@ def _twisted_products(cells: Cells, left=None, right=None, zero=ZERO) -> Cells:
     return cells
 
 
+def _integer_form(X, orders: Sequence = ()) -> tuple[int, list[dict], list[list]]:
+    """(D, orders, twists): X's cells, or each of `orders`, and X's twist
+    columns, all times D, the lcm of every denominator in them."""
+    m, orders = X.dim, orders or [X.cells]
+    D, ints = _scaled([c for cells in orders for t in cells.values() for r in t for c in r] + [*chain(*X.twist_cols)])
+    orders = [{op: [[next(ints) for _ in range(m)] for _ in range(m)] for op in cells} for cells in orders]
+    return D, orders, [[next(ints) for _ in range(m)] for _ in range(2)]
+
+
 def _law_residuals(A: BiHomDialgebra, orders: Sequence = (), n: int = 0) -> dict[str, Callable[[int, int, int], Vec]]:
     """law -> ((i, j, k) -> law_residual(A, law, e_i, e_j, e_k)), read from
     A's sparse form; with `orders`, cells per order, the order-n residual over
@@ -367,11 +382,8 @@ def _law_residuals(A: BiHomDialgebra, orders: Sequence = (), n: int = 0) -> dict
     one D, R[p][k] = e_p o psi(e_k) and L[i][q] = -(phi(e_i) o e_q) tabulated
     once per order and outer product on integers, and each output coordinate
     is one Fraction over D^3, a term being three scaled entries."""
-    m, orders = A.dim, orders or [A.cells]
-    D, ints = _scaled([c for cells in orders for t in cells.values() for r in t for c in r] + [*chain(*A.twist_cols)])
-    den, orders = D**3, [{op: [[next(ints) for _ in range(m)] for _ in range(m)] for op in cells} for cells in orders]
-    phi, psi = ([next(ints) for _ in range(m)] for _ in range(2))
-    zero, neg_phi = zero_vec(m), [tuple((s, -d) for s, d in col) for col in phi]
+    m, (D, orders, (phi, psi)) = A.dim, _integer_form(A, orders)
+    den, zero, neg_phi = D**3, zero_vec(m), [tuple((s, -d) for s, d in col) for col in phi]
     tables = [(
         {op: _twisted_products(orders[i][op], None, psi, 0) for op in orders[i]},
         {op: _twisted_products(orders[i][op], neg_phi, None, 0) for op in orders[i]},

@@ -33,16 +33,18 @@ The coboundary is written once, as block tables (`_coboundary_blocks`).
 Block i of delta f on a tree y reads f on face i of y through the
 product of leaf i of y, and depends on y in no other way, so delta^n is
 one table per (block, product) over the local coordinates of one tree,
-built once per degree from `_twisted_products`.  An entry is a product of
-n scaled cells and twist columns, so every table is integral over D^n,
-as the compatibility rows are over D^degree.  No table is read densely;
-`apply_table` and `law_residual` in `bihom.algebra` are the dense
-references.  `dialg_coboundary`/`hoch_coboundary` apply the block tables
-face by face to a cochain's support, grouped by tree, on integers over
-one denominator for the cochain, dividing once per output coordinate;
-only `*_coboundary_rows` assembles ambient rows.  The term-by-term
-evaluation of the formula is kept in `tests/oracles.py` as the
-independent reference.
+built from `_twisted_products` once per structure and degree, kept with
+the scaled form in the structure's memo (`algebra._derived`) for every
+call on it until `restricted` releases them; no K_n or answer is kept
+there.  An entry is a product of n scaled cells and twist columns, so
+every table is integral over D^n, as the compatibility rows are over
+D^degree.  No table is read densely; `apply_table` and `law_residual` in
+`bihom.algebra` are the dense references.  `dialg_coboundary` and
+`hoch_coboundary` apply the block tables face by face to a cochain's
+support, grouped by tree, on integers over one denominator for the
+cochain, dividing once per output coordinate; only `*_coboundary_rows`
+assembles ambient rows.  The term-by-term evaluation of the formula is
+kept in `tests/oracles.py` as the independent reference.
 
 The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
@@ -83,6 +85,8 @@ from bihom.algebra import (
     Vec,
     _combine,
     _compat_rows,
+    _derived,
+    _integer_form,
     _sparse,
     _twisted_products,
     check_bihom_associative,
@@ -387,12 +391,12 @@ def dialg_coboundary_rows(A: BiHomDialgebra, n: int) -> list[dict[int, Fraction]
     Row r for output coordinate (y, b, k) satisfies
     (delta f)(y; b)_k = sum_in r[in] * f_flat[in].
     """
-    return _Complex(A, TreeCochain).delta_rows(n)
+    return _complex_of(A, TreeCochain).delta_rows(n)
 
 
 def hoch_coboundary_rows(A: BiHomAssociativeAlgebra, n: int) -> list[dict[int, Fraction]]:
     """Same row construction for the one-product complex."""
-    return _Complex(A, HochschildCochain).delta_rows(n)
+    return _complex_of(A, HochschildCochain).delta_rows(n)
 
 
 def _check_kind(fn: str, X, f, structure: type, cochain: type[_Cochain]) -> None:
@@ -408,13 +412,13 @@ def _check_kind(fn: str, X, f, structure: type, cochain: type[_Cochain]) -> None
 def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
     """delta f in the tree complex; output degree is f.degree + 1."""
     _check_kind("dialg_coboundary", A, f, BiHomDialgebra, TreeCochain)
-    return _Complex(A, TreeCochain).apply_delta(f)
+    return _complex_of(A, TreeCochain).apply_delta(f)
 
 
 def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> HochschildCochain:
     """delta f in the one-product complex; output degree is f.degree + 1."""
     _check_kind("hoch_coboundary", A, f, BiHomAssociativeAlgebra, HochschildCochain)
-    return _Complex(A, HochschildCochain).apply_delta(f)
+    return _complex_of(A, HochschildCochain).apply_delta(f)
 
 
 # -- one complex: compatible cochains, cocycles, coboundaries, cohomology -------
@@ -436,22 +440,18 @@ class _Complex:
 
     The tree complex of a dialgebra indexes degree-n cochains by the trees
     of Y_n; the one-product complex of an algebra is its one-tree case.
-    K_n and the restrictions of delta^n's block tables to it are built once
-    per degree and shared by every space asked of the complex.  The tables
-    are kept for `delta_rows` and `apply_delta`; `restricted` releases those
-    it reads.  All read `cells` and `twists`, the structure's sparse form times D."""
+    `cells`, `twists` (the sparse form times D) and delta's block tables live
+    in the structure's memo; `restricted` releases the tables it reads.  K_n,
+    the restrictions and the singleton pass are built once per degree, shared
+    by every space asked of the complex, and die with it."""
 
     def __init__(self, X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain]):
         structure = BiHomDialgebra if cochain is TreeCochain else BiHomAssociativeAlgebra
         if not isinstance(X, structure):
             raise TypeError(f"the {cochain.__name__} complex needs a {structure.__name__}, got a {type(X).__name__}")
-        self.X = X
-        self.cochain = cochain
-        m, (phi, psi) = X.dim, X.twist_cols
-        self.D, ints = _scaled([c for t in X.cells.values() for r in t for c in r] + [*phi, *psi])
-        self.cells = {op: [[next(ints) for _ in range(m)] for _ in range(m)] for op in X.cells}
-        self.twists = [[next(ints) for _ in range(m)] for _ in range(2)]
-        self._blocks: dict[int, dict[tuple[int, str], dict[int, tuple]]] = {}
+        self.X, self.cochain = X, cochain
+        self.D, (self.cells,), self.twists = _derived(X, "integer_form", _integer_form)
+        self._blocks: dict[int, dict[tuple[int, str], dict[int, tuple]]] = _derived(X, "blocks", lambda X: {})
         self._kernel: dict[int, list] = {}
         self._restricted: dict[int, _Restrictions] = {}
         self._singletons: dict[int, tuple[list[dict], _Eliminator]] = {}
@@ -469,10 +469,8 @@ class _Complex:
         return (((0,) * (n + 2), ("mul",) * (n + 2)),)
 
     def blocks(self, n: int) -> dict[tuple[int, str], dict[int, tuple]]:
-        """The block tables of delta^n times D^n, built once per degree."""
-        if n not in self._blocks:
-            self._blocks[n] = _coboundary_blocks(self, n)
-        return self._blocks[n]
+        """The block tables of delta^n times D^n, built once per structure and degree."""
+        return self._blocks[n] if n in self._blocks else self._blocks.setdefault(n, _coboundary_blocks(self, n))
 
     def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
         """Ambient delta^n rows, output tree by output tree: each block
@@ -727,37 +725,36 @@ class _Complex:
 
 def dialg_compatible_space(A: BiHomDialgebra, n: int) -> Subspace:
     """Tree cochains commuting with both twist maps, as flattened vectors."""
-    return _Complex(A, TreeCochain).compatible_space(n)
+    return _complex_of(A, TreeCochain).compatible_space(n)
 
 
 def hoch_compatible_space(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
-    return _Complex(A, HochschildCochain).compatible_space(n)
+    return _complex_of(A, HochschildCochain).compatible_space(n)
 
 
 def dialg_cocycles(A: BiHomDialgebra, n: int) -> Subspace:
     """Compatible cochains killed by delta^n."""
-    return _Complex(A, TreeCochain).cocycles(n)
+    return _complex_of(A, TreeCochain).cocycles(n)
 
 
 def hoch_cocycles(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
-    return _Complex(A, HochschildCochain).cocycles(n)
+    return _complex_of(A, HochschildCochain).cocycles(n)
 
 
 def dialg_coboundaries(A: BiHomDialgebra, n: int) -> Subspace:
     """delta of the compatible degree-(n-1) space; zero space at n = 1."""
-    return _Complex(A, TreeCochain).coboundaries(n)
+    return _complex_of(A, TreeCochain).coboundaries(n)
 
 
 def hoch_coboundaries(A: BiHomAssociativeAlgebra, n: int) -> Subspace:
-    return _Complex(A, HochschildCochain).coboundaries(n)
+    return _complex_of(A, HochschildCochain).coboundaries(n)
 
 
-def _complex_of(X: BiHomDialgebra | BiHomAssociativeAlgebra) -> _Complex:
-    if isinstance(X, BiHomDialgebra):
-        return _Complex(X, TreeCochain)
-    if isinstance(X, BiHomAssociativeAlgebra):
-        return _Complex(X, HochschildCochain)
-    raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
+def _complex_of(X: BiHomDialgebra | BiHomAssociativeAlgebra, cochain: type[_Cochain] | None = None) -> _Complex:
+    """X's complex over `cochain`, by default the tree or one-product complex."""
+    if cochain is None and not isinstance(X, (BiHomDialgebra, BiHomAssociativeAlgebra)):
+        raise TypeError(f"expected an algebra or dialgebra, got {type(X).__name__}")
+    return _Complex(X, cochain or (TreeCochain if isinstance(X, BiHomDialgebra) else HochschildCochain))
 
 
 def cohomology_spaces(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> tuple[Subspace, Subspace, Subspace]:
@@ -853,10 +850,9 @@ def hoch_delta_squared_is_zero(A: BiHomAssociativeAlgebra, n: int, trials: int, 
     if not is_multiplicative(A.as_dialgebra()).ok:
         raise ValueError("twist maps are not multiplicative for the product")
     rng = random.Random(seed)
-    cx = _Complex(A, HochschildCochain)
-    space = cx.compatible_space(n)
+    space = hoch_compatible_space(A, n)
     for _ in range(trials):
         f = random_compatible_cochain(space, rng, n, A.dim, tree_indexed=False)
-        if not cx.apply_delta(cx.apply_delta(f)).is_zero():
+        if not hoch_coboundary(A, hoch_coboundary(A, f)).is_zero():
             return False
     return True

@@ -46,6 +46,7 @@ from bihom.algebra import (
     Vec,
     Violation,
     _combine,
+    _derived,
     _law_residuals,
     _sparse,
     apply_table,
@@ -411,19 +412,20 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
               - sum_{0<i<n} psi_i(x) o psi_{n-i}(y),
     the two transport coefficients with psi_t cut below n.  The left side
     is the Leibniz system of a derivation with W = id, the same rows at
-    every order.  On infeasibility K_n is returned as the obstruction
-    along with whether it is closed for the coboundary.
+    every order, kept in the base's memo by coordinate, empty ones dropped:
+    K_n at an empty row is an infeasible row.  On infeasibility K_n is the
+    obstruction, returned with whether it is closed for the coboundary.
     """
-    base = defm.base
-    m = base.dim
-    one = [Mat.identity(m)]
-    flat = zero_deformation(base)
+    base, m = defm.base, defm.base.dim
+    one, flat = [Mat.identity(m)], zero_deformation(base)
     psis: list[Mat] = list(one)
-    lhs = leibniz_rows(tuple(base.cells.values()), one[0])
+    lhs = _derived(base, "triviality", lambda X: {
+        c: row for c, row in enumerate(leibniz_rows(tuple(X.cells.values()), Mat.identity(X.dim))) if row})
     for n in range(1, _checked_order(N) + 1):
         K = _difference(_transport(defm, psis, one, n), _transport(flat, one, psis, n), m)
-        rows = [{**row, m * m: -k} if k else row for row, k in zip(lhs, K.flatten())]
-        sol = solve_rows(rows, m * m)
+        k = dict(_sparse(K.flatten()))
+        rows = [{**row, m * m: -k[c]} if c in k else row for c, row in lhs.items()]
+        sol = solve_rows(rows + [{m * m: -v} for c, v in k.items() if c not in lhs], m * m)
         if sol is None:
             return TrivialityResult(None, n, K, dialg_coboundary(base, K).is_zero())
         psis.append(Mat(m, m, list(sol.entries())))

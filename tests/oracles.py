@@ -11,7 +11,9 @@ braces, the bracket and the operadic residual are kept as the chains of
 cochain additions and subtractions the library replaced by one
 accumulator, and the deformation residual is evaluated law by law and
 order by order through `apply_table` and `eval`; so is the transport
-coefficient, one `TruncatedDeformation.product` per order quadruple.
+coefficient, one `TruncatedDeformation.product` per order quadruple,
+and the triviality solve, every Leibniz equation written densely from its
+definition, empty ones included, paired with K_n's coordinates by position.
 The twist compatibility rows are written from their definition,
 M f(b) - f(M b), one argument tuple at a time through `Mat.apply`, and
 their degree-1 case the way the derivation solvers once wrote it, as
@@ -41,6 +43,7 @@ from bihom.algebra import (
     apply_table,
     is_zero_vec,
     vec_add,
+    vec_sub,
     zero_vec,
 )
 from bihom.cohomology import (
@@ -49,9 +52,10 @@ from bihom.cohomology import (
     dialg_coboundary_rows,
     hoch_coboundary_rows,
 )
+from bihom.deformation import EquivalenceTransformation, TrivialityResult, zero_deformation
 from bihom.scalars import ONE, ZERO, Mat, Subspace, _Eliminator, nullspace_rows
 from bihom.operad import _scale, partial_composition
-from bihom.trees import DASHV, face, orientations, r0, ri, tree_index, trees
+from bihom.trees import DASHV, PRODUCT_FOR_TREE, face, orientations, r0, ri, tree_index, trees
 
 # the ten smallest primes above 10**6
 PRIMES = (
@@ -463,6 +467,36 @@ def transport(defm, outer, inner, n: int) -> dict:
                 if not is_zero_vec(acc):
                     data[(t, (a, b))] = acc
     return data
+
+
+def solve_triviality(defm, N: int) -> TrivialityResult:
+    """The order-by-order triviality solve: for each product o, basis pair
+    (a, b) and output k, the equation psi_n(e_a o e_b)_k - (e_a o psi_n e_b)_k
+    - (psi_n e_a o e_b)_k = -K_n(e_a, e_b)_k over the entries of psi_n, row
+    by row, with `transport` for K_n and `solve_dense` for the system; an
+    equation whose coefficients all cancel is kept, so a nonzero K_n there
+    makes the system inconsistent."""
+    A, m = defm.base, defm.base.dim
+    lhs = []
+    for op in PRODUCT_FOR_TREE:
+        T = A.table(op)
+        for a, b, k in iproduct(range(m), repeat=3):
+            row = [ZERO] * (m * m)  # the entry of psi_n at (s, u) is coordinate s m + u
+            for u in range(m):
+                row[k * m + u] += T[a][b][u]
+                row[u * m + b] -= T[a][u][k]
+                row[u * m + a] -= T[u][b][k]
+            lhs.append(row)
+    one, zero = [Mat.identity(m)], zero_vec(m)
+    psis = list(one)
+    for n in range(1, N + 1):
+        p, q = transport(defm, psis, one, n), transport(zero_deformation(A), one, psis, n)
+        K = TreeCochain(2, m, {key: vec_sub(p.get(key, zero), q.get(key, zero)) for key in p.keys() | q.keys()})
+        x = solve_dense(lhs, [-c for c in K.flatten()])
+        if x is None:
+            return TrivialityResult(None, n, K, dialg_coboundary(A, K).is_zero())
+        psis.append(Mat(m, m, x))
+    return TrivialityResult(EquivalenceTransformation(tuple(psis)), None, None, None)
 
 
 # -- the cochain spaces, eliminated in ambient coordinates ---------------------

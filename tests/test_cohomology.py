@@ -239,10 +239,12 @@ def test_hoch_delta_squared_vanishes():
 
 
 def test_a_complex_builds_each_degree_block_tables_once(monkeypatch):
-    """delta^n's block tables are built once per complex and degree for
-    rows and evaluations: `hoch_delta_squared_is_zero` applies delta to all
-    its trials through one complex.  The restrictions release the tables
-    they read, so a report holds none."""
+    """delta^n's block tables are built once per structure and degree for
+    rows and evaluations, in the structure's memo: every complex of one
+    structure reads them, so `hoch_delta_squared_is_zero` builds each degree
+    once over all its trials, and `dialg_coboundary` reuses the tables that
+    `delta_rows` built.  The restrictions release the tables they read, so a
+    report leaves none."""
     built = []
     original = bihom.cohomology._coboundary_blocks
 
@@ -262,8 +264,8 @@ def test_a_complex_builds_each_degree_block_tables_once(monkeypatch):
     for _ in range(3):
         assert cx.apply_delta(f) == dialg_coboundary(A, f)
     assert len(rows) == tree_cochain_dim(3, A.dim)
-    assert sorted(built) == [1, 2, 2, 2, 2, 2]  # the report's two degrees, the rows, one per dialg_coboundary call
-    assert list(cx._blocks) == [2]
+    assert sorted(built) == [1, 2, 2]  # the report's two degrees, then one build for the rows and every delta f
+    assert list(cx._blocks) == [2] and cx._blocks is A._memo["blocks"]
 
 
 def test_hoch_delta_squared_needs_valid_axioms():

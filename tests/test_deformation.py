@@ -10,6 +10,7 @@ from bihom.algebra import (
     basis_vec,
     catalog,
     is_morphism,
+    leibniz_rows,
     table_from_entries,
 )
 from bihom.cohomology import (
@@ -36,7 +37,7 @@ from bihom.deformation import (
     solve_triviality,
     zero_deformation,
 )
-from bihom.dsl import build_block, parse
+from bihom.dsl import build_block, parse, parse_path
 from bihom.operad import pi_element
 from bihom.scalars import Mat
 
@@ -323,6 +324,63 @@ def test_obstruction_reporting():
     res2 = solve_triviality(TruncatedDeformation(A, [unclosed]), 1)
     assert res2.obstructed_order == 1
     assert res2.obstruction_closed is False
+
+
+def triviality_cases():
+    """(label, deformation, N): on every catalog family at two bindings, a
+    trivial deformation pushed forward from zero, one whose first term is a
+    cocycle outside B^2 and one whose first term is compatible but not
+    closed, where there are such, and rational terms that need not
+    intertwine the twists; then the corpus deformation and the stuck one."""
+    rng = random.Random(17)
+    for name, entry in sorted(catalog().items()):
+        for binding in (1, Fraction(2, 3)):
+            A = entry.build(**{p: binding for p in entry.params})
+            m, Z, B = A.dim, dialg_cocycles(A, 2), dialg_coboundaries(A, 2)
+            psi1 = Mat.identity(m).scale(2) + A.phi.scale(Fraction(-1, 3))
+            yield name, base_change_pushforward(zero_deformation(A), EquivalenceTransformation((Mat.identity(m), psi1))), 3
+            for kept, rows in ((B, Z), (Z, dialg_compatible_space(A, 2))):
+                row = next((r for r in rows.basis_rows() if not kept.contains(r)), None)
+                if row is not None:
+                    yield name, TruncatedDeformation(A, [TreeCochain.unflatten(2, m, row)]), 2
+            terms = [TreeCochain(2, m, {(rng.randrange(2), (rng.randrange(m), rng.randrange(m))):
+                                        tuple(Fraction(rng.randint(-4, 4), 3) for _ in range(m))}) for _ in range(2)]
+            yield name, TruncatedDeformation(A, terms, require_compatible=False), 2
+    yield "corpus D1", corpus_d1(), 3
+    yield "Dstuck", build_block(parse_path("tests/fixtures/trivialize_stuck.dlg"), "Dstuck"), 2
+
+
+def test_triviality_matches_the_positional_dense_solve():
+    """Dropping the empty Leibniz rows changes no `TrivialityResult`: the
+    witness maps, the obstructed order, the obstruction and its closed flag
+    equal those of the dense solve that pairs every equation, empty ones
+    included, with K_n's coordinates by position."""
+    kinds = set()
+    for label, d, N in triviality_cases():
+        got = solve_triviality(d, N)
+        assert got == oracles.solve_triviality(d, N), label
+        kinds.add(got.obstruction_closed)
+    assert kinds == {None, True, False}
+
+
+def test_k_nonzero_on_an_empty_leibniz_row_is_infeasible():
+    """A first term nonzero at one coordinate only, one whose Leibniz
+    equation cancels (21 of the 54 on Alg3_1 at all-1 bindings), puts K_1 on
+    an empty row: the solve is obstructed at order 1 with that term as the
+    obstruction, as the dense solve finds, on every catalog family."""
+    seen = 0
+    for name, entry in sorted(catalog().items()):
+        A = entry.build(**{p: 1 for p in entry.params})
+        m, rows = A.dim, leibniz_rows(tuple(A.cells.values()), Mat.identity(A.dim))
+        for c in (c for c, row in enumerate(rows) if not row):
+            t, rest = divmod(c, m ** 3)
+            (a, b), k = divmod(rest // m, m), rest % m
+            term = TreeCochain(2, m, {(t, (a, b)): tuple(Fraction(int(i == k)) for i in range(m))})
+            res = solve_triviality(TruncatedDeformation(A, [term], require_compatible=False), 1)
+            assert res.obstructed_order == 1 and res.obstruction == term, (name, c)
+            assert res == oracles.solve_triviality(TruncatedDeformation(A, [term], require_compatible=False), 1)
+            seen += 1
+    assert seen
 
 
 def test_first_order_transport_relation():
