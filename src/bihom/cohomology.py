@@ -54,21 +54,25 @@ slot by slot, each argument extending its prefix's expansion by one
 twist column; a b whose prefix M kills gives one-entry rows.  Once per
 degree, `restricted` restricts each distinct block row to K_n times the
 lcm of its denominators, a factor no rank, pivot, kernel, span or
-containment sees, and sorts the local output rows into classes that read
-one restriction under every (block, product).  On an output tree, a
-class's restrictions, offset by face, give a row of delta^n . G, of rank
-r_n: dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).  Its one-entry rows
-come first, found from the classes without building a row; only rows
-touching a column none covers are built, restricted to those columns.
-With a unit row per covered column they span delta^n . G, as a row
-differs from its restriction only on covered columns; r_n, Z^n, B^n and
-containment all read them.  B^n is spanned by delta of the rows of
-G_(n-1) at their pivot columns, and lies in Z^n exactly when each image
-lies in C^n, tree by tree, and is killed by the rows.  The canonical Z^n
-is G . ker of the rows: G's rows have unit pivots no other row touches,
-so reduced rows lift to reduced rows.  Nothing is eliminated over all of
-a degree's coordinates; `tests/oracles.py` keeps that route, and every
-row of delta^n . G, as the references.
+containment sees, and sorts the local output rows that read a nonzero
+restriction into classes that read one restriction under every (block,
+product).  A row no table holds, or one every key restricts to zero, is
+in no class, so nothing is sized by all m^(n+2) local rows; K_n's unit
+rows become ((f, d),) as they stand, and only its other rows are scaled
+value by value.  On an output tree, a class's restrictions, offset by
+face, give a row of delta^n . G, of rank r_n: dim Z^n = dim C^n - r_n
+and dim B^n = r_(n-1).  Its one-entry rows come first, found from the
+classes without building a row; only rows touching a column none covers
+are built, restricted to those columns.  With a unit row per covered
+column they span delta^n . G, as a row differs from its restriction only
+on covered columns; r_n, Z^n, B^n and containment all read them.  B^n
+is spanned by delta of the rows of G_(n-1) at their pivot columns, and
+lies in Z^n exactly when each image lies in C^n, tree by tree, and is
+killed by the rows.  The canonical Z^n is G . ker of the rows: G's rows
+have unit pivots no other row touches, so reduced rows lift to reduced
+rows.  Nothing is eliminated over all of a degree's coordinates;
+`tests/oracles.py` keeps that route, and every row of delta^n . G, as
+the references.
 """
 
 from __future__ import annotations
@@ -427,8 +431,8 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
 class _Restrictions(NamedTuple):
     """One degree's block tables of delta^n on K_n, by row class; see `_Complex.restricted`."""
     keys: tuple  # (block, product) of each table, in table order
-    row_class: list  # the class of each local output row
-    classes: list  # per class, its restriction id under each key
+    row_class: dict  # local output row -> its class, ascending, only rows some key restricts to nonzero
+    classes: list  # per class, its restriction id under each key, numbered by first row; never all zero
     images: list  # the distinct restrictions by id, id 0 the zero row
     content: dict  # sorted items of each restriction -> its id
     kernel: tuple  # K_n's integer form (d, d K_n)
@@ -536,38 +540,45 @@ class _Complex:
         """The block tables of delta^n composed with K_n, on integers, as one
         record per degree: a restriction maps row a of K_n to a block row's
         value on it, times D^n d, d the lcm of K_n's denominators, and rows
-        reading the same restriction under every key form a class.  The
-        per-key id columns and the block tables read are released."""
+        reading the same restriction under every key form a class.  Only
+        the local output rows some table holds are visited, and only those
+        reading a nonzero restriction under some key are kept; every other
+        row is in the implicit zero class.  K_n's unit rows ((f, 1),) read
+        ((f, d),) with no per-value scaling.  The block tables read are
+        released."""
         if n not in self._restricted:
-            d, ints = _scaled(self.kernel(n))
+            K = self.kernel(n)
+            d, wide = _scaled([krow for krow in K if len(krow) > 1])
+            K = [next(wide) if len(krow) > 1 else ((krow[0][0], d),) for krow in K]  # a one-entry row is a unit row
             by_col: dict[int, list[tuple[int, int]]] = {}
-            for a, krow in enumerate(K := list(ints)):
+            for a, krow in enumerate(K):
                 for j, v in krow:
                     by_col.setdefault(j, []).append((a, v))
-            by_row: tuple[dict, dict] = ({}, {})  # outer and contraction rows -> their restrictions' ids
+            by_row: tuple[dict, dict] = ({}, {})  # outer and contraction rows -> (k, id) of their nonzero restrictions
             by_image: dict[tuple, int] = {(): 0}
             images: list[dict[int, int]] = [{}]
-            ids: dict[tuple[int, str], list[int]] = {}  # per key, each local output row's id, while building
-            for key, table in self.blocks(n).items():
-                col = ids[key] = [0] * self.X.dim ** (n + 2)
+            tables = self.blocks(n)
+            live: dict[int, list[int]] = {}  # each local output row with a nonzero restriction -> its id under each key
+            for s, (key, table) in enumerate(tables.items()):
                 w = self.X.dim if 0 < key[0] <= n else 1
                 for r, row in table.items():
                     if (rids := by_row[w > 1].get(row)) is None:
-                        rids = []
+                        rids = by_row[w > 1][row] = []
                         for k in range(w):
                             img: dict[int, int] = {}
                             for j, x in row:
                                 for a, v in by_col.get(j + k, ()):
                                     img[a] = img[a] + x * v if a in img else x * v
                             img = {a: v for a, v in img.items() if v}
-                            rids.append(rid := by_image.setdefault(tuple(sorted(img.items())), len(images)))
+                            if rid := by_image.setdefault(tuple(sorted(img.items())), len(images)):
+                                rids.append((k, rid))
                             if rid == len(images):
                                 images.append(img)
-                        rids = by_row[w > 1][row] = tuple(rids)
-                    col[r * w : r * w + w] = rids
+                    for k, rid in rids:
+                        live.setdefault(r * w + k, [0] * len(tables))[s] = rid
             index: dict[tuple[int, ...], int] = {}
-            row_class = [index.setdefault(cls, len(index)) for cls in zip(*ids.values())]
-            self._restricted[n] = _Restrictions(tuple(ids), row_class, list(index), images, by_image, (d, K))
+            row_class = {r: index.setdefault(tuple(ids), len(index)) for r, ids in sorted(live.items())}
+            self._restricted[n] = _Restrictions(tuple(tables), row_class, list(index), images, by_image, (d, K))
             del self._blocks[n]
         return self._restricted[n]
 
@@ -652,7 +663,8 @@ class _Complex:
         """A basis of B^n: delta of the rows of G_(n-1) at the pivot columns
         of delta^(n-1) . G_(n-1), which row operations keep independent and
         spanning.  Row a of K_(n-1) on tree t is pushed through the row
-        classes, as integers, to every output tree whose block reads t."""
+        classes, as integers, to every output tree whose block reads t;
+        only the rows the class record holds are walked."""
         if n == 1:
             return []
         dK, rec, size = len(self.kernel(n - 1)), self.restricted(n - 1), self.X.dim ** (n + 1)
@@ -663,7 +675,7 @@ class _Complex:
         kept = [[(a, v) for a, v in img.items() if a in wanted] for img in rec.images]
         pushed = {key: {a: {} for a in wanted} for key in rec.keys}
         sinks = [[(pushed[key][a], v) for key, rid in zip(rec.keys, cls) for a, v in kept[rid]] for cls in rec.classes]
-        for r, c in enumerate(rec.row_class):
+        for r, c in rec.row_class.items():
             for sink, v in sinks[c]:
                 sink[r] = v
         out: dict[tuple[int, int], dict[int, int]] = {ta: {} for ta in picked}

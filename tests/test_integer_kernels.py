@@ -331,8 +331,8 @@ def test_restrictions_are_interned_by_integer_content(monkeypatch):
     assert len(want[2].images) > 1  # more than one distinct restriction
 
 
-def nil2(c):
-    twist = map_from_entries(2, {2: {1: 1}})
+def nil2(c, t=1):
+    twist = map_from_entries(2, {2: {1: t}})
     return BiHomAssociativeAlgebra(2, table_from_entries(2, {(2, 2): {1: c}}), twist, twist, name="nil2")
 
 
@@ -340,6 +340,15 @@ def witness(name):
     """Witness D or Y of tests/fixtures/deep_degrees: complexes whose
     singleton pass leaves columns uncovered."""
     return build_block(parse_path(Path(__file__).parent / "fixtures" / "deep_degrees" / f"witness_{name.lower()}.dlg"), name)
+
+
+def _by_col(K):
+    """K's entries by column: {j: [(a, K[a][j]), ...]}."""
+    by_col = {}
+    for a, krow in enumerate(K):
+        for j, v in krow:
+            by_col.setdefault(j, []).append((a, v))
+    return by_col
 
 
 def _restriction(row, by_col, k, scale):
@@ -365,12 +374,13 @@ def _id_columns(obj, size, depth=4):
 def test_the_class_record_expands_to_every_block_rows_restriction():
     """For every (block, product) key s and local output row r,
     images[classes[row_class[r]][s]] is that block row's restriction to
-    K_n, computed here from `_coboundary_blocks` and K_n in Fractions, and
-    the record's K_n is d K_n; the only list of m^(n+2) ids the complex
-    reaches is the row classes, so no per-key id column outlives
-    `restricted`.  On the nine families at two bindings, hard-rational
-    Alg3_1, nil2, the witnesses D and Y, and Ex43 reading A in both
-    complexes, for n <= 4."""
+    K_n, computed here from `_coboundary_blocks` and K_n in Fractions, a
+    row the record does not hold reads the zero restriction under every
+    key, no class is all zero, and the record's K_n is d K_n; no list or
+    tuple of m^(n+2) ints is reachable from the complex, so nothing is
+    sized by every local output row.  On the nine families at two
+    bindings, hard-rational Alg3_1, nil2, the witnesses D and Y, and Ex43
+    reading A in both complexes, for n <= 4."""
     rng = random.Random(31)
     cases = [X for _, X in structures(rng)]
     cases += [catalog()["Alg3_1"].build(a=Fraction(7, 5), b=Fraction(-5, 9), c=Fraction(BIG + 1, 3), d=2, f=Fraction(1, 2)),
@@ -382,21 +392,49 @@ def test_the_class_record_expands_to_every_block_rows_restriction():
         for n in range(1, 5):
             blocks, K = bihom.cohomology._coboundary_blocks(cx, n), cx.kernel(n)
             d = lcm(*(v.denominator for krow in K for _, v in krow))  # the tables are D^n delta^n, restrictions D^n d
-            by_col = {}
-            for a, krow in enumerate(K):
-                for j, v in krow:
-                    by_col.setdefault(j, []).append((a, v))
+            by_col = _by_col(K)
             rec = cx.restricted(n)
-            assert rec.keys == tuple(blocks) and len(rec.row_class) == m ** (n + 2), (X.name, n)
+            assert rec.keys == tuple(blocks) and set(rec.row_class) <= set(range(m ** (n + 2))), (X.name, n)
             assert rec.kernel == (d, [tuple((j, d * v) for j, v in krow) for krow in K]), (X.name, n)
             for s, (key, table) in enumerate(blocks.items()):
                 w = m if 0 < key[0] <= n else 1  # a contraction row stands for m rows, one per output k
                 for r in range(m ** (n + 2)):
                     want = _restriction(table.get(r // w, ()), by_col, r % w, d)
-                    assert rec.images[rec.classes[rec.row_class[r]][s]] == want, (X.name, n, key, r)
-            assert all(len(cls) == len(rec.keys) for cls in rec.classes), (X.name, n)
-            reachable = _id_columns(vars(cx), m ** (n + 2))
-            assert len(reachable) == 1 and reachable[0] is rec.row_class, (X.name, n)
+                    got = rec.images[rec.classes[rec.row_class[r]][s]] if r in rec.row_class else {}
+                    assert got == want, (X.name, n, key, r)
+            assert all(len(cls) == len(rec.keys) and any(cls) for cls in rec.classes), (X.name, n)
+            assert not _id_columns(vars(cx), m ** (n + 2)), (X.name, n)
+
+
+@pytest.mark.parametrize("t", [1, Fraction(2, 3)])
+def test_the_class_record_holds_live_rows_and_reads_unit_rows_unscaled(monkeypatch, t):
+    """nil2 (c = 2/3, twist e2 -> t e1) at n = 10: the record holds no row
+    that no block table of `_coboundary_blocks` holds, and each row a table
+    holds reads its restriction under every key; K_n's unit rows read
+    ((f, d),), d = 3^9 at t = 2/3; and `restricted` calls
+    `Fraction.as_integer_ratio` no more often than K_n's non-unit rows have
+    entries, so a unit row is never scaled value by value."""
+    cx, n, m = _Complex(nil2(Fraction(2, 3), t), HochschildCochain), 10, 2
+    blocks, K = bihom.cohomology._coboundary_blocks(cx, n), cx.kernel(n)
+    ratios = []
+    ratio = Fraction.as_integer_ratio
+    monkeypatch.setattr(Fraction, "as_integer_ratio", lambda self: ratios.append(self) or ratio(self))
+    rec = cx.restricted(n)
+    monkeypatch.undo()
+    assert len(ratios) <= sum(len(krow) for krow in K if len(krow) > 1) < len(K)
+    d = lcm(*(v.denominator for krow in K for _, v in krow))
+    assert rec.kernel[0] == d == (1 if t == 1 else 3**9)
+    units = [a for a, krow in enumerate(K) if len(krow) == 1]
+    assert [rec.kernel[1][a] for a in units] == [((K[a][0][0], d),) for a in units]
+    widths = [m if 0 < i <= n else 1 for i, _ in blocks]
+    live = {r * w + k for w, table in zip(widths, blocks.values()) for r in table for k in range(w)}
+    assert rec.row_class and set(rec.row_class) <= live and len(live) < m ** (n + 2)
+    by_col = _by_col(K)
+    for s, (w, table) in enumerate(zip(widths, blocks.values())):
+        for r in live:
+            want = _restriction(table.get(r // w, ()), by_col, r % w, d)
+            got = rec.images[rec.classes[rec.row_class[r]][s]] if r in rec.row_class else {}
+            assert got == want, (t, s, r)
 
 
 def test_images_skip_the_block_walk_when_no_pivot_is_picked(monkeypatch):
