@@ -39,12 +39,16 @@ call on it until `restricted` releases them; no K_n or answer is kept
 there.  An entry is a product of n scaled cells and twist columns, so
 every table is integral over D^n, as the compatibility rows are over
 D^degree.  No table is read densely; `apply_table` and `law_residual` in
-`bihom.algebra` are the dense references.  `dialg_coboundary` and
-`hoch_coboundary` apply the block tables face by face to a cochain's
-support, grouped by tree, on integers over one denominator for the
-cochain, dividing once per output coordinate; only `*_coboundary_rows`
-assembles ambient rows.  The term-by-term evaluation of the formula is
-kept in `tests/oracles.py` as the independent reference.
+`bihom.algebra` are the dense references.  One walk reads the tables: it
+restricts each distinct row to integer vectors on one tree's local
+coordinates and sorts the local output rows into classes.  One push takes
+a (tree, vector) through the classes to every output tree whose block
+reads that tree as a face.  delta f is the walk over f's values per tree,
+over one denominator for the cochain, pushed tree by tree and divided once
+per output coordinate; the ambient rows of `*_coboundary_rows` are the
+walk over unit vectors, pushed coordinate by coordinate.  The term-by-term
+evaluation of the formula is kept in `tests/oracles.py` as the independent
+reference.
 
 The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
@@ -429,13 +433,13 @@ def hoch_coboundary(A: BiHomAssociativeAlgebra, f: HochschildCochain) -> Hochsch
 
 
 class _Restrictions(NamedTuple):
-    """One degree's block tables of delta^n on K_n, by row class; see `_Complex.restricted`."""
+    """The block tables of delta^n restricted to a set of vectors, by row class; see `_Complex._walk`."""
     keys: tuple  # (block, product) of each table, in table order
     row_class: dict  # local output row -> its class, ascending, only rows some key restricts to nonzero
     classes: list  # per class, its restriction id under each key, numbered by first row; never all zero
     images: list  # the distinct restrictions by id, id 0 the zero row
     content: dict  # sorted items of each restriction -> its id
-    kernel: tuple  # K_n's integer form (d, d K_n)
+    kernel: tuple | None = None  # in `restricted`'s record: K_n's integer form (d, d K_n)
 
 
 class _Complex:
@@ -477,55 +481,40 @@ class _Complex:
         return self._blocks[n] if n in self._blocks else self._blocks.setdefault(n, _coboundary_blocks(self, n))
 
     def delta_rows(self, n: int) -> list[dict[int, Fraction]]:
-        """Ambient delta^n rows, output tree by output tree: each block
-        shifted by face * m^(n+1), the length of one input tree, and summed
-        on integers; each entry is divided by D^n once."""
-        size = self.cochain_dim(n) // self.cochain._ntrees(n)  # one input tree
-        blocks, den = self.blocks(n), self.D**n
-        rows: list[dict[int, Fraction]] = []
-        for faces, ors in self.layout(n):
-            tree_rows: list[dict[int, int]] = [{} for _ in range(size * self.X.dim)]
-            for i, (f, p) in enumerate(zip(faces, ors)):
-                w = self.X.dim if 0 < i <= n else 1
-                for r, row in blocks[i, p].items():
-                    for k in range(w):
-                        target = tree_rows[r * w + k]
-                        for c, v in row:
-                            key = c + f * size + k
-                            target[key] = target[key] + v if key in target else v
-            rows += [{key: Fraction(v, den) for key, v in row.items() if v} for row in tree_rows]
+        """Ambient delta^n rows, one per output coordinate: the walk over one
+        tree's unit vectors, then the push of every (tree, coordinate), read
+        by column; each entry is divided by D^n once."""
+        size, den = self.X.dim ** (n + 1), self.D**n  # one input tree
+        ntrees = self.cochain_dim(n) // size  # refuses n < 1
+        rec = self._walk(n, ((j, ((j, 1),)) for j in range(size)))
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.cochain_dim(n + 1))]
+        for (t, j), col in self._push(n, rec, list(iproduct(range(ntrees), range(size)))).items():
+            for r, v in col.items():
+                if v:
+                    rows[r][t * size + j] = Fraction(v, den)
         return rows
 
     def apply_delta(self, f: _Cochain) -> _Cochain:
-        """delta f from the block tables, face by face: on output tree y,
-        block i taken with y's product i reads f's entries on face i of y.
-        Each block's image of one tree of f is computed once, on integers
-        over d D^n, d the lcm of f's denominators, then divided once."""
-        n, m, blocks = f.degree, self.X.dim, self.blocks(f.degree)
+        """delta f: the walk over f's values on each tree, scaled to integers
+        over d D^n, d the lcm of f's denominators, then the push of each tree
+        f lives on to the output trees reading it, summed and divided once
+        per output coordinate."""
+        n, m = f.degree, self.X.dim
         d, scaled = _over_lcm(((t, args), val) for t, group in enumerate(f.groups) for args, val in group)
-        local, cols = [{} for _ in f.groups], [{} for _ in f.groups]  # per tree: f's coordinates, f(e_args) at rank(args) m
+        local: dict[int, list[tuple[int, int]]] = {}  # per tree f lives on: its nonzero local coordinates
         for (t, args), val in scaled:
             a = _args_rank(args, m) * m
-            local[t].update((a + k, v) for k, v in enumerate(val) if v)
-            cols[t][a] = _sparse(val)
-        arg_tuples, den = list(iproduct(range(m), repeat=n + 1)), d * self.D**n
+            local.setdefault(t, []).extend((a + k, v) for k, v in enumerate(val) if v)
+        acc: dict[int, int] = {}
+        den = d * self.D**n
+        for img in self._push(n, self._walk(n, local.items()), [(t, t) for t in local]).values():
+            for r, v in img.items():
+                acc[r] = acc[r] + v if r in acc else v
         data: dict = {}
-        images: dict[tuple[int, str, int], list[tuple[int, int]]] = {}
-        for y, (faces, ors) in enumerate(self.layout(n)):
-            acc: dict[int, int] = {}
-            for i, (t, p) in enumerate(zip(faces, ors)):
-                if (i, p, t) not in images:
-                    x, xs = local[t], cols[t]
-                    dots = (((r * m + k, s) for r, row in blocks[i, p].items() for k, s in enumerate(
-                        _combine(m, ((c, xs[j]) for j, c in row if j in xs), 0))) if 0 < i <= n else
-                        ((r, sum(c * x[j] for j, c in row if j in x)) for r, row in blocks[i, p].items()))
-                    images[i, p, t] = [(r, s) for r, s in dots if s] if x else []
-                for r, s in images[i, p, t]:
-                    acc[r] = acc[r] + s if r in acc else s
-            for r in sorted(acc):
-                b, k = divmod(r, m)
-                key = (y, arg_tuples[b]) if self.cochain._tree_keyed else arg_tuples[b]
-                data.setdefault(key, [ZERO] * m)[k] = Fraction(acc[r], den) if acc[r] else ZERO
+        for r in sorted(acc):
+            y, args, k = _decode(r, n + 1, m)
+            key = (y, args) if self.cochain._tree_keyed else args
+            data.setdefault(key, [ZERO] * m)[k] = Fraction(acc[r], den) if acc[r] else ZERO
         return self.cochain._trusted(n + 1, m, {key: tuple(val) for key, val in data.items()})
 
     def kernel(self, n: int) -> list:
@@ -536,49 +525,55 @@ class _Complex:
             self._kernel[n] = nullspace_rows(rows, self.X.dim ** (n + 1)).sparse_rows()
         return self._kernel[n]
 
+    def _walk(self, n: int, vectors) -> _Restrictions:
+        """The only reader of delta^n's block tables: each distinct block row
+        restricted to integer vectors on one tree's local coordinates, given
+        as (vector id, (column, value) pairs), so a restriction maps a vector
+        id to the row's value on it, times D^n.  Local output rows reading
+        the same restriction under every key form a class.  Only the rows some
+        table holds are visited, and only those reading a nonzero restriction
+        under some key are kept; every other row is in the implicit zero
+        class."""
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for a, vec in vectors:
+            for j, v in vec:
+                by_col.setdefault(j, []).append((a, v))
+        by_row: tuple[dict, dict] = ({}, {})  # outer and contraction rows -> (k, id) of their nonzero restrictions
+        by_image: dict[tuple, int] = {(): 0}
+        images: list[dict[int, int]] = [{}]
+        tables = self.blocks(n)
+        live: dict[int, list[int]] = {}  # each local output row with a nonzero restriction -> its id under each key
+        for s, (key, table) in enumerate(tables.items()):
+            w = self.X.dim if 0 < key[0] <= n else 1
+            for r, row in table.items():
+                if (rids := by_row[w > 1].get(row)) is None:
+                    rids = by_row[w > 1][row] = []
+                    for k in range(w):
+                        img: dict[int, int] = {}
+                        for j, x in row:
+                            for a, v in by_col.get(j + k, ()):
+                                img[a] = img[a] + x * v if a in img else x * v
+                        img = {a: v for a, v in img.items() if v}
+                        if rid := by_image.setdefault(tuple(sorted(img.items())), len(images)):
+                            rids.append((k, rid))
+                        if rid == len(images):
+                            images.append(img)
+                for k, rid in rids:
+                    live.setdefault(r * w + k, [0] * len(tables))[s] = rid
+        index: dict[tuple[int, ...], int] = {}
+        row_class = {r: index.setdefault(tuple(ids), len(index)) for r, ids in sorted(live.items())}
+        return _Restrictions(tuple(tables), row_class, list(index), images, by_image)
+
     def restricted(self, n: int) -> _Restrictions:
-        """The block tables of delta^n composed with K_n, on integers, as one
-        record per degree: a restriction maps row a of K_n to a block row's
-        value on it, times D^n d, d the lcm of K_n's denominators, and rows
-        reading the same restriction under every key form a class.  Only
-        the local output rows some table holds are visited, and only those
-        reading a nonzero restriction under some key are kept; every other
-        row is in the implicit zero class.  K_n's unit rows ((f, 1),) read
-        ((f, d),) with no per-value scaling.  The block tables read are
-        released."""
+        """The walk over the rows of K_n, times d, the lcm of K_n's
+        denominators, as one record per degree, with d K_n; its unit rows
+        ((f, 1),) read ((f, d),) with no per-value scaling.  The block tables
+        read are released."""
         if n not in self._restricted:
             K = self.kernel(n)
             d, wide = _scaled([krow for krow in K if len(krow) > 1])
             K = [next(wide) if len(krow) > 1 else ((krow[0][0], d),) for krow in K]  # a one-entry row is a unit row
-            by_col: dict[int, list[tuple[int, int]]] = {}
-            for a, krow in enumerate(K):
-                for j, v in krow:
-                    by_col.setdefault(j, []).append((a, v))
-            by_row: tuple[dict, dict] = ({}, {})  # outer and contraction rows -> (k, id) of their nonzero restrictions
-            by_image: dict[tuple, int] = {(): 0}
-            images: list[dict[int, int]] = [{}]
-            tables = self.blocks(n)
-            live: dict[int, list[int]] = {}  # each local output row with a nonzero restriction -> its id under each key
-            for s, (key, table) in enumerate(tables.items()):
-                w = self.X.dim if 0 < key[0] <= n else 1
-                for r, row in table.items():
-                    if (rids := by_row[w > 1].get(row)) is None:
-                        rids = by_row[w > 1][row] = []
-                        for k in range(w):
-                            img: dict[int, int] = {}
-                            for j, x in row:
-                                for a, v in by_col.get(j + k, ()):
-                                    img[a] = img[a] + x * v if a in img else x * v
-                            img = {a: v for a, v in img.items() if v}
-                            if rid := by_image.setdefault(tuple(sorted(img.items())), len(images)):
-                                rids.append((k, rid))
-                            if rid == len(images):
-                                images.append(img)
-                    for k, rid in rids:
-                        live.setdefault(r * w + k, [0] * len(tables))[s] = rid
-            index: dict[tuple[int, ...], int] = {}
-            row_class = {r: index.setdefault(tuple(ids), len(index)) for r, ids in sorted(live.items())}
-            self._restricted[n] = _Restrictions(tuple(tables), row_class, list(index), images, by_image, (d, K))
+            self._restricted[n] = self._walk(n, enumerate(K))._replace(kernel=(d, K))
             del self._blocks[n]
         return self._restricted[n]
 
@@ -667,11 +662,19 @@ class _Complex:
         only the rows the class record holds are walked."""
         if n == 1:
             return []
-        dK, rec, size = len(self.kernel(n - 1)), self.restricted(n - 1), self.X.dim ** (n + 1)
+        dK, rec = len(self.kernel(n - 1)), self.restricted(n - 1)
         picked = [divmod(c, dK) for c in sorted(self.singletons(n - 1)[1].pivots)]
         if not picked:
             return []
-        wanted = {a for _, a in picked}
+        return [{c: v for c, v in img.items() if v} for img in self._push(n - 1, rec, picked).values()]
+
+    def _push(self, n: int, rec: _Restrictions, picked: Sequence[tuple[int, int]]) -> dict[tuple[int, int], dict[int, int]]:
+        """Each picked (tree t, vector a) of a degree-n record pushed through
+        the row classes to every output tree whose block reads face t, as
+        delta^n's output coordinates; blocks reading one face add up."""
+        size, wanted, by_tree = self.X.dim ** (n + 2), {a for _, a in picked}, {}
+        for t, a in picked:
+            by_tree.setdefault(t, []).append(a)
         kept = [[(a, v) for a, v in img.items() if a in wanted] for img in rec.images]
         pushed = {key: {a: {} for a in wanted} for key in rec.keys}
         sinks = [[(pushed[key][a], v) for key, rid in zip(rec.keys, cls) for a, v in kept[rid]] for cls in rec.classes]
@@ -679,14 +682,14 @@ class _Complex:
             for sink, v in sinks[c]:
                 sink[r] = v
         out: dict[tuple[int, int], dict[int, int]] = {ta: {} for ta in picked}
-        for y, (faces, ors) in enumerate(self.layout(n - 1)):
+        for y, (faces, ors) in enumerate(self.layout(n)):
             for i, (t, p) in enumerate(zip(faces, ors)):
-                for a, per_row in pushed[i, p].items():
-                    img = out.get((t, a))
-                    for r, v in per_row.items() if img is not None else ():
+                for a in by_tree.get(t, ()):
+                    img = out[t, a]
+                    for r, v in pushed[i, p][a].items():
                         r += y * size
                         img[r] = img[r] + v if r in img else v
-        return [{c: v for c, v in img.items() if v} for img in out.values()]
+        return out
 
     def coboundaries(self, n: int) -> Subspace:
         """B^n, the canonical form of `images`; the zero space at n = 1."""
