@@ -10,7 +10,10 @@ left (twisted by phi^(n-1)), contract neighbouring arguments with signs
 (-1)^i while twisting earlier arguments by phi and later ones by psi, and
 multiply the last argument in from the right (twisted by psi^(n-1)).  The
 i-th block replaces the tree by its i-th face, and every product is the
-one selected by the leaf orientation of the ambient tree.
+one selected by the leaf orientation of the ambient tree; the last leaf's
+rule mirrors the first's (`bihom.trees`), so delta is (-1)^(n+1) [pi, -],
+Z^1 the derivations and Z^2 the first-order deformations, as for
+associative dialgebras (Majumdar and Mukherjee).
 
 Cochains are also required to intertwine the twist maps
 (phi f = f phi^(x n) and likewise for psi); the *_compatible_space
@@ -39,16 +42,14 @@ call on it until `restricted` releases them; no K_n or answer is kept
 there.  An entry is a product of n scaled cells and twist columns, so
 every table is integral over D^n, as the compatibility rows are over
 D^degree.  No table is read densely; `apply_table` and `law_residual` in
-`bihom.algebra` are the dense references.  One walk reads the tables: it
-restricts each distinct row to integer vectors on one tree's local
-coordinates and sorts the local output rows into classes.  One push takes
-a (tree, vector) through the classes to every output tree whose block
-reads that tree as a face.  delta f is the walk over f's values per tree,
-over one denominator for the cochain, pushed tree by tree and divided once
-per output coordinate; the ambient rows of `*_coboundary_rows` are the
-walk over unit vectors, pushed coordinate by coordinate.  The term-by-term
-evaluation of the formula is kept in `tests/oracles.py` as the independent
-reference.
+`bihom.algebra` are the dense references.  One walk reads the tables,
+restricting each distinct row to integer vectors on one tree's local
+coordinates and sorting the local output rows into classes that read one
+restriction under every (block, product); one push takes a (tree, vector)
+through the classes to every output tree whose block reads that face.
+delta f is the walk over f's values, over one denominator, pushed tree by
+tree; `*_coboundary_rows` is the walk over unit vectors.  The term-by-term
+evaluation in `tests/oracles.py` is the independent reference.
 
 The spaces are computed in compatible coordinates.  No twist condition
 mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
@@ -56,14 +57,11 @@ tree, repeated per tree, and its canonical basis G is the shifted copies
 of K_n's.  Its rows, the twist rows of `bihom.algebra`, expand f(M b)
 slot by slot, each argument extending its prefix's expansion by one
 twist column; a b whose prefix M kills gives one-entry rows.  Once per
-degree, `restricted` restricts each distinct block row to K_n times the
-lcm of its denominators, a factor no rank, pivot, kernel, span or
-containment sees, and sorts the local output rows that read a nonzero
-restriction into classes that read one restriction under every (block,
-product).  A row no table holds, or one every key restricts to zero, is
-in no class, so nothing is sized by all m^(n+2) local rows; K_n's unit
-rows become ((f, d),) as they stand, and only its other rows are scaled
-value by value.  On an output tree, a class's restrictions, offset by
+degree, `restricted` walks K_n times the lcm of its denominators, a factor
+no rank, pivot, kernel, span or containment sees.  A row no table holds,
+or one every key restricts to zero, is in no class, so nothing is sized
+by all m^(n+2) local rows; K_n's unit rows become ((f, d),) as they
+stand, and only its other rows are scaled value by value.  On an output tree, a class's restrictions, offset by
 face, give a row of delta^n . G, of rank r_n: dim Z^n = dim C^n - r_n
 and dim B^n = r_(n-1).  Its one-entry rows come first, found from the
 classes without building a row; only rows touching a column none covers
@@ -490,8 +488,7 @@ class _Complex:
         rows: list[dict[int, Fraction]] = [{} for _ in range(self.cochain_dim(n + 1))]
         for (t, j), col in self._push(n, rec, list(iproduct(range(ntrees), range(size)))).items():
             for r, v in col.items():
-                if v:
-                    rows[r][t * size + j] = Fraction(v, den)
+                rows[r][t * size + j] = Fraction(v, den)
         return rows
 
     def apply_delta(self, f: _Cochain) -> _Cochain:
@@ -526,14 +523,11 @@ class _Complex:
         return self._kernel[n]
 
     def _walk(self, n: int, vectors) -> _Restrictions:
-        """The only reader of delta^n's block tables: each distinct block row
-        restricted to integer vectors on one tree's local coordinates, given
-        as (vector id, (column, value) pairs), so a restriction maps a vector
-        id to the row's value on it, times D^n.  Local output rows reading
-        the same restriction under every key form a class.  Only the rows some
-        table holds are visited, and only those reading a nonzero restriction
-        under some key are kept; every other row is in the implicit zero
-        class."""
+        """The only reader of delta^n's block tables: each distinct row
+        restricted to integer vectors, given as (vector id, (local column,
+        value) pairs), maps a vector id to the row's value on it times D^n.
+        Only rows some table holds are visited, and only those reading a
+        nonzero restriction under some key are kept in a class."""
         by_col: dict[int, list[tuple[int, int]]] = {}
         for a, vec in vectors:
             for j, v in vec:
@@ -565,10 +559,9 @@ class _Complex:
         return _Restrictions(tuple(tables), row_class, list(index), images, by_image)
 
     def restricted(self, n: int) -> _Restrictions:
-        """The walk over the rows of K_n, times d, the lcm of K_n's
-        denominators, as one record per degree, with d K_n; its unit rows
-        ((f, 1),) read ((f, d),) with no per-value scaling.  The block tables
-        read are released."""
+        """The walk over d K_n, d the lcm of K_n's denominators, once per
+        degree, kept with (d, d K_n); a unit row ((f, 1),) reads ((f, d),)
+        with no per-value scaling.  The block tables read are released."""
         if n not in self._restricted:
             K = self.kernel(n)
             d, wide = _scaled([krow for krow in K if len(krow) > 1])
@@ -657,21 +650,20 @@ class _Complex:
     def images(self, n: int) -> list[dict[int, int]]:
         """A basis of B^n: delta of the rows of G_(n-1) at the pivot columns
         of delta^(n-1) . G_(n-1), which row operations keep independent and
-        spanning.  Row a of K_(n-1) on tree t is pushed through the row
-        classes, as integers, to every output tree whose block reads t;
-        only the rows the class record holds are walked."""
+        spanning, each pushed from the class record of degree n - 1."""
         if n == 1:
             return []
         dK, rec = len(self.kernel(n - 1)), self.restricted(n - 1)
         picked = [divmod(c, dK) for c in sorted(self.singletons(n - 1)[1].pivots)]
         if not picked:
             return []
-        return [{c: v for c, v in img.items() if v} for img in self._push(n - 1, rec, picked).values()]
+        return list(self._push(n - 1, rec, picked).values())
 
     def _push(self, n: int, rec: _Restrictions, picked: Sequence[tuple[int, int]]) -> dict[tuple[int, int], dict[int, int]]:
         """Each picked (tree t, vector a) of a degree-n record pushed through
         the row classes to every output tree whose block reads face t, as
-        delta^n's output coordinates; blocks reading one face add up."""
+        delta^n's nonzero output coordinates; blocks reading one face add
+        up."""
         size, wanted, by_tree = self.X.dim ** (n + 2), {a for _, a in picked}, {}
         for t, a in picked:
             by_tree.setdefault(t, []).append(a)
@@ -689,7 +681,7 @@ class _Complex:
                     for r, v in pushed[i, p][a].items():
                         r += y * size
                         img[r] = img[r] + v if r in img else v
-        return out
+        return {ta: {r: v for r, v in img.items() if v} for ta, img in out.items()}
 
     def coboundaries(self, n: int) -> Subspace:
         """B^n, the canonical form of `images`; the zero space at n = 1."""

@@ -13,9 +13,11 @@ Conventions fixed here and relied on everywhere else:
   internal nodes has n + 1 leaves.
 * ``orientations(t)`` assigns each leaf one of the two products:
   leaf 0 takes "dashv" exactly when the root's left child is a leaf,
-  the last leaf takes "dashv" exactly when the root's right child is a
+  the last leaf takes "vdash" exactly when the root's right child is a
   leaf, and an interior leaf takes "dashv" exactly when it is the left
-  child of its parent.
+  child of its parent.  The boundary rules mirror each other so that
+  delta f(x, y) on (.,(.,.)) is x -| f(y) - f(x -| y) + f(x) -| y, the
+  derivation rule of -|, and delta is the bracket with pi.
 """
 
 from __future__ import annotations
@@ -169,8 +171,9 @@ def from_paren(s: str) -> Tree:
 def orientations(t: Tree) -> tuple[str, ...]:
     """Product choice per leaf, one of DASHV / VDASH.
 
-    The two boundary leaves look at the root's children; the interior
-    leaves look at which side of their parent they hang from.
+    The two boundary leaves look at the root's children, by mirror rules
+    that make delta the bracket with pi (see the module notes); the
+    interior leaves look at which side of their parent they hang from.
     """
     if t.is_leaf:
         raise ValueError("a bare leaf carries no product")
@@ -190,7 +193,7 @@ def orientations(t: Tree) -> tuple[str, ...]:
 
     walk(t, 0)
     out[0] = DASHV if t.left.is_leaf else VDASH
-    out[m - 1] = DASHV if t.right.is_leaf else VDASH
+    out[m - 1] = VDASH if t.right.is_leaf else DASHV
     return tuple(out)
 
 

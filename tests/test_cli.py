@@ -391,13 +391,15 @@ def test_composition_commands_replay_the_pinned_fixtures():
     phi and psi differ, and verify on both files, then deform (failing at
     order 2, with a residual over 81 whose numerator passes 2^140),
     trivialize and operad-check on deform_bigint.dlg, whose binding and
-    terms have denominators 7 and 9 and numerators past 2^70: exit code
-    and stdout, text and --json, against tests/fixtures/compositions, whose
+    terms have denominators 7 and 9 and numerators past 2^70, then deform
+    and trivialize (obstructed, the obstruction closed) at order 1 on
+    deform_witness_d.dlg, a first-order deformation of the witness D: exit
+    code and stdout, text and --json, against tests/fixtures/compositions, whose
     commands.txt lines read "fixture-name exit-code cli-arguments"."""
     pinned = "tests/fixtures/compositions"
     with open(f"{pinned}/commands.txt", encoding="utf-8") as fh:
         commands = [line.split() for line in fh if line.strip()]
-    assert len(commands) == 33
+    assert len(commands) == 35
     for name, code, *args in commands:
         for ext, flag in (("txt", []), ("json", ["--json"])):
             r = run(*args, *flag)

@@ -250,24 +250,28 @@ def test_compositions_and_residuals_match_the_references_on_hard_structures(monk
 
 
 def test_delta_reads_the_contraction_blocks_by_argument_on_random_tables():
-    """On the random tables, as dialgebras and as one-product algebras:
-    `apply_delta` gives delta f and delta delta f as the term-by-term
-    oracle does for n <= 3, and `delta_rows` is, column by column, delta of
-    each unit cochain for n <= 2."""
+    """On the random tables, as dialgebras and as one-product algebras, and
+    on the witnesses D and Y, whose invertible twists keep the outer blocks
+    live at every degree: `apply_delta` gives delta f as the term-by-term
+    oracle does for n <= 3, and n <= 4 on the witnesses, and delta delta f
+    for n <= 3; `delta_rows` is, column by column, delta of each unit
+    cochain for n <= 2."""
     rng = random.Random(2027)
-    for name, X in hard_structures():
-        if name.startswith("random"):
-            cx, ref = _complex_of(X), oracles.dialg_coboundary if isinstance(X, BiHomDialgebra) else oracles.hoch_coboundary
-            for n in (1, 2, 3):
-                f = hard_cochain_of(rng, X, n)
-                df = cx.apply_delta(f)
-                assert list(df.data.items()) == list(ref(X, f).data.items()), (name, n)
+    cases = [(name, X, 3) for name, X in hard_structures() if name.startswith("random")]
+    cases += [(name, witness(name), 4) for name in ("D", "Y")]
+    for name, X, top in cases:
+        cx, ref = _complex_of(X), oracles.dialg_coboundary if isinstance(X, BiHomDialgebra) else oracles.hoch_coboundary
+        for n in range(1, top + 1):
+            f = hard_cochain_of(rng, X, n)
+            df = cx.apply_delta(f)
+            assert list(df.data.items()) == list(ref(X, f).data.items()), (name, n)
+            if n <= 3:
                 assert list(cx.apply_delta(df).data.items()) == list(ref(X, df).data.items()), (name, n)
-                if n <= 2:
-                    rows, size = cx.delta_rows(n), cx.cochain_dim(n)
-                    for c in range(size):
-                        unit = cx.cochain.unflatten(n, X.dim, [int(i == c) for i in range(size)])
-                        assert [row.get(c, 0) for row in rows] == list(ref(X, unit).flatten()), (name, n, c)
+            if n <= 2:
+                rows, size = cx.delta_rows(n), cx.cochain_dim(n)
+                for c in range(size):
+                    unit = cx.cochain.unflatten(n, X.dim, [int(i == c) for i in range(size)])
+                    assert [row.get(c, 0) for row in rows] == list(ref(X, unit).flatten()), (name, n, c)
 
 
 def fractions_only(rows):

@@ -147,12 +147,14 @@ def test_face_on_single_node():
 
 
 def test_orientations_known_small_cases():
-    # frozen convention; the operad anchor test depends on these values
+    # frozen convention; the operad anchor test depends on these values, and
+    # on three leaves the outer leaves take the middle product, so delta of a
+    # 1-cochain is the derivation rule of that product
     t = trees(1)[0]
-    assert orientations(t) == (DASHV, DASHV)
+    assert orientations(t) == (DASHV, VDASH)
     right_comb, left_comb = trees(2)
-    assert orientations(right_comb) == (DASHV, DASHV, VDASH)
-    assert orientations(left_comb) == (VDASH, VDASH, DASHV)
+    assert orientations(right_comb) == (DASHV, DASHV, DASHV)
+    assert orientations(left_comb) == (VDASH, VDASH, VDASH)
 
 
 def test_orientations_boundary_rule():
@@ -161,7 +163,7 @@ def test_orientations_boundary_rule():
             ori = orientations(t)
             assert len(ori) == t.n_leaves
             assert ori[0] == (DASHV if t.left.is_leaf else VDASH)
-            assert ori[-1] == (DASHV if t.right.is_leaf else VDASH)
+            assert ori[-1] == (VDASH if t.right.is_leaf else DASHV)  # the mirror of leaf 0's rule
             assert set(ori) <= {DASHV, VDASH}
 
 
