@@ -498,19 +498,21 @@ class _Complex:
         per output coordinate."""
         n, m = f.degree, self.X.dim
         d, scaled = _over_lcm(((t, args), val) for t, group in enumerate(f.groups) for args, val in group)
+        den = d * self.D**n
         local: dict[int, list[tuple[int, int]]] = {}  # per tree f lives on: its nonzero local coordinates
         for (t, args), val in scaled:
             a = _args_rank(args, m) * m
             local.setdefault(t, []).extend((a + k, v) for k, v in enumerate(val) if v)
         acc: dict[int, int] = {}
-        den = d * self.D**n
         for img in self._push(n, self._walk(n, local.items()), [(t, t) for t in local]).values():
             for r, v in img.items():
                 acc[r] = acc[r] + v if r in acc else v
         data: dict = {}
+        arg_tuples = list(iproduct(range(m), repeat=n + 1))
         for r in sorted(acc):
-            y, args, k = _decode(r, n + 1, m)
-            key = (y, args) if self.cochain._tree_keyed else args
+            yb, k = divmod(r, m)
+            y, b = divmod(yb, len(arg_tuples))
+            key = (y, arg_tuples[b]) if self.cochain._tree_keyed else arg_tuples[b]
             data.setdefault(key, [ZERO] * m)[k] = Fraction(acc[r], den) if acc[r] else ZERO
         return self.cochain._trusted(n + 1, m, {key: tuple(val) for key, val in data.items()})
 
