@@ -57,24 +57,24 @@ tree, repeated per tree, and its canonical basis G is the shifted copies
 of K_n's.  Its rows, the twist rows of `bihom.algebra`, expand f(M b)
 slot by slot, each argument extending its prefix's expansion by one
 twist column; a b whose prefix M kills gives one-entry rows.  Once per
-degree, `restricted` walks K_n times the lcm of its denominators, a factor
-no rank, pivot, kernel, span or containment sees.  A row no table holds,
-or one every key restricts to zero, is in no class, so nothing is sized
-by all m^(n+2) local rows; K_n's unit rows become ((f, d),) as they
-stand, and only its other rows are scaled value by value.  On an output tree, a class's restrictions, offset by
-face, give a row of delta^n . G, of rank r_n: dim Z^n = dim C^n - r_n
-and dim B^n = r_(n-1).  Its one-entry rows come first, found from the
-classes without building a row; only rows touching a column none covers
-are built, restricted to those columns.  With a unit row per covered
-column they span delta^n . G, as a row differs from its restriction only
-on covered columns; r_n, Z^n, B^n and containment all read them.  B^n
-is spanned by delta of the rows of G_(n-1) at their pivot columns, and
-lies in Z^n exactly when each image lies in C^n, tree by tree, and is
-killed by the rows.  The canonical Z^n is G . ker of the rows: G's rows
-have unit pivots no other row touches, so reduced rows lift to reduced
-rows.  Nothing is eliminated over all of a degree's coordinates;
-`tests/oracles.py` keeps that route, and every row of delta^n . G, as
-the references.
+degree, `restricted` walks K_n times the lcm of its denominators, a
+factor no rank, pivot, kernel, span or containment sees.  A row no table
+holds, or one every key restricts to zero, is in no class, so nothing is
+sized by all m^(n+2) local rows; K_n's unit rows become ((f, d),) as
+they stand, and only its other rows are scaled value by value.  On an
+output tree, a class's restrictions, offset by face, give a row of
+delta^n . G, of rank r_n: dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).
+Its one-entry rows come first, found from the classes without building a
+row; only rows touching a column none covers are built, restricted to
+those columns.  With a unit row per covered column they span
+delta^n . G, as a row differs from its restriction only on covered
+columns; r_n, Z^n, B^n and containment all read them.  B^n is spanned by
+delta of the rows of G_(n-1) at their pivot columns, and lies in Z^n
+exactly when each image lies in C^n, tree by tree, and is killed by the
+rows.  The canonical Z^n is G . ker of the rows: G's rows have unit
+pivots no other row touches, so reduced rows lift to reduced rows.
+Nothing is eliminated over all of a degree's coordinates; the references
+in `tests/oracles.py` keep that route and every row of delta^n . G.
 """
 
 from __future__ import annotations
