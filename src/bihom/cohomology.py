@@ -65,10 +65,11 @@ they stand, and only its other rows are scaled value by value.  On an
 output tree, a class's restrictions, offset by face, give a row of
 delta^n . G, of rank r_n: dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).
 Its one-entry rows come first, found from the classes without building a
-row; only rows touching a column none covers are built, restricted to
-those columns.  With a unit row per covered column they span
-delta^n . G, as a row differs from its restriction only on covered
-columns; r_n, Z^n, B^n and containment all read them.  B^n is spanned by
+row; the columns none covers are pushed, and read by output coordinate
+they give the rows restricted to those columns, each once, shortest
+first.  With a unit row per covered column they span delta^n . G, as a
+row differs from its restriction only on covered columns; r_n, Z^n, B^n
+and containment all read them.  B^n is spanned by
 delta of the rows of G_(n-1) at their pivot columns, and lies in Z^n
 exactly when each image lies in C^n, tree by tree, and is killed by the
 rows.  The canonical Z^n is G . ker of the rows: G's rows have unit
@@ -436,7 +437,6 @@ class _Restrictions(NamedTuple):
     row_class: dict  # local output row -> its class, ascending, only rows some key restricts to nonzero
     classes: list  # per class, its restriction id under each key, numbered by first row; never all zero
     images: list  # the distinct restrictions by id, id 0 the zero row
-    content: dict  # sorted items of each restriction -> its id
     kernel: tuple | None = None  # in `restricted`'s record: K_n's integer form (d, d K_n)
 
 
@@ -558,7 +558,7 @@ class _Complex:
                     live.setdefault(r * w + k, [0] * len(tables))[s] = rid
         index: dict[tuple[int, ...], int] = {}
         row_class = {r: index.setdefault(tuple(ids), len(index)) for r, ids in sorted(live.items())}
-        return _Restrictions(tuple(tables), row_class, list(index), images, by_image)
+        return _Restrictions(tuple(tables), row_class, list(index), images)
 
     def restricted(self, n: int) -> _Restrictions:
         """The walk over d K_n, d the lcm of K_n's denominators, once per
@@ -578,39 +578,17 @@ class _Complex:
         return Subspace._from_rref(dim, [
             {c + t * size: v for c, v in row} for t in range(self.cochain._ntrees(n)) for row in K])
 
-    def _tree_rows(self, n: int, layout: Sequence[tuple[Sequence[int], Sequence[str]]]) -> list[dict[int, int]]:
-        """The distinct nonzero rows of delta^n . G on the output trees of
-        `layout`, G the canonical basis of C^n, over the coordinates
-        t * dim K_n + a of row a of K_n on tree t, on integers as the
-        restrictions are: each tree combines one row per class."""
-        dK, rec = len(self.kernel(n)), self.restricted(n)
-        images, content = list(rec.images), dict(rec.content)  # then sums of them, numbered on by content
-        pos = {key: s for s, key in enumerate(rec.keys)}
-        rows: dict[tuple[tuple[int, int], ...], None] = {}
-        for faces, ors in layout:
-            sel = [(pos[i, p], f * dK) for i, (f, p) in enumerate(zip(faces, ors))]
-            for cls in rec.classes:
-                key: dict[int, int] = {}  # a row is one image per face, so equal rows have equal keys
-                for off, rid in sorted((off, cls[s]) for s, off in sel if cls[s]):
-                    if off in key:  # blocks reading one face add up
-                        x, y = images[key[off]], images[rid]
-                        img = {a: v for a in x.keys() | y.keys() if (v := x.get(a, 0) + y.get(a, 0))}
-                        if (rid := content.setdefault(tuple(sorted(img.items())), len(images))) == len(images):
-                            images.append(img)
-                    key[off] = rid
-                rows[tuple((off, rid) for off, rid in key.items() if rid)] = None
-        return [dict(sorted((a + off, v) for off, rid in key for a, v in images[rid].items())) for key in rows if key]
-
     def singletons(self, n: int) -> tuple[list[dict[int, int]], _Eliminator]:
         """The singleton pass over delta^n . G, once per degree.  A class whose
         live restrictions sit in one block gives, on every output tree, a
         one-entry row at that block's face wherever its restriction has one
         entry, covering that column with no row built.  Returns a unit row per
-        covered column, then the rows touching any other column restricted to
-        those, and their elimination: on integers, they span delta^n . G and
-        the pivots are its pivot columns."""
+        covered column, then the distinct rows of delta^n . G restricted to the
+        other columns, read by output coordinate off the push of those columns,
+        shortest first, and their elimination: on integers, they span
+        delta^n . G and the pivots are its pivot columns."""
         if n not in self._singletons:
-            dK, rec, layout = len(self.kernel(n)), self.restricted(n), self.layout(n)
+            dK, rec = len(self.kernel(n)), self.restricted(n)
             single, support = ({key: set() for key in rec.keys} for _ in range(2))
             for cls in rec.classes:
                 live = [(key, rec.images[rid]) for key, rid in zip(rec.keys, cls) if rid]
@@ -619,14 +597,17 @@ class _Complex:
                     support[key].update(img)
                     if one_block and len(img) == 1:
                         single[key].update(img)
-            reads = {(f * dK, key) for faces, ors in layout for f, key in zip(faces, enumerate(ors))}
+            reads = {(f * dK, key) for faces, ors in self.layout(n) for f, key in zip(faces, enumerate(ors))}
             covered = {off + a for off, key in reads for a in single[key]}
             uncovered = {off + a for off, key in reads for a in support[key]} - covered
-            touching = [(faces, ors) for faces, ors in layout if uncovered and not uncovered.isdisjoint(
-                f * dK + a for f, key in zip(faces, enumerate(ors)) for a in support[key])]
+            by_out: dict[int, dict[int, int]] = {}
+            pushed = self._push(n, rec, [divmod(c, dK) for c in sorted(uncovered)])
+            for t, a in list(pushed):  # each column and row is popped once read, so no two copies are whole
+                for r, v in pushed.pop((t, a)).items():
+                    by_out.setdefault(r, {})[t * dK + a] = v  # ascending columns, so row[0] is leftmost
+            distinct = {tuple(by_out.pop(r).items()): None for r in list(by_out)}
             rows = [{c: 1} for c in sorted(covered)]
-            rows += [r for row in self._tree_rows(n, touching)
-                     if (r := {c: v for c, v in row.items() if c in uncovered})]
+            rows += [dict(row) for row in sorted(distinct, key=lambda row: (len(row), row[0][0]))]
             elim = _Eliminator()
             elim.add_many(rows)
             self._singletons[n] = rows, elim
@@ -657,15 +638,17 @@ class _Complex:
             return []
         dK, rec = len(self.kernel(n - 1)), self.restricted(n - 1)
         picked = [divmod(c, dK) for c in sorted(self.singletons(n - 1)[1].pivots)]
-        if not picked:
-            return []
         return list(self._push(n - 1, rec, picked).values())
 
     def _push(self, n: int, rec: _Restrictions, picked: Sequence[tuple[int, int]]) -> dict[tuple[int, int], dict[int, int]]:
         """Each picked (tree t, vector a) of a degree-n record pushed through
         the row classes to every output tree whose block reads face t, as
-        delta^n's nonzero output coordinates; blocks reading one face add
-        up."""
+        delta^n's nonzero output coordinates; blocks reading one face add up.
+        Over `restricted`'s record a push is a column of delta^n . G.  The one
+        assembly of delta's output trees: delta f, the delta rows, the rows of
+        `singletons` and the images of B^n; an empty pick reads nothing."""
+        if not picked:
+            return {}
         size, wanted, by_tree = self.X.dim ** (n + 2), {a for _, a in picked}, {}
         for t, a in picked:
             by_tree.setdefault(t, []).append(a)

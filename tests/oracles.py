@@ -629,7 +629,7 @@ def delta_g_routes(cx, degrees):
         for k in (n - 1, n):
             if k not in pivots:
                 elim = _Eliminator()
-                rows[k] = cx._tree_rows(k, cx.layout(k))
+                rows[k] = delta_g_rows(cx, k)
                 elim.add_many(rows[k])
                 pivots[k] = tuple(sorted(elim.pivots))
         images = _basis_images(cx, n - 1, pivots[n - 1])
@@ -638,6 +638,25 @@ def delta_g_routes(cx, degrees):
         B = Subspace._from_rref(cx.cochain_dim(n), elim.rref()[1])
         Z = _cocycles_of(cx, n, rows[n]) if n <= 4 else None
         yield pivots[n], pivots[n - 1], _all_killed(cx, n, rows[n], images), B, Z
+
+
+def delta_g_rows(cx, k: int) -> list[dict[int, int]]:
+    """The distinct nonzero rows of delta^k . G on every output tree, over
+    the columns t * dim K_k + a of row a of K_k on tree t, on integers as
+    `cx`'s restrictions are, written from the class record alone: the row of
+    a class on an output tree is, over the tree's blocks, the restriction of
+    the class under that block's (block, product), offset by its face."""
+    dK, rec = len(cx.kernel(k)), cx.restricted(k)
+    at = {key: s for s, key in enumerate(rec.keys)}
+    rows = set()
+    for faces, ors in cx.layout(k):
+        for cls in rec.classes:
+            row: dict[int, int] = {}
+            for i, (t, p) in enumerate(zip(faces, ors)):
+                for a, v in rec.images[cls[at[i, p]]].items():
+                    row[t * dK + a] = row.get(t * dK + a, 0) + v
+            rows.add(tuple(sorted((c, v) for c, v in row.items() if v)))
+    return [dict(row) for row in sorted(rows) if row]
 
 
 def _cocycles_of(cx, n: int, rows) -> Subspace:

@@ -12,7 +12,7 @@ import bihom.dsl
 
 from bihom.algebra import BiHomAssociativeAlgebra
 from bihom.cli import main
-from bihom.cohomology import cohomology, cohomology_spaces
+from bihom.cohomology import cohomology, cohomology_report, cohomology_spaces
 from bihom.derivations import (
     BiDegree,
     GeneralizedSpec,
@@ -293,6 +293,72 @@ def test_cohomology_bad_degree():
     r = run("cohomology", "corpus/alg2_2.dlg", "--name", "Alg2_2", "--degree", "0")
     assert r.exit_code == 2
     assert "--degree must be at least 1" in r.output
+
+
+_EQUAL_PRODUCTS = """dialgebra E {
+  dim 2;
+  basis e1 e2;
+  dashv(e2, e2) = e1;
+  vdash(e2, e2) = e1;
+  phi(e2) = e1;
+  psi(e2) = e1;
+}
+
+algebra N {
+  dim 2;
+  basis e1 e2;
+  mul(e2, e2) = e1;
+  phi(e2) = e1;
+  psi(e2) = e1;
+}
+"""
+
+
+def _cohomology_json(path, name, degree, *flags):
+    r = run("cohomology", str(path), "--name", name, "--degree", str(degree), *flags, "--json")
+    assert r.exit_code == 0, r.output
+    return json.loads(r.output)
+
+
+def test_cohomology_complex_hoch_reads_equal_products_as_the_algebra(tmp_path):
+    """--complex hoch on a dialgebra whose two products are equal reports
+    the one-product complex of that product: the same answer as the
+    algebra block of that product and as the library on it, and not the
+    tree complex's."""
+    path = tmp_path / "equal.dlg"
+    path.write_text(_EQUAL_PRODUCTS)
+    N = build_block(parse_path(path), "N")
+    for n in (1, 2, 3):
+        doc = _cohomology_json(path, "E", n, "--complex", "hoch")
+        assert doc["complex"] == "hoch"
+        assert {**doc, "name": "N"} == _cohomology_json(path, "N", n)
+        rep = cohomology_report(N, n)
+        assert (doc["compatible_dim"], doc["cocycle_dim"], doc["coboundary_dim"], doc["cohomology_dim"]) == (
+            rep.compatible_dim, rep.cocycle_dim, rep.coboundary_dim, rep.cohomology_dim), n
+    hoch, dialg = _cohomology_json(path, "E", 2, "--complex", "hoch"), _cohomology_json(path, "E", 2)
+    assert dialg["complex"] == "dialg" and dialg["compatible_dim"] != hoch["compatible_dim"]
+
+
+def test_cohomology_complex_hoch_refuses_unequal_products():
+    r = run("cohomology", "corpus/alg2_2.dlg", "--name", "Alg2_2", "--degree", "2", "--complex", "hoch")
+    assert r.exit_code == 2
+    assert "error: the one-product complex needs both products equal" in r.output
+
+
+def test_cohomology_complex_dialg_reads_an_algebra_as_its_dialgebra():
+    """--complex dialg on an algebra block reports the tree complex of
+    as_dialgebra(), which is not the one-product complex the block gets by
+    default."""
+    X = build_block(parse_path("corpus/ex43.dlg"), "Ex43_readingA")
+    for n in (1, 2, 3):
+        doc = _cohomology_json("corpus/ex43.dlg", "Ex43_readingA", n, "--complex", "dialg")
+        assert doc["complex"] == "dialg"
+        rep = cohomology_report(X.as_dialgebra(), n)
+        assert (doc["compatible_dim"], doc["cocycle_dim"], doc["coboundary_dim"], doc["coboundaries_contained"]) == (
+            rep.compatible_dim, rep.cocycle_dim, rep.coboundary_dim, rep.contained), n
+        assert doc["cohomology_dim"] == rep.cohomology_dim, n
+    assert _cohomology_json("corpus/ex43.dlg", "Ex43_readingA", 2)["compatible_dim"] != cohomology_report(
+        X.as_dialgebra(), 2).compatible_dim
 
 
 def test_operad_check_pass_and_fail():

@@ -2,6 +2,7 @@
 and the cross-check between the tree-indexed and one-product sides."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from bihom.trees import trees
 
 import oracles
 from test_algebra import _perturbed_alg2_2
+from test_coboundary_identities import witness
 
 
 def nil2():
@@ -691,7 +693,8 @@ def test_rank_of_delta_g_matches_a_modular_rank():
 def certificate_cases():
     """(structure, degrees) for the singleton pass against every row of
     delta . G: the catalog at four bindings, ten random-table dialgebras,
-    the perturbed Alg2_2, nil2 and both Ex43 readings in both complexes."""
+    the perturbed Alg2_2, nil2, both Ex43 readings in both complexes and the
+    witnesses D and Y, which leave many columns uncovered."""
     rng = random.Random(91)
     cases = []
     for entry in catalog().values():
@@ -704,7 +707,7 @@ def certificate_cases():
     for reading in ("Ex43_readingA", "Ex43_readingB"):
         X = build_block(parse_path("corpus/ex43.dlg"), reading)
         cases += [(X, range(1, 6)), (X.as_dialgebra(), range(1, 4))]
-    return cases
+    return cases + [(witness(name), range(1, 5)) for name in ("D", "Y")]
 
 
 def test_singleton_pass_matches_every_row_of_delta_g():
@@ -745,19 +748,20 @@ def test_cocycle_test_agrees_with_the_canonical_cocycles():
 
 
 def test_report_builds_no_full_delta_g_on_the_catalog(monkeypatch):
-    """Guard: neither the report nor the cocycles build delta^n . G on every
-    output tree.  On the catalog in degrees 2-6 the one-entry rows found
-    from the classes cover every column a row reaches, so every row the
-    pass returns is a unit row; degree 1, which the report in degree 2
-    reads, builds only rows on the trees touching the rest."""
-    built = _Complex._tree_rows
+    """Guard: neither the report nor the cocycles build a row of delta^n . G
+    past the unit rows.  On the catalog in degrees 2-6 the one-entry rows
+    found from the classes cover every column a row reaches, so the singleton
+    pass pushes no column and every row it returns is a unit row; degree 1,
+    which the report in degree 2 reads, pushes only the columns left
+    uncovered."""
+    push = _Complex._push
 
-    def refusing(self, n, layout):
-        if n >= 2 and list(layout) == list(self.layout(n)):
-            raise AssertionError(f"delta^{n} . G built on every output tree")
-        return built(self, n, layout)
+    def refusing(self, n, rec, picked):
+        if n >= 2 and picked and sys._getframe(1).f_code.co_name == "singletons":
+            raise AssertionError(f"the singleton pass pushed {len(picked)} columns of delta^{n} . G")
+        return push(self, n, rec, picked)
 
-    monkeypatch.setattr(_Complex, "_tree_rows", refusing)
+    monkeypatch.setattr(_Complex, "_push", refusing)
     rng = random.Random(23)
     for entry in catalog().values():
         for binding in [{p: 1 for p in entry.params}] + rand_bindings(entry, rng, count=2):

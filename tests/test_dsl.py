@@ -315,3 +315,48 @@ def test_expected_token_messages_name_what_was_found(text, message):
     with pytest.raises(DslError) as exc:
         parse(text)
     assert str(exc.value) == f"syntax error at {message}"
+
+
+_TWO = "dialgebra A {\n  dim 2;\n  basis e1 e2;\n"
+_ONE = "dialgebra A {\n  dim 1;\n  basis e1;\n}\n"
+
+
+@pytest.mark.parametrize("text, kind, line, col, message", [
+    ("dialgebra A {\n  dim 2;\n  basis e1 e1;\n}", "semantic", 3, 12, "duplicate basis name 'e1'"),
+    ("dialgebra A {\n  dim 3;\n  basis e1 e2;\n}", "semantic", 2, 7, "dim 3 does not match 2 basis name(s)"),
+    (_TWO + "  param a = 1;\n  param a = 2;\n}", "semantic", 5, 9, "duplicate parameter 'a'"),
+    (_TWO + "  param e2 = 1;\n}", "semantic", 4, 9, "parameter 'e2' shadows a basis name"),
+    ("algebra B {\n  dim 1;\n  basis e1;\n}\ndeformation D of B {\n  order 1;\n}",
+     "semantic", 5, 18, "deformation base 'B' is not a dialgebra"),
+    (_ONE + "deformation D of A {\n  order -1;\n}", "semantic", 6, 9, "order must be nonnegative"),
+    (_ONE + "deformation D of A {\n  order 1;\n  term 1 phi(e1) = e1;\n}",
+     "semantic", 7, 10, "entry 'phi' not allowed in deformation block"),
+    ("# a remark\nalgebras A {}", "syntax", 2, 1, "expected 'dialgebra', 'algebra' or 'deformation', found 'algebras'"),
+    ("dialgebra A {\n  dim 1;\n  basis ;\n}", "syntax", 3, 9, "expected at least one basis name"),
+    (_TWO + "  dashv(e1, e2) = ;\n}", "syntax", 4, 19, "expected term"),
+    (_TWO + "  dash(e1, e2) = e1;\n}", "syntax", 4, 3, "expected one of dashv/vdash/mul/phi/psi, found 'dash'"),
+    (_TWO + "  dashv(e1, e2) = 2*e3;\n}", "semantic", 4, 3, "unknown basis name 'e3'"),
+], ids=["duplicate-basis", "dim-count", "duplicate-param", "param-shadows-basis", "base-not-dialgebra",
+        "negative-order", "non-product-term", "block-keyword", "no-basis", "expected-term",
+        "entry-keyword", "unknown-term-basis"])
+def test_each_refusal_is_located(text, kind, line, col, message):
+    """Each refusal of the parser names its kind, the line and column of the
+    token at fault and what is wrong there."""
+    with pytest.raises(DslError) as exc:
+        parse(text)
+    e = exc.value
+    assert (e.kind, e.line, e.col, e.detail) == (kind, line, col, message)
+    assert str(e) == f"{kind} error at line {line}, column {col}: {message}"
+
+
+def test_an_explicit_zero_entry_round_trips():
+    """`= 0;` parses to an entry with no terms, which prints back as `= 0;`,
+    and builds a zero product cell next to a nonzero one."""
+    text = "dialgebra Z {\n  dim 2;\n  basis e1 e2;\n  dashv(e1, e2) = 0;\n  vdash(e2, e2) = e1;\n}\n"
+    df = parse(text)
+    assert df.block("Z").entries[0].terms == ()
+    assert print_definition(df) == text
+    assert parse(print_definition(df)) == df
+    A = build_block(df, "Z")
+    assert not any(any(cell) for line in A.dashv for cell in line)
+    assert A.vdash[1][1] == (1, 0)
