@@ -40,7 +40,10 @@ The twisted Leibniz rule is written once too, as sparse rows over the
 entries of the unknown maps (`leibniz_rows`): the derivation and triviality
 solvers eliminate them, and `_leibniz` applies them to one given map.  So
 are the twist rows M f(b) - f(M b) of a cochain f (`_compat_rows`): the
-complex's compatibility rows and, at degree 1, the commutation rows.
+complex's compatibility rows and, at degree 1, the commutation rows.  For
+the complex, a one-entry row is never built: past a prefix the twist kills,
+each one-entry line of M forces a range of columns to zero, added to a set
+the caller passes in, whose kernel takes them as unit pivots by column.
 """
 
 from __future__ import annotations
@@ -462,35 +465,41 @@ def _leibniz(D: Mat, W: Mat, cells: Cells) -> Callable[[int, int], Vec]:
     return lambda a, b: tuple(res[(a * n + b) * n : (a * n + b + 1) * n])
 
 
-def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int, D: int = 1) -> list[dict[int, int]]:
+def _compat_rows(twists: Sequence[Sequence[Sparse]], degree: int, D: int = 1, zeros: set[int] | None = None) -> list[dict[int, int]]:
     """Rows of D^degree (M f(b) - f(M b)) over one tree's coordinates for each twist M,
     given by the nonzero (k, c) of the columns of D M: integer rows when D M is integral.
-    f(M b) is expanded slot by slot: a prefix of b extends its parent's expansion by
-    one column of M, and every b past a prefix M kills has the nonzero lines of M f(b)
-    as its rows, with no expansion at all."""
+    f(M b) is expanded slot by slot, from a stack of prefixes: a prefix of b extends its
+    parent's expansion by one column of M, and every b past a prefix M kills has the
+    nonzero lines of M f(b) as its rows, with no expansion at all.  Given a set `zeros`,
+    a one-entry row is not built: a one-entry line of M forces the columns b m + j of
+    every b past a killed prefix to zero, and they join `zeros` as one range, and a
+    one-entry row at full depth adds its column."""
     rows: list[dict[int, int]] = []
     for cols in twists:
         m = len(cols)
         lines = [[(j, D ** (degree - 1) * c) for j, col in enumerate(cols) for i, c in col if i == k] for k in range(m)]
-        killed = [line for line in lines if line]
-
-        def walk(r: int, depth: int, terms: list[tuple[int, int]]) -> None:
-            # terms: M p expanded, p the prefix of rank r, as (argument rank, coefficient)
+        killed = [line for line in lines if line and (zeros is None or len(line) > 1)]
+        single = [line[0][0] for line in lines if len(line) == 1] if zeros is not None else []
+        stack = [(0, 0, [(0, 1)])]  # (rank r of a prefix, its length, M of it expanded as (argument rank, coefficient))
+        while stack:
+            r, depth, terms = stack.pop()
             if not terms:
                 span = m ** (degree - depth)
                 rows.extend([{b * m + j: c for j, c in line} for b in range(r * span, (r + 1) * span) for line in killed])
+                for j in single:
+                    zeros.update(range(r * span * m + j, (r + 1) * span * m, m))
             elif depth < degree:
-                for x, col in enumerate(cols):
-                    walk(r * m + x, depth + 1, [(a * m + i, c * v) for a, c in terms for i, v in col])
+                stack.extend((r * m + x, depth + 1, [(a * m + i, c * v) for a, c in terms for i, v in col])
+                             for x, col in reversed(list(enumerate(cols))))
             else:
                 for k, line in enumerate(lines):  # M f(b)_k - f(M b)_k
                     row = {r * m + j: c for j, c in line}
                     for a, c in terms:
                         row[a * m + k] = row.get(a * m + k, 0) - c
-                    if row := {key: v for key, v in row.items() if v}:
+                    if len(row := {key: v for key, v in row.items() if v}) == 1 and zeros is not None:
+                        zeros.update(row)
+                    elif row:
                         rows.append(row)
-
-        walk(0, 0, [(0, 1)])
     return rows
 
 

@@ -56,12 +56,15 @@ mixes trees, so C^n is one kernel K_n over the m^(n+1) coordinates of a
 tree, repeated per tree, and its canonical basis G is the shifted copies
 of K_n's.  Its rows, the twist rows of `bihom.algebra`, expand f(M b)
 slot by slot, each argument extending its prefix's expansion by one
-twist column; a b whose prefix M kills gives one-entry rows.  Once per
-degree, `restricted` walks K_n times the lcm of its denominators, a
-factor no rank, pivot, kernel, span or containment sees.  A row no table
-holds, or one every key restricts to zero, is in no class, so nothing is
-sized by all m^(n+2) local rows; K_n's unit rows become ((f, d),) as
-they stand, and only its other rows are scaled value by value.  On an
+twist column; past a prefix M kills, M's one-entry lines force ranges of
+columns to zero, which the kernel takes as unit pivots by column, with no
+row built.  K_n is kept by position (`kernel_form`): its pivot columns,
+ascending, and its few rows that are not unit rows.  Once per degree,
+`restricted` walks K_n times the lcm of its denominators, a factor no
+rank, pivot, kernel, span or containment sees.  A row no table holds, or
+one every key restricts to zero, is in no class, so nothing is sized by
+all m^(n+2) local rows; a unit row of K_n is read at its column, by
+position, and only its other rows are scaled value by value.  On an
 output tree, a class's restrictions, offset by face, give a row of
 delta^n . G, of rank r_n: dim Z^n = dim C^n - r_n and dim B^n = r_(n-1).
 Its one-entry rows come first, found from the classes without building a
@@ -81,6 +84,7 @@ in `tests/oracles.py` keep that route and every row of delta^n . G.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -102,7 +106,7 @@ from bihom.algebra import (
     vec_add,
     zero_vec,
 )
-from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, _over_lcm, _scaled, nullspace_rows, q, span_rows
+from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, _kernel, _over_lcm, _scaled, nullspace_rows, q, span_rows
 from bihom.trees import Tree, face_layout, tree_index, trees
 
 
@@ -392,6 +396,16 @@ def _coboundary_blocks(cx: _Complex, n: int) -> dict[tuple[int, str], dict[int, 
     return tables
 
 
+def _by_column(vectors) -> dict[int, list[tuple[int, int]]]:
+    """Sparse vectors given as (id, (column, value) pairs), read by column:
+    the (id, value) pairs at each column some vector holds."""
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for a, vec in vectors:
+        for j, v in vec:
+            by_col.setdefault(j, []).append((a, v))
+    return by_col
+
+
 def dialg_coboundary_rows(A: BiHomDialgebra, n: int) -> list[dict[int, Fraction]]:
     """delta^n as linear functionals: one sparse row per output coordinate.
 
@@ -437,7 +451,7 @@ class _Restrictions(NamedTuple):
     row_class: dict  # local output row -> its class, ascending, only rows some key restricts to nonzero
     classes: list  # per class, its restriction id under each key, numbered by first row; never all zero
     images: list  # the distinct restrictions by id, id 0 the zero row
-    kernel: tuple | None = None  # in `restricted`'s record: K_n's integer form (d, d K_n)
+    kernel: tuple | None = None  # in `restricted`'s record: (d, K_n's pivot columns, d K_n's other rows by position)
 
 
 class _Complex:
@@ -458,7 +472,7 @@ class _Complex:
         self.X, self.cochain = X, cochain
         self.D, (self.cells,), self.twists = _derived(X, "integer_form", _integer_form)
         self._blocks: dict[int, dict[tuple[int, str], dict[int, tuple]]] = _derived(X, "blocks", lambda X: {})
-        self._kernel: dict[int, list] = {}
+        self._kernel: dict[int, tuple[list[int], dict[int, tuple]]] = {}
         self._restricted: dict[int, _Restrictions] = {}
         self._singletons: dict[int, tuple[list[dict], _Eliminator]] = {}
 
@@ -484,7 +498,7 @@ class _Complex:
         by column; each entry is divided by D^n once."""
         size, den = self.X.dim ** (n + 1), self.D**n  # one input tree
         ntrees = self.cochain_dim(n) // size  # refuses n < 1
-        rec = self._walk(n, ((j, ((j, 1),)) for j in range(size)))
+        rec = self._walk(n, lambda j: ((j, 1),))
         rows: list[dict[int, Fraction]] = [{} for _ in range(self.cochain_dim(n + 1))]
         for (t, j), col in self._push(n, rec, list(iproduct(range(ntrees), range(size)))).items():
             for r, v in col.items():
@@ -504,7 +518,7 @@ class _Complex:
             a = _args_rank(args, m) * m
             local.setdefault(t, []).extend((a + k, v) for k, v in enumerate(val) if v)
         acc: dict[int, int] = {}
-        for img in self._push(n, self._walk(n, local.items()), [(t, t) for t in local]).values():
+        for img in self._push(n, self._walk(n, _by_column(local.items()).get), [(t, t) for t in local]).values():
             for r, v in img.items():
                 acc[r] = acc[r] + v if r in acc else v
         data: dict = {}
@@ -516,24 +530,31 @@ class _Complex:
             data.setdefault(key, [ZERO] * m)[k] = Fraction(acc[r], den) if acc[r] else ZERO
         return self.cochain._trusted(n + 1, m, {key: tuple(val) for key, val in data.items()})
 
-    def kernel(self, n: int) -> list:
-        """K_n, the canonical basis of one tree's compatible cochains over its
-        m^(n+1) coordinates, once per degree; equal twists give rows once."""
+    def kernel_form(self, n: int) -> tuple[list[int], dict[int, tuple]]:
+        """K_n by position, once per degree: its pivot columns, ascending, one per
+        row, and its rows that are not unit rows, by position; equal twists give
+        rows once.  Forced-zero columns arrive from the twist rows as ranges, and
+        a unit row is its pivot column alone, so no row is built for it."""
         if n not in self._kernel:
-            rows = _compat_rows(self.twists[:1] if self.X.phi == self.X.psi else self.twists, n, self.D)
-            self._kernel[n] = nullspace_rows(rows, self.X.dim ** (n + 1)).sparse_rows()
+            zeros: set[int] = set()
+            rows = _compat_rows(self.twists[:1] if self.X.phi == self.X.psi else self.twists, n, self.D, zeros)
+            free, wide = _kernel(rows, self.X.dim ** (n + 1), zeros)
+            self._kernel[n] = free, {bisect_left(free, f): row for f, row in wide.items()}
         return self._kernel[n]
 
-    def _walk(self, n: int, vectors) -> _Restrictions:
+    def kernel(self, n: int) -> tuple:
+        """K_n, the canonical basis of one tree's compatible cochains over its
+        m^(n+1) coordinates, built from `kernel_form` in one pass."""
+        free, wide = self.kernel_form(n)
+        return tuple([wide[a] if a in wide else ((f, ONE),) for a, f in enumerate(free)])
+
+    def _walk(self, n: int, column: Callable) -> _Restrictions:
         """The only reader of delta^n's block tables: each distinct row
-        restricted to integer vectors, given as (vector id, (local column,
-        value) pairs), maps a vector id to the row's value on it times D^n.
-        Only rows some table holds are visited, and only those reading a
-        nonzero restriction under some key are kept in a class."""
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for a, vec in vectors:
-            for j, v in vec:
-                by_col.setdefault(j, []).append((a, v))
+        restricted to integer vectors, given by column (column(j) is the
+        (vector id, value) pairs at local column j, or empty), maps a vector id
+        to the row's value on it times D^n.  Only rows some table holds are
+        visited, and only those reading a nonzero restriction under some key
+        are kept in a class."""
         by_row: tuple[dict, dict] = ({}, {})  # outer and contraction rows -> (k, id) of their nonzero restrictions
         by_image: dict[tuple, int] = {(): 0}
         images: list[dict[int, int]] = [{}]
@@ -547,7 +568,7 @@ class _Complex:
                     for k in range(w):
                         img: dict[int, int] = {}
                         for j, x in row:
-                            for a, v in by_col.get(j + k, ()):
+                            for a, v in column(j + k) or ():
                                 img[a] = img[a] + x * v if a in img else x * v
                         img = {a: v for a, v in img.items() if v}
                         if rid := by_image.setdefault(tuple(sorted(img.items())), len(images)):
@@ -562,13 +583,22 @@ class _Complex:
 
     def restricted(self, n: int) -> _Restrictions:
         """The walk over d K_n, d the lcm of K_n's denominators, once per
-        degree, kept with (d, d K_n); a unit row ((f, 1),) reads ((f, d),)
-        with no per-value scaling.  The block tables read are released."""
+        degree, kept with (d, K_n's pivot columns, d K_n's other rows by
+        position).  A unit row is read at its column, by position, as d: it
+        is never built or scaled.  The block tables read are released."""
         if n not in self._restricted:
-            K = self.kernel(n)
-            d, wide = _scaled([krow for krow in K if len(krow) > 1])
-            K = [next(wide) if len(krow) > 1 else ((krow[0][0], d),) for krow in K]  # a one-entry row is a unit row
-            self._restricted[n] = self._walk(n, enumerate(K))._replace(kernel=(d, K))
+            free, wide = self.kernel_form(n)
+            d, scaled = _scaled(list(wide.values()))
+            wide = dict(zip(wide, scaled))
+            by_col = _by_column(wide.items())
+
+            def column(j: int):
+                if j in by_col:
+                    return by_col[j]
+                a = bisect_left(free, j)
+                return ((a, d),) if a < len(free) and free[a] == j else ()
+
+            self._restricted[n] = self._walk(n, column)._replace(kernel=(d, free, wide))
             del self._blocks[n]
         return self._restricted[n]
 
@@ -588,7 +618,7 @@ class _Complex:
         shortest first, and their elimination: on integers, they span
         delta^n . G and the pivots are its pivot columns."""
         if n not in self._singletons:
-            dK, rec = len(self.kernel(n)), self.restricted(n)
+            dK, rec = len(self.kernel_form(n)[0]), self.restricted(n)
             single, support = ({key: set() for key in rec.keys} for _ in range(2))
             for cls in rec.classes:
                 live = [(key, rec.images[rid]) for key, rid in zip(rec.keys, cls) if rid]
@@ -636,7 +666,7 @@ class _Complex:
         spanning, each pushed from the class record of degree n - 1."""
         if n == 1:
             return []
-        dK, rec = len(self.kernel(n - 1)), self.restricted(n - 1)
+        dK, rec = len(self.kernel_form(n - 1)[0]), self.restricted(n - 1)
         picked = [divmod(c, dK) for c in sorted(self.singletons(n - 1)[1].pivots)]
         return list(self._push(n - 1, rec, picked).values())
 
@@ -677,14 +707,10 @@ class _Complex:
         """The membership test of Z^n.  It takes a degree-n cochain by its
         nonzero ambient coordinates, at any common scale: it is a cocycle
         when it lies in K_n's span on every tree, and its G-coordinates, read
-        at K_n's pivots, are killed by the rows of `singletons`."""
-        (d, K), size = self.restricted(n).kernel, self.X.dim ** (n + 1)
-        rows, _ = self.singletons(n)
-        at = {row[0][0]: a for a, row in enumerate(K)}
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                by_col.setdefault(c, []).append((i, v))
+        at K_n's pivots, found by position, are killed by the rows of
+        `singletons`."""
+        (d, free, wide), size = self.restricted(n).kernel, self.X.dim ** (n + 1)
+        by_col = _by_column((i, row.items()) for i, row in enumerate(self.singletons(n)[0]))
 
         def killed(img: dict) -> bool:
             local: dict[int, dict] = {}
@@ -694,10 +720,11 @@ class _Complex:
             for t, x in local.items():
                 res = {j: d * w for j, w in x.items()}  # d x less x's pivot entries times the rows of d K_n
                 for j, w in x.items():
-                    for c, v in K[at[j]] if j in at else ():
-                        res[c] = res.get(c, 0) - w * v
-                    for i, v in by_col.get(t * len(K) + at[j], ()) if j in at else ():
-                        acc[i] = acc[i] + w * v if i in acc else w * v
+                    if (a := bisect_left(free, j)) < len(free) and free[a] == j:
+                        for c, v in wide.get(a) or ((j, d),):
+                            res[c] = res.get(c, 0) - w * v
+                        for i, v in by_col.get(t * len(free) + a, ()):
+                            acc[i] = acc[i] + w * v if i in acc else w * v
                 if any(res.values()):
                     return False
             return not any(acc.values())
@@ -711,7 +738,7 @@ class _Complex:
         self.cochain_dim(n)  # refuses n < 1 before any kernel work
         killed, B = self.cocycle_test(n), self.images(n)
         contained = all(map(killed, B))
-        dim_z = (dim_c := self.cochain._ntrees(n) * len(self.kernel(n))) - self.singletons(n)[1].rank
+        dim_z = (dim_c := self.cochain._ntrees(n) * len(self.kernel_form(n)[0])) - self.singletons(n)[1].rank
         return CohomologyReport(n, dim_c, dim_z, len(B), dim_z - len(B) if contained else None, contained)
 
 

@@ -18,15 +18,19 @@ vectors are built only when a caller asks for them.  Kernels come out
 of one elimination already in that canonical form (see
 `nullspace_rows`), so they are never densified or eliminated twice;
 the span of sparse rows (`span_rows`) takes one elimination as well.
-A one-entry row is read as its pivot column alone: it is never scaled,
-reduced or back-substituted, and a free column that no longer pivot row
-touches gives the kernel's unit vector at that column directly.  Rows
-already on integers skip the clearing of denominators.
+A one-entry row is read as its pivot column alone, and an eliminator keeps
+such a unit pivot by its column only: it is never scaled, reduced or
+back-substituted, and a free column that no longer pivot row touches gives
+the kernel's unit vector at that column directly.  A kernel may also be
+handed a set of forced-zero columns, filled a range at a time, which it
+takes as unit pivots as they stand (`_kernel`).  Rows already on integers
+skip the clearing of denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import filterfalse
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -251,13 +255,14 @@ class Mat:
 # -- sparse elimination, singleton pivots first --------------------------------
 #
 # A row with one nonzero entry, as given or once the unit columns found so
-# far are stripped from it, is the unit pivot {c: 1}, never integerised: a
-# one-entry row in the row space is always a reduced echelon row, so pivots,
-# rank and reduced rows are unchanged (structured Gaussian elimination).
-# The other rows are dicts {column: int} after clearing denominators, each
-# reduced against the pivots by cross-multiplication (r := p_lead*r -
-# r_lead*p) and a gcd renormalisation, so entries stay integral and
-# bounded.  Back substitution then gives unit pivots over Fraction.
+# far are stripped from it, is a unit pivot, kept by its column alone and
+# never integerised: a one-entry row in the row space is always a reduced
+# echelon row, so pivots, rank and reduced rows are unchanged (structured
+# Gaussian elimination).  The other rows are dicts {column: int} after
+# clearing denominators, each reduced against the pivot rows by
+# cross-multiplication (r := p_lead*r - r_lead*p) and a gcd renormalisation,
+# so entries stay integral and bounded; no such row holds a unit column.
+# Back substitution then gives unit pivots over Fraction.
 
 
 def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
@@ -270,6 +275,25 @@ def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
     if row[min(row)] < 0:
         g = -g
     return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _peel(rows: Iterable[dict], units: set[int]) -> list[dict]:
+    """The rows stripped of the unit columns and of zero entries, until no
+    stripped row has one entry left; such a row's column joins `units`.  A
+    row with nothing to strip is kept as it is, never copied."""
+    found = -1
+    while found != len(units):
+        found, kept = len(units), []
+        for row in rows:
+            if len(row) < 2 or not all(row.values()) or not units.isdisjoint(row):
+                row = {c: v for c, v in row.items() if v and c not in units}
+                if len(row) == 1:
+                    units.update(row)
+                    continue
+            if row:
+                kept.append(row)
+        rows = kept
+    return rows
 
 
 def _reduce_against(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -302,15 +326,20 @@ def _reduce_against(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> d
 
 
 class _Eliminator:
-    """Sparse elimination; collects rows, and pivot rows by column on first read."""
+    """Sparse elimination; collects rows, and on first read its pivots: the
+    unit pivots by their column alone (`units`), with no row kept for them,
+    and the other pivot rows, on integers, by pivot column (`by_pivot`).
+    Callers read `pivots`, the set of every pivot column, and `rank`.  A
+    kernel's forced-zero columns, which arrive as ranges, are unit pivots
+    of the same kind, kept in a set of columns (`_kernel`)."""
 
     def __init__(self) -> None:
         self.units: set[int] = set()
         self._rows: list[dict[int, Fraction]] = []
-        self._pivots: dict[int, dict[int, int]] | None = None
+        self._by_pivot: dict[int, dict[int, int]] | None = None
 
     def add(self, row: dict[int, Fraction]) -> None:
-        self._pivots = None
+        self._by_pivot = None
         if len(row) != 1:
             self._rows.append(row)
         elif any(row.values()):
@@ -321,27 +350,23 @@ class _Eliminator:
             self.add(row)
 
     @property
-    def pivots(self) -> dict[int, dict[int, int]]:
-        if self._pivots is None:
-            rows, found = self._rows, -1
-            while found != len(self.units):  # peel until no stripped row has one entry left
-                found, kept = len(self.units), []
-                for row in rows:
-                    row = {c: v for c, v in row.items() if v and c not in self.units}
-                    if len(row) == 1:
-                        self.units.update(row)
-                    elif row:
-                        kept.append(row)
-                rows = kept
-            self._pivots = {c: {c: 1} for c in self.units}
-            for row in rows:
-                if r := _reduce_against(_integerize(row), self._pivots):
-                    self._pivots[min(r)] = r
-        return self._pivots
+    def by_pivot(self) -> dict[int, dict[int, int]]:
+        if self._by_pivot is None:
+            self._by_pivot = {}
+            for row in _peel(self._rows, self.units):
+                if r := _reduce_against(_integerize(row), self._by_pivot):
+                    self._by_pivot[min(r)] = r
+        return self._by_pivot
+
+    @property
+    def pivots(self) -> set[int]:
+        rows = self.by_pivot  # the peel may add units
+        return self.units | rows.keys()
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        rows = self.by_pivot
+        return len(self.units) + len(rows)
 
     def reduced(self) -> dict[int, dict[int, Fraction]]:
         """The fully reduced unit-pivot rows of the pivots past the units, by column.
@@ -352,9 +377,9 @@ class _Eliminator:
         cleared by subtracting once each finished row whose pivot column it
         holds, scaled by the entry it held there on entry.
         """
-        pivots = self.pivots
+        pivots = self.by_pivot
         done: dict[int, dict[int, Fraction]] = {}
-        for c in sorted(pivots.keys() - self.units, reverse=True):
+        for c in sorted(pivots, reverse=True):
             piv = pivots[c]
             row = {cc: Fraction(v, piv[c]) for cc, v in piv.items()}
             for cc, f in [(cc, row[cc]) for cc in piv if cc in done]:
@@ -518,37 +543,46 @@ def nullspace(M: Mat) -> Subspace:
 
 
 def nullspace_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Subspace:
-    """Kernel of the linear system given by sparse rows over ncols unknowns.
+    """Kernel of the linear system given by sparse rows over ncols unknowns,
+    in canonical form; see `_kernel`, which also takes the forced-zero
+    columns of a compatible kernel as ranges and keeps unit pivots by
+    column, with no row built for them."""
+    free, wide = _kernel(rows, ncols)
+    return Subspace._from_rref(ncols, [wide[f] if f in wide else ((f, ONE),) for f in free])
 
-    The rows are eliminated with the columns reversed (j -> ncols-1-j), so
-    in the original order each reduced row ends at its pivot column.  The
-    standard kernel vector of a free column f is then e_f minus entries in
-    pivot columns right of f: its leading entry is the unit at f, and no
-    other kernel vector touches f.  That basis already is the canonical
-    reduced echelon form of the kernel; it is read off the reduced rows in
-    one transposing pass.  A one-entry row only names a pivot column, so it
-    is recorded as one, never reversed; only the other pivot rows are
-    back-substituted, and a free column none of them touches is the unit
-    vector ((f, 1),) as it stands.
+
+def _kernel(rows: Iterable[dict[int, Fraction]], ncols: int, zeros: set[int] | None = None) -> tuple[list[int], dict]:
+    """The kernel's free columns, ascending, and its rows that are not unit
+    rows, as (column, value) pairs by free column: the canonical basis is one
+    row per free column f, that row if there is one, else ((f, 1),).
+
+    `zeros` is a set of columns forced to zero, as unit rows would force
+    them, filled by its caller a range at a time (`bihom.algebra._compat_rows`);
+    it is taken over, not copied, as the unit pivots, kept by column: the
+    columns of one-entry rows join it, then the other pivot columns.  The
+    unit pivots are never reversed and never enter the
+    elimination: the other rows, stripped of them, are eliminated with the
+    columns reversed (j -> ncols-1-j), so in the original order each
+    reduced row ends at its pivot column.  The standard kernel vector of a
+    free column f is then e_f minus entries in pivot columns right of f:
+    its leading entry is the unit at f, and no other kernel vector touches
+    f.  That basis already is the canonical reduced echelon form of the
+    kernel; it is read off the reduced rows in one transposing pass, and a
+    free column none of them touches is a unit row.
     """
-    last, elim = ncols - 1, _Eliminator()
-    units = elim.units
-    for row in _checked(rows, ncols):
-        if len(row) == 1:
-            c, = row
-            if row[c]:
-                units.add(last - c)
-        else:
-            elim.add({last - c: v for c, v in row.items()})
+    last, units = ncols - 1, set() if zeros is None else zeros
+    if units and not (min(units) >= 0 and max(units) <= last):
+        raise ValueError(f"a forced-zero column is outside [0, {ncols})")
+    elim = _Eliminator()
+    elim.add_many({last - c: v for c, v in row.items()} for row in _peel(_checked(rows, ncols), units))
     kernel: dict[int, dict[int, Fraction]] = {}
     for rc, row in elim.reduced().items():
         pc = last - rc
         for c, v in row.items():
             if c != rc:
                 kernel.setdefault(last - c, {last - c: ONE})[pc] = -v
-    pivots = {last - c for c in elim.pivots}
-    return Subspace._from_rref(ncols, [
-        tuple(sorted(kernel[f].items())) if f in kernel else ((f, ONE),) for f in range(ncols) if f not in pivots])
+    units.update(last - c for c in elim.by_pivot)
+    return list(filterfalse(units.__contains__, range(ncols))), {f: tuple(sorted(row.items())) for f, row in kernel.items()}
 
 
 def span_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> Subspace:

@@ -41,7 +41,7 @@ from bihom.cohomology import (
     tree_cochain_dim,
 )
 from bihom.dsl import build_block, parse_path
-from bihom.scalars import Mat, Subspace, nullspace_rows
+from bihom.scalars import Mat, Subspace, _kernel, nullspace_rows
 from bihom.trees import trees
 
 import oracles
@@ -791,14 +791,19 @@ def test_escape_witness_carries_its_coordinate():
 
 def test_cohomology_never_eliminates_in_ambient_coordinates(monkeypatch):
     """Structural guard: no kernel is taken over all of C^n's or C^(n-1)'s
-    ambient coordinates; only one tree's block and delta . G are solved."""
+    ambient coordinates; only one tree's block and delta . G are solved.
+    Every kernel the module takes goes through `nullspace_rows` or, for
+    K_n with its forced-zero columns, `_kernel`; both are recorded."""
     widths = []
 
-    def recording(rows, ncols):
-        widths.append(ncols)
-        return nullspace_rows(rows, ncols)
+    def recording(solve):
+        def solver(rows, ncols, *zeros):
+            widths.append(ncols)
+            return solve(rows, ncols, *zeros)
+        return solver
 
-    monkeypatch.setattr(bihom.cohomology, "nullspace_rows", recording)
+    monkeypatch.setattr(bihom.cohomology, "nullspace_rows", recording(nullspace_rows))
+    monkeypatch.setattr(bihom.cohomology, "_kernel", recording(_kernel))
     A = catalog()["Alg3_3"].build(b=1)
     cohomology(A, 4)
     assert widths

@@ -14,6 +14,7 @@ the values, the key order and the `Fraction` type of the references in
 numerators.
 """
 
+import gc
 import random
 from fractions import Fraction
 from math import lcm
@@ -40,7 +41,7 @@ from bihom.cohomology import (
 from bihom.deformation import TruncatedDeformation, deformation_residual, operadic_residual
 from bihom.dsl import build_block, parse_path
 from bihom.operad import bracket, braces, circle, dot, gamma, gamma_direct, partial_composition, pi_element
-from bihom.scalars import nullspace_rows
+from bihom.scalars import _Eliminator, nullspace_rows
 from bihom.trees import trees
 
 import oracles
@@ -355,6 +356,15 @@ def _by_col(K):
     return by_col
 
 
+def _record_rows(kernel):
+    """The rows of d K_n that `restricted`'s record (d, pivot columns, other
+    rows by position) stands for: a position it holds no row for is the unit
+    row ((f, d),) at its pivot column f."""
+    d, free, wide = kernel
+    assert all(len(row) > 1 for row in wide.values())  # no row is held for a unit row
+    return [wide[a] if a in wide else ((f, d),) for a, f in enumerate(free)]
+
+
 def _restriction(row, by_col, k, scale):
     """A block row, its columns shifted by k, on each row a of K, given by
     column as by_col[j] = [(a, K[a][j]), ...]: {a: scale (row . K[a])}."""
@@ -399,7 +409,8 @@ def test_the_class_record_expands_to_every_block_rows_restriction():
             by_col = _by_col(K)
             rec = cx.restricted(n)
             assert rec.keys == tuple(blocks) and set(rec.row_class) <= set(range(m ** (n + 2))), (X.name, n)
-            assert rec.kernel == (d, [tuple((j, d * v) for j, v in krow) for krow in K]), (X.name, n)
+            assert rec.kernel[0] == d, (X.name, n)
+            assert _record_rows(rec.kernel) == [tuple((j, d * v) for j, v in krow) for krow in K], (X.name, n)
             for s, (key, table) in enumerate(blocks.items()):
                 w = m if 0 < key[0] <= n else 1  # a contraction row stands for m rows, one per output k
                 for r in range(m ** (n + 2)):
@@ -414,10 +425,11 @@ def test_the_class_record_expands_to_every_block_rows_restriction():
 def test_the_class_record_holds_live_rows_and_reads_unit_rows_unscaled(monkeypatch, t):
     """nil2 (c = 2/3, twist e2 -> t e1) at n = 10: the record holds no row
     that no block table of `_coboundary_blocks` holds, and each row a table
-    holds reads its restriction under every key; K_n's unit rows read
-    ((f, d),), d = 3^9 at t = 2/3; and `restricted` calls
-    `Fraction.as_integer_ratio` no more often than K_n's non-unit rows have
-    entries, so a unit row is never scaled value by value."""
+    holds reads its restriction under every key; the record holds K_n's
+    unit rows by pivot column alone, and they stand for ((f, d),), d = 3^9
+    at t = 2/3; and `restricted` calls `Fraction.as_integer_ratio` no more
+    often than K_n's non-unit rows have entries, so a unit row is never
+    scaled value by value."""
     cx, n, m = _Complex(nil2(Fraction(2, 3), t), HochschildCochain), 10, 2
     blocks, K = bihom.cohomology._coboundary_blocks(cx, n), cx.kernel(n)
     ratios = []
@@ -429,7 +441,8 @@ def test_the_class_record_holds_live_rows_and_reads_unit_rows_unscaled(monkeypat
     d = lcm(*(v.denominator for krow in K for _, v in krow))
     assert rec.kernel[0] == d == (1 if t == 1 else 3**9)
     units = [a for a, krow in enumerate(K) if len(krow) == 1]
-    assert [rec.kernel[1][a] for a in units] == [((K[a][0][0], d),) for a in units]
+    assert not set(units) & set(rec.kernel[2]) and [rec.kernel[1][a] for a in units] == [K[a][0][0] for a in units]
+    assert [_record_rows(rec.kernel)[a] for a in units] == [((K[a][0][0], d),) for a in units]
     widths = [m if 0 < i <= n else 1 for i, _ in blocks]
     live = {r * w + k for w, table in zip(widths, blocks.values()) for r in table for k in range(w)}
     assert rec.row_class and set(rec.row_class) <= live and len(live) < m ** (n + 2)
@@ -458,15 +471,62 @@ def test_images_skip_the_block_walk_when_no_pivot_is_picked(monkeypatch):
 def test_the_compatible_kernel_matches_its_definition():
     """K_n, from the compatibility rows expanded slot by slot, equals the
     kernel of the rows written from the definition in `tests/oracles.py`,
-    row for row, and its dimension is their modular-checked nullity: the
-    nine families at all-1 and at hard bindings for n <= 3, nil2 for n <= 6."""
+    row for row, and the forced-zero columns the expansion adds as ranges
+    are exactly the columns of the definition's one-entry rows, none of
+    which it builds; its dimension is their modular-checked nullity where
+    that is cheap.  The nine families at all-1 and at hard bindings for
+    n <= 3, nil2 at c = 1 and c = 2/3 for n <= 10, both Ex43 readings
+    (phi != psi, and psi has a two-entry line, so rows are eliminated past
+    the forced zeros) for n <= 4, and the witnesses D and Y for n <= 3."""
     ones = [(name, entry.build(**{p: 1 for p in entry.params})) for name, entry in catalog().items()]
     cases = [(name, X, n) for name, X in ones + list(hard_structures()) for n in (1, 2, 3)]
-    cases += [(f"nil2 {c}", nil2(c), n) for c in (1, Fraction(2, 3)) for n in range(1, 7)]
+    cases += [(f"nil2 {c}", nil2(c), n) for c in (1, Fraction(2, 3)) for n in range(1, 11)]
+    corpus = parse_path(Path(__file__).parent.parent / "corpus" / "ex43.dlg")
+    cases += [(name, build_block(corpus, name), n) for name in ("Ex43_readingA", "Ex43_readingB") for n in range(1, 5)]
+    cases += [(name, witness(name), n) for name in ("D", "Y") for n in (1, 2, 3)]
     for name, X, n in cases:
-        K, size, rows = _complex_of(X).kernel(n), X.dim ** (n + 1), oracles.compat_rows(X, n)
+        cx, size, rows = _complex_of(X), X.dim ** (n + 1), oracles.compat_rows(X, n)
+        zeros: set[int] = set()
+        built = bihom.cohomology._compat_rows(cx.twists[:1] if X.phi == X.psi else cx.twists, n, cx.D, zeros)
+        assert zeros == {c for row in rows if len(row) == 1 for c in row}, (name, n)
+        assert all(len(row) > 1 for row in built), (name, n)
+        K = cx.kernel(n)
         assert K == nullspace_rows(rows, size).sparse_rows() and fractions_only(K), (name, n)
-        assert len(K) == oracles.checked_nullity([[r.get(j, 0) for j in range(size)] for r in rows], size), (name, n)
+        if size <= 2**7:
+            assert len(K) == oracles.checked_nullity([[r.get(j, 0) for j in range(size)] for r in rows], size), (name, n)
+
+
+def test_the_twist_rows_leave_no_garbage_cycle():
+    """`_compat_rows` walks the prefixes from a stack, not from a closure
+    that calls itself, so with the collector off, nil2's K_10 leaves nothing
+    for `gc.collect()` to free."""
+    X = nil2(1)
+    _complex_of(X).kernel(1)  # the structure's memo is built before the count
+    gc.collect()
+    gc.disable()
+    try:
+        _complex_of(X).kernel(10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_compatible_kernel_builds_no_row_per_unit(monkeypatch):
+    """Structural guard, by count: a report on nil2 at degree 12 reads
+    K_11 and K_12, over 2^12 and 2^13 coordinates that are almost all
+    forced zero, yet `_compat_rows` returns at most one row dict per
+    kernel, and no eliminator holds a pivot row for a unit column."""
+    returned, elims = [], []
+    compat, init = bihom.cohomology._compat_rows, _Eliminator.__init__
+    monkeypatch.setattr(bihom.cohomology, "_compat_rows", lambda *args: returned.append(rows := compat(*args)) or rows)
+    monkeypatch.setattr(_Eliminator, "__init__", lambda self: elims.append(self) or init(self))
+    rep = _complex_of(nil2(1)).report(12)
+    assert (rep.compatible_dim, rep.cohomology_dim) == (4096, 4095)
+    assert len(returned) == 2 and all(len(rows) <= 1 for rows in returned)
+    for elim in elims:
+        elim.rank  # the pivots are found on first read
+        held = [v for v in vars(elim).values() if isinstance(v, dict)]
+        assert not any(isinstance(row, dict) and len(row) == 1 for v in held for row in v.values())
 
 
 def test_each_kernel_is_scaled_once_per_degree(monkeypatch):
