@@ -10,6 +10,7 @@ over exact rationals and provides:
 - solvers for every derivation variant, with classification reports
   (`bihom.derivations`),
 - planar binary tree combinatorics (`bihom.trees`),
+- tree-indexed and one-product cochains (`bihom.cochains`),
 - one cochain complex, tree-indexed or one-product (`bihom.cohomology`),
 - the non-symmetric operad structure on tree-indexed cochains
   (`bihom.operad`),

@@ -22,11 +22,9 @@ functions work inside it.  Degree-1 coboundaries are taken to be zero,
 so H^1 is the space of compatible 1-cocycles; there are no cochains
 below degree 1.
 
-Everything is exact and coordinatised: a degree-n cochain over a
-dim-m algebra flattens to a vector of length |Y_n| * m^n * m (tree
-index outer, then the argument multi-index row-major, then the output
-coordinate; |Y_n| is 1 in the one-product complex).  Inside a complex
-the currency is the integer: the structure's sparse form (`cells` per
+Everything is exact and coordinatised in the flat layout of
+`bihom.cochains`, which owns the cochain types.  Inside a complex the
+currency is the integer: the structure's sparse form (`cells` per
 product, `twist_cols` per twist, built once with the structure) is
 scaled once by D, the lcm of every denominator in it, and a `Fraction`
 appears only at the output: delta f, the ambient delta rows and the
@@ -88,12 +86,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from bihom.algebra import (
     BiHomAssociativeAlgebra,
     BiHomDialgebra,
-    Vec,
     _combine,
     _compat_rows,
     _derived,
@@ -102,227 +99,11 @@ from bihom.algebra import (
     _twisted_products,
     check_bihom_associative,
     is_multiplicative,
-    is_zero_vec,
-    vec_add,
-    zero_vec,
 )
-from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, _kernel, _over_lcm, _scaled, nullspace_rows, q, span_rows
-from bihom.trees import Tree, face_layout, tree_index, trees
-
-
-def _args_rank(args: Sequence[int], dim: int) -> int:
-    r = 0
-    for a in args:
-        r = r * dim + a
-    return r
-
-
-def _contract(entries, vecs: Sequence[Vec], dim: int) -> Vec:
-    """sum of prod_pos vecs[pos][args[pos]] * value over (args, value) entries."""
-    out = [ZERO] * dim
-    for args, val in entries:
-        coef = ONE
-        for pos, a in enumerate(args):
-            c = vecs[pos][a]
-            if not c:
-                break
-            coef *= c
-        else:
-            for k, v in enumerate(val):
-                if v:
-                    out[k] += coef * v
-    return tuple(out)
-
-
-class _Cochain:
-    """Shared body of both cochain kinds: an immutable degree-n multilinear
-    map, stored sparsely as {key: value vector} with zero values dropped.
-
-    A `TreeCochain` is keyed by (tree index, args); a `HochschildCochain`
-    is the one-tree case and is keyed by args alone.  The support is also
-    kept grouped by tree: `groups[t]` lists tree t's (args, value) pairs
-    in `data`'s order, so evaluating on a tree reads only its entries.
-    The constructor checks every key and value; `_trusted` checks nothing,
-    and only builds what compositions, delta f and the residuals compute.
-    """
-
-    __slots__ = ("degree", "dim", "data", "groups")
-    _tree_keyed = False
-
-    def __init__(self, degree: int, dim: int, data: Mapping | None = None):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        tree_keyed = self._tree_keyed
-        ntrees = self._ntrees(degree)
-        clean: dict = {}
-        for key, val in (data or {}).items():
-            if tree_keyed:
-                t, args = key
-                if not 0 <= t < ntrees:
-                    raise ValueError(f"tree index {t} out of range for degree {degree}")
-                args = tuple(args)
-                key = (t, args)
-            else:
-                key = args = tuple(key)
-            if len(args) != degree or any(not 0 <= a < dim for a in args):
-                raise ValueError(f"bad argument tuple {args}")
-            v = tuple(q(c) for c in val)
-            if len(v) != dim:
-                raise ValueError("value length mismatch")
-            clean[key] = v
-        self._fill(degree, dim, clean)
-
-    @classmethod
-    def _trusted(cls, degree: int, dim: int, data: dict) -> _Cochain:
-        """From well-formed tuple keys and tuples of Fractions, unchecked."""
-        self = object.__new__(cls)
-        self._fill(degree, dim, data)
-        return self
-
-    def _fill(self, degree: int, dim: int, data: dict) -> None:
-        clean = {key: v for key, v in data.items() if any(v)}
-        groups: list[list] = [[] for _ in range(self._ntrees(degree))]  # not a tuple: CPython keeps freed short tuples
-        for key, v in clean.items():
-            t, args = key if self._tree_keyed else (0, key)
-            groups[t].append((args, v))
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "data", clean)
-        object.__setattr__(self, "groups", groups)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def _ntrees(cls, degree: int) -> int:
-        return len(trees(degree)) if cls._tree_keyed else 1
-
-    def _entries(self, t: int, args: Sequence, bad) -> list:
-        """Tree t's entries, once t, the argument count and every argument pass; bad(x) names a fault."""
-        if not 0 <= t < len(self.groups):
-            raise ValueError(f"tree index {t} out of range 0..{len(self.groups) - 1} for degree {self.degree}")
-        if len(args) != self.degree:
-            raise ValueError(f"argument count mismatch: {len(args)} arguments for degree {self.degree}")
-        for pos, x in enumerate(args):
-            if bad(x):
-                raise ValueError(f"argument {pos} {bad(x)}")
-        return self.groups[t]
-
-    def value(self, t: int, args: Sequence[int]) -> Vec:
-        """f(e_args) on tree t; the one-product cochain takes args alone."""
-        args = tuple(args)
-        self._entries(t, args, lambda a: not 0 <= a < self.dim and f"is {a}, out of range 0..{self.dim - 1}")
-        return self.data.get((t, args) if self._tree_keyed else args, zero_vec(self.dim))
-
-    def _eval(self, t: int, vecs: Sequence[Vec]) -> Vec:
-        """Multilinear extension on tree t, over that tree's entries only."""
-        bad = lambda v: len(v) != self.dim and f"has length {len(v)}, not {self.dim}"  # noqa: E731
-        return _contract(self._entries(t, vecs, bad), vecs, self.dim)
-
-    @classmethod
-    def zero(cls, degree: int, dim: int) -> _Cochain:
-        return cls(degree, dim, {})
-
-    def __add__(self, other: _Cochain) -> _Cochain:
-        if type(other) is not type(self):
-            raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
-        if self.degree != other.degree or self.dim != other.dim:
-            raise ValueError("cochain shape mismatch")
-        data = dict(self.data)
-        for key, val in other.data.items():
-            data[key] = vec_add(data.get(key, zero_vec(self.dim)), val)
-        return type(self)(self.degree, self.dim, data)
-
-    def __sub__(self, other: _Cochain) -> _Cochain:
-        return self + other.scale(-1)
-
-    def __neg__(self) -> _Cochain:
-        return self.scale(-1)
-
-    def scale(self, c) -> _Cochain:
-        c = q(c)
-        return type(self)(
-            self.degree, self.dim,
-            {key: tuple(c * v for v in val) for key, val in self.data.items()},
-        )
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.degree == other.degree
-            and self.dim == other.dim
-            and self.data == other.data
-        )
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        """Coordinates: tree index outer, then args row-major, then output."""
-        n, m = self.degree, self.dim
-        size = m**n
-        out = [ZERO] * (self._ntrees(n) * size * m)
-        for key, val in self.data.items():
-            t, args = key if self._tree_keyed else (0, key)
-            base = (t * size + _args_rank(args, m)) * m
-            for k, v in enumerate(val):
-                out[base + k] = v
-        return tuple(out)
-
-    @classmethod
-    def unflatten(cls, degree: int, dim: int, coords: Sequence[Fraction]) -> _Cochain:
-        ntrees = cls._ntrees(degree)
-        if len(coords) != ntrees * dim**degree * dim:
-            raise ValueError("coordinate length mismatch")
-        data = {}
-        for t in range(ntrees):
-            for args in iproduct(range(dim), repeat=degree):
-                base = (t * dim**degree + _args_rank(args, dim)) * dim
-                val = tuple(q(c) for c in coords[base : base + dim])
-                if not is_zero_vec(val):
-                    data[(t, args) if cls._tree_keyed else args] = val
-        return cls(degree, dim, data)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(degree={self.degree}, dim={self.dim}, "
-            f"support={len(self.data)})"
-        )
-
-
-class TreeCochain(_Cochain):
-    """Degree-n multilinear map Y_n x A^n -> A, keyed by (tree index, args)."""
-
-    __slots__ = ()
-    _tree_keyed = True
-
-    def eval(self, tree: Tree | int, vecs: Sequence[Vec]) -> Vec:
-        """Multilinear extension on one tree, given as a Tree or its index."""
-        if isinstance(tree, Tree):
-            if tree.n_internal != self.degree:
-                raise ValueError(f"tree has {tree.n_internal} internal nodes, degree is {self.degree}")
-            tree = tree_index(tree)
-        return self._eval(tree, vecs)
-
-
-class HochschildCochain(_Cochain):
-    """Degree-n multilinear map A^n -> A for the one-product complex, keyed by args."""
-
-    __slots__ = ()
-
-    def value(self, args: tuple[int, ...]) -> Vec:
-        return super().value(0, args)
-
-    def eval(self, vecs: Sequence[Vec]) -> Vec:
-        return self._eval(0, vecs)
-
-
-def tree_cochain_dim(degree: int, dim: int) -> int:
-    return len(trees(degree)) * dim**degree * dim
-
-
-def hochschild_cochain_dim(degree: int, dim: int) -> int:
-    return dim**degree * dim
+from bihom.cochains import (HochschildCochain, TreeCochain, _args_rank, _check_kind, _Cochain, _decode,
+                             hochschild_cochain_dim, random_compatible_cochain, tree_cochain_dim)
+from bihom.scalars import ONE, ZERO, Subspace, _Eliminator, _kernel, _over_lcm, _scaled, nullspace_rows, span_rows
+from bihom.trees import face_layout
 
 
 # -- the coboundary as block tables, and its ambient rows -----------------------
@@ -420,16 +201,6 @@ def hoch_coboundary_rows(A: BiHomAssociativeAlgebra, n: int) -> list[dict[int, F
     return _complex_of(A, HochschildCochain).delta_rows(n)
 
 
-def _check_kind(fn: str, X, f, structure: type, cochain: type[_Cochain]) -> None:
-    if not (isinstance(X, structure) and isinstance(f, cochain)):
-        raise TypeError(
-            f"{fn} expects a {cochain.__name__} on a {structure.__name__}, "
-            f"got a {type(f).__name__} on a {type(X).__name__}"
-        )
-    if f.dim != X.dim:
-        raise ValueError("cochain dimension mismatch")
-
-
 def dialg_coboundary(A: BiHomDialgebra, f: TreeCochain) -> TreeCochain:
     """delta f in the tree complex; output degree is f.degree + 1."""
     _check_kind("dialg_coboundary", A, f, BiHomDialgebra, TreeCochain)
@@ -480,7 +251,7 @@ class _Complex:
         """Length of a flattened degree-n cochain; there are no 0-cochains."""
         if n < 1:
             raise ValueError("degree must be >= 1")
-        return self.cochain._ntrees(n) * self.X.dim ** (n + 1)
+        return (tree_cochain_dim if self.cochain is TreeCochain else hochschild_cochain_dim)(n, self.X.dim)
 
     def layout(self, n: int) -> Sequence[tuple[Sequence[int], Sequence[str]]]:
         """Per output tree of delta^n: the face and the product of each block."""
@@ -542,12 +313,6 @@ class _Complex:
             self._kernel[n] = free, {bisect_left(free, f): row for f, row in wide.items()}
         return self._kernel[n]
 
-    def kernel(self, n: int) -> tuple:
-        """K_n, the canonical basis of one tree's compatible cochains over its
-        m^(n+1) coordinates, built from `kernel_form` in one pass."""
-        free, wide = self.kernel_form(n)
-        return tuple([wide[a] if a in wide else ((f, ONE),) for a, f in enumerate(free)])
-
     def _walk(self, n: int, column: Callable) -> _Restrictions:
         """The only reader of delta^n's block tables: each distinct row
         restricted to integer vectors, given by column (column(j) is the
@@ -604,9 +369,9 @@ class _Complex:
 
     def compatible_space(self, n: int) -> Subspace:
         """C^n: the shifted copies of K_n, one per tree, already canonical."""
-        dim, size, K = self.cochain_dim(n), self.X.dim ** (n + 1), self.kernel(n)
-        return Subspace._from_rref(dim, [
-            {c + t * size: v for c, v in row} for t in range(self.cochain._ntrees(n)) for row in K])
+        dim, size, (free, wide) = self.cochain_dim(n), self.X.dim ** (n + 1), self.kernel_form(n)
+        return Subspace._from_rref(dim, [{c + t * size: v for c, v in wide.get(a) or ((f, ONE),)}
+                                         for t in range(self.cochain._ntrees(n)) for a, f in enumerate(free)])
 
     def singletons(self, n: int) -> tuple[list[dict[int, int]], _Eliminator]:
         """The singleton pass over delta^n . G, once per degree.  A class whose
@@ -646,15 +411,15 @@ class _Complex:
     def cocycles(self, n: int) -> Subspace:
         """Z^n = G . ker(delta^n . G), from the rows of `singletons`, lifted
         row by row; see the module notes."""
-        dim, K = self.cochain_dim(n), self.kernel(n)
-        dK, size = len(K), self.X.dim ** (n + 1)
+        dim, (free, wide) = self.cochain_dim(n), self.kernel_form(n)
+        dK, size = len(free), self.X.dim ** (n + 1)
         w = nullspace_rows(self.singletons(n)[0], self.cochain._ntrees(n) * dK)
         lifted = []
         for wrow in w.sparse_rows():
             acc: dict[int, Fraction] = {}
             for c, x in wrow:
                 t, a = divmod(c, dK)
-                for j, v in K[a]:
+                for j, v in wide.get(a) or ((free[a], ONE),):
                     key = t * size + j
                     acc[key] = acc[key] + x * v if key in acc else x * v
             lifted.append({j: v for j, v in acc.items() if v})
@@ -835,26 +600,6 @@ def cohomology(X: BiHomDialgebra | BiHomAssociativeAlgebra, n: int) -> Cohomolog
             f"has residual {res[coord]} at {'' if tree is None else f'tree {t}, '}args "
             f"({', '.join(X.basis[a] for a in args)}), output {X.basis[k]}", n, tree, args, k, res[coord])
     return rep
-
-
-def _decode(coord: int, n: int, m: int) -> tuple[int, tuple[int, ...], int]:
-    """(tree, args, output) of a flattened degree-n cochain coordinate."""
-    rest, k = divmod(coord, m)
-    t, r = divmod(rest, m**n)
-    return t, tuple(r // m**i % m for i in reversed(range(n))), k
-
-
-def random_compatible_cochain(
-    space: Subspace, rng: random.Random, degree: int, dim: int, tree_indexed: bool
-) -> TreeCochain | HochschildCochain:
-    """Random integer combination of a compatible-space basis."""
-    coords = [ZERO] * space.ambient_dim
-    for row in space.sparse_rows():
-        c = q(rng.randint(-9, 9))
-        if c:
-            for j, x in row:
-                coords[j] += c * x
-    return (TreeCochain if tree_indexed else HochschildCochain).unflatten(degree, dim, coords)
 
 
 def hoch_delta_squared_is_zero(A: BiHomAssociativeAlgebra, n: int, trials: int, seed: int = 0) -> bool:

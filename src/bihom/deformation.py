@@ -54,7 +54,7 @@ from bihom.algebra import (
     vec_sub,
     zero_vec,
 )
-from bihom.cohomology import TreeCochain, dialg_coboundary
+from bihom.cochains import TreeCochain
 from bihom.operad import circle_square, pi_element
 from bihom.scalars import Mat, solve_rows
 from bihom.trees import DASHV, PRODUCT_FOR_TREE, VDASH, trees
@@ -427,6 +427,7 @@ def solve_triviality(defm: TruncatedDeformation, N: int) -> TrivialityResult:
         rows = [{**row, m * m: -k[c]} if c in k else row for c, row in lhs.items()]
         sol = solve_rows(rows + [{m * m: -v} for c, v in k.items() if c not in lhs], m * m)
         if sol is None:
+            from bihom.cohomology import dialg_coboundary  # the complex loads only when an obstruction needs it
             return TrivialityResult(None, n, K, dialg_coboundary(base, K).is_zero())
         psis.append(Mat(m, m, list(sol.entries())))
     return TrivialityResult(EquivalenceTransformation(tuple(psis)), None, None, None)

@@ -73,6 +73,7 @@ class DslError(Exception):
 _TOKEN = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
       | (?P<comment>\#[^\n]*)
+      | (?P<zero>-?\d+/0+(?!\d))  # a rational over a zero denominator, refused
       | (?P<rational>-?\d+(?:/\d+)?)
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[{}(),;=*+])
@@ -100,6 +101,8 @@ def _lex(text: str) -> list[_Tok]:
             raise DslError("lexical", f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         chunk = m.group()
+        if kind == "zero":
+            raise DslError("lexical", f"zero denominator in {chunk}", line, col)
         if kind == "rational" and limit and (longest := max(map(len, chunk.lstrip("-").split("/")))) > limit:
             raise DslError("lexical", f"number of {longest} digits, over the interpreter's limit of {limit}", line, col)
         if kind not in ("ws", "comment"):
@@ -539,7 +542,7 @@ def build_block(df: DefinitionFile, name: str):
 def _build_deformation(
     b: DeformationBlock, base: BiHomDialgebra, params: dict[str, Fraction]
 ) -> TruncatedDeformation:
-    from bihom.cohomology import TreeCochain
+    from bihom.cochains import TreeCochain
     from bihom.deformation import TruncatedDeformation
     index = {nm: i for i, nm in enumerate(base.basis)}
     data: list[dict] = [dict() for _ in range(b.order)]

@@ -1,6 +1,6 @@
 """Partial compositions, total composition, braces, and the Lie bracket.
 
-The objects being composed are the tree cochains of `bihom.cohomology`:
+The objects being composed are the tree cochains of `bihom.cochains`:
 an arity-n element is a multilinear map Y_n x A^n -> A.  Composition
 pushes the tree through the two retraction maps of `bihom.trees` (the
 outer retraction keeps one leaf per block, the inner one keeps one
@@ -47,7 +47,7 @@ from math import lcm
 from operator import add, mul
 
 from bihom.algebra import BiHomDialgebra, _combine, basis_vec
-from bihom.cohomology import TreeCochain, _check_kind
+from bihom.cochains import TreeCochain, _by_tree, _check_kind
 from bihom.scalars import ZERO, _over_lcm
 from bihom.trees import PRODUCT_FOR_TREE, retraction_layout, trees
 
@@ -100,21 +100,15 @@ class _Call:
             key: tuple(Fraction(x, dens[key[0]]) if x else ZERO for x in v) for key, v in data.items()})
 
 
-def _groups(form: tuple) -> list[list]:
-    groups: list[list] = [[] for _ in form[1]]
-    for (t, args), v in form[2].items():
-        groups[t].append((args, v))
-    return groups
-
-
 def _compose(call: _Call, f: tuple, factors, sign: int = 1) -> tuple:
     """f on the outer retraction R0 y, with factor j's output twisted by T_j.
     `factors` holds one (g_j, T_j) per slot of f: g_j an integer form read on
     its inner retraction, or None for a pass-through basis argument, and T_j
     a scaled twist, or None for none."""
     dim, parts = call.A.dim, tuple(1 if g is None else g[0] for g, _ in factors)
-    fs = [(D, [(args, [(k, x) for k, x in enumerate(v) if x]) for args, v in group]) for D, group in zip(f[1], _groups(f))]
-    gs = [None if g is None else (g[1], _groups(g)) for g, _ in factors]
+    fs = [(D, [(args, [(k, x) for k, x in enumerate(v) if x]) for args, v in group])
+          for D, group in zip(f[1], _by_tree(f[2], f[0]))]
+    gs = [None if g is None else (g[1], _by_tree(g[2], g[0])) for g, _ in factors]
     units = [((x,), tuple(int(k == x) for k in range(dim))) for x in range(dim)]
     slots, sums, dens, data = {}, {}, [], {}  # (slot, tree) and retraction key -> (denominator, entries)
     for yi, key in enumerate(retraction_layout(parts, tuple(g is not None for g, _ in factors))):

@@ -177,23 +177,16 @@ def orientations(t: Tree) -> tuple[str, ...]:
     """
     if t.is_leaf:
         raise ValueError("a bare leaf carries no product")
-    m = t.n_leaves
-    out = [""] * m
-
-    def walk(u: Tree, offset: int) -> None:
-        if u.is_leaf:
-            return
-        lsize = u.left.n_leaves
-        if u.left.is_leaf:
-            out[offset] = DASHV
-        if u.right.is_leaf:
-            out[offset + lsize] = VDASH
-        walk(u.left, offset)
-        walk(u.right, offset + lsize)
-
-    walk(t, 0)
+    out, stack = [""] * t.n_leaves, [(t, 0)]  # a stack, not a closure calling itself: no reference cycle
+    while stack:
+        u, offset = stack.pop()
+        for child, at, product in ((u.left, offset, DASHV), (u.right, offset + u.left.n_leaves, VDASH)):
+            if child.is_leaf:
+                out[at] = product
+            else:
+                stack.append((child, at))
     out[0] = DASHV if t.left.is_leaf else VDASH
-    out[m - 1] = VDASH if t.right.is_leaf else DASHV
+    out[-1] = VDASH if t.right.is_leaf else DASHV
     return tuple(out)
 
 

@@ -640,13 +640,21 @@ def delta_g_routes(cx, degrees):
         yield pivots[n], pivots[n - 1], _all_killed(cx, n, rows[n], images), B, Z
 
 
+def kernel_rows(cx, n: int) -> tuple:
+    """K_n as rows of (column, value) pairs, one per pivot column, ascending:
+    `kernel_form`'s rows that are not unit rows, and a unit row at each other
+    pivot column."""
+    free, wide = cx.kernel_form(n)
+    return tuple(wide.get(a) or ((f, ONE),) for a, f in enumerate(free))
+
+
 def delta_g_rows(cx, k: int) -> list[dict[int, int]]:
     """The distinct nonzero rows of delta^k . G on every output tree, over
     the columns t * dim K_k + a of row a of K_k on tree t, on integers as
     `cx`'s restrictions are, written from the class record alone: the row of
     a class on an output tree is, over the tree's blocks, the restriction of
     the class under that block's (block, product), offset by its face."""
-    dK, rec = len(cx.kernel(k)), cx.restricted(k)
+    dK, rec = len(cx.kernel_form(k)[0]), cx.restricted(k)
     at = {key: s for s, key in enumerate(rec.keys)}
     rows = set()
     for faces, ors in cx.layout(k):
@@ -679,8 +687,8 @@ def _basis_images(cx, k: int, picked) -> list[dict[int, Fraction]]:
     delta^k . G, as sparse degree-(k+1) coordinates.  delta of a cochain on
     input tree t lives on the output trees that read t, so cochains whose
     readers are disjoint share one `apply_delta`."""
-    m, size, dK = cx.X.dim, cx.X.dim ** (k + 2), len(cx.kernel(k)) if k else 0
-    readers: dict[int, set[int]] = {}
+    m, size, K = cx.X.dim, cx.X.dim ** (k + 2), kernel_rows(cx, k) if k else ()
+    dK, readers = len(K), {}
     for y, (faces, _) in enumerate(cx.layout(k) if k else ()):
         for t in faces:
             readers.setdefault(t, set()).add(y)
@@ -696,7 +704,7 @@ def _basis_images(cx, k: int, picked) -> list[dict[int, Fraction]]:
     for _, members in batches:
         data: dict = {}
         for t, a in members:
-            for j, v in cx.kernel(k)[a]:
+            for j, v in K[a]:
                 r, out = divmod(j, m)
                 args = []
                 for _ in range(k):
@@ -717,7 +725,7 @@ def _basis_images(cx, k: int, picked) -> list[dict[int, Fraction]]:
 def _all_killed(cx, n: int, rows, images) -> bool:
     """Each image lies in K_n's span on every tree, and its G-coordinates,
     read at K_n's pivots, are killed by every row."""
-    K, size = cx.kernel(n), cx.X.dim ** (n + 1)
+    K, size = kernel_rows(cx, n), cx.X.dim ** (n + 1)
     span = Subspace._from_rref(size, map(dict, K))
     at = {row[0][0]: a for a, row in enumerate(K)}
     by_col: dict[int, list[tuple[int, Fraction]]] = {}

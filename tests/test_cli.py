@@ -122,6 +122,16 @@ def test_an_over_long_number_exits_2_with_location(tmp_path, monkeypatch):
                         f"over the interpreter's limit of {sys.get_int_max_str_digits()}\n")
 
 
+def test_a_zero_denominator_exits_2_with_location(tmp_path):
+    """A zero denominator in a coefficient is a located lexical error with
+    exit 2, not a traceback."""
+    path = tmp_path / "zero.dlg"
+    path.write_text("dialgebra Z {\n  dim 1;\n  basis e;\n  dashv(e, e) = 1/0*e;\n}\n", encoding="utf-8")
+    r = run("verify", str(path))
+    assert r.exit_code == 2
+    assert r.stderr == f"error: {path}: lexical error at line 4, column 17: zero denominator in 1/0\n"
+
+
 def test_derive_prints_dimension_and_basis():
     r = run("derive", "corpus/alg3_3.dlg", "--name", "Alg3_3", "--k", "1", "--l", "1")
     assert r.exit_code == 0

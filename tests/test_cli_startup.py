@@ -34,7 +34,7 @@ finally:
 """
 
 BASE = ["algebra", "scalars", "trees"]
-DEFORMATION = BASE + ["cohomology", "deformation", "dsl", "operad"]
+DEFORMATION = BASE + ["cochains", "deformation", "dsl", "operad"]  # the complex loads only for an obstruction
 
 # (pinned command in tests/fixtures/cli_pinned.json, or None, argv, modules)
 CASES = {
@@ -49,12 +49,12 @@ CASES = {
     "cohomology": (
         "cohomology_ex43b_degree3",
         ["cohomology", "corpus/ex43.dlg", "--name", "Ex43_readingB", "--degree", "3"],
-        BASE + ["cohomology", "dsl"],
+        BASE + ["cochains", "cohomology", "dsl"],
     ),
     "operad-check": (
         "operad_check_ex43a",
         ["operad-check", "corpus/ex43.dlg", "--name", "Ex43_readingA"],
-        BASE + ["cohomology", "dsl", "operad"],
+        BASE + ["cochains", "dsl", "operad"],
     ),
     "deform": (
         "deform_failing",
@@ -64,7 +64,7 @@ CASES = {
     "trivialize": (
         "trivialize_obstructed",
         ["trivialize", "tests/fixtures/trivialize_stuck.dlg", "--name", "Dstuck", "--order", "1"],
-        DEFORMATION,
+        DEFORMATION + ["cohomology"],
     ),
 }
 

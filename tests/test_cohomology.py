@@ -13,6 +13,8 @@ from bihom.algebra import (
     BiHomDialgebra,
     assoc_readings,
     catalog,
+    check_dialgebra,
+    is_multiplicative,
     map_from_entries,
     table_from_entries,
 )
@@ -324,11 +326,20 @@ def test_exact_containment_is_an_exact_delta_squared_check():
     """The exact counterpart of the random check: the report's containment
     flag says that delta^n . delta^(n-1) vanishes on all of C^(n-1), with
     every image of C^(n-1) compatible.  It holds on the catalog in degrees
-    2-4; on the perturbed product it fails in degree 3, where delta-squared
-    is nonzero on a basis row of C^2 and on a random compatible cochain."""
+    2-4, at unit and at non-unit bindings, on the one-product Nil2 in degrees
+    2-7, and on the witnesses D and Y, the structures that leave columns
+    uncovered, in degrees 2-4; on the perturbed product it fails in degree
+    3, where delta-squared is nonzero on a basis row of C^2 and on a random
+    compatible cochain."""
     for entry in catalog().values():
-        A = entry.build(**{p: 1 for p in entry.params})
-        assert all(cohomology_report(A, n).contained for n in (2, 3, 4)), A.name
+        for binding in ({p: 1 for p in entry.params}, {p: Fraction(-2 - i, 3) for i, p in enumerate(entry.params)}):
+            A = entry.build(**binding)
+            assert all(cohomology_report(A, n).contained for n in (2, 3, 4)), (A.name, binding)
+    assert all(cohomology_report(nil2(), n).contained for n in range(2, 8))
+    for name in ("D", "Y"):
+        X = witness(name)
+        assert check_dialgebra(X).ok and is_multiplicative(X).ok, name
+        assert all(cohomology_report(X, n).contained for n in (2, 3, 4)), name
     P = perturbed_assoc()
     assert not cohomology_report(P, 3).contained
     space = hoch_compatible_space(P, 2)

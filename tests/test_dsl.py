@@ -119,6 +119,25 @@ def test_an_over_long_number_is_a_located_lexical_error(monkeypatch, token):
     assert e.detail == f"number of {digits} digits, over the interpreter's limit of {limit}"
 
 
+@pytest.mark.parametrize(
+    "line, col, token",
+    [("param a = 3/0;", 13, "3/0"), ("dashv(e, e) = 1/0*e;", 17, "1/0"), ("dashv(e, e) = 0/0;", 17, "0/0"),
+     ("dashv(e, e) = -2/000*e;", 17, "-2/000")],
+    ids=["param", "coefficient", "zero-side", "signed"],
+)
+def test_a_zero_denominator_is_a_located_lexical_error(line, col, token):
+    """A rational over a zero denominator is refused by the lexer at its
+    token, whether it is a parameter value, a coefficient or a right side
+    that reads as 0; a zero in a longer denominator still reads."""
+    with pytest.raises(DslError) as exc:
+        parse(f"dialgebra X {{\n  dim 1;\n  basis e;\n  {line}\n}}\n")
+    e = exc.value
+    assert (e.kind, e.line, e.col) == ("lexical", 4, col)
+    assert e.detail == f"zero denominator in {token}"
+    ok = parse("dialgebra X {\n  dim 1;\n  basis e;\n  dashv(e, e) = 1/10*e + 0/01*e;\n}\n")
+    assert [t.coeff for t in ok.blocks[0].entries[0].terms] == [Fraction(1, 10), 0]
+
+
 def test_a_number_at_the_digit_limit_still_reads():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     text = f"dialgebra X {{\n  dim 1;\n  basis e;\n  param a = -{'7' * limit}/{'3' * limit};\n" \

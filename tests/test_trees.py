@@ -4,6 +4,7 @@ The retraction identities are checked exhaustively on the small grid
 (k <= 2, all parts <= 2) because every later module leans on them.
 """
 
+import gc
 from itertools import product
 
 import pytest
@@ -157,14 +158,36 @@ def test_orientations_known_small_cases():
     assert orientations(left_comb) == (VDASH, VDASH, VDASH)
 
 
+def _hanging_sides(t, side=None):
+    """Per leaf, DASHV where it is a left child and VDASH where a right one."""
+    return (side,) if t.is_leaf else _hanging_sides(t.left, DASHV) + _hanging_sides(t.right, VDASH)
+
+
 def test_orientations_boundary_rule():
-    for n in range(1, 6):
+    """The boundary leaves follow the root's children, and every interior
+    leaf the side of its parent it hangs from."""
+    for n in range(1, 7):
         for t in trees(n):
             ori = orientations(t)
             assert len(ori) == t.n_leaves
             assert ori[0] == (DASHV if t.left.is_leaf else VDASH)
             assert ori[-1] == (VDASH if t.right.is_leaf else DASHV)  # the mirror of leaf 0's rule
-            assert set(ori) <= {DASHV, VDASH}
+            assert ori[1:-1] == _hanging_sides(t)[1:-1]
+
+
+def test_orientations_leave_no_garbage_cycle():
+    """`orientations` walks the tree from a stack, not from a closure that
+    calls itself, so with the collector off, a call on each tree of
+    trees(6) leaves nothing for `gc.collect()` to free."""
+    shapes = trees(6)
+    gc.collect()
+    gc.disable()
+    try:
+        for t in shapes:
+            orientations(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_keep_leaves_identity_and_errors():
