@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -640,9 +641,15 @@ def catalog() -> dict[str, CatalogEntry]:
     """The parametric 2- and 3-dimensional families, products unlisted are zero.
 
     Families are returned as written down, without validation; run
-    `check_dialgebra` on a built instance to test a parameter choice.
+    `check_dialgebra` on a built instance to test a parameter choice.  The
+    entries are built once per process; each call returns a fresh dict.
     """
-    entries = [
+    return {e.name: e for e in _catalog_entries()}
+
+
+@cache
+def _catalog_entries() -> tuple[CatalogEntry, ...]:
+    return (
         _entry(
             "Alg2_1", 2, ("a", "b", "c", "d", "f"),
             "dim 2: e1-|e2=a e1, e2-|e1=b e1, e1|-e2=c e1, e2|-e1=d e1, e2|-e2=f e1",
@@ -726,8 +733,7 @@ def catalog() -> dict[str, CatalogEntry]:
                 b, "Alg3_5",
             ),
         ),
-    ]
-    return {e.name: e for e in entries}
+    )
 
 
 def assoc_readings() -> dict[str, BiHomAssociativeAlgebra]:

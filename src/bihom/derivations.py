@@ -1,7 +1,7 @@
 """Linear solvers for the derivation variants of a twisted dialgebra.
 
 Every variant is a finite homogeneous linear system over the matrix
-entries of the unknown maps, assembled from two kinds of rows:
+entries of the unknown maps, made of two kinds of rows:
 
 * commutation rows, D phi = phi D and D psi = psi D, the twist rows of
   `bihom.algebra` for a degree-1 cochain;
@@ -14,16 +14,30 @@ entries of the unknown maps, assembled from two kinds of rows:
   dense reference, used here only by `ad`.
 
 The variants differ only in which unknown sits in which slot and in the
-weights, so one assembler builds them all from a table: the plain variant
-has one unknown map and alpha = beta = gamma = 1, the weighted one keeps
-(alpha, beta, gamma) free, the quasi variant solves for a pair (D, D')
-with D' on the left side, and the triple variant for (D, D', D'') with
-D'' on the left, D' in the right slot and D in the left slot.  Unknowns
-are stacked row-major, D first, then D', then D'', so the canonical basis
-of the solution space is reproducible.  `quasi_partner` is the quasi
-system with D fixed, its block moved to the right-hand side.  Systems
-stay in the sparse form the solver eliminates: a dense `system` matrix is
-built only when read, and a `projection` eliminates sparse rows once.
+weights, so one table wires them all: the plain variant has one unknown
+map and alpha = beta = gamma = 1, the weighted one keeps (alpha, beta,
+gamma) free, the quasi variant solves for a pair (D, D') with D' on the
+left side, and the triple variant for (D, D', D'') with D'' on the left,
+D' in the right slot and D in the left slot.  Unknowns are stacked
+row-major, D first, then D', then D'', so the canonical basis of the
+solution space is reproducible.
+
+A variant is solved in commuting coordinates, as the complex solves
+Z^n = G . ker.  K, the maps commuting with phi and psi, is the kernel of
+the commutation rows, built once per structure into its memo; every
+unknown map is a combination of K's canonical basis maps g.  For each g
+the three Leibniz slot images g(e_a o e_b), W e_a o g e_b and
+g e_a o W e_b are tabulated on integers, from the structure's integer
+form, W's columns scaled once and K scaled by one lcm (`classify` shares
+them across its variants), and a variant's rows over (component, g) are
+its weights times the images its table entry wires to each slot.  Their
+kernel lifts through K row by row: K's rows have unit pivots no other
+row touches, so reduced rows lift to reduced rows and the space is
+canonical with no second elimination.  The full system in the
+coordinates of the maps, `DerivationSpace.rows` and its dense `system`,
+is assembled only when read; `quasi_partner` is the quasi system with D
+fixed, its block moved to the right-hand side, and a `projection`
+eliminates sparse rows once.
 
 The module also carries the dimension and zero-pattern tables from the
 reference classification of the catalog algebras.  Computed spaces are
@@ -35,9 +49,12 @@ annotated with dimension two, for instance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
+from itertools import islice, product
+from math import lcm
 from typing import Mapping, Sequence
 
 from bihom.algebra import (
@@ -47,7 +64,11 @@ from bihom.algebra import (
     Vec,
     Violation,
     _compat_rows,
+    _derived,
+    _integer_form,
     _leibniz,
+    _sparse,
+    _twisted_products,
     _violations,
     apply_table,
     basis_vec,
@@ -57,7 +78,7 @@ from bihom.algebra import (
     leibniz_rows,
     vec_sub,
 )
-from bihom.scalars import Mat, ONE, ZERO, Subspace, nullspace_rows, q, solve_rows, span_rows
+from bihom.scalars import Mat, ONE, ZERO, Subspace, _kernel, _scaled, nullspace_rows, q, solve_rows, span_rows
 
 
 @dataclass(frozen=True)
@@ -90,22 +111,37 @@ class Derivation:
     bidegree: BiDegree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationSpace:
-    """Solution space of one variant at one bidegree.
+    """Solution space of one variant at one bidegree of `structure`.
 
     `solutions` lives over the stacked unknown vector.  `rows` is the
-    eliminated system's nonempty rows in assembly order, each its nonzero
-    (column, value) pairs by column, kept so the space can be re-checked or
-    handed to an independent solver; `system` is them as a dense matrix.
+    system's nonempty rows in assembly order, each its nonzero (column,
+    value) pairs by column, kept so the space can be re-checked or handed
+    to an independent solver; `system` is them as a dense matrix.  Both are
+    assembled on first read; the solve never builds them.
     """
 
     variant: str
     bidegree: BiDegree
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     solutions: Subspace
     algebra_dim: int
     spec: GeneralizedSpec | None = None
+    structure: BiHomDialgebra | None = field(default=None, repr=False)
+
+    def _key(self) -> tuple:
+        return self.variant, self.bidegree, self.solutions, self.algebra_dim, self.spec
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DerivationSpace) and self._key() == other._key() and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        rows, _ = _system_rows(self.structure, self.bidegree, self.variant, self.spec)
+        return tuple(tuple(sorted(r.items())) for r in rows if r)
 
     @property
     def system(self) -> Mat:
@@ -170,7 +206,9 @@ def _twist(A: BiHomDialgebra, deg: BiDegree) -> Mat:
 def _system_rows(
     A: BiHomDialgebra, deg: BiDegree, variant: str, spec: GeneralizedSpec | None = None
 ) -> tuple[list[Row], int]:
-    """The variant's rows and its number of unknowns.
+    """The variant's full rows in the entries of the maps and its number of
+    unknowns, read by `DerivationSpace.rows` and `quasi_partner`; the four
+    solvers and `classify` never build them.
 
     First M D - D M = 0 for every block and M = phi, psi, then the
     Leibniz rows, with unit weights unless a spec is given.
@@ -185,18 +223,84 @@ def _system_rows(
     return rows, components * n * n
 
 
+def _commuting(A: BiHomDialgebra) -> tuple[list, list]:
+    """K, the maps commuting with phi and psi: its canonical basis rows over
+    the entries k n + b, and each basis map's nonzero (k, c) by column b,
+    all scaled by one lcm.  The commutation rows are the degree-1 twist rows
+    of A's integer twist columns, once when phi = psi; a one-entry row
+    forces its column to zero."""
+    n, (D, _, twists) = A.dim, _derived(A, "integer_form", _integer_form)
+    zeros: set[int] = set()
+    rows = _compat_rows(twists[:1] if A.phi == A.psi else twists, 1, D, zeros)
+    move = lambda c: c % n * n + c // n  # noqa: E731 - f(b)_k, at b n + k, is D[k][b], at k n + b
+    free, wide = _kernel([{move(c): v for c, v in row.items()} for row in rows], n * n, set(map(move, zeros)))
+    K = [wide[f] if f in wide else ((f, ONE),) for f in free]
+    maps = [[[] for _ in range(n)] for _ in K]
+    for g, row in zip(maps, _scaled(K)[1]):
+        for c, v in row:
+            g[c % n].append((c // n, v))
+    return K, maps
+
+
+def _slot_images(A: BiHomDialgebra, deg: BiDegree) -> tuple[int, list]:
+    """(d, rows): per product o, basis pair (a, b) and output coordinate k
+    some term reaches, the terms (slot, i, value) of the k-th coordinates
+    of g_i(e_a o e_b), g_i e_a o W e_b and W e_a o g_i e_b, slots 0, 1 and
+    2, for the basis maps g_i of K, summed over the nonzero entries of the
+    cells, of g_i and of the twisted products e_s o W e_b and W e_a o e_u.
+    All are on integers, from A's integer form, W's columns and K each
+    scaled by one lcm; slots 1 and 2 carry the factor d of W's scaling,
+    slot 0 does not."""
+    n, (_, (cells,), _) = A.dim, _derived(A, "integer_form", _integer_form)
+    W, maps = _twist(A, deg), _derived(A, "commuting", _commuting)[1]
+    d, wc = _scaled([_sparse(W.col(a)) for a in range(n)])
+    wc, rows = list(wc), defaultdict(list)
+    for o, prod in enumerate(cells.values()):
+        wx, xw = _twisted_products(prod, wc, None, 0), _twisted_products(prod, None, wc, 0)
+        for i, g in enumerate(maps):
+            for a, b in product(range(n), repeat=2):
+                for p, c in prod[a][b]:
+                    for k, v in g[p]:
+                        rows[o, a, b, k].append((0, i, c * v))
+                for s, v in g[a]:  # g e_a o W e_b, over e_s o W e_b
+                    for k, c in xw[s][b]:
+                        rows[o, a, b, k].append((1, i, v * c))
+                for u, v in g[b]:  # W e_a o g e_b, over W e_a o e_u
+                    for k, c in wx[a][u]:
+                        rows[o, a, b, k].append((2, i, v * c))
+    return d, list(rows.values())
+
+
 def _space(
-    A: BiHomDialgebra, deg: BiDegree, variant: str, spec: GeneralizedSpec | None = None
+    A: BiHomDialgebra, deg: BiDegree, variant: str, spec: GeneralizedSpec | None = None,
+    images: tuple[int, list] | None = None,
 ) -> DerivationSpace:
-    rows, ncols = _system_rows(A, deg, variant, spec)
-    return DerivationSpace(
-        variant=variant,
-        bidegree=deg,
-        rows=tuple(tuple(sorted(r.items())) for r in rows if r),
-        solutions=nullspace_rows(rows, ncols),
-        algebra_dim=A.dim,
-        spec=spec,
-    )
+    """The variant's kernel over (component, basis map of K), from the slot
+    images wired as its table entry says, lifted through K row by row."""
+    components, *blocks = _VARIANTS[variant]
+    K, nn = _derived(A, "commuting", _commuting)[0], A.dim * A.dim
+    d, terms = images or _slot_images(A, deg)
+    alpha, beta, gamma = (ONE, ONE, ONE) if spec is None else (spec.alpha, spec.beta, spec.gamma)
+    weights = (d * alpha, -gamma, -beta)  # on slots 0, 1 and 2
+    m = lcm(*(w.denominator for w in weights))
+    wiring = [(block * len(K), (w * m).numerator) for block, w in zip(blocks, weights)]
+    rows = []
+    for row_terms in terms:
+        row: dict[int, int] = {}
+        for s, i, v in row_terms:
+            off, w = wiring[s]
+            if w:
+                row[off + i] = row.get(off + i, 0) + w * v
+        rows.append(row)
+    lifted = []
+    for wrow in nullspace_rows(rows, components * len(K)).sparse_rows():
+        acc: dict[int, Fraction] = {}
+        for col, x in wrow:
+            c, i = divmod(col, len(K))
+            for j, v in K[i]:
+                acc[c * nn + j] = acc.get(c * nn + j, ZERO) + x * v
+        lifted.append({j: v for j, v in acc.items() if v})
+    return DerivationSpace(variant, deg, Subspace._from_rref(components * nn, lifted), A.dim, spec, A)
 
 
 def derivation_space(A: BiHomDialgebra, deg: BiDegree) -> DerivationSpace:
@@ -462,8 +566,9 @@ def classify(
         A = cat[name].build(**binding)
         bound = tuple(sorted((k, q(v)) for k, v in binding.items()))
         for deg in degrees:
+            images = _slot_images(A, deg)
             for variant in variants:
-                space = _space(A, deg, variant)
+                space = _space(A, deg, variant, images=images)
                 projections = [space.projection(c) for c in range(space.components)]
                 computed = tuple(P.dim for P in projections)
                 reference = REFERENCE_DIMS.get(name, {}).get(variant)

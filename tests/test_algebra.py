@@ -40,6 +40,18 @@ def test_catalog_census():
         assert cat[name].params == ("b",)
 
 
+def test_catalog_builds_its_entries_once():
+    """Every call returns the same entries in a fresh dict, so a caller that
+    changes its dict changes no other caller's."""
+    first, second = catalog(), catalog()
+    assert first is not second and list(first) == list(second)
+    assert all(first[name] is second[name] for name in first)
+    del first["Alg2_1"]
+    first["Alg2_2"] = second["Alg3_1"]
+    third = catalog()
+    assert third == second and third["Alg2_2"].name == "Alg2_2" and "Alg2_1" in third
+
+
 def test_catalog_axioms_hold_at_random_bindings():
     """Every family satisfies twist commutation and all five laws for
     arbitrary rational parameter values."""

@@ -469,13 +469,15 @@ def test_composition_commands_replay_the_pinned_fixtures():
     trivialize and operad-check on deform_bigint.dlg, whose binding and
     terms have denominators 7 and 9 and numerators past 2^70, then deform
     and trivialize (obstructed, the obstruction closed) at order 1 on
-    deform_witness_d.dlg, a first-order deformation of the witness D: exit
+    deform_witness_d.dlg, a first-order deformation of the witness D, and
+    last derive on the witnesses Y and D, whose twists are invertible, at a
+    negative bidegree on Y, where 5 and 9 maps commute with the twists: exit
     code and stdout, text and --json, against tests/fixtures/compositions, whose
     commands.txt lines read "fixture-name exit-code cli-arguments"."""
     pinned = "tests/fixtures/compositions"
     with open(f"{pinned}/commands.txt", encoding="utf-8") as fh:
         commands = [line.split() for line in fh if line.strip()]
-    assert len(commands) == 35
+    assert len(commands) == 38
     for name, code, *args in commands:
         for ext, flag in (("txt", []), ("json", ["--json"])):
             r = run(*args, *flag)

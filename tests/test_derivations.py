@@ -547,3 +547,88 @@ def test_solvers_read_no_dense_twist_entry(monkeypatch):
 
     monkeypatch.setattr(Mat, "__getitem__", refuse)
     assert [solve(A, BiDegree(1, 1)).solutions for A in structures for solve in solvers] == want
+
+
+def _row_route_cases():
+    """(structure, bidegree) pairs for the cross-check of the two solve routes:
+    every catalog family at the unit binding and two non-integral ones at
+    four bidegrees, the witnesses D and Y (invertible twists) at three
+    negative bidegrees, and Ex43 reading A, whose phi and psi differ."""
+    from pathlib import Path
+
+    from bihom.dsl import build_block, parse_path
+
+    rng = random.Random(3303)
+    cases = []
+    for _, entry in sorted(catalog().items()):
+        bindings = [{p: 1 for p in entry.params}] + [
+            {p: Fraction(rng.choice((-7, -5, -1, 1, 5, 7)), rng.choice((2, 3, 4))) for p in entry.params} for _ in range(2)]
+        for binding in bindings:
+            A = entry.build(**binding)
+            cases += [(A, BiDegree(k, l)) for k, l in ((0, 0), (1, 1), (2, 1), (0, 3))]
+    fixtures = Path(__file__).parent / "fixtures" / "deep_degrees"
+    for name in ("D", "Y"):
+        A = build_block(parse_path(fixtures / f"witness_{name.lower()}.dlg"), name)
+        cases += [(A, BiDegree(k, l)) for k, l in ((-1, 0), (-2, -1), (-1, 2))]
+    ex43 = build_block(parse_path(Path(__file__).parent.parent / "corpus" / "ex43.dlg"), "Ex43_readingA").as_dialgebra()
+    assert ex43.phi != ex43.psi
+    cases += [(ex43, BiDegree(k, l)) for k, l in ((0, 0), (1, 1), (2, 1))]
+    return cases
+
+
+ROW_ROUTE_SPECS = (GeneralizedSpec(0, 1, -1), GeneralizedSpec(1, 0, 0), GeneralizedSpec(2, -1, Fraction(3, 2)))
+
+
+def test_commuting_coordinates_match_the_row_route():
+    """The solve in commuting coordinates gives exactly the canonical kernel
+    of the full system of commutation and Leibniz rows, for every variant
+    and, for the weighted one, three specs including zero weights."""
+    from bihom.derivations import _system_rows
+    from bihom.scalars import nullspace_rows
+
+    cases = 0
+    for A, deg in _row_route_cases():
+        spaces = [(s, None) for s in (derivation_space(A, deg), quasi_derivation_space(A, deg),
+                                      generalized_triple_space(A, deg))]
+        spaces += [(generalized_derivation_space(A, deg, spec), spec) for spec in ROW_ROUTE_SPECS]
+        for space, spec in spaces:
+            want = nullspace_rows(*_system_rows(A, deg, space.variant, spec))
+            assert space.solutions == want, (A, deg, space.variant, spec)
+            cases += 1
+    assert cases == (9 * 3 * 4 + 2 * 3 + 3) * 6
+
+
+def test_a_solve_reads_no_leibniz_row(monkeypatch):
+    """With the Leibniz rows and the full system refusing, the four solvers
+    and `classify` answer exactly as before; once restored, `rows` and
+    `system` read as the row route's and the space stays hashable."""
+    import bihom.derivations
+    from bihom.derivations import _system_rows
+
+    spec = GeneralizedSpec(2, -1, Fraction(3, 2))
+    solvers = (derivation_space, quasi_derivation_space, generalized_triple_space,
+               lambda A, deg: generalized_derivation_space(A, deg, spec))
+    names = sorted(catalog())
+    bindings = [{p: Fraction(2, 3) for p in catalog()[n].params} for n in names]
+    structures = [catalog()[n].build(**b) for n, b in zip(names, bindings)]
+    degrees = (BiDegree(1, 1), BiDegree(2, 0))
+    want = [solve(A, deg).solutions for A in structures for deg in degrees for solve in solvers]
+    want_report = classify(names, bindings, list(degrees)).lines()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row route taken")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bihom.derivations, "leibniz_rows", refuse)
+        patched.setattr(bihom.derivations, "_system_rows", refuse)
+        spaces = [solve(A, deg) for A in structures for deg in degrees for solve in solvers]
+        assert [s.solutions for s in spaces] == want
+        assert classify(names, bindings, list(degrees)).lines() == want_report
+    for space in spaces:
+        A, deg = space.structure, space.bidegree
+        rows, ncols = _system_rows(A, deg, space.variant, space.spec)
+        assert space.rows == tuple(tuple(sorted(r.items())) for r in rows if r)
+        assert space.system.shape == (len(space.rows), ncols)
+        assert space.system.row(0) == tuple(dict(space.rows[0]).get(j, 0) for j in range(ncols))
+        hash(space)
+    assert spaces[0] == derivation_space(structures[0], degrees[0]) and spaces[0] != spaces[1]
