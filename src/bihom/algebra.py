@@ -36,10 +36,13 @@ check is the one-law case of the dialgebra check: with both products equal
 the five laws coincide, so it reads the single law `bihom_assoc` as
 `left_left` on `as_dialgebra()`.
 
-The twisted Leibniz rule is written once too, as sparse rows over the
-entries of the unknown maps (`leibniz_rows`): the derivation and triviality
-solvers eliminate them, and `_leibniz` applies them to one given map.  So
-are the twist rows M f(b) - f(M b) of a cochain f (`_compat_rows`): the
+The twisted Leibniz rule is written once too, as one table (`_slot_terms`)
+of the terms of g(e_a o e_b), g e_a o W e_b and W e_a o g e_b for given maps
+g, which `_wired` turns into rows, a block and a weight per slot: the
+derivation solvers read it over the maps commuting with the twists, on
+integers, `leibniz_rows` over the elementary maps, as rows over the entries
+of the unknown maps, and `_leibniz` over the one map it checks.  The twist
+rows M f(b) - f(M b) of a cochain f are written once (`_compat_rows`): the
 complex's compatibility rows and, at degree 1, the commutation rows.  For
 the complex, a one-entry row is never built: past a prefix the twist kills,
 each one-entry line of M forces a range of columns to zero, added to a set
@@ -415,6 +418,48 @@ def _respects(f: Mat, ca: Cells, cb: Cells) -> Callable[[int, int], Vec]:
     )))
 
 
+def _slot_terms(products: Sequence[Cells], wc: Sequence[Sparse], maps: Sequence) -> list[list[tuple]]:
+    """The twisted Leibniz rule, written once: per product o, given by its
+    cells, basis pair (a, b) and output coordinate k, in that order, the
+    terms (slot, i, value) of the k-th coordinates of g_i(e_a o e_b),
+    g_i e_a o W e_b and W e_a o g_i e_b, slots 0, 1 and 2, summed over the
+    nonzero entries of the cells, of g_i and of the twisted products
+    e_s o W e_b and W e_a o e_u.  W and each map g_i are given by their
+    sparse columns, on integers or Fractions alike."""
+    n = len(wc)
+    terms: list[list[tuple]] = [[] for _ in range(len(products) * n**3)]
+    for o, cells in enumerate(products):
+        wx, xw = _twisted_products(cells, wc, None, 0), _twisted_products(cells, None, wc, 0)
+        for i, g in enumerate(maps):
+            for a, b in product(range(n), repeat=2):
+                at = ((o * n + a) * n + b) * n
+                for p, c in cells[a][b]:
+                    for k, v in g[p]:
+                        terms[at + k].append((0, i, c * v))
+                for s, v in g[a]:  # g e_a o W e_b, over e_s o W e_b
+                    for k, c in xw[s][b]:
+                        terms[at + k].append((1, i, v * c))
+                for u, v in g[b]:  # W e_a o g e_b, over W e_a o e_u
+                    for k, c in wx[a][u]:
+                        terms[at + k].append((2, i, v * c))
+    return terms
+
+
+def _wired(terms: Iterable[list[tuple]], wiring: Sequence[tuple[int, object]]) -> list[dict]:
+    """One sparse row per row of slot terms, empty rows kept: a term (slot,
+    i, value) adds weight * value at column offset + i, (offset, weight) =
+    wiring[slot]; entries that cancel stay, as zeros."""
+    rows = []
+    for row_terms in terms:
+        row: dict = {}
+        for s, i, v in row_terms:
+            off, w = wiring[s]
+            if w:
+                row[off + i] = row.get(off + i, 0) + w * v
+        rows.append(row)
+    return rows
+
+
 def leibniz_rows(
     products: Sequence[Cells],
     W: Mat,
@@ -426,43 +471,22 @@ def leibniz_rows(
     `blocks` is (lhs, left, right) and `weights` is (alpha, beta, gamma);
     each D is an n x n block of the unknowns, stacked row-major.  One row
     per product o, given by its cells, basis pair (e_a, e_b) and output
-    coordinate k, in that order.
+    coordinate k, in that order: the slot terms of the elementary maps
+    e_b -> e_k, the unknown at k n + b, wired to their blocks.
     """
-    n = W.rows
-    lhs, left, right = (block * n * n for block in blocks)
-    alpha, beta, gamma = weights
-    wc = [_sparse(W.col(a)) for a in range(n)]
-    rows: list[Row] = []
-    for cells in products:
-        # the weighted terms beta (W e_a o e_q) and gamma (e_p o W e_b), once per product
-        wx = [[_weighted(beta, v) for v in line] for line in _twisted_products(cells, wc)]
-        xw = [[_weighted(gamma, v) for v in line] for line in _twisted_products(cells, None, wc)]
-        for a, b in product(range(n), repeat=2):
-            out: list[Row] = [{} for _ in range(n)]
-            for p, c in _weighted(alpha, cells[a][b]):
-                for k, row in enumerate(out):
-                    row[lhs + k * n + p] = row.get(lhs + k * n + p, ZERO) + c
-            for qq in range(n):
-                for k, c in wx[a][qq]:
-                    out[k][right + qq * n + b] = out[k].get(right + qq * n + b, ZERO) - c
-            for p in range(n):
-                for k, c in xw[p][b]:
-                    out[k][left + p * n + a] = out[k].get(left + p * n + a, ZERO) - c
-            rows += ({key: v for key, v in row.items() if v} for row in out)
-    return rows
-
-
-def _weighted(w: Fraction, v: Sparse) -> Sparse:
-    if w == ONE:
-        return v
-    return tuple((k, w * c) for k, c in v) if w else ()
+    n, (alpha, beta, gamma) = W.rows, weights
+    units = [[((k, ONE),) if c == b else () for c in range(n)] for k in range(n) for b in range(n)]
+    wiring = [(block * n * n, w) for block, w in zip(blocks, (alpha, -gamma, -beta))]  # slots 0, 1 and 2
+    rows = _wired(_slot_terms(products, [_sparse(W.col(a)) for a in range(n)], units), wiring)
+    return [{c: v for c, v in row.items() if v} for row in rows]
 
 
 def _leibniz(D: Mat, W: Mat, cells: Cells) -> Callable[[int, int], Vec]:
-    """(a, b) -> D(e_a o e_b) - W(e_a) o D(e_b) - D(e_a) o W(e_b): each
-    coordinate is a `leibniz_rows` row applied to the entries of D."""
-    n, d = D.rows, D.entries()
-    res = [sum((v * d[c] for c, v in row.items()), ZERO) for row in leibniz_rows((cells,), W)]
+    """(a, b) -> D(e_a o e_b) - W(e_a) o D(e_b) - D(e_a) o W(e_b), from the
+    slot terms of the one map D."""
+    n = D.rows
+    terms = _slot_terms((cells,), [_sparse(W.col(a)) for a in range(n)], [[_sparse(D.col(b)) for b in range(n)]])
+    res = [row.get(0, ZERO) for row in _wired(terms, ((0, 1), (0, -1), (0, -1)))]
     return lambda a, b: tuple(res[(a * n + b) * n : (a * n + b + 1) * n])
 
 

@@ -5,39 +5,38 @@ entries of the unknown maps, made of two kinds of rows:
 
 * commutation rows, D phi = phi D and D psi = psi D, the twist rows of
   `bihom.algebra` for a degree-1 cochain;
-* twisted Leibniz rows (`bihom.algebra.leibniz_rows`), for each product
-  o and basis pair (e_a, e_b):
+* twisted Leibniz rows, for each product o and basis pair (e_a, e_b):
   alpha D(e_a o e_b) = beta (W e_a o D e_b) + gamma (D e_a o W e_b),
-  with W = phi^k psi^l for the chosen bidegree (k, l).  They read the
-  products from the structure's sparse form (`A.cells`), built once when
-  the structure is made, with its tables frozen; `apply_table` stays the
-  dense reference, used here only by `ad`.
+  with W = phi^k psi^l for the chosen bidegree (k, l).  Every reader
+  takes them from one table, `bihom.algebra._slot_terms`, over the
+  structure's sparse form (`A.cells`); `apply_table` stays the dense
+  reference, used here only by `ad`.
 
 The variants differ only in which unknown sits in which slot and in the
-weights, so one table wires them all: the plain variant has one unknown
-map and alpha = beta = gamma = 1, the weighted one keeps (alpha, beta,
-gamma) free, the quasi variant solves for a pair (D, D') with D' on the
-left side, and the triple variant for (D, D', D'') with D'' on the left,
-D' in the right slot and D in the left slot.  Unknowns are stacked
-row-major, D first, then D', then D'', so the canonical basis of the
-solution space is reproducible.
+weights, so one table, `_VARIANTS`, wires them all: the plain variant has
+one unknown map and alpha = beta = gamma = 1, the weighted one keeps
+(alpha, beta, gamma) free, the quasi variant solves for a pair (D, D')
+with D' on the left side, and the triple variant for (D, D', D'') with
+D'' on the left, D' in the right slot and D in the left slot.  Unknowns
+are stacked row-major, D first, then D', then D'', so the canonical
+basis of the solution space is reproducible.
 
 A variant is solved in commuting coordinates, as the complex solves
 Z^n = G . ker.  K, the maps commuting with phi and psi, is the kernel of
 the commutation rows, built once per structure into its memo; every
-unknown map is a combination of K's canonical basis maps g.  For each g
-the three Leibniz slot images g(e_a o e_b), W e_a o g e_b and
-g e_a o W e_b are tabulated on integers, from the structure's integer
-form, W's columns scaled once and K scaled by one lcm (`classify` shares
-them across its variants), and a variant's rows over (component, g) are
-its weights times the images its table entry wires to each slot.  Their
-kernel lifts through K row by row: K's rows have unit pivots no other
-row touches, so reduced rows lift to reduced rows and the space is
-canonical with no second elimination.  The full system in the
-coordinates of the maps, `DerivationSpace.rows` and its dense `system`,
-is assembled only when read; `quasi_partner` is the quasi system with D
-fixed, its block moved to the right-hand side, and a `projection`
-eliminates sparse rows once.
+unknown map is a combination of K's canonical basis maps g.  The slot
+table of the g is read on integers, from the structure's integer form,
+W's columns scaled once and K scaled by one lcm (`classify` shares it
+across its variants), and a variant's rows over (component, g) are the
+table wired to its blocks and weights.  Their kernel lifts through K row
+by row: K's rows have unit pivots no other row touches, so reduced rows
+lift to reduced rows and the space is canonical with no second
+elimination.  The full system in the coordinates of the maps,
+`DerivationSpace.rows` and its dense `system`, is assembled only when
+read, from the same table over the elementary maps (`leibniz_rows`);
+`quasi_partner` is the quasi system with D fixed, its block moved to the
+right-hand side, `derivation_report` reads the table over the one map it
+checks, and a `projection` eliminates sparse rows once.
 
 The module also carries the dimension and zero-pattern tables from the
 reference classification of the catalog algebras.  Computed spaces are
@@ -49,11 +48,10 @@ annotated with dimension two, for instance).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product
+from itertools import islice
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -67,9 +65,10 @@ from bihom.algebra import (
     _derived,
     _integer_form,
     _leibniz,
+    _slot_terms,
     _sparse,
-    _twisted_products,
     _violations,
+    _wired,
     apply_table,
     basis_vec,
     catalog,
@@ -126,8 +125,8 @@ class DerivationSpace:
     bidegree: BiDegree
     solutions: Subspace
     algebra_dim: int
-    spec: GeneralizedSpec | None = None
-    structure: BiHomDialgebra | None = field(default=None, repr=False)
+    spec: GeneralizedSpec | None
+    structure: BiHomDialgebra = field(repr=False)
 
     def _key(self) -> tuple:
         return self.variant, self.bidegree, self.solutions, self.algebra_dim, self.spec
@@ -243,32 +242,13 @@ def _commuting(A: BiHomDialgebra) -> tuple[list, list]:
 
 
 def _slot_images(A: BiHomDialgebra, deg: BiDegree) -> tuple[int, list]:
-    """(d, rows): per product o, basis pair (a, b) and output coordinate k
-    some term reaches, the terms (slot, i, value) of the k-th coordinates
-    of g_i(e_a o e_b), g_i e_a o W e_b and W e_a o g_i e_b, slots 0, 1 and
-    2, for the basis maps g_i of K, summed over the nonzero entries of the
-    cells, of g_i and of the twisted products e_s o W e_b and W e_a o e_u.
-    All are on integers, from A's integer form, W's columns and K each
-    scaled by one lcm; slots 1 and 2 carry the factor d of W's scaling,
-    slot 0 does not."""
-    n, (_, (cells,), _) = A.dim, _derived(A, "integer_form", _integer_form)
-    W, maps = _twist(A, deg), _derived(A, "commuting", _commuting)[1]
-    d, wc = _scaled([_sparse(W.col(a)) for a in range(n)])
-    wc, rows = list(wc), defaultdict(list)
-    for o, prod in enumerate(cells.values()):
-        wx, xw = _twisted_products(prod, wc, None, 0), _twisted_products(prod, None, wc, 0)
-        for i, g in enumerate(maps):
-            for a, b in product(range(n), repeat=2):
-                for p, c in prod[a][b]:
-                    for k, v in g[p]:
-                        rows[o, a, b, k].append((0, i, c * v))
-                for s, v in g[a]:  # g e_a o W e_b, over e_s o W e_b
-                    for k, c in xw[s][b]:
-                        rows[o, a, b, k].append((1, i, v * c))
-                for u, v in g[b]:  # W e_a o g e_b, over W e_a o e_u
-                    for k, c in wx[a][u]:
-                        rows[o, a, b, k].append((2, i, v * c))
-    return d, list(rows.values())
+    """(d, terms): the Leibniz slot terms (`bihom.algebra._slot_terms`) of
+    K's basis maps g_i, on integers, from A's integer form, W's columns and
+    K each scaled by one lcm; slots 1 and 2 carry the factor d of W's
+    scaling, slot 0 does not."""
+    W, (_, (cells,), _) = _twist(A, deg), _derived(A, "integer_form", _integer_form)
+    d, wc = _scaled([_sparse(W.col(a)) for a in range(A.dim)])
+    return d, _slot_terms(tuple(cells.values()), list(wc), _derived(A, "commuting", _commuting)[1])
 
 
 def _space(
@@ -283,17 +263,9 @@ def _space(
     alpha, beta, gamma = (ONE, ONE, ONE) if spec is None else (spec.alpha, spec.beta, spec.gamma)
     weights = (d * alpha, -gamma, -beta)  # on slots 0, 1 and 2
     m = lcm(*(w.denominator for w in weights))
-    wiring = [(block * len(K), (w * m).numerator) for block, w in zip(blocks, weights)]
-    rows = []
-    for row_terms in terms:
-        row: dict[int, int] = {}
-        for s, i, v in row_terms:
-            off, w = wiring[s]
-            if w:
-                row[off + i] = row.get(off + i, 0) + w * v
-        rows.append(row)
+    rows = _wired(terms, [(block * len(K), (w * m).numerator) for block, w in zip(blocks, weights)])
     lifted = []
-    for wrow in nullspace_rows(rows, components * len(K)).sparse_rows():
+    for wrow in nullspace_rows(filter(None, rows), components * len(K)).sparse_rows():
         acc: dict[int, Fraction] = {}
         for col, x in wrow:
             c, i = divmod(col, len(K))

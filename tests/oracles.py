@@ -14,6 +14,9 @@ order by order through `apply_table` and `eval`; so is the transport
 coefficient, one `TruncatedDeformation.product` per order quadruple,
 and the triviality solve, every Leibniz equation written densely from its
 definition, empty ones included, paired with K_n's coordinates by position.
+The twisted Leibniz rows are written from their definition too, entry by
+entry of the unknown maps through `apply_table` and `Mat.apply`, where the
+library tabulates the slot terms of elementary maps.
 The twist compatibility rows are written from their definition,
 M f(b) - f(M b), one argument tuple at a time through `Mat.apply`, and
 their degree-1 case the way the derivation solvers once wrote it, as
@@ -552,6 +555,36 @@ def commutation_rows(A, components: int) -> list[dict[int, Fraction]]:
                     key = off + s * n + j
                     row[key] = row.get(key, ZERO) - c
             rows.append({k: v for k, v in row.items() if v})
+    return rows
+
+
+def leibniz_rows(A, W, blocks=(0, 0, 0), weights=(ONE, ONE, ONE)) -> list[dict[int, Fraction]]:
+    """alpha D_lhs(x o y) - beta (W x o D_right y) - gamma (D_left x o W y) = 0
+    over n x n unknown maps stacked row-major, `blocks` = (lhs, left, right),
+    written from the definition: D = sum of D[s][u] e_s e_u^T, so D(v)_k is
+    sum_u D[k][u] v_u and D(e_b) is sum_s D[s][b] e_s.  The products go
+    through `apply_table` and W through `Mat.apply`, on basis vectors; one
+    row per product (-| then |-), basis pair (a, b) and output k, in that
+    order, empty rows kept."""
+    n = A.dim
+    lhs, left, right = (block * n * n for block in blocks)
+    alpha, beta, gamma = weights
+    unit = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
+    rows = []
+    for T in (A.dashv, A.vdash):
+        for a, b in iproduct(range(n), repeat=2):
+            xy, wa, wb = apply_table(T, unit[a], unit[b]), W.apply(unit[a]), W.apply(unit[b])
+            wx = [apply_table(T, wa, e) for e in unit]  # W e_a o e_s
+            xw = [apply_table(T, e, wb) for e in unit]  # e_s o W e_b
+            for k in range(n):
+                row = {}
+                terms = [(lhs + k * n + u, alpha, xy[u]) for u in range(n)]
+                terms += [(right + s * n + b, -beta, wx[s][k]) for s in range(n)]
+                terms += [(left + s * n + a, -gamma, xw[s][k]) for s in range(n)]
+                for col, w, v in terms:
+                    if v:
+                        row[col] = row.get(col, ZERO) + w * v
+                rows.append({col: v for col, v in row.items() if v})
     return rows
 
 

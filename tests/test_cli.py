@@ -471,13 +471,15 @@ def test_composition_commands_replay_the_pinned_fixtures():
     and trivialize (obstructed, the obstruction closed) at order 1 on
     deform_witness_d.dlg, a first-order deformation of the witness D, and
     last derive on the witnesses Y and D, whose twists are invertible, at a
-    negative bidegree on Y, where 5 and 9 maps commute with the twists: exit
-    code and stdout, text and --json, against tests/fixtures/compositions, whose
-    commands.txt lines read "fixture-name exit-code cli-arguments"."""
+    negative bidegree on Y, where 5 and 9 maps commute with the twists, and
+    --quasi on Y at (-1, 1), the quasi wiring on invertible twists (dim 6,
+    D- and D'-projections 2 and 5): 39 commands, exit code and stdout, text
+    and --json, against tests/fixtures/compositions, whose commands.txt
+    lines read "fixture-name exit-code cli-arguments"."""
     pinned = "tests/fixtures/compositions"
     with open(f"{pinned}/commands.txt", encoding="utf-8") as fh:
         commands = [line.split() for line in fh if line.strip()]
-    assert len(commands) == 38
+    assert len(commands) == 39
     for name, code, *args in commands:
         for ext, flag in (("txt", []), ("json", ["--json"])):
             r = run(*args, *flag)

@@ -4,6 +4,7 @@ reconciliation against the reference classification tables."""
 import functools
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -485,11 +486,53 @@ def test_rows_and_system_leave_out_the_rows_whose_entries_all_cancel():
     assert space.rows == () and space.system.shape == (0, 4) and space.dim == 4
 
 
-def test_leibniz_rows_are_written_once():
+def test_every_leibniz_consumer_reads_the_one_slot_table(monkeypatch):
+    """The twisted Leibniz rule is tabulated by one function, `_slot_terms`.
+    With it wrapped, each consumer reads it, over the maps it is written
+    for: the four solvers over K's basis maps, once per solve, and
+    `classify` once per bidegree, not once per variant; `rows`,
+    `quasi_partner` and the triviality solve over the n^2 elementary maps,
+    the last once per base; `derivation_report` and
+    `from_differential_algebra` over the one map they check, once per
+    product."""
     import bihom.algebra
     import bihom.derivations
+    from bihom.algebra import from_differential_algebra
+    from bihom.deformation import TruncatedDeformation, solve_triviality
+    from bihom.derivations import _commuting
+    from test_algebra import _upper_triangular
 
-    assert bihom.derivations.leibniz_rows is bihom.algebra.leibniz_rows
+    original, calls = bihom.algebra._slot_terms, []
+
+    def counting(products, wc, maps):
+        calls.append(len(maps))
+        return original(products, wc, maps)
+
+    monkeypatch.setattr(bihom.algebra, "_slot_terms", counting)
+    monkeypatch.setattr(bihom.derivations, "_slot_terms", counting)
+
+    def reads(call):
+        calls.clear()
+        call()
+        return list(calls)
+
+    A, deg = catalog()["Alg3_1"].build(a=1, b=2, c=3, d=1, f=2), BiDegree(1, 1)
+    dim_k = len(_commuting(A)[0])
+    spec = GeneralizedSpec(2, -1, Fraction(3, 2))
+    for solve in (derivation_space, quasi_derivation_space, generalized_triple_space,
+                  lambda A, deg: generalized_derivation_space(A, deg, spec)):
+        assert reads(lambda: solve(A, deg)) == [dim_k]
+    bindings = [{p: 1 for p in catalog()["Alg3_1"].params}]
+    assert len(reads(lambda: classify(["Alg3_1"], bindings, [BiDegree(0, 0), deg]))) == 2
+    space = derivation_space(A, deg)
+    assert reads(lambda: space.rows) == [9] and reads(lambda: space.system) == []
+    assert reads(lambda: quasi_partner(A, deg, Mat.identity(3))) == [9]
+    assert reads(lambda: derivation_report(A, Mat.identity(3), deg)) == [1, 1]
+    d = Mat.from_rows([[0, 0, 0], [-1, 0, 1], [0, 0, 0]])
+    assert reads(lambda: from_differential_algebra(_upper_triangular(), d)) == [1]
+    flat = TruncatedDeformation(A)
+    assert reads(lambda: [solve_triviality(flat, 3), solve_triviality(flat, 2)]) == [9]
+    assert reads(lambda: solve_triviality(TruncatedDeformation(catalog()["Alg2_2"].build(a=2)), 2)) == [4]
 
 
 def _canonical_sign(row):
@@ -502,8 +545,8 @@ def test_commutation_rows_are_the_degree_one_twist_rows():
     """The commutation rows come from the twist rows of a degree-1 cochain;
     against the entry-by-entry D M - M D reference, with the same Leibniz
     rows after them, the nonzero rows agree as a multiset up to sign and
-    every solution space is the same."""
-    from bihom.algebra import leibniz_rows
+    every solution space is the same.  The Leibniz rows are the dense
+    reference's, written from the definition."""
     from bihom.derivations import _VARIANTS
     from bihom.scalars import nullspace_rows
 
@@ -524,8 +567,8 @@ def test_commutation_rows_are_the_degree_one_twist_rows():
                     space = solve(A, deg)
                     components, *blocks = _VARIANTS[variant]
                     weights = (spec.alpha, spec.beta, spec.gamma) if variant == "generalized" else (1, 1, 1)
-                    reference = oracles.commutation_rows(A, components) + leibniz_rows(
-                        tuple(A.cells.values()), A.twist_power(deg.k, deg.l), tuple(blocks), tuple(map(Fraction, weights)))
+                    reference = oracles.commutation_rows(A, components) + oracles.leibniz_rows(
+                        A, A.twist_power(deg.k, deg.l), blocks, tuple(map(Fraction, weights)))
                     got = sorted(_canonical_sign(dict(r)) for r in space.rows if r)
                     assert got == sorted(_canonical_sign(r) for r in reference if r), (name, binding, deg, variant)
                     assert space.solutions == nullspace_rows(reference, components * A.dim**2), (name, deg, variant)
@@ -596,6 +639,42 @@ def test_commuting_coordinates_match_the_row_route():
             assert space.solutions == want, (A, deg, space.variant, spec)
             cases += 1
     assert cases == (9 * 3 * 4 + 2 * 3 + 3) * 6
+
+
+def test_leibniz_rows_match_the_dense_reference_row_for_row():
+    """`leibniz_rows`, the slot terms of the elementary maps wired to their
+    blocks, equals the reference written from the definition row for row:
+    one row per product, basis pair and output coordinate, empty rows in
+    the same positions and every value a Fraction, for each variant's
+    wiring at each spec's weights, on every row-route case."""
+    from bihom.algebra import leibniz_rows
+    from bihom.derivations import _VARIANTS
+
+    cases = 0
+    for A, deg in _row_route_cases():
+        W = A.twist_power(deg.k, deg.l)
+        for (_, *blocks), spec in product(_VARIANTS.values(), ROW_ROUTE_SPECS):
+            weights = (spec.alpha, spec.beta, spec.gamma)
+            got = leibniz_rows(tuple(A.cells.values()), W, tuple(blocks), weights)
+            assert got == oracles.leibniz_rows(A, W, blocks, weights), (A, deg, blocks, spec)
+            assert all(type(v) is Fraction for row in got for v in row.values())
+            cases += 1
+    assert cases == (9 * 3 * 4 + 2 * 3 + 3) * 4 * 3
+
+
+def test_a_space_is_built_with_its_structure():
+    """A space always carries the structure and spec it was solved for, so
+    it compares, hashes and reads its rows; there is no structure-less
+    default to leave `rows` nothing to read."""
+    from bihom.derivations import DerivationSpace
+
+    with pytest.raises(TypeError):
+        DerivationSpace("plain", BiDegree(0, 0), Subspace(4), 2)
+    A = catalog()["Alg2_2"].build(a=2)
+    space = derivation_space(A, BiDegree(0, 0))
+    twin = DerivationSpace(space.variant, space.bidegree, space.solutions, space.algebra_dim, None, A)
+    assert twin == space and hash(twin) == hash(space)
+    assert twin.rows == space.rows and twin.system == space.system
 
 
 def test_a_solve_reads_no_leibniz_row(monkeypatch):
